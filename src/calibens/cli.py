@@ -16,9 +16,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .combiners import (
@@ -31,11 +30,10 @@ from .combiners import (
     combine_metamodel,
     combine_vote,
     load_metamodel,
-    param_count,
     save_metamodel,
     train_metamodel,
 )
-from .data import SynthSpec, load_dataset, save_dataset, split, synth_clusters
+from .data import SynthSpec, load_dataset, save_dataset, split, synth_cluster_pair
 from .errors import (
     CalibensError,
     ConfigError,
@@ -54,7 +52,6 @@ JOBS_ENV_VAR = "CALIB_ENSEMBLE_JOBS"
 _SPLIT_STREAM = 1000
 _HEAD_STREAM = 1
 _META_STREAM = 2000
-_GEN_TEST_STREAM = 500000  # far from the other offsets so streams never coincide
 
 
 def _write_json(path, obj) -> None:
@@ -134,7 +131,7 @@ def cmd_gen(args) -> int:
     if cfg["kind"] != "clusters":
         raise ConfigError(f"unknown generator kind {cfg['kind']!r}; expected 'clusters'")
     test_n = cfg["test_n"] if cfg["test_n"] is not None else cfg["n"]
-    train_spec = SynthSpec(
+    spec = SynthSpec(
         num_classes=int(cfg["classes"]),
         dim=int(cfg["dim"]),
         num_samples=int(cfg["n"]),
@@ -142,18 +139,9 @@ def cmd_gen(args) -> int:
         label_noise=float(cfg["noise"]),
         seed=int(cfg["seed"]),
     )
-    test_spec = SynthSpec(
-        num_classes=train_spec.num_classes,
-        dim=train_spec.dim,
-        num_samples=int(test_n),
-        cluster_separation=train_spec.cluster_separation,
-        label_noise=train_spec.label_noise,
-        seed=derive_seed(train_spec.seed, _GEN_TEST_STREAM),
-    )
+    train, test = synth_cluster_pair(spec, int(test_n))
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    train = synth_clusters(train_spec)
-    test = synth_clusters(test_spec)
     save_dataset(train, out_dir / "train.fds")
     save_dataset(test, out_dir / "test.fds")
     print(f"wrote {out_dir / 'train.fds'} ({train.n} samples)")
@@ -183,7 +171,12 @@ TRAIN_HEADS_DEFAULTS = {
 }
 
 
-def _head_train_config(cfg, seed=0) -> HeadTrainConfig:
+def _config_echo(train_cfg) -> dict:
+    """Training settings as the sidecars record them: every field but the seed."""
+    return {k: v for k, v in asdict(train_cfg).items() if k != "seed"}
+
+
+def _head_train_config(cfg) -> HeadTrainConfig:
     return HeadTrainConfig(
         initial_lr=float(cfg["lr"]),
         momentum=float(cfg["momentum"]),
@@ -193,28 +186,7 @@ def _head_train_config(cfg, seed=0) -> HeadTrainConfig:
         plateau_factor=float(cfg["plateau_factor"]),
         plateau_patience=int(cfg["plateau_patience"]),
         early_stop_patience=int(cfg["early_stop_patience"]),
-        seed=seed,
     )
-
-
-def _head_config_echo(cfg) -> dict:
-    return {
-        "initial_lr": float(cfg["lr"]),
-        "momentum": float(cfg["momentum"]),
-        "weight_decay": float(cfg["weight_decay"]),
-        "batch_size": int(cfg["batch_size"]),
-        "max_epochs": int(cfg["max_epochs"]),
-        "plateau_factor": float(cfg["plateau_factor"]),
-        "plateau_patience": int(cfg["plateau_patience"]),
-        "early_stop_patience": int(cfg["early_stop_patience"]),
-    }
-
-
-def _best_epoch(history) -> tuple[int | None, float | None]:
-    if not history:
-        return None, None
-    best = min(history, key=lambda rec: rec[2])
-    return best[0], best[2]
 
 
 def cmd_train_heads(args) -> int:
@@ -228,16 +200,14 @@ def cmd_train_heads(args) -> int:
     jobs = int(cfg["jobs"]) if cfg["jobs"] is not None else _default_jobs()
     dataset = load_dataset(cfg["train"])
     train, val = split(dataset, float(cfg["val_fraction"]), derive_seed(seed, _SPLIT_STREAM))
-    heads = train_head_family(
-        train, val, m, derive_seed(seed, _HEAD_STREAM), _head_train_config(cfg), jobs=jobs
-    )
+    head_cfg = _head_train_config(cfg)
+    heads = train_head_family(train, val, m, derive_seed(seed, _HEAD_STREAM), head_cfg, jobs=jobs)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, head in enumerate(heads):
         filename = f"head_{i}.hdw"
         save_head(head, out_dir / filename)
-        best_epoch, best_val = _best_epoch(head.training_history)
         entries.append(
             {
                 "index": i,
@@ -245,8 +215,8 @@ def cmd_train_heads(args) -> int:
                 "seed": head.seed,
                 "file": filename,
                 "epochs_run": len(head.training_history),
-                "best_epoch": best_epoch,
-                "best_val_loss": best_val,
+                "best_epoch": head.best_epoch,
+                "best_val_loss": head.best_val_loss,
                 "history": [list(rec) for rec in head.training_history],
             }
         )
@@ -258,7 +228,7 @@ def cmd_train_heads(args) -> int:
             "m": m,
             "train_path": str(cfg["train"]),
             "val_fraction": float(cfg["val_fraction"]),
-            "config": _head_config_echo(cfg),
+            "config": _config_echo(head_cfg),
             "heads": entries,
         },
     )
@@ -310,19 +280,6 @@ def _head_outputs(heads, features, meta_input: str) -> HeadOutputs:
     return HeadOutputs([softmax(l) for l in logits])
 
 
-def _meta_config_echo(cfg) -> dict:
-    return {
-        "epochs": int(cfg["epochs"]),
-        "initial_lr": float(cfg["lr"]),
-        "momentum": float(cfg["momentum"]),
-        "weight_decay": float(cfg["weight_decay"]),
-        "batch_size": int(cfg["batch_size"]),
-        "plateau_factor": float(cfg["plateau_factor"]),
-        "plateau_patience": int(cfg["plateau_patience"]),
-        "dropout_p": float(cfg["dropout"]),
-    }
-
-
 def cmd_train_meta(args) -> int:
     cfg = _resolve(args, TRAIN_META_DEFAULTS)
     if cfg["kind"] is None:
@@ -362,7 +319,6 @@ def cmd_train_meta(args) -> int:
     out_dir = Path(cfg["out"]) if cfg["out"] is not None else Path(cfg["heads_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     save_metamodel(trained, out_dir / f"meta_{kind}.mmd")
-    best_epoch, best_val = _best_epoch(trained.training_history)
     _write_json(
         out_dir / f"meta_{kind}.json",
         {
@@ -375,9 +331,9 @@ def cmd_train_meta(args) -> int:
             "m": len(heads),
             "num_classes": dataset.num_classes,
             "param_count": trained.param_count,
-            "config": _meta_config_echo(cfg),
-            "best_epoch": best_epoch,
-            "best_val_loss": best_val,
+            "config": _config_echo(train_cfg),
+            "best_epoch": trained.best_epoch,
+            "best_val_loss": trained.best_val_loss,
             "history": [list(rec) for rec in trained.training_history],
         },
     )

@@ -18,25 +18,24 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, FormatError, TrainingError
+from .errors import ConfigError, DataError, DimensionError, FormatError
 from .metrics import PredictionSet, predictions_from_probs
 from .numerics import (
-    PlateauScheduler,
     RngStream,
-    SgdState,
     _softmax_ce_grad,
     backward_linear,
     backward_mlp,
     cross_entropy,
     dropout_mask,
+    fit,
     linear_forward,
     relu,
-    sgd_step,
+    require_finite,
     softmax,
 )
 
@@ -68,6 +67,7 @@ class HeadOutputs:
                 raise DimensionError(
                     f"head {i} output {mat.shape} does not match head 0 output {shape}"
                 )
+            require_finite(mat, f"head {i} output")
         if self.rows_are_probs:
             for i, mat in enumerate(mats):
                 if np.any(mat < 0.0) or np.any(np.abs(mat.sum(axis=1) - 1.0) > 1e-9):
@@ -142,16 +142,22 @@ def hidden_width(kind: str, m: int, num_classes: int) -> int:
     return 0
 
 
-def param_count(kind: str, m: int, num_classes: int) -> int:
-    """Closed-form trainable parameter count per combiner kind."""
+def layer_shapes(kind: str, m: int, num_classes: int) -> list[tuple[int, int]]:
+    """(out_width, in_width) of each layer's weights, in file order; each layer
+    also has an out_width bias. SLpC's row c holds class c's m head inputs."""
     if kind == "SL":
-        return m * num_classes * num_classes + num_classes
+        return [(num_classes, m * num_classes)]
     if kind in ("DL", "DLL"):
         h = hidden_width(kind, m, num_classes)
-        return m * num_classes * h + h + h * num_classes + num_classes
+        return [(h, m * num_classes), (num_classes, h)]
     if kind == "SLpC":
-        return num_classes * (m + 1)
+        return [(num_classes, m)]
     raise ConfigError(f"unknown combiner kind {kind!r}; expected one of {KINDS}")
+
+
+def param_count(kind: str, m: int, num_classes: int) -> int:
+    """Trainable parameter count: weights plus bias of every layer."""
+    return sum(out_w * in_w + out_w for out_w, in_w in layer_shapes(kind, m, num_classes))
 
 
 @dataclass(eq=False)
@@ -167,6 +173,8 @@ class Metamodel:
     seed: int
     layers: list = field(default_factory=list)
     training_history: list = field(default_factory=list)
+    best_epoch: int | None = None  # kept snapshot (0: untrained); None if not trained here
+    best_val_loss: float | None = None
 
     @property
     def param_count(self) -> int:
@@ -177,7 +185,7 @@ def build_metamodel(
     kind: str, m: int, num_classes: int, seed: int, dropout_p: float = 0.5
 ) -> Metamodel:
     """Initialize a combiner; each layer's weights and bias are drawn uniformly
-    from [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
+    from [-1/sqrt(fan_in), 1/sqrt(fan_in)], fan_in being the layer's in_width."""
     if kind not in KINDS:
         raise ConfigError(f"unknown combiner kind {kind!r}; expected one of {KINDS}")
     if m < 1 or num_classes < 1:
@@ -185,35 +193,20 @@ def build_metamodel(
     if kind in ("DL", "DLL") and not 0.0 <= dropout_p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {dropout_p}")
     stream = RngStream(seed)
-
-    def layer(fan_in, out_width, in_width):
-        bound = 1.0 / np.sqrt(fan_in)
-        return (
-            stream.uniform(-bound, bound, (out_width, in_width)),
-            stream.uniform(-bound, bound, out_width),
-        )
-
-    h = hidden_width(kind, m, num_classes)
-    if kind == "SL":
-        layers = [layer(m * num_classes, num_classes, m * num_classes)]
-    elif kind in ("DL", "DLL"):
-        layers = [
-            layer(m * num_classes, h, m * num_classes),
-            layer(h, num_classes, h),
-        ]
-    else:  # SLpC: weight row c holds class c's m head inputs
-        layers = [layer(m, num_classes, m)]
-    meta = Metamodel(
+    layers = []
+    for out_width, in_width in layer_shapes(kind, m, num_classes):
+        bound = 1.0 / np.sqrt(in_width)
+        weights = stream.uniform(-bound, bound, (out_width, in_width))
+        layers.append((weights, stream.uniform(-bound, bound, out_width)))
+    return Metamodel(
         kind=kind,
         num_heads=m,
         num_classes=num_classes,
-        hidden=h,
+        hidden=hidden_width(kind, m, num_classes),
         dropout_p=dropout_p if kind in ("DL", "DLL") else 0.0,
         seed=int(seed),
         layers=layers,
     )
-    assert meta.param_count == param_count(kind, m, num_classes)
-    return meta
 
 
 def _check_outputs(meta: Metamodel, outputs: HeadOutputs) -> None:
@@ -321,10 +314,11 @@ def train_metamodel(
     val_labels,
     cfg: MetaTrainConfig,
 ) -> Metamodel:
-    """Mini-batch SGD for exactly cfg.epochs epochs (no early stopping), with a
-    reduce-on-plateau schedule on the validation loss. Returns a new model
-    holding the snapshot with the lowest validation loss; the input model is
-    left untouched."""
+    """Train a copy of `meta` with numerics.fit for exactly cfg.epochs epochs
+    (no early stopping). The untrained model is snapshot candidate zero, so
+    the returned model never validates worse than its starting point; the
+    input model is left untouched. Dropout masks (DL/DLL) come from the same
+    seeded stream as fit's permutations."""
     _check_outputs(meta, train_outputs)
     _check_outputs(meta, val_outputs)
     train_labels = np.asarray(train_labels, dtype=np.int64)
@@ -332,64 +326,37 @@ def train_metamodel(
     if train_labels.shape[0] != train_outputs.n or val_labels.shape[0] != val_outputs.n:
         raise DimensionError("labels do not match head-output sample counts")
 
-    work = Metamodel(
-        kind=meta.kind,
-        num_heads=meta.num_heads,
-        num_classes=meta.num_classes,
-        hidden=meta.hidden,
-        dropout_p=meta.dropout_p,
-        seed=meta.seed,
-        layers=[(w.copy(), b.copy()) for w, b in meta.layers],
-    )
-    params = [arr for pair in work.layers for arr in pair]
-    sgd = SgdState.for_params(params, cfg.initial_lr, cfg.momentum, cfg.weight_decay)
-    sched = PlateauScheduler(factor=cfg.plateau_factor, patience=cfg.plateau_patience)
+    work = replace(meta, layers=[(w.copy(), b.copy()) for w, b in meta.layers])
     stream = RngStream(cfg.seed)
     use_dropout = work.kind in ("DL", "DLL") and work.dropout_p > 0.0
 
-    n = train_outputs.n
-    # the untrained model is snapshot candidate zero, so the selected model
-    # can never validate worse than its starting point
-    best_val = cross_entropy(softmax(metamodel_forward(work, val_outputs)), val_labels)
-    if not np.isfinite(best_val):
-        raise TrainingError("non-finite validation loss before training", epoch=0)
-    best_layers = [(w.copy(), b.copy()) for w, b in work.layers]
-    history = []
-    for epoch in range(1, cfg.epochs + 1):
-        lr_used = sgd.learning_rate
-        order = stream.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            batch_outputs = _subset_outputs(train_outputs, batch)
-            mask = None
-            if use_dropout:
-                mask = dropout_mask((batch.shape[0], work.hidden), work.dropout_p, stream)
-            loss, grads = metamodel_gradients(work, batch_outputs, train_labels[batch], mask=mask)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite training loss at epoch {epoch}", epoch=epoch)
-            sgd_step(params, [g for pair in grads for g in pair], sgd)
-            loss_sum += loss * batch.shape[0]
-        train_loss = loss_sum / n
-        val_probs = softmax(metamodel_forward(work, val_outputs))
-        val_loss = cross_entropy(val_probs, val_labels)
-        if not np.isfinite(val_loss):
-            raise TrainingError(f"non-finite validation loss at epoch {epoch}", epoch=epoch)
-        history.append((epoch, train_loss, val_loss, lr_used))
-        if val_loss < best_val:
-            best_val = val_loss
-            best_layers = [(w.copy(), b.copy()) for w, b in work.layers]
-        sgd.learning_rate = sched.step(val_loss, sgd.learning_rate)
+    def grad_fn(batch):
+        mask = None
+        if use_dropout:
+            mask = dropout_mask((batch.shape[0], work.hidden), work.dropout_p, stream)
+        batch_outputs = _subset_outputs(train_outputs, batch)
+        loss, grads = metamodel_gradients(work, batch_outputs, train_labels[batch], mask=mask)
+        return loss, [g for pair in grads for g in pair]
 
-    return Metamodel(
-        kind=work.kind,
-        num_heads=work.num_heads,
-        num_classes=work.num_classes,
-        hidden=work.hidden,
-        dropout_p=work.dropout_p,
-        seed=work.seed,
-        layers=best_layers,
-        training_history=history,
+    def val_loss_fn():
+        return cross_entropy(softmax(metamodel_forward(work, val_outputs)), val_labels)
+
+    result = fit(
+        [arr for pair in work.layers for arr in pair],
+        grad_fn,
+        val_loss_fn,
+        cfg,
+        num_samples=train_outputs.n,
+        epochs=cfg.epochs,
+        stream=stream,
+        initial_val_loss=val_loss_fn(),
+    )
+    return replace(
+        work,
+        layers=list(zip(result.params[0::2], result.params[1::2])),
+        training_history=result.history,
+        best_epoch=result.best_epoch,
+        best_val_loss=result.best_val_loss,
     )
 
 
@@ -432,15 +399,9 @@ def load_metamodel(path) -> Metamodel:
             f"{path}: expected {expected} bytes, found {len(raw)}",
             offset=min(len(raw), expected),
         )
-    if kind == "SL":
-        shapes = [(num_classes, m * num_classes)]
-    elif kind in ("DL", "DLL"):
-        shapes = [(h, m * num_classes), (num_classes, h)]
-    else:
-        shapes = [(num_classes, m)]
     offset = 29
     layers = []
-    for out_width, in_width in shapes:
+    for out_width, in_width in layer_shapes(kind, m, num_classes):
         w = np.frombuffer(raw, dtype="<f4", count=out_width * in_width, offset=offset)
         offset += 4 * out_width * in_width
         b = np.frombuffer(raw, dtype="<f4", count=out_width, offset=offset)

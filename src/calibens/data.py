@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, StratificationError
 from .metrics import PredictionSet
-from .numerics import RngStream
+from .numerics import RngStream, require_finite
 
 FDS_MAGIC = b"FDS1"
 PRB_MAGIC = b"PRB1"
@@ -54,6 +54,7 @@ class FeatureDataset:
             )
         if self.num_classes < 1:
             raise DataError(f"class count must be >= 1, got {self.num_classes}")
+        require_finite(features, "features")
         bad = np.nonzero((labels < 0) | (labels >= self.num_classes))[0]
         if bad.size:
             i = int(bad[0])

@@ -1,11 +1,9 @@
 """Seeded linear classifier heads trained on frozen features.
 
-Each head is a single fully connected layer trained with mini-batch SGD on
-softmax cross-entropy. The validation loss drives a reduce-on-plateau
-learning-rate schedule and early stopping, and the parameters returned are
-the snapshot with the lowest validation loss seen. A family of m heads
-differs only in its seeds (head i uses base_seed + i), so members can be
-trained concurrently with bit-identical results.
+Each head is a single fully connected layer trained on softmax cross-entropy
+by numerics.fit, with early stopping. A family of m heads differs only in its
+seeds (head i uses base_seed + i), so members can be trained concurrently with
+bit-identical results.
 
 Head files (magic ``HDW1``) are little-endian:
 
@@ -24,15 +22,12 @@ import numpy as np
 from .data import FeatureDataset
 from .errors import CalibensError, ConfigError, DataError, DimensionError, FormatError, TrainingError
 from .numerics import (
-    EarlyStopper,
-    PlateauScheduler,
     RngStream,
-    SgdState,
     backward_linear,
     cross_entropy,
     derive_seed,
+    fit,
     linear_forward,
-    sgd_step,
     softmax,
 )
 
@@ -48,6 +43,8 @@ class LinearHead:
     bias: np.ndarray  # (C,)
     seed: int
     training_history: list[EpochRecord] = field(default_factory=list)
+    best_epoch: int | None = None  # kept snapshot (0: untrained); None if not trained here
+    best_val_loss: float | None = None
 
     @property
     def dim(self) -> int:
@@ -116,7 +113,8 @@ def _validation_loss(weights, bias, dataset: FeatureDataset) -> float:
 
 
 def train_head(train: FeatureDataset, val: FeatureDataset, cfg: HeadTrainConfig) -> LinearHead:
-    """Train one head; returns the snapshot with the lowest validation loss."""
+    """Train one head with numerics.fit, stopping after cfg.early_stop_patience
+    epochs without improvement; returns the snapshot fit kept."""
     if train.dim != val.dim or train.num_classes != val.num_classes:
         raise DataError(
             f"train (D={train.dim}, C={train.num_classes}) and "
@@ -124,43 +122,29 @@ def train_head(train: FeatureDataset, val: FeatureDataset, cfg: HeadTrainConfig)
         )
     stream = RngStream(cfg.seed)
     weights, bias = _init_params(train.dim, train.num_classes, stream)
-    if cfg.max_epochs == 0:
-        return LinearHead(weights=weights, bias=bias, seed=cfg.seed)
 
-    sgd = SgdState.for_params([weights, bias], cfg.initial_lr, cfg.momentum, cfg.weight_decay)
-    sched = PlateauScheduler(factor=cfg.plateau_factor, patience=cfg.plateau_patience)
-    stopper = EarlyStopper(patience=cfg.early_stop_patience)
-    best_val = float("inf")
-    best_weights, best_bias = weights.copy(), bias.copy()
-    history: list[EpochRecord] = []
+    def grad_fn(batch):
+        loss, d_w, d_b = backward_linear(train.features[batch], weights, bias, train.labels[batch])
+        return loss, [d_w, d_b]
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        lr_used = sgd.learning_rate
-        order = stream.permutation(train.n)
-        loss_sum = 0.0
-        for start in range(0, train.n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            loss, d_w, d_b = backward_linear(
-                train.features[batch], weights, bias, train.labels[batch]
-            )
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite training loss at epoch {epoch}", epoch=epoch)
-            sgd_step([weights, bias], [d_w, d_b], sgd)
-            loss_sum += loss * batch.shape[0]
-        train_loss = loss_sum / train.n
-        val_loss = _validation_loss(weights, bias, val)
-        if not np.isfinite(val_loss):
-            raise TrainingError(f"non-finite validation loss at epoch {epoch}", epoch=epoch)
-        history.append((epoch, train_loss, val_loss, lr_used))
-        if val_loss < best_val:
-            best_val = val_loss
-            best_weights, best_bias = weights.copy(), bias.copy()
-        sgd.learning_rate = sched.step(val_loss, sgd.learning_rate)
-        if stopper.step(val_loss):
-            break
-
+    result = fit(
+        [weights, bias],
+        grad_fn,
+        lambda: _validation_loss(weights, bias, val),
+        cfg,
+        num_samples=train.n,
+        epochs=cfg.max_epochs,
+        stream=stream,
+        early_stop_patience=cfg.early_stop_patience,
+    )
+    best_weights, best_bias = result.params
     return LinearHead(
-        weights=best_weights, bias=best_bias, seed=cfg.seed, training_history=history
+        weights=best_weights,
+        bias=best_bias,
+        seed=cfg.seed,
+        training_history=result.history,
+        best_epoch=result.best_epoch,
+        best_val_loss=result.best_val_loss,
     )
 
 

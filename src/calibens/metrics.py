@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, LabelError
-from .numerics import as_matrix
+from .numerics import as_matrix, require_finite
 
 DEFAULT_NUM_BINS = 15
 
@@ -47,6 +47,7 @@ class PredictionSet:
                 f"predictions {self.predicted_class.shape}, confidences "
                 f"{self.confidence.shape} and labels {self.labels.shape} must share length"
             )
+        require_finite(self.confidence, "confidence")
         if np.any(self.confidence < 0.0) or np.any(self.confidence > 1.0):
             raise DataError("confidences must lie in [0, 1]")
         if self.probs is not None:

@@ -9,10 +9,11 @@ single integer seed reproduces a run bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, LabelError
+from .errors import ConfigError, DataError, DimensionError, LabelError, TrainingError
 
 U64_MASK = (1 << 64) - 1
 
@@ -61,6 +62,14 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if out.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {out.shape}")
     return out
+
+
+def require_finite(values: np.ndarray, what: str) -> None:
+    """Raise DataError naming the first NaN or infinite entry of `values`."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        index = ", ".join(str(int(i)) for i in np.argwhere(~finite)[0])
+        raise DataError(f"{what} holds a non-finite value at index [{index}]")
 
 
 def linear_forward(inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -256,10 +265,6 @@ class PlateauScheduler:
         return learning_rate
 
 
-def plateau_step(sched: PlateauScheduler, val_metric: float, learning_rate: float) -> float:
-    return sched.step(val_metric, learning_rate)
-
-
 @dataclass
 class EarlyStopper:
     """Signals stop once the metric has not improved for more than `patience` epochs."""
@@ -280,3 +285,70 @@ class EarlyStopper:
             return False
         self.epochs_since_improvement += 1
         return self.epochs_since_improvement > self.patience
+
+
+class FitResult(NamedTuple):
+    params: list  # copies of the kept snapshot, in the order fit received them
+    history: list  # (epoch, train_loss, val_loss, learning_rate) per epoch run
+    best_epoch: int  # epoch of the kept snapshot; 0 is the untrained model
+    best_val_loss: float | None  # its validation loss; None if never measured
+
+
+def fit(
+    params: list,
+    grad_fn: Callable[[np.ndarray], tuple[float, list]],
+    val_loss_fn: Callable[[], float],
+    cfg,
+    *,
+    num_samples: int,
+    epochs: int,
+    stream: RngStream,
+    early_stop_patience: int | None = None,
+    initial_val_loss: float | None = None,
+) -> FitResult:
+    """Mini-batch SGD training loop shared by heads and combiners.
+
+    Each epoch walks a permutation of range(num_samples) drawn from `stream`
+    in cfg.batch_size mini-batches; grad_fn(batch) returns (loss, grads) at
+    the current params, which sgd_step updates in place. After each epoch
+    val_loss_fn() feeds a PlateauScheduler and, if early_stop_patience is
+    set, an EarlyStopper. A non-finite loss raises TrainingError. cfg
+    supplies initial_lr, momentum, weight_decay, batch_size, plateau_factor
+    and plateau_patience, as HeadTrainConfig and MetaTrainConfig both do.
+
+    Snapshot rule: keep the first epoch with the strictly lowest validation
+    loss. The untrained params are candidate zero with loss initial_val_loss;
+    when that is None any epoch beats them, so they are kept only if no epoch
+    runs.
+    """
+    best_val = initial_val_loss
+    if best_val is not None and not np.isfinite(best_val):
+        raise TrainingError("non-finite validation loss before training", epoch=0)
+    best_params, best_epoch = [p.copy() for p in params], 0
+    sgd = SgdState.for_params(params, cfg.initial_lr, cfg.momentum, cfg.weight_decay)
+    sched = PlateauScheduler(factor=cfg.plateau_factor, patience=cfg.plateau_patience)
+    stopper = EarlyStopper(patience=early_stop_patience) if early_stop_patience is not None else None
+    history = []
+    for epoch in range(1, epochs + 1):
+        lr_used = sgd.learning_rate
+        order = stream.permutation(num_samples)
+        loss_sum = 0.0
+        for start in range(0, num_samples, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            loss, grads = grad_fn(batch)
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite training loss at epoch {epoch}", epoch=epoch)
+            sgd_step(params, grads, sgd)
+            loss_sum += loss * batch.shape[0]
+        train_loss = loss_sum / num_samples
+        val_loss = val_loss_fn()
+        if not np.isfinite(val_loss):
+            raise TrainingError(f"non-finite validation loss at epoch {epoch}", epoch=epoch)
+        history.append((epoch, train_loss, val_loss, lr_used))
+        if best_val is None or val_loss < best_val:
+            best_val, best_epoch = val_loss, epoch
+            best_params = [p.copy() for p in params]
+        sgd.learning_rate = sched.step(val_loss, sgd.learning_rate)
+        if stopper is not None and stopper.step(val_loss):
+            break
+    return FitResult(best_params, history, best_epoch, best_val)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from calibens.cli import main
+from calibens.combiners import build_metamodel, save_metamodel
 from calibens.data import MiscalSpec, load_dataset, save_dataset, synth_miscalibrated_predictions
-from calibens.data import FeatureDataset
+from calibens.data import FeatureDataset, chance_level_bound
 from calibens.heads import LinearHead, save_head
 from calibens.metrics import RELIABILITY_CSV_HEADER
 
@@ -55,6 +56,20 @@ class TestGen:
         out = tmp_path / "d"
         run(gen_args(out))
         assert (out / "train.fds").read_bytes() != (out / "test.fds").read_bytes()
+
+    def test_heads_beat_chance_on_test_set(self, tmp_path):
+        # train and test must share one cluster geometry
+        data, art, res = tmp_path / "d", tmp_path / "a", tmp_path / "r"
+        assert run(gen_args(data, n=2000, classes=10, dim=16, seed=0, noise=0.2)) == 0
+        assert run([
+            "train-heads", "--train", str(data / "train.fds"), "--m", "2",
+            "--max-epochs", "5", "--out", str(art),
+        ]) == 0
+        assert run(["evaluate", "--test", str(data / "test.fds"), "--heads-dir", str(art),
+                    "--out", str(res)]) == 0
+        rows = json.loads((res / "summary.json").read_text())["rows"]
+        bound = 100.0 * chance_level_bound(10, 2000)
+        assert all(r["accuracy_pct"] > bound for r in rows if r["kind"] == "head")
 
     def test_noise_out_of_range_is_usage_error(self, tmp_path, capsys):
         assert run(gen_args(tmp_path / "d", noise=1.5)) == 2
@@ -118,6 +133,22 @@ class TestTrainMeta:
         assert size == 4 + 1 + 4 + 4 + 4 + 4 + 8 + 4 * c * (m + 1)
         sidecar = json.loads((art / "meta_SLpC.json").read_text())
         assert len(sidecar["history"]) == 1
+
+    def test_sidecar_names_untrained_snapshot_when_it_wins(self, pipeline_dir):
+        # at lr 60 every epoch validates worse than the initial model, so the
+        # saved file is the initial model and the sidecar must say epoch 0
+        art = pipeline_dir / "artifacts"
+        assert run([
+            "train-meta", "--kind", "SLpC", "--train",
+            str(pipeline_dir / "data" / "train.fds"), "--heads-dir", str(art),
+            "--seed", "7", "--epochs", "3", "--lr", "60",
+        ]) == 0
+        initial = build_metamodel("SLpC", 2, 3, seed=7 + 2000 + 3)
+        save_metamodel(initial, pipeline_dir / "initial.mmd")
+        assert (art / "meta_SLpC.mmd").read_bytes() == (pipeline_dir / "initial.mmd").read_bytes()
+        sidecar = json.loads((art / "meta_SLpC.json").read_text())
+        assert sidecar["best_epoch"] == 0
+        assert all(rec[2] > sidecar["best_val_loss"] for rec in sidecar["history"])
 
     def test_deterministic_rerun(self, pipeline_dir):
         art = pipeline_dir / "artifacts"

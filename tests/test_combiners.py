@@ -39,6 +39,11 @@ class TestHeadOutputs:
         with pytest.raises(DataError):
             HeadOutputs([np.asarray([[0.9, 0.5]])])
 
+    def test_nan_row_rejected_with_index(self):
+        probs = np.asarray([[0.5, 0.5], [np.nan, np.nan]])
+        with pytest.raises(DataError, match=r"head 1 output .* index \[1, 0\]"):
+            HeadOutputs([np.full((2, 2), 0.5), probs])
+
     def test_logits_mode_skips_validation(self):
         outputs = HeadOutputs([np.asarray([[3.0, -1.0]])], rows_are_probs=False)
         assert outputs.m == 1
@@ -267,6 +272,15 @@ class TestTrainMetamodel:
         trained = train_metamodel(meta, tr_out, tr_y, va_out, va_y, MetaTrainConfig(seed=9))
         final_loss = cross_entropy(softmax(metamodel_forward(trained, va_out)), va_y)
         assert final_loss <= initial_loss
+
+    def test_records_kept_snapshot(self):
+        tr_out, tr_y, va_out, va_y = self.make_problem(seed=2)
+        meta = build_metamodel("SL", 3, 4, seed=5)
+        trained = train_metamodel(meta, tr_out, tr_y, va_out, va_y,
+                                  MetaTrainConfig(epochs=4, initial_lr=0.05, seed=9))
+        kept = cross_entropy(softmax(metamodel_forward(trained, va_out)), va_y)
+        assert trained.best_val_loss == kept
+        assert trained.training_history[trained.best_epoch - 1][2] == kept
 
     def test_bit_identical_across_runs(self):
         tr_out, tr_y, va_out, va_y = self.make_problem(seed=3)

@@ -80,6 +80,13 @@ class TestDatasetFile:
         with pytest.raises(FormatError, match=f"offset {bad_offset}"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected_with_index(self, bad):
+        features = np.zeros((4, 3))
+        features[2, 1] = bad
+        with pytest.raises(DataError, match=r"features .* index \[2, 1\]"):
+            FeatureDataset(features, np.zeros(4, dtype=np.int64), 2)
+
     def test_features_are_read_only(self):
         ds = tiny_dataset()
         with pytest.raises(ValueError):

@@ -113,6 +113,18 @@ class TestTrainHead:
         recomputed = _validation_loss(head.weights, head.bias, val)
         assert recomputed == min(rec[2] for rec in head.training_history)
 
+    def test_records_kept_snapshot(self, separable):
+        train, val = separable
+        head = train_head(train, val, quick_cfg(max_epochs=10))
+        losses = [rec[2] for rec in head.training_history]
+        assert head.best_epoch == int(np.argmin(losses)) + 1
+        assert head.best_val_loss == min(losses)
+
+    def test_zero_epochs_keep_untrained_snapshot(self, separable):
+        train, val = separable
+        head = train_head(train, val, quick_cfg(max_epochs=0))
+        assert (head.best_epoch, head.best_val_loss) == (0, None)
+
     def test_early_stop_bound(self, separable):
         train, val = separable
         patience = 4

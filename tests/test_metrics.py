@@ -72,6 +72,10 @@ class TestPredictionsFromProbs:
         with pytest.raises(LabelError, match="index 0"):
             predictions_from_probs([[0.5, 0.5]], [2])
 
+    def test_prediction_set_rejects_nan_confidence(self):
+        with pytest.raises(DataError, match=r"confidence .* index \[1\]"):
+            PredictionSet(predicted_class=[0, 1], confidence=[0.5, np.nan], labels=[0, 1])
+
     def test_prediction_set_rejects_inconsistent_probs(self):
         with pytest.raises(DataError):
             PredictionSet(

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from calibens.numerics import (
     backward_mlp,
     cross_entropy,
     dropout_mask,
+    fit,
     linear_forward,
     relu,
     sgd_step,
@@ -275,6 +277,75 @@ class TestSchedulers:
         assert stopper.step(0.5) is False
         assert stopper.step(0.5) is False
         assert stopper.step(0.5) is True
+
+
+def sgd_cfg(**kw):
+    base = dict(initial_lr=0.1, momentum=0.0, weight_decay=0.0, batch_size=2,
+                plateau_factor=0.5, plateau_patience=5)
+    return SimpleNamespace(**(base | kw))
+
+
+class TestFit:
+    """fit on a one-parameter problem whose validation losses are scripted."""
+
+    def run(self, val_losses, epochs, **kw):
+        param = np.zeros(1)
+        scripted = iter(val_losses)
+
+        def grad_fn(batch):
+            return 1.0, [-np.ones(1)]  # every step adds lr to the parameter
+
+        result = fit([param], grad_fn, lambda: next(scripted), sgd_cfg(),
+                     num_samples=4, epochs=epochs, stream=RngStream(0), **kw)
+        return param, result
+
+    def test_keeps_first_lowest_epoch(self):
+        param, result = self.run([3.0, 1.0, 1.0, 2.0], epochs=4)
+        assert (result.best_epoch, result.best_val_loss) == (2, 1.0)
+        # two steps of lr 0.1 per epoch; the kept copy is not the live parameter
+        assert result.params[0][0] == pytest.approx(0.4)
+        assert param[0] == pytest.approx(0.8)
+        assert [rec[0] for rec in result.history] == [1, 2, 3, 4]
+        assert all(rec[1] == 1.0 and rec[3] == 0.1 for rec in result.history)
+
+    def test_untrained_candidate_wins_when_no_epoch_beats_it(self):
+        _, result = self.run([2.0, 1.5, 1.0], epochs=3, initial_val_loss=1.0)
+        assert (result.best_epoch, result.best_val_loss) == (0, 1.0)
+        assert np.array_equal(result.params[0], np.zeros(1))
+        assert len(result.history) == 3
+
+    def test_zero_epochs_keep_untrained_without_a_loss(self):
+        _, result = self.run([], epochs=0)
+        assert (result.history, result.best_epoch, result.best_val_loss) == ([], 0, None)
+        assert np.array_equal(result.params[0], np.zeros(1))
+
+    def test_early_stop_after_patience(self):
+        _, result = self.run([1.0] * 10, epochs=10, early_stop_patience=2)
+        assert len(result.history) == 4  # epoch 1 sets the best, 2-4 fail to improve
+
+    def test_non_finite_initial_loss_names_epoch_zero(self):
+        with pytest.raises(TrainingError, match="before training") as exc:
+            self.run([], epochs=1, initial_val_loss=float("nan"))
+        assert exc.value.epoch == 0
+
+    def test_non_finite_val_loss_names_epoch(self):
+        with pytest.raises(TrainingError, match="epoch 2"):
+            self.run([1.0, float("inf")], epochs=3)
+
+    def test_batches_walk_one_permutation_per_epoch(self):
+        seen = []
+
+        def grad_fn(batch):
+            seen.append(batch.copy())
+            return 0.0, [np.zeros(1)]
+
+        fit([np.zeros(1)], grad_fn, lambda: 0.0, sgd_cfg(batch_size=3),
+            num_samples=7, epochs=2, stream=RngStream(4))
+        reference = RngStream(4)
+        assert [len(b) for b in seen] == [3, 3, 1, 3, 3, 1]
+        for epoch in range(2):
+            walked = np.concatenate(seen[3 * epoch : 3 * epoch + 3])
+            assert np.array_equal(walked, reference.permutation(7))
 
 
 class TestRngStream:
