@@ -1,11 +1,18 @@
 """Command-line pipeline: gen, train-heads, train-meta, evaluate, report.
 
-Every command accepts ``--config FILE`` with a JSON object whose keys match
-the long flag names (dashes as underscores); explicit flags override file
-values, and one file can carry the keys for the whole pipeline. All
-randomness in a run derives from one ``--seed``; fixed offsets give each
-stage its own stream (heads: seed+1+i, splits: seed+1000, combiner models:
-seed+2000+kind tag).
+Each option is declared once. The training flags of train-heads and
+train-meta are the fields of HeadTrainConfig and MetaTrainConfig (all but the
+seed), typed and defaulted by them; every other option carries its default in
+its add_argument call.
+
+Every command but report accepts ``--config FILE`` with a JSON object whose
+keys match the long flag names (dashes as underscores). The values become the
+command's defaults, so the order is defaults < config file < flags; keys the
+command has no flag for are ignored, so one file can carry the keys for the
+whole pipeline, and the ``config`` block of a heads.json or meta_<KIND>.json
+sidecar is itself a valid config file. All randomness in a run derives from
+one ``--seed``; fixed offsets give each stage its own stream (heads:
+seed+1+i, splits: seed+1000, combiner models: seed+2000+kind tag).
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 training error.
 """
@@ -14,9 +21,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -44,10 +50,13 @@ from .errors import (
     TrainingError,
 )
 from .heads import HeadTrainConfig, head_predict, load_head, save_head, train_head_family
-from .metrics import calibration_report, predictions_from_probs, write_reliability_csv
+from .metrics import (
+    DEFAULT_NUM_BINS,
+    calibration_report,
+    predictions_from_probs,
+    write_reliability_csv,
+)
 from .numerics import derive_seed, softmax
-
-JOBS_ENV_VAR = "CALIB_ENSEMBLE_JOBS"
 
 _SPLIT_STREAM = 1000
 _HEAD_STREAM = 1
@@ -70,26 +79,28 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Merge defaults < config file < explicit flags."""
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    out = {}
-    for key, default in defaults.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = file_cfg.get(key, default)
-        out[key] = value
-    return out
+def _parse_with_config(parser, args, argv):
+    """Parse argv again with the --config file's values as the chosen
+    command's defaults; keys that are not its options are dropped. Numbers
+    pass as strings, so argparse converts them as it converts flag values."""
+    own = vars(args).keys() - {"command", "handler", "command_parser", "config"}
+    values = {
+        key: str(value) if isinstance(value, (int, float)) else value
+        for key, value in _load_config_file(args.config).items()
+        if key in own
+    }
+    args.command_parser.set_defaults(**values)
+    return parser.parse_args(argv)
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"{JOBS_ENV_VAR}={raw!r} is not an integer") from None
+def _train_config(cls, args, **extra):
+    """A HeadTrainConfig or MetaTrainConfig from the flags its fields declare."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.name != "seed"}, **extra)
+
+
+def _config_echo(train_cfg) -> dict:
+    """Training settings as the sidecars record them: every field but the seed."""
+    return {k: v for k, v in asdict(train_cfg).items() if k != "seed"}
 
 
 def _parse_meta_kinds(raw) -> list[str]:
@@ -113,34 +124,19 @@ def _parse_meta_kinds(raw) -> list[str]:
 # gen
 # ---------------------------------------------------------------------------
 
-GEN_DEFAULTS = {
-    "kind": "clusters",
-    "classes": 10,
-    "dim": 16,
-    "n": 4000,
-    "test_n": None,
-    "sep": 6.0,
-    "noise": 0.2,
-    "seed": 0,
-    "out": "data",
-}
-
-
 def cmd_gen(args) -> int:
-    cfg = _resolve(args, GEN_DEFAULTS)
-    if cfg["kind"] != "clusters":
-        raise ConfigError(f"unknown generator kind {cfg['kind']!r}; expected 'clusters'")
-    test_n = cfg["test_n"] if cfg["test_n"] is not None else cfg["n"]
+    if args.kind != "clusters":
+        raise ConfigError(f"unknown generator kind {args.kind!r}; expected 'clusters'")
     spec = SynthSpec(
-        num_classes=int(cfg["classes"]),
-        dim=int(cfg["dim"]),
-        num_samples=int(cfg["n"]),
-        cluster_separation=float(cfg["sep"]),
-        label_noise=float(cfg["noise"]),
-        seed=int(cfg["seed"]),
+        num_classes=args.classes,
+        dim=args.dim,
+        num_samples=args.n,
+        cluster_separation=args.sep,
+        label_noise=args.noise,
+        seed=args.seed,
     )
-    train, test = synth_cluster_pair(spec, int(test_n))
-    out_dir = Path(cfg["out"])
+    train, test = synth_cluster_pair(spec, args.test_n if args.test_n is not None else args.n)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset(train, out_dir / "train.fds")
     save_dataset(test, out_dir / "test.fds")
@@ -153,56 +149,15 @@ def cmd_gen(args) -> int:
 # train-heads
 # ---------------------------------------------------------------------------
 
-TRAIN_HEADS_DEFAULTS = {
-    "train": None,
-    "m": 5,
-    "seed": 0,
-    "val_fraction": 0.1,
-    "jobs": None,
-    "out": "artifacts",
-    "lr": 0.1,
-    "momentum": 0.9,
-    "weight_decay": 5e-4,
-    "batch_size": 128,
-    "max_epochs": 100,
-    "plateau_factor": 0.5,
-    "plateau_patience": 5,
-    "early_stop_patience": 15,
-}
-
-
-def _config_echo(train_cfg) -> dict:
-    """Training settings as the sidecars record them: every field but the seed."""
-    return {k: v for k, v in asdict(train_cfg).items() if k != "seed"}
-
-
-def _head_train_config(cfg) -> HeadTrainConfig:
-    return HeadTrainConfig(
-        initial_lr=float(cfg["lr"]),
-        momentum=float(cfg["momentum"]),
-        weight_decay=float(cfg["weight_decay"]),
-        batch_size=int(cfg["batch_size"]),
-        max_epochs=int(cfg["max_epochs"]),
-        plateau_factor=float(cfg["plateau_factor"]),
-        plateau_patience=int(cfg["plateau_patience"]),
-        early_stop_patience=int(cfg["early_stop_patience"]),
-    )
-
-
 def cmd_train_heads(args) -> int:
-    cfg = _resolve(args, TRAIN_HEADS_DEFAULTS)
-    if cfg["train"] is None:
+    if args.train is None:
         raise ConfigError("missing training dataset path (--train)")
-    m = int(cfg["m"])
-    if m < 1:
-        raise ConfigError(f"head count must be >= 1, got {m}")
-    seed = int(cfg["seed"])
-    jobs = int(cfg["jobs"]) if cfg["jobs"] is not None else _default_jobs()
-    dataset = load_dataset(cfg["train"])
-    train, val = split(dataset, float(cfg["val_fraction"]), derive_seed(seed, _SPLIT_STREAM))
-    head_cfg = _head_train_config(cfg)
-    heads = train_head_family(train, val, m, derive_seed(seed, _HEAD_STREAM), head_cfg, jobs=jobs)
-    out_dir = Path(cfg["out"])
+    m, seed = args.m, args.seed
+    head_cfg = _train_config(HeadTrainConfig, args)
+    dataset = load_dataset(args.train)
+    train, val = split(dataset, args.val_fraction, derive_seed(seed, _SPLIT_STREAM))
+    heads = train_head_family(train, val, m, derive_seed(seed, _HEAD_STREAM), head_cfg)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, head in enumerate(heads):
@@ -226,8 +181,8 @@ def cmd_train_heads(args) -> int:
             "version": __version__,
             "seed": seed,
             "m": m,
-            "train_path": str(cfg["train"]),
-            "val_fraction": float(cfg["val_fraction"]),
+            "train_path": str(args.train),
+            "val_fraction": args.val_fraction,
             "config": _config_echo(head_cfg),
             "heads": entries,
         },
@@ -239,25 +194,6 @@ def cmd_train_heads(args) -> int:
 # ---------------------------------------------------------------------------
 # train-meta
 # ---------------------------------------------------------------------------
-
-TRAIN_META_DEFAULTS = {
-    "kind": None,
-    "train": None,
-    "heads_dir": "artifacts",
-    "seed": 0,
-    "val_fraction": 0.1,
-    "out": None,
-    "meta_input": "probs",
-    "epochs": 20,
-    "lr": 2e-4,
-    "momentum": 0.9,
-    "weight_decay": 0.0,
-    "batch_size": 128,
-    "plateau_factor": 0.5,
-    "plateau_patience": 3,
-    "dropout": 0.5,
-}
-
 
 def _discover_heads(heads_dir) -> list:
     heads_dir = Path(heads_dir)
@@ -281,42 +217,30 @@ def _head_outputs(heads, features, meta_input: str) -> HeadOutputs:
 
 
 def cmd_train_meta(args) -> int:
-    cfg = _resolve(args, TRAIN_META_DEFAULTS)
-    if cfg["kind"] is None:
+    kind, seed = args.kind, args.seed
+    if kind is None:
         raise ConfigError("missing combiner kind (--kind)")
-    kind = str(cfg["kind"])
     if kind not in KINDS:
         raise ConfigError(f"unknown combiner kind {kind!r}; expected one of {KINDS}")
-    if cfg["train"] is None:
+    if args.train is None:
         raise ConfigError("missing training dataset path (--train)")
-    if cfg["meta_input"] not in ("probs", "logits"):
-        raise ConfigError(f"meta input must be 'probs' or 'logits', got {cfg['meta_input']!r}")
-    seed = int(cfg["seed"])
-    dataset = load_dataset(cfg["train"])
-    train, val = split(dataset, float(cfg["val_fraction"]), derive_seed(seed, _SPLIT_STREAM))
-    heads = _discover_heads(cfg["heads_dir"])
-    train_outputs = _head_outputs(heads, train.features, cfg["meta_input"])
-    val_outputs = _head_outputs(heads, val.features, cfg["meta_input"])
-
+    if args.meta_input not in ("probs", "logits"):
+        raise ConfigError(f"meta input must be 'probs' or 'logits', got {args.meta_input!r}")
     meta_seed = derive_seed(seed, _META_STREAM + KIND_TAGS[kind])
+    train_cfg = _train_config(MetaTrainConfig, args, seed=meta_seed)
+    dataset = load_dataset(args.train)
+    train, val = split(dataset, args.val_fraction, derive_seed(seed, _SPLIT_STREAM))
+    heads = _discover_heads(args.heads_dir)
+    train_outputs = _head_outputs(heads, train.features, args.meta_input)
+    val_outputs = _head_outputs(heads, val.features, args.meta_input)
+
     meta = build_metamodel(
-        kind, len(heads), dataset.num_classes, meta_seed, dropout_p=float(cfg["dropout"])
-    )
-    train_cfg = MetaTrainConfig(
-        epochs=int(cfg["epochs"]),
-        initial_lr=float(cfg["lr"]),
-        momentum=float(cfg["momentum"]),
-        weight_decay=float(cfg["weight_decay"]),
-        batch_size=int(cfg["batch_size"]),
-        plateau_factor=float(cfg["plateau_factor"]),
-        plateau_patience=int(cfg["plateau_patience"]),
-        dropout_p=float(cfg["dropout"]),
-        seed=meta_seed,
+        kind, len(heads), dataset.num_classes, meta_seed, dropout_p=train_cfg.dropout
     )
     trained = train_metamodel(
         meta, train_outputs, train.labels, val_outputs, val.labels, train_cfg
     )
-    out_dir = Path(cfg["out"]) if cfg["out"] is not None else Path(cfg["heads_dir"])
+    out_dir = Path(args.out) if args.out is not None else Path(args.heads_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_metamodel(trained, out_dir / f"meta_{kind}.mmd")
     _write_json(
@@ -325,9 +249,9 @@ def cmd_train_meta(args) -> int:
             "version": __version__,
             "kind": kind,
             "seed": seed,
-            "train_path": str(cfg["train"]),
-            "val_fraction": float(cfg["val_fraction"]),
-            "meta_input": cfg["meta_input"],
+            "train_path": str(args.train),
+            "val_fraction": args.val_fraction,
+            "meta_input": args.meta_input,
             "m": len(heads),
             "num_classes": dataset.num_classes,
             "param_count": trained.param_count,
@@ -345,18 +269,6 @@ def cmd_train_meta(args) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-EVALUATE_DEFAULTS = {
-    "test": None,
-    "heads_dir": "artifacts",
-    "meta_dir": None,
-    "meta": None,
-    "bins": 15,
-    "norm_degree": 1,
-    "meta_input": "probs",
-    "out": "results",
-}
-
-
 def _row(name, slug, report, params) -> dict:
     return {
         "name": name,
@@ -370,30 +282,28 @@ def _row(name, slug, report, params) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _resolve(args, EVALUATE_DEFAULTS)
-    if cfg["test"] is None:
+    if args.test is None:
         raise ConfigError("missing test dataset path (--test)")
-    num_bins = int(cfg["bins"])
-    degree = int(cfg["norm_degree"])
+    num_bins, degree = args.bins, args.norm_degree
     if num_bins < 1:
         raise ConfigError(f"bin count must be >= 1, got {num_bins}")
     if degree < 1:
         raise ConfigError(f"norm degree must be >= 1, got {degree}")
-    if cfg["meta_input"] not in ("probs", "logits"):
-        raise ConfigError(f"meta input must be 'probs' or 'logits', got {cfg['meta_input']!r}")
-    kinds = _parse_meta_kinds(cfg["meta"])
-    heads_dir = Path(cfg["heads_dir"])
-    meta_dir = Path(cfg["meta_dir"]) if cfg["meta_dir"] is not None else heads_dir
+    if args.meta_input not in ("probs", "logits"):
+        raise ConfigError(f"meta input must be 'probs' or 'logits', got {args.meta_input!r}")
+    kinds = _parse_meta_kinds(args.meta)
+    heads_dir = Path(args.heads_dir)
+    meta_dir = Path(args.meta_dir) if args.meta_dir is not None else heads_dir
 
     missing = []
-    if not Path(cfg["test"]).exists():
-        missing.append(str(cfg["test"]))
+    if not Path(args.test).exists():
+        missing.append(str(args.test))
     meta_paths = {kind: meta_dir / f"meta_{kind}.mmd" for kind in kinds}
     missing.extend(str(p) for p in meta_paths.values() if not p.exists())
     if missing:
         raise DataError("missing artifact(s): " + ", ".join(missing))
 
-    test = load_dataset(cfg["test"])
+    test = load_dataset(args.test)
     heads = _discover_heads(heads_dir)
     probs = [softmax(head_predict(h, test.features)) for h in heads]
 
@@ -413,7 +323,7 @@ def cmd_evaluate(args) -> int:
     add("Vot.", "vot", combine_vote(outputs, test.labels), 0)
 
     meta_outputs = outputs
-    if cfg["meta_input"] == "logits":
+    if args.meta_input == "logits":
         meta_outputs = HeadOutputs(
             [head_predict(h, test.features) for h in heads], rows_are_probs=False
         )
@@ -444,7 +354,7 @@ def cmd_evaluate(args) -> int:
                 "meta_input": recorded.get("meta_input"),
             }
 
-    out_dir = Path(cfg["out"])
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for filename, bins in csvs.items():
         write_reliability_csv(bins, out_dir / filename)
@@ -452,14 +362,14 @@ def cmd_evaluate(args) -> int:
         "version": __version__,
         "seed": heads_meta.get("seed"),
         "config": {
-            "test_path": str(cfg["test"]),
-            "heads_dir": str(cfg["heads_dir"]),
+            "test_path": str(args.test),
+            "heads_dir": str(args.heads_dir),
             "meta_dir": str(meta_dir),
             "m": len(heads),
             "num_bins": num_bins,
             "norm_degree": degree,
             "meta_kinds": kinds,
-            "meta_input": cfg["meta_input"],
+            "meta_input": args.meta_input,
             "heads_training": heads_meta,
             "meta_training": meta_training,
         },
@@ -519,72 +429,65 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p):
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, command_parser=p)
         p.add_argument("--config", help="JSON config file; flags override its values")
+        return p
 
-    p = sub.add_parser("gen", help="generate synthetic train/test feature datasets")
-    add_config(p)
-    p.add_argument("--kind", choices=["clusters"], default=None)
-    p.add_argument("--classes", type=int, default=None, help="number of classes")
-    p.add_argument("--dim", type=int, default=None, help="feature dimension")
-    p.add_argument("--n", type=int, default=None, help="training sample count")
+    def add_train_config(p, cls):
+        for f in fields(cls):
+            if f.name != "seed":
+                p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+
+    # train-meta must draw the split that train-heads drew
+    def add_split(p):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--val-fraction", type=float, default=0.1)
+
+    # evaluate must feed a combiner the head outputs it was trained on
+    def add_meta_input(p):
+        p.add_argument("--meta-input", choices=["probs", "logits"], default="probs")
+
+    artifacts = "artifacts"
+
+    p = command("gen", cmd_gen, "generate synthetic train/test feature datasets")
+    p.add_argument("--kind", choices=["clusters"], default="clusters")
+    p.add_argument("--classes", type=int, default=10, help="number of classes")
+    p.add_argument("--dim", type=int, default=16, help="feature dimension")
+    p.add_argument("--n", type=int, default=4000, help="training sample count")
     p.add_argument("--test-n", type=int, default=None, help="test sample count (default: same as --n)")
-    p.add_argument("--sep", type=float, default=None, help="cluster separation (sphere radius)")
-    p.add_argument("--noise", type=float, default=None, help="label noise fraction in [0, 1)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory")
-    p.set_defaults(handler=cmd_gen)
+    p.add_argument("--sep", type=float, default=6.0, help="cluster separation (sphere radius)")
+    p.add_argument("--noise", type=float, default=0.2, help="label noise fraction in [0, 1)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default="data", help="output directory")
 
-    p = sub.add_parser("train-heads", help="train a family of seeded linear heads")
-    add_config(p)
+    p = command("train-heads", cmd_train_heads, "train a family of seeded linear heads")
     p.add_argument("--train", default=None, help="training dataset (.fds)")
-    p.add_argument("--m", type=int, default=None, help="number of heads")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--val-fraction", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=None,
-                   help=f"concurrent head trainings (default: ${JOBS_ENV_VAR} or 1)")
-    p.add_argument("--out", default=None, help="artifact directory")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--max-epochs", type=int, default=None)
-    p.add_argument("--plateau-factor", type=float, default=None)
-    p.add_argument("--plateau-patience", type=int, default=None)
-    p.add_argument("--early-stop-patience", type=int, default=None)
-    p.set_defaults(handler=cmd_train_heads)
+    p.add_argument("--m", type=int, default=5, help="number of heads")
+    add_split(p)
+    p.add_argument("--out", default=artifacts, help="artifact directory")
+    add_train_config(p, HeadTrainConfig)
 
-    p = sub.add_parser("train-meta", help="train one combiner model on head outputs")
-    add_config(p)
+    p = command("train-meta", cmd_train_meta, "train one combiner model on head outputs")
     p.add_argument("--kind", choices=list(KINDS), default=None)
     p.add_argument("--train", default=None, help="training dataset (.fds)")
-    p.add_argument("--heads-dir", default=None, help="directory with head_*.hdw")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--val-fraction", type=float, default=None)
+    p.add_argument("--heads-dir", default=artifacts, help="directory with head_*.hdw")
+    add_split(p)
     p.add_argument("--out", default=None, help="output directory (default: heads dir)")
-    p.add_argument("--meta-input", choices=["probs", "logits"], default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--plateau-factor", type=float, default=None)
-    p.add_argument("--plateau-patience", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.set_defaults(handler=cmd_train_meta)
+    add_meta_input(p)
+    add_train_config(p, MetaTrainConfig)
 
-    p = sub.add_parser("evaluate", help="evaluate heads and combiners on a test set")
-    add_config(p)
+    p = command("evaluate", cmd_evaluate, "evaluate heads and combiners on a test set")
     p.add_argument("--test", default=None, help="test dataset (.fds)")
-    p.add_argument("--heads-dir", default=None)
+    p.add_argument("--heads-dir", default=artifacts)
     p.add_argument("--meta-dir", default=None, help="directory with meta_*.mmd (default: heads dir)")
     p.add_argument("--meta", default=None,
                    help="comma-separated combiner kinds to evaluate, or 'all'/'none'")
-    p.add_argument("--bins", type=int, default=None, help="number of confidence bins")
-    p.add_argument("--norm-degree", type=int, default=None)
-    p.add_argument("--meta-input", choices=["probs", "logits"], default=None)
-    p.add_argument("--out", default=None, help="results directory")
-    p.set_defaults(handler=cmd_evaluate)
+    p.add_argument("--bins", type=int, default=DEFAULT_NUM_BINS, help="number of confidence bins")
+    p.add_argument("--norm-degree", type=int, default=1)
+    add_meta_input(p)
+    p.add_argument("--out", default="results", help="results directory")
 
     p = sub.add_parser("report", help="print a summary.json as a fixed-width table")
     p.add_argument("summary", help="path to summary.json")
@@ -597,6 +500,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            args = _parse_with_config(parser, args, argv)
         return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

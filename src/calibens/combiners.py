@@ -181,8 +181,32 @@ class Metamodel:
         return sum(w.size + b.size for w, b in self.layers)
 
 
+@dataclass
+class MetaTrainConfig:
+    """Combiner training settings. dropout is the DL/DLL hidden-layer dropout
+    that build_metamodel stores in the model; training reads it from there."""
+
+    epochs: int = 20
+    lr: float = 0.05
+    momentum: float = 0.9
+    weight_decay: float = 0.0
+    batch_size: int = 128
+    plateau_factor: float = 0.5
+    plateau_patience: int = 3
+    dropout: float = 0.5
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.lr <= 0.0:
+            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+
+
 def build_metamodel(
-    kind: str, m: int, num_classes: int, seed: int, dropout_p: float = 0.5
+    kind: str, m: int, num_classes: int, seed: int, dropout_p: float = MetaTrainConfig.dropout
 ) -> Metamodel:
     """Initialize a combiner; each layer's weights and bias are drawn uniformly
     from [-1/sqrt(fan_in), 1/sqrt(fan_in)], fan_in being the layer's in_width."""
@@ -278,27 +302,6 @@ def metamodel_gradients(meta: Metamodel, outputs: HeadOutputs, labels, mask=None
     return loss, [(d_w, d_b)]
 
 
-@dataclass
-class MetaTrainConfig:
-    epochs: int = 20
-    initial_lr: float = 2e-4
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    batch_size: int = 128
-    plateau_factor: float = 0.5
-    plateau_patience: int = 3
-    dropout_p: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.initial_lr <= 0.0:
-            raise ConfigError(f"initial learning rate must be positive, got {self.initial_lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-
-
 def _subset_outputs(outputs: HeadOutputs, idx: np.ndarray) -> HeadOutputs:
     sub = HeadOutputs.__new__(HeadOutputs)
     sub.per_head = [p[idx] for p in outputs.per_head]
@@ -388,6 +391,10 @@ def load_metamodel(path) -> Metamodel:
     if tag not in kinds_by_tag:
         raise FormatError(f"{path}: unknown kind tag {tag}", offset=4)
     kind = kinds_by_tag[tag]
+    if m < 1 or num_classes < 1:
+        raise FormatError(f"{path}: m={m}, C={num_classes} must both be >= 1", offset=4)
+    if not 0.0 <= dropout_p < 1.0:
+        raise FormatError(f"{path}: dropout probability {dropout_p} outside [0, 1)", offset=17)
     if h != hidden_width(kind, m, num_classes):
         raise FormatError(
             f"{path}: hidden width {h} inconsistent with kind {kind}, m={m}, C={num_classes}",

@@ -5,10 +5,6 @@ On disk they use a little-endian binary layout (magic ``FDS1``):
 
     FDS1 | u32 N | u32 D | u32 C | N x (D x f32 features, u32 label)
 
-Probability matrices interchange through a second layout (magic ``PRB1``):
-
-    PRB1 | u32 N | u32 C | N*C x f32 (row-major)
-
 Files store 32-bit floats; in memory everything is 64-bit. A plain-text CSV
 importer (header ``f0,...,f{D-1},label``) is provided for interoperability.
 """
@@ -28,7 +24,6 @@ from .metrics import PredictionSet
 from .numerics import RngStream, require_finite
 
 FDS_MAGIC = b"FDS1"
-PRB_MAGIC = b"PRB1"
 
 
 @dataclass(eq=False)
@@ -200,33 +195,6 @@ def import_csv(path, num_classes: int | None = None) -> FeatureDataset:
     )
 
 
-def save_probs(probs: np.ndarray, path) -> None:
-    probs = np.ascontiguousarray(probs, dtype=np.float64)
-    if probs.ndim != 2:
-        raise DataError(f"probability matrix must be 2-D, got shape {probs.shape}")
-    n, c = probs.shape
-    with open(path, "wb") as fh:
-        fh.write(PRB_MAGIC + struct.pack("<II", n, c))
-        fh.write(probs.astype("<f4").tobytes())
-
-
-def load_probs(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != PRB_MAGIC:
-        raise FormatError(f"{path}: bad magic, expected {PRB_MAGIC!r}", offset=0)
-    if len(raw) < 12:
-        raise FormatError(f"{path}: truncated header", offset=len(raw))
-    n, c = struct.unpack("<II", raw[4:12])
-    expected = 12 + 4 * n * c
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} bytes, found {len(raw)}",
-            offset=min(len(raw), expected),
-        )
-    flat = np.frombuffer(raw, dtype="<f4", count=n * c, offset=12)
-    return flat.astype(np.float64).reshape(n, c)
-
-
 def split(dataset: FeatureDataset, val_fraction: float, seed: int):
     """Stratified train/validation split.
 
@@ -254,8 +222,8 @@ def split(dataset: FeatureDataset, val_fraction: float, seed: int):
 
     def subset(sel, tag):
         return FeatureDataset(
-            features=dataset.features[sel].copy(),
-            labels=dataset.labels[sel].copy(),
+            features=dataset.features[sel],
+            labels=dataset.labels[sel],
             num_classes=dataset.num_classes,
             name=f"{dataset.name}-{tag}" if dataset.name else tag,
         )

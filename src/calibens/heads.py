@@ -2,8 +2,7 @@
 
 Each head is a single fully connected layer trained on softmax cross-entropy
 by numerics.fit, with early stopping. A family of m heads differs only in its
-seeds (head i uses base_seed + i), so members can be trained concurrently with
-bit-identical results.
+seeds (head i uses base_seed + i).
 
 Head files (magic ``HDW1``) are little-endian:
 
@@ -13,7 +12,6 @@ Head files (magic ``HDW1``) are little-endian:
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -61,7 +59,7 @@ class LinearHead:
 
 @dataclass
 class HeadTrainConfig:
-    initial_lr: float = 0.1
+    lr: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 5e-4
     batch_size: int = 128
@@ -72,8 +70,8 @@ class HeadTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.initial_lr <= 0.0:
-            raise ConfigError(f"initial learning rate must be positive, got {self.initial_lr}")
+        if self.lr <= 0.0:
+            raise ConfigError(f"learning rate must be positive, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 0:
@@ -154,26 +152,17 @@ def train_head_family(
     m: int,
     base_seed: int,
     cfg: HeadTrainConfig,
-    jobs: int = 1,
 ) -> list[LinearHead]:
-    """Train m heads on identical data, head i seeded with base_seed + i.
-
-    Heads are independent, so jobs > 1 trains them concurrently; results are
-    returned in index order and are bit-identical to a sequential run.
-    """
+    """Train m heads on identical data, head i seeded with base_seed + i."""
     if m < 1:
         raise ConfigError(f"head count must be >= 1, got {m}")
-
-    def train_one(i: int) -> LinearHead:
+    heads = []
+    for i in range(m):
         try:
-            return train_head(train, val, replace(cfg, seed=derive_seed(base_seed, i)))
+            heads.append(train_head(train, val, replace(cfg, seed=derive_seed(base_seed, i))))
         except CalibensError as exc:
             raise TrainingError(f"head {i}: {exc}") from exc
-
-    if jobs <= 1 or m == 1:
-        return [train_one(i) for i in range(m)]
-    with ThreadPoolExecutor(max_workers=min(jobs, m)) as pool:
-        return list(pool.map(train_one, range(m)))
+    return heads
 
 
 def save_head(head: LinearHead, path) -> None:
@@ -191,6 +180,8 @@ def load_head(path) -> LinearHead:
     if len(raw) < 20:
         raise FormatError(f"{path}: truncated header", offset=len(raw))
     dim, num_classes, seed = struct.unpack("<IIQ", raw[4:20])
+    if dim < 1 or num_classes < 1:
+        raise FormatError(f"{path}: D={dim}, C={num_classes} must both be >= 1", offset=4)
     expected = 20 + 4 * (num_classes * dim + num_classes)
     if len(raw) != expected:
         raise FormatError(

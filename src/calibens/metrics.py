@@ -11,7 +11,6 @@ All values are fractions in [0, 1]; percent formatting is a display concern.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,17 +110,6 @@ def predictions_from_probs(probs, labels) -> PredictionSet:
         labels=labels,
         probs=probs,
     )
-
-
-def assign_bin(confidence: float, num_bins: int) -> int:
-    """Bin index min(floor(confidence * M), M - 1): bins [i/M, (i+1)/M), top bin
-    closed at 1.0. The product follows IEEE float semantics, matching the
-    vectorized path exactly."""
-    if num_bins < 1:
-        raise ConfigError(f"number of bins must be >= 1, got {num_bins}")
-    if not 0.0 <= confidence <= 1.0:
-        raise DataError(f"confidence {confidence} outside [0, 1]")
-    return min(int(math.floor(confidence * num_bins)), num_bins - 1)
 
 
 def _bin_indices(confidence: np.ndarray, num_bins: int) -> np.ndarray:

@@ -313,8 +313,9 @@ def fit(
     the current params, which sgd_step updates in place. After each epoch
     val_loss_fn() feeds a PlateauScheduler and, if early_stop_patience is
     set, an EarlyStopper. A non-finite loss raises TrainingError. cfg
-    supplies initial_lr, momentum, weight_decay, batch_size, plateau_factor
-    and plateau_patience, as HeadTrainConfig and MetaTrainConfig both do.
+    supplies lr (the starting learning rate), momentum, weight_decay,
+    batch_size, plateau_factor and plateau_patience, as HeadTrainConfig and
+    MetaTrainConfig both do.
 
     Snapshot rule: keep the first epoch with the strictly lowest validation
     loss. The untrained params are candidate zero with loss initial_val_loss;
@@ -325,7 +326,7 @@ def fit(
     if best_val is not None and not np.isfinite(best_val):
         raise TrainingError("non-finite validation loss before training", epoch=0)
     best_params, best_epoch = [p.copy() for p in params], 0
-    sgd = SgdState.for_params(params, cfg.initial_lr, cfg.momentum, cfg.weight_decay)
+    sgd = SgdState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay)
     sched = PlateauScheduler(factor=cfg.plateau_factor, patience=cfg.plateau_patience)
     stopper = EarlyStopper(patience=early_stop_patience) if early_stop_patience is not None else None
     history = []

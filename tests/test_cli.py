@@ -108,17 +108,6 @@ class TestTrainHeads:
             "--out", str(tmp_path / "a"),
         ]) == 3
 
-    def test_jobs_env_default(self, pipeline_dir, monkeypatch):
-        monkeypatch.setenv("CALIB_ENSEMBLE_JOBS", "2")
-        art = pipeline_dir / "artifacts_env"
-        assert run([
-            "train-heads", "--train", str(pipeline_dir / "data" / "train.fds"),
-            "--m", "2", "--seed", "7", "--max-epochs", "8", "--out", str(art),
-        ]) == 0
-        assert (art / "head_0.hdw").read_bytes() == (
-            pipeline_dir / "artifacts" / "head_0.hdw"
-        ).read_bytes()
-
 
 class TestTrainMeta:
     def test_slpc_file_size_and_sidecar(self, pipeline_dir):
@@ -309,6 +298,7 @@ class TestConfigFile:
         cfg.write_text(json.dumps({
             "classes": 3, "dim": 4, "n": 200, "sep": 8.0, "noise": 0.1,
             "seed": 7, "out": str(tmp_path / "from_config"),
+            "lr": 0.05, "test": "x.fds",  # other commands' keys: ignored by gen
         }))
         assert run(["gen", "--config", str(cfg)]) == 0
         assert (tmp_path / "from_config" / "train.fds").exists()
@@ -321,3 +311,58 @@ class TestConfigFile:
         cfg = tmp_path / "bad.json"
         cfg.write_text("[1, 2")
         assert run(["gen", "--config", str(cfg)]) == 2
+
+    def test_heads_sidecar_config_reproduces_heads(self, pipeline_dir):
+        data = str(pipeline_dir / "data" / "train.fds")
+        first, second = pipeline_dir / "first", pipeline_dir / "second"
+        base = ["train-heads", "--train", data, "--m", "2", "--seed", "7"]
+        assert run(base + ["--lr", "0.05", "--max-epochs", "8", "--out", str(first)]) == 0
+        config = json.loads((first / "heads.json").read_text())["config"]
+        path = pipeline_dir / "heads_config.json"
+        path.write_text(json.dumps(config))
+        assert run(base + ["--config", str(path), "--out", str(second)]) == 0
+        assert json.loads((second / "heads.json").read_text())["config"] == config
+        for i in range(2):
+            name = f"head_{i}.hdw"
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_meta_sidecar_config_reproduces_combiner(self, pipeline_dir):
+        first, second = pipeline_dir / "first", pipeline_dir / "second"
+        base = ["train-meta", "--kind", "DL", "--train", str(pipeline_dir / "data" / "train.fds"),
+                "--heads-dir", str(pipeline_dir / "artifacts"), "--seed", "7"]
+        assert run(base + ["--lr", "0.05", "--dropout", "0.25", "--epochs", "3",
+                           "--out", str(first)]) == 0
+        config = json.loads((first / "meta_DL.json").read_text())["config"]
+        path = pipeline_dir / "meta_config.json"
+        path.write_text(json.dumps(config))
+        assert run(base + ["--config", str(path), "--out", str(second)]) == 0
+        assert json.loads((second / "meta_DL.json").read_text())["config"] == config
+        assert (first / "meta_DL.mmd").read_bytes() == (second / "meta_DL.mmd").read_bytes()
+
+
+class TestEndToEndAtDefaults:
+    """gen -> train-heads -> train-meta (every kind) -> evaluate, all at CLI
+    defaults: the paper's claim that a trained combiner keeps the ensemble's
+    accuracy while calibrating at least as well as averaging."""
+
+    def test_combiners_keep_accuracy_and_calibration(self, tmp_path):
+        data, art, res = tmp_path / "data", tmp_path / "artifacts", tmp_path / "results"
+        train = str(data / "train.fds")
+        assert run(["gen", "--out", str(data)]) == 0
+        assert run(["train-heads", "--train", train, "--out", str(art)]) == 0
+        for kind in ("SL", "DL", "DLL", "SLpC"):
+            assert run(["train-meta", "--kind", kind, "--train", train,
+                        "--heads-dir", str(art)]) == 0
+        assert run(["evaluate", "--test", str(data / "test.fds"), "--heads-dir", str(art),
+                    "--meta", "all", "--out", str(res)]) == 0
+        rows = {r["name"]: r for r in json.loads((res / "summary.json").read_text())["rows"]}
+        test = load_dataset(data / "test.fds")
+        bound = 100.0 * chance_level_bound(test.num_classes, test.n)
+        heads = [r for r in rows.values() if r["kind"] == "head"]
+        assert len(heads) == 5
+        assert all(r["accuracy_pct"] > bound for r in heads), (bound, heads)
+        avg = rows["Avg."]
+        for kind in ("SL", "DL", "DLL", "SLpC"):
+            row = rows[kind]
+            assert abs(row["accuracy_pct"] - avg["accuracy_pct"]) <= 1.0, (row, avg)
+            assert row["ece_pct"] <= avg["ece_pct"] + 0.5, (row, avg)

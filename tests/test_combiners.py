@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,7 +279,7 @@ class TestTrainMetamodel:
         tr_out, tr_y, va_out, va_y = self.make_problem(seed=2)
         meta = build_metamodel("SL", 3, 4, seed=5)
         trained = train_metamodel(meta, tr_out, tr_y, va_out, va_y,
-                                  MetaTrainConfig(epochs=4, initial_lr=0.05, seed=9))
+                                  MetaTrainConfig(epochs=4, lr=0.05, seed=9))
         kept = cross_entropy(softmax(metamodel_forward(trained, va_out)), va_y)
         assert trained.best_val_loss == kept
         assert trained.training_history[trained.best_epoch - 1][2] == kept
@@ -299,7 +301,7 @@ class TestTrainMetamodel:
         meta = build_metamodel("SL", 3, 4, seed=5)
         before = [(w.copy(), b.copy()) for w, b in meta.layers]
         train_metamodel(meta, tr_out, tr_y, va_out, va_y,
-                        MetaTrainConfig(epochs=3, initial_lr=0.05, seed=9))
+                        MetaTrainConfig(epochs=3, lr=0.05, seed=9))
         for (w0, b0), (w1, b1) in zip(before, meta.layers):
             assert np.array_equal(w0, w1)
             assert np.array_equal(b0, b1)
@@ -307,7 +309,7 @@ class TestTrainMetamodel:
     def test_higher_lr_actually_learns(self):
         tr_out, tr_y, va_out, va_y = self.make_problem(seed=6, n_train=300)
         meta = build_metamodel("SLpC", 3, 4, seed=5)
-        cfg = MetaTrainConfig(epochs=30, initial_lr=0.05, seed=9)
+        cfg = MetaTrainConfig(epochs=30, lr=0.05, seed=9)
         trained = train_metamodel(meta, tr_out, tr_y, va_out, va_y, cfg)
         pred = combine_metamodel(trained, va_out, va_y)
         baseline = combine_average(va_out, va_y)
@@ -378,3 +380,15 @@ class TestMetamodelFile:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FormatError):
             load_metamodel(path)
+
+    @pytest.mark.parametrize("m, c, dropout, offset", [
+        (0, 3, 0.0, 4), (2, 0, 0.0, 4), (2, 3, float("nan"), 17), (2, 3, 1.5, 17),
+    ])
+    def test_bad_header_values_rejected(self, tmp_path, m, c, dropout, offset):
+        # SL headers of the right length: zero sizes, or a dropout outside [0, 1)
+        path = tmp_path / "m.mmd"
+        header = b"MMD1" + struct.pack("<BIIIfQ", 0, m, c, 0, dropout, 1)
+        path.write_bytes(header + b"\x00" * (4 * (c * m * c + c)))
+        with pytest.raises(FormatError, match="m.mmd") as exc:
+            load_metamodel(path)
+        assert exc.value.offset == offset

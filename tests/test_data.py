@@ -12,9 +12,7 @@ from calibens.data import (
     chance_level_bound,
     import_csv,
     load_dataset,
-    load_probs,
     save_dataset,
-    save_probs,
     split,
     synth_clusters,
     synth_miscalibrated_predictions,
@@ -115,30 +113,6 @@ class TestCsvImport:
         path.write_text("f0,label\n1.0,0\nnope,1\n")
         with pytest.raises(FormatError, match="line 3"):
             import_csv(path)
-
-
-class TestProbsFile:
-    def test_round_trip(self, tmp_path):
-        probs = softmax(RngStream(1).standard_normal((7, 4)))
-        path = tmp_path / "p.prb"
-        save_probs(probs, path)
-        loaded = load_probs(path)
-        assert loaded.shape == (7, 4)
-        assert np.array_equal(loaded, probs.astype(np.float32).astype(np.float64))
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "p.prb"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(FormatError, match="magic"):
-            load_probs(path)
-
-    def test_truncated(self, tmp_path):
-        probs = np.full((3, 2), 0.5)
-        path = tmp_path / "p.prb"
-        save_probs(probs, path)
-        path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(FormatError):
-            load_probs(path)
 
 
 class TestSplit:

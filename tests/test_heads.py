@@ -1,3 +1,6 @@
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -143,7 +146,7 @@ class TestTrainHead:
     def test_divergence_names_epoch(self, separable):
         train, val = separable
         with pytest.raises(TrainingError, match="epoch 1"):
-            train_head(train, val, quick_cfg(initial_lr=1e200, max_epochs=5))
+            train_head(train, val, quick_cfg(lr=1e200, max_epochs=5))
 
     def test_dataset_not_mutated(self, separable):
         train, val = separable
@@ -157,8 +160,6 @@ class TestHeadFamily:
         train, val = separable
         cfg = quick_cfg(max_epochs=10)
         family = train_head_family(train, val, 1, base_seed=50, cfg=cfg)
-        from dataclasses import replace
-
         single = train_head(train, val, replace(cfg, seed=50))
         assert np.array_equal(family[0].weights, single.weights)
 
@@ -185,20 +186,22 @@ class TestHeadFamily:
         assert max(accs) - min(accs) <= 0.03
 
     def test_concurrent_equals_sequential(self, separable):
+        # family member i is exactly a lone train_head run seeded base + i
         train, val = separable
         cfg = quick_cfg(max_epochs=8)
-        seq = train_head_family(train, val, 4, base_seed=70, cfg=cfg, jobs=1)
-        par = train_head_family(train, val, 4, base_seed=70, cfg=cfg, jobs=4)
-        for a, b in zip(seq, par):
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.bias, b.bias)
+        family = train_head_family(train, val, 4, base_seed=70, cfg=cfg)
+        for i, member in enumerate(family):
+            alone = train_head(train, val, replace(cfg, seed=70 + i))
+            assert np.array_equal(member.weights, alone.weights)
+            assert np.array_equal(member.bias, alone.bias)
+            assert member.training_history == alone.training_history
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_error_names_head_index(self, separable):
         train, val = separable
         with pytest.raises(TrainingError, match="head 0"):
             train_head_family(
-                train, val, 2, base_seed=0, cfg=quick_cfg(initial_lr=1e200, max_epochs=5)
+                train, val, 2, base_seed=0, cfg=quick_cfg(lr=1e200, max_epochs=5)
             )
 
 
@@ -231,3 +234,13 @@ class TestHeadFile:
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(FormatError):
             load_head(path)
+
+    @pytest.mark.parametrize("dim, num_classes", [(0, 0), (0, 3), (6, 0)])
+    def test_zero_dimensions_rejected(self, tmp_path, dim, num_classes):
+        # a header-only file is the right length for a D=0 or C=0 head
+        path = tmp_path / "h.hdw"
+        path.write_bytes(b"HDW1" + struct.pack("<IIQ", dim, num_classes, 1)
+                         + b"\x00" * (4 * (num_classes * dim + num_classes)))
+        with pytest.raises(FormatError, match="h.hdw") as exc:
+            load_head(path)
+        assert exc.value.offset == 4

@@ -12,7 +12,6 @@ from calibens.metrics import (
     BinStats,
     PredictionSet,
     accuracy,
-    assign_bin,
     calibration_report,
     ece,
     mce,
@@ -86,30 +85,41 @@ class TestPredictionsFromProbs:
             )
 
 
+def bin_of(confidence, num_bins):
+    """Index of the one bin reliability_bins puts a single sample in."""
+    bins = reliability_bins(PredictionSet([0], [confidence], [0]), num_bins)
+    (index,) = [b.bin_index for b in bins if b.count]
+    return index
+
+
 class TestAssignBin:
+    """Which bin reliability_bins assigns a confidence to: floor(conf * M),
+    top bin closed at 1.0."""
+
     def test_top_edge_closure(self):
-        assert assign_bin(1.0, 15) == 14
+        assert bin_of(1.0, 15) == 14
 
     def test_bottom_edge(self):
-        assert assign_bin(0.0, 15) == 0
+        assert bin_of(0.0, 15) == 0
 
     def test_near_edge_cases_follow_float_product(self):
         # exact rational oracle: Fraction(0.7333) * 15 = 10.9995 -> bin 10,
         # while float(11/15) * 15 rounds up to exactly 11.0 -> bin 11
         assert Fraction(0.7333) * 15 < 11
-        assert assign_bin(0.7333, 15) == 10
+        assert bin_of(0.7333, 15) == 10
         assert float(11 / 15) * 15 == 11.0
-        assert assign_bin(11 / 15, 15) == 11
+        assert bin_of(11 / 15, 15) == 11
 
     def test_domain_error(self):
+        # out-of-range confidences never reach the binning
         with pytest.raises(DataError):
-            assign_bin(1.2, 15)
+            PredictionSet([0], [1.2], [0])
         with pytest.raises(DataError):
-            assign_bin(-0.1, 15)
+            PredictionSet([0], [-0.1], [0])
 
     @given(st.floats(0.0, 1.0), st.integers(1, 50))
     def test_index_always_in_range(self, conf, m):
-        assert 0 <= assign_bin(conf, m) < m
+        assert 0 <= bin_of(conf, m) < m
 
 
 class TestReliabilityBins:

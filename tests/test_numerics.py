@@ -280,7 +280,7 @@ class TestSchedulers:
 
 
 def sgd_cfg(**kw):
-    base = dict(initial_lr=0.1, momentum=0.0, weight_decay=0.0, batch_size=2,
+    base = dict(lr=0.1, momentum=0.0, weight_decay=0.0, batch_size=2,
                 plateau_factor=0.5, plateau_patience=5)
     return SimpleNamespace(**(base | kw))
 
