@@ -49,7 +49,7 @@ from .errors import (
     LabelError,
     TrainingError,
 )
-from .heads import HeadTrainConfig, head_predict, load_head, save_head, train_head_family
+from .heads import HeadTrainConfig, head_predict, load_head, save_head, train_heads_lockstep
 from .metrics import (
     DEFAULT_NUM_BINS,
     calibration_report,
@@ -82,13 +82,22 @@ def _load_config_file(path) -> dict:
 def _parse_with_config(parser, args, argv):
     """Parse argv again with the --config file's values as the chosen
     command's defaults; keys that are not its options are dropped. Numbers
-    pass as strings, so argparse converts them as it converts flag values."""
+    pass as strings, so argparse converts them as it converts flag values.
+    argparse never checks defaults against an option's choices, so config
+    values are checked here."""
     own = vars(args).keys() - {"command", "handler", "command_parser", "config"}
     values = {
         key: str(value) if isinstance(value, (int, float)) else value
         for key, value in _load_config_file(args.config).items()
         if key in own
     }
+    for action in args.command_parser._actions:
+        if action.choices is not None and action.dest in values:
+            if values[action.dest] not in action.choices:
+                raise ConfigError(
+                    f"{args.config}: {action.dest} {values[action.dest]!r} "
+                    f"is not one of {list(action.choices)}"
+                )
     args.command_parser.set_defaults(**values)
     return parser.parse_args(argv)
 
@@ -125,8 +134,6 @@ def _parse_meta_kinds(raw) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    if args.kind != "clusters":
-        raise ConfigError(f"unknown generator kind {args.kind!r}; expected 'clusters'")
     spec = SynthSpec(
         num_classes=args.classes,
         dim=args.dim,
@@ -156,7 +163,7 @@ def cmd_train_heads(args) -> int:
     head_cfg = _train_config(HeadTrainConfig, args)
     dataset = load_dataset(args.train)
     train, val = split(dataset, args.val_fraction, derive_seed(seed, _SPLIT_STREAM))
-    heads = train_head_family(train, val, m, derive_seed(seed, _HEAD_STREAM), head_cfg)
+    heads = train_heads_lockstep(train, val, m, derive_seed(seed, _HEAD_STREAM), head_cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -220,12 +227,8 @@ def cmd_train_meta(args) -> int:
     kind, seed = args.kind, args.seed
     if kind is None:
         raise ConfigError("missing combiner kind (--kind)")
-    if kind not in KINDS:
-        raise ConfigError(f"unknown combiner kind {kind!r}; expected one of {KINDS}")
     if args.train is None:
         raise ConfigError("missing training dataset path (--train)")
-    if args.meta_input not in ("probs", "logits"):
-        raise ConfigError(f"meta input must be 'probs' or 'logits', got {args.meta_input!r}")
     meta_seed = derive_seed(seed, _META_STREAM + KIND_TAGS[kind])
     train_cfg = _train_config(MetaTrainConfig, args, seed=meta_seed)
     dataset = load_dataset(args.train)
@@ -289,8 +292,6 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"bin count must be >= 1, got {num_bins}")
     if degree < 1:
         raise ConfigError(f"norm degree must be >= 1, got {degree}")
-    if args.meta_input not in ("probs", "logits"):
-        raise ConfigError(f"meta input must be 'probs' or 'logits', got {args.meta_input!r}")
     kinds = _parse_meta_kinds(args.meta)
     heads_dir = Path(args.heads_dir)
     meta_dir = Path(args.meta_dir) if args.meta_dir is not None else heads_dir

@@ -87,7 +87,7 @@ class HeadOutputs:
         return self.per_head[0].shape[1]
 
     def stacked(self) -> np.ndarray:
-        """(m, N, C) view of the head outputs."""
+        """(m, N, C) copy of the head outputs."""
         return np.stack(self.per_head, axis=0)
 
     def concatenated(self) -> np.ndarray:
@@ -95,16 +95,24 @@ class HeadOutputs:
         return np.concatenate(self.per_head, axis=1)
 
 
-def _mean_over_heads(stacked: np.ndarray) -> np.ndarray:
-    # sort per cell before summing so head order never affects the rounding
-    return np.sort(stacked, axis=0).sum(axis=0) / stacked.shape[0]
+def _mean_over_heads(per_head: list) -> np.ndarray:
+    """Cellwise mean of equally shaped per-head arrays. Each cell's values are
+    sorted, so head order never affects the rounding, then added one head at
+    a time, so a cell's mean does not depend on how many cells share the call
+    (a numpy sum over axis 0 adds pairwise when there is only one cell)."""
+    ordered = np.stack(per_head)
+    ordered.sort(axis=0)
+    total = ordered[0].copy()
+    for values in ordered[1:]:
+        total += values
+    return total / len(per_head)
 
 
 def combine_average(outputs: HeadOutputs, labels) -> PredictionSet:
     """Mean of the head probability matrices."""
     if not outputs.rows_are_probs:
         raise DataError("averaging is defined on probability outputs")
-    return predictions_from_probs(_mean_over_heads(outputs.stacked()), labels)
+    return predictions_from_probs(_mean_over_heads(outputs.per_head), labels)
 
 
 def combine_vote(outputs: HeadOutputs, labels) -> PredictionSet:
@@ -116,15 +124,15 @@ def combine_vote(outputs: HeadOutputs, labels) -> PredictionSet:
     """
     if not outputs.rows_are_probs:
         raise DataError("voting is defined on probability outputs")
-    stacked = outputs.stacked()
     n, c = outputs.n, outputs.num_classes
-    votes = np.argmax(stacked, axis=2)  # (m, N)
     counts = np.zeros((n, c), dtype=np.int64)
     rows = np.arange(n)
-    for i in range(outputs.m):
-        counts[rows, votes[i]] += 1
-    mean_probs = _mean_over_heads(stacked)
+    for probs in outputs.per_head:
+        counts[rows, np.argmax(probs, axis=1)] += 1
     tied = counts == counts.max(axis=1, keepdims=True)
+    # only a tied class can win, so only tied cells need their mean probability
+    mean_probs = np.zeros((n, c))
+    mean_probs[tied] = _mean_over_heads([probs[tied] for probs in outputs.per_head])
     # tied classes score 1+meanprob > any untied score 0; argmax keeps lowest index on exact ties
     winner = np.argmax(np.where(tied, 1.0 + mean_probs, 0.0), axis=1)
     return PredictionSet(

@@ -4,6 +4,14 @@ Each head is a single fully connected layer trained on softmax cross-entropy
 by numerics.fit, with early stopping. A family of m heads differs only in its
 seeds (head i uses base_seed + i).
 
+Two trainers produce the same family bit for bit. The CLI uses
+train_heads_lockstep, which steps every head's training loop together and
+computes all m heads' mini-batch gradients in one stacked call, so the cost
+of the many small per-batch numpy calls is paid once per step instead of once
+per head. train_head_family trains the heads one after another with
+train_head; it stays as the plain reference the tests compare the lockstep
+trainer against.
+
 Head files (magic ``HDW1``) are little-endian:
 
     HDW1 | u32 D | u32 C | u64 seed | C*D x f32 weights (row-major) | C x f32 bias
@@ -13,6 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +29,14 @@ import numpy as np
 from .data import FeatureDataset
 from .errors import CalibensError, ConfigError, DataError, DimensionError, FormatError, TrainingError
 from .numerics import (
+    FitResult,
     RngStream,
     backward_linear,
+    backward_linear_stacked,
     cross_entropy,
     derive_seed,
     fit,
+    fit_steps,
     linear_forward,
     softmax,
 )
@@ -110,14 +122,30 @@ def _validation_loss(weights, bias, dataset: FeatureDataset) -> float:
     return cross_entropy(probs, dataset.labels)
 
 
-def train_head(train: FeatureDataset, val: FeatureDataset, cfg: HeadTrainConfig) -> LinearHead:
-    """Train one head with numerics.fit, stopping after cfg.early_stop_patience
-    epochs without improvement; returns the snapshot fit kept."""
+def _check_shared_shape(train: FeatureDataset, val: FeatureDataset) -> None:
     if train.dim != val.dim or train.num_classes != val.num_classes:
         raise DataError(
             f"train (D={train.dim}, C={train.num_classes}) and "
             f"val (D={val.dim}, C={val.num_classes}) must share D and C"
         )
+
+
+def _trained_head(seed: int, result: FitResult) -> LinearHead:
+    best_weights, best_bias = result.params
+    return LinearHead(
+        weights=best_weights,
+        bias=best_bias,
+        seed=seed,
+        training_history=result.history,
+        best_epoch=result.best_epoch,
+        best_val_loss=result.best_val_loss,
+    )
+
+
+def train_head(train: FeatureDataset, val: FeatureDataset, cfg: HeadTrainConfig) -> LinearHead:
+    """Train one head with numerics.fit, stopping after cfg.early_stop_patience
+    epochs without improvement; returns the snapshot fit kept."""
+    _check_shared_shape(train, val)
     stream = RngStream(cfg.seed)
     weights, bias = _init_params(train.dim, train.num_classes, stream)
 
@@ -135,15 +163,7 @@ def train_head(train: FeatureDataset, val: FeatureDataset, cfg: HeadTrainConfig)
         stream=stream,
         early_stop_patience=cfg.early_stop_patience,
     )
-    best_weights, best_bias = result.params
-    return LinearHead(
-        weights=best_weights,
-        bias=best_bias,
-        seed=cfg.seed,
-        training_history=result.history,
-        best_epoch=result.best_epoch,
-        best_val_loss=result.best_val_loss,
-    )
+    return _trained_head(cfg.seed, result)
 
 
 def train_head_family(
@@ -153,7 +173,9 @@ def train_head_family(
     base_seed: int,
     cfg: HeadTrainConfig,
 ) -> list[LinearHead]:
-    """Train m heads on identical data, head i seeded with base_seed + i."""
+    """Train m heads on identical data, head i seeded with base_seed + i, one
+    train_head run after another. This is the reference that
+    train_heads_lockstep must equal."""
     if m < 1:
         raise ConfigError(f"head count must be >= 1, got {m}")
     heads = []
@@ -163,6 +185,68 @@ def train_head_family(
         except CalibensError as exc:
             raise TrainingError(f"head {i}: {exc}") from exc
     return heads
+
+
+def train_heads_lockstep(
+    train: FeatureDataset,
+    val: FeatureDataset,
+    m: int,
+    base_seed: int,
+    cfg: HeadTrainConfig,
+) -> list[LinearHead]:
+    """The heads of train_head_family(train, val, m, base_seed, cfg), bit for
+    bit, trained together one mini-batch step at a time.
+
+    Each head runs its own numerics.fit_steps loop (its own seeded stream,
+    scheduler, early stopper, snapshot and sgd_step); at each step the
+    gradients of every head still training come from one
+    numerics.backward_linear_stacked call. Heads that stop early drop out.
+    Training ends at the first step where a head fails, with a TrainingError
+    naming that head's index (the lowest, if several fail at that step).
+    """
+    if m < 1:
+        raise ConfigError(f"head count must be >= 1, got {m}")
+    _check_shared_shape(train, val)
+    seeds = [derive_seed(base_seed, i) for i in range(m)]
+    weights = np.empty((m, train.num_classes, train.dim))
+    bias = np.empty((m, train.num_classes))
+    runs = []
+    for i, seed in enumerate(seeds):
+        stream = RngStream(seed)
+        weights[i], bias[i] = _init_params(train.dim, train.num_classes, stream)
+        runs.append(
+            fit_steps(
+                [weights[i], bias[i]],
+                partial(_validation_loss, weights[i], bias[i], val),
+                cfg,
+                num_samples=train.n,
+                epochs=cfg.max_epochs,
+                stream=stream,
+                early_stop_patience=cfg.early_stop_patience,
+            )
+        )
+    batches, results = {}, {}
+
+    def advance(i, step):
+        try:
+            batches[i] = runs[i].send(step)
+        except StopIteration as done:
+            batches.pop(i, None)
+            results[i] = done.value
+        except CalibensError as exc:
+            raise TrainingError(f"head {i}: {exc}") from exc
+
+    for i in range(m):
+        advance(i, None)
+    while batches:
+        live = list(batches)
+        idx = np.stack([batches[i] for i in live])
+        losses, d_weights, d_bias = backward_linear_stacked(
+            train.features[idx], weights[live], bias[live], train.labels[idx]
+        )
+        for j, i in enumerate(live):
+            advance(i, (float(losses[j]), [d_weights[j], d_bias[j]]))
+    return [_trained_head(seed, results[i]) for i, seed in enumerate(seeds)]
 
 
 def save_head(head: LinearHead, path) -> None:

@@ -9,7 +9,7 @@ single integer seed reproduces a run bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Generator, NamedTuple
 
 import numpy as np
 
@@ -162,6 +162,25 @@ def backward_linear(inputs, weights, bias, labels):
     return loss, d_weights, d_bias
 
 
+def backward_linear_stacked(inputs, weights, bias, labels):
+    """backward_linear for k independent affine layers in one call.
+
+    inputs (k, B, D), weights (k, C, D), bias (k, C), labels (k, B) int64,
+    already validated. Returns (losses (k,), d_weights (k, C, D), d_bias
+    (k, C)); slice i equals backward_linear(inputs[i], weights[i], bias[i],
+    labels[i]) bit for bit, because every product is the same per-slice GEMM
+    and every reduction runs along the same axis in the same order.
+    """
+    logits = np.matmul(inputs, weights.transpose(0, 2, 1)) + bias[:, None, :]
+    exp = np.exp(logits - logits.max(axis=2, keepdims=True))
+    probs = exp / exp.sum(axis=2, keepdims=True)
+    layer, row = np.arange(labels.shape[0])[:, None], np.arange(labels.shape[1])
+    losses = -np.log(np.maximum(probs[layer, row, labels], PROB_EPS)).mean(axis=1)
+    probs[layer, row, labels] -= 1.0
+    probs /= labels.shape[1]
+    return losses, np.matmul(probs.transpose(0, 2, 1), inputs), probs.sum(axis=1)
+
+
 def backward_mlp(inputs, w1, b1, w2, b2, labels, mask: np.ndarray | None = None):
     """Gradients for affine -> ReLU -> (dropout mask) -> affine -> softmax CE.
 
@@ -294,9 +313,8 @@ class FitResult(NamedTuple):
     best_val_loss: float | None  # its validation loss; None if never measured
 
 
-def fit(
+def fit_steps(
     params: list,
-    grad_fn: Callable[[np.ndarray], tuple[float, list]],
     val_loss_fn: Callable[[], float],
     cfg,
     *,
@@ -305,23 +323,9 @@ def fit(
     stream: RngStream,
     early_stop_patience: int | None = None,
     initial_val_loss: float | None = None,
-) -> FitResult:
-    """Mini-batch SGD training loop shared by heads and combiners.
-
-    Each epoch walks a permutation of range(num_samples) drawn from `stream`
-    in cfg.batch_size mini-batches; grad_fn(batch) returns (loss, grads) at
-    the current params, which sgd_step updates in place. After each epoch
-    val_loss_fn() feeds a PlateauScheduler and, if early_stop_patience is
-    set, an EarlyStopper. A non-finite loss raises TrainingError. cfg
-    supplies lr (the starting learning rate), momentum, weight_decay,
-    batch_size, plateau_factor and plateau_patience, as HeadTrainConfig and
-    MetaTrainConfig both do.
-
-    Snapshot rule: keep the first epoch with the strictly lowest validation
-    loss. The untrained params are candidate zero with loss initial_val_loss;
-    when that is None any epoch beats them, so they are kept only if no epoch
-    runs.
-    """
+) -> Generator[np.ndarray, tuple[float, list], FitResult]:
+    """The mini-batch SGD training loop shared by heads and combiners, one
+    step per mini-batch; fit describes the protocol and the snapshot rule."""
     best_val = initial_val_loss
     if best_val is not None and not np.isfinite(best_val):
         raise TrainingError("non-finite validation loss before training", epoch=0)
@@ -336,7 +340,7 @@ def fit(
         loss_sum = 0.0
         for start in range(0, num_samples, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, grads = grad_fn(batch)
+            loss, grads = yield batch
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}", epoch=epoch)
             sgd_step(params, grads, sgd)
@@ -353,3 +357,44 @@ def fit(
         if stopper is not None and stopper.step(val_loss):
             break
     return FitResult(best_params, history, best_epoch, best_val)
+
+
+def fit(
+    params: list,
+    grad_fn: Callable[[np.ndarray], tuple[float, list]],
+    val_loss_fn: Callable[[], float],
+    cfg,
+    **loop,
+) -> FitResult:
+    """Mini-batch SGD training loop shared by heads and combiners.
+
+    Each epoch walks a permutation of range(num_samples) drawn from `stream`
+    in cfg.batch_size mini-batches; grad_fn(batch) returns (loss, grads) at
+    the current params, which sgd_step updates in place. After each epoch
+    val_loss_fn() feeds a PlateauScheduler and, if early_stop_patience is
+    set, an EarlyStopper. A non-finite loss raises TrainingError. cfg
+    supplies lr (the starting learning rate), momentum, weight_decay,
+    batch_size, plateau_factor and plateau_patience, as HeadTrainConfig and
+    MetaTrainConfig both do. The keyword arguments num_samples, epochs,
+    stream, early_stop_patience and initial_val_loss pass to fit_steps.
+
+    Step protocol: the loop itself is the generator fit_steps(params,
+    val_loss_fn, cfg, **loop). Each step yields one mini-batch's indices and
+    expects (loss, grads) for that batch at the current params to be sent
+    back; the generator returns the FitResult. fit drives it with grad_fn;
+    heads.train_heads_lockstep drives one generator per head and computes
+    the gradients of all heads' batches in one stacked call.
+
+    Snapshot rule: keep the first epoch with the strictly lowest validation
+    loss. The untrained params are candidate zero with loss initial_val_loss;
+    when that is None any epoch beats them, so they are kept only if no epoch
+    runs.
+    """
+    steps = fit_steps(params, val_loss_fn, cfg, **loop)
+    step = None
+    while True:
+        try:
+            batch = steps.send(step)
+        except StopIteration as done:
+            return done.value
+        step = grad_fn(batch)

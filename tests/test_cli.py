@@ -108,6 +108,12 @@ class TestTrainHeads:
             "--out", str(tmp_path / "a"),
         ]) == 3
 
+    def test_zero_heads_exits_two(self, pipeline_dir):
+        assert run([
+            "train-heads", "--train", str(pipeline_dir / "data" / "train.fds"), "--m", "0",
+            "--out", str(pipeline_dir / "none"),
+        ]) == 2
+
 
 class TestTrainMeta:
     def test_slpc_file_size_and_sidecar(self, pipeline_dir):
@@ -311,6 +317,19 @@ class TestConfigFile:
         cfg = tmp_path / "bad.json"
         cfg.write_text("[1, 2")
         assert run(["gen", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("gen", "kind", "blobs"),
+        ("train-meta", "kind", "XL"),
+        ("train-meta", "meta_input", "raw"),
+        ("evaluate", "meta_input", "raw"),
+    ])
+    def test_config_value_outside_choices_exits_two(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "choices.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and key in err and repr(value) in err
 
     def test_heads_sidecar_config_reproduces_heads(self, pipeline_dir):
         data = str(pipeline_dir / "data" / "train.fds")

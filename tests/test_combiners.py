@@ -110,6 +110,19 @@ class TestCombineVote:
         pred = combine_vote(HeadOutputs([h1, h2]), [0])
         assert pred.predicted_class[0] == 0
 
+    @pytest.mark.parametrize("m", [3, 9, 12])
+    def test_unanimous_vote_confidence_equals_average(self, m):
+        # vote averages only the tied cells, averaging every cell; a lone
+        # tied cell must get the bits that the full mean gives it
+        stream = RngStream(m)
+        for n in [1] * 20 + [6]:
+            logits = stream.standard_normal((m, n, 4))
+            logits[:, :, 2] = logits.max(axis=2) + 1.0  # every head votes class 2
+            outputs = HeadOutputs([softmax(x) for x in logits])
+            vote, avg = combine_vote(outputs, [0] * n), combine_average(outputs, [0] * n)
+            assert np.array_equal(vote.predicted_class, avg.predicted_class)
+            assert np.array_equal(vote.confidence, avg.confidence)
+
     def test_single_head_equals_argmax(self):
         stream = RngStream(3)
         probs = softmax(stream.standard_normal((8, 4)))

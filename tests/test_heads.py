@@ -15,6 +15,7 @@ from calibens.heads import (
     save_head,
     train_head,
     train_head_family,
+    train_heads_lockstep,
 )
 from calibens.metrics import accuracy, predictions_from_probs
 from calibens.numerics import linear_forward, softmax
@@ -186,23 +187,32 @@ class TestHeadFamily:
         assert max(accs) - min(accs) <= 0.03
 
     def test_concurrent_equals_sequential(self, separable):
-        # family member i is exactly a lone train_head run seeded base + i
-        train, val = separable
-        cfg = quick_cfg(max_epochs=8)
-        family = train_head_family(train, val, 4, base_seed=70, cfg=cfg)
-        for i, member in enumerate(family):
-            alone = train_head(train, val, replace(cfg, seed=70 + i))
-            assert np.array_equal(member.weights, alone.weights)
-            assert np.array_equal(member.bias, alone.bias)
-            assert member.training_history == alone.training_history
+        # member i of either trainer is exactly a lone train_head run seeded base + i
+        noisy = split(synth_clusters(SynthSpec(4, 8, 600, 3.0, 0.2, seed=40)), 0.2, seed=2)
+        cases = [
+            (separable, quick_cfg(max_epochs=8)),
+            # these heads early-stop at different epochs
+            (noisy, quick_cfg(max_epochs=60, early_stop_patience=3, batch_size=32)),
+        ]
+        epochs_run = []
+        for (train, val), cfg in cases:
+            alone = [train_head(train, val, replace(cfg, seed=70 + i)) for i in range(4)]
+            epochs_run.append([len(h.training_history) for h in alone])
+            for trainer in (train_head_family, train_heads_lockstep):
+                for member, lone in zip(trainer(train, val, 4, base_seed=70, cfg=cfg), alone):
+                    assert np.array_equal(member.weights, lone.weights)
+                    assert np.array_equal(member.bias, lone.bias)
+                    assert member.training_history == lone.training_history
+                    assert member.best_epoch == lone.best_epoch
+                    assert member.best_val_loss == lone.best_val_loss
+        assert len(set(epochs_run[1])) > 1 and max(epochs_run[1]) < 60
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_error_names_head_index(self, separable):
         train, val = separable
-        with pytest.raises(TrainingError, match="head 0"):
-            train_head_family(
-                train, val, 2, base_seed=0, cfg=quick_cfg(lr=1e200, max_epochs=5)
-            )
+        for trainer in (train_head_family, train_heads_lockstep):
+            with pytest.raises(TrainingError, match="head 0"):
+                trainer(train, val, 2, base_seed=0, cfg=quick_cfg(lr=1e200, max_epochs=5))
 
 
 class TestHeadFile:
