@@ -25,6 +25,8 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .combiners import (
     KIND_TAGS,
@@ -56,7 +58,7 @@ from .metrics import (
     predictions_from_probs,
     write_reliability_csv,
 )
-from .numerics import derive_seed, softmax
+from .numerics import derive_seed, softmax_in_place
 
 _SPLIT_STREAM = 1000
 _HEAD_STREAM = 1
@@ -217,10 +219,21 @@ def _discover_heads(heads_dir) -> list:
 
 
 def _head_outputs(heads, features, meta_input: str) -> HeadOutputs:
-    logits = [head_predict(h, features) for h in heads]
+    """The heads' logits ("logits") or softmax probabilities ("probs") for
+    `features`, computed into one (N, m, C) array: head i writes its logits
+    into the view [:, i, :] and the softmax runs in place over the last axis,
+    so the outputs are the only full-size array the call allocates."""
+    num_classes = heads[0].num_classes
+    values = np.empty((len(features), len(heads), num_classes))
+    for i, head in enumerate(heads):
+        if head.num_classes != num_classes:
+            raise DimensionError(
+                f"head {i} has C={head.num_classes}, but head 0 has C={num_classes}"
+            )
+        head_predict(head, features, out=values[:, i, :])
     if meta_input == "logits":
-        return HeadOutputs([l.copy() for l in logits], rows_are_probs=False)
-    return HeadOutputs([softmax(l) for l in logits])
+        return HeadOutputs(values, rows_are_probs=False)
+    return HeadOutputs(softmax_in_place(values))
 
 
 def cmd_train_meta(args) -> int:
@@ -231,18 +244,20 @@ def cmd_train_meta(args) -> int:
         raise ConfigError("missing training dataset path (--train)")
     meta_seed = derive_seed(seed, _META_STREAM + KIND_TAGS[kind])
     train_cfg = _train_config(MetaTrainConfig, args, seed=meta_seed)
-    dataset = load_dataset(args.train)
-    train, val = split(dataset, args.val_fraction, derive_seed(seed, _SPLIT_STREAM))
+    train, val = split(
+        load_dataset(args.train), args.val_fraction, derive_seed(seed, _SPLIT_STREAM)
+    )
     heads = _discover_heads(args.heads_dir)
+    # the features are not needed once the outputs exist: drop each part's at once
     train_outputs = _head_outputs(heads, train.features, args.meta_input)
+    train_labels, num_classes = train.labels, train.num_classes
+    del train
     val_outputs = _head_outputs(heads, val.features, args.meta_input)
+    val_labels = val.labels
+    del val
 
-    meta = build_metamodel(
-        kind, len(heads), dataset.num_classes, meta_seed, dropout_p=train_cfg.dropout
-    )
-    trained = train_metamodel(
-        meta, train_outputs, train.labels, val_outputs, val.labels, train_cfg
-    )
+    meta = build_metamodel(kind, len(heads), num_classes, meta_seed, dropout_p=train_cfg.dropout)
+    trained = train_metamodel(meta, train_outputs, train_labels, val_outputs, val_labels, train_cfg)
     out_dir = Path(args.out) if args.out is not None else Path(args.heads_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_metamodel(trained, out_dir / f"meta_{kind}.mmd")
@@ -256,7 +271,7 @@ def cmd_train_meta(args) -> int:
             "val_fraction": args.val_fraction,
             "meta_input": args.meta_input,
             "m": len(heads),
-            "num_classes": dataset.num_classes,
+            "num_classes": num_classes,
             "param_count": trained.param_count,
             "config": _config_echo(train_cfg),
             "best_epoch": trained.best_epoch,
@@ -306,7 +321,11 @@ def cmd_evaluate(args) -> int:
 
     test = load_dataset(args.test)
     heads = _discover_heads(heads_dir)
-    probs = [softmax(head_predict(h, test.features)) for h in heads]
+    meta_outputs, labels = _head_outputs(heads, test.features, args.meta_input), test.labels
+    del test  # only the outputs and labels are used from here on
+    outputs = meta_outputs
+    if args.meta_input == "logits":
+        outputs = HeadOutputs(softmax_in_place(meta_outputs.values.copy()))
 
     rows, csvs = [], {}
 
@@ -316,21 +335,15 @@ def cmd_evaluate(args) -> int:
         csvs[f"reliability_{slug}.csv"] = report.bins
 
     for i, head in enumerate(heads):
-        pred = predictions_from_probs(probs[i], test.labels)
+        pred = predictions_from_probs(outputs.values[:, i, :], labels)
         add(f"Head {i + 1}", f"head_{i + 1}", pred, head.param_count)
 
-    outputs = HeadOutputs(probs)
-    add("Avg.", "avg", combine_average(outputs, test.labels), 0)
-    add("Vot.", "vot", combine_vote(outputs, test.labels), 0)
+    add("Avg.", "avg", combine_average(outputs, labels), 0)
+    add("Vot.", "vot", combine_vote(outputs, labels), 0)
 
-    meta_outputs = outputs
-    if args.meta_input == "logits":
-        meta_outputs = HeadOutputs(
-            [head_predict(h, test.features) for h in heads], rows_are_probs=False
-        )
     for kind in kinds:
         meta = load_metamodel(meta_paths[kind])
-        pred = combine_metamodel(meta, meta_outputs, test.labels)
+        pred = combine_metamodel(meta, meta_outputs, labels)
         add(kind, kind.lower(), pred, meta.param_count)
 
     heads_meta = {}

@@ -34,8 +34,6 @@ from .numerics import (
     dropout_mask,
     fit,
     linear_forward,
-    relu,
-    require_finite,
     softmax,
 )
 
@@ -46,73 +44,86 @@ META_MAGIC = b"MMD1"
 
 @dataclass(eq=False)
 class HeadOutputs:
-    """The m per-head output matrices, all shaped (N, C).
+    """The m heads' outputs as one C-contiguous float64 array `values`,
+    shaped (N, m, C): values[n, i, c] is head i's output for sample n and
+    class c, so values[:, i, :] is head i's (N, C) matrix.
 
     rows_are_probs marks whether rows are probability vectors (the default)
-    or raw logits; averaging and voting require probabilities.
+    or raw logits; averaging and voting require probabilities. The
+    constructor checks the whole array, one pass per check: finite
+    everywhere, and with rows_are_probs every row a probability vector; a
+    failure names the lowest offending head.
+
+    stacked() (the (m, N, C) transpose) and concatenated() (the (N, m*C)
+    reshape, head-major: head 0's C columns, then head 1's, ...) return
+    views of `values`, not copies.
     """
 
-    per_head: list
+    values: np.ndarray
     rows_are_probs: bool = True
 
     def __post_init__(self):
-        if not self.per_head:
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        if values.ndim != 3:
+            raise DimensionError(f"head outputs must be 3-D (N, m, C), got shape {values.shape}")
+        if values.shape[1] == 0:
             raise DataError("need at least one head output")
-        mats = [np.ascontiguousarray(p, dtype=np.float64) for p in self.per_head]
-        shape = mats[0].shape
-        if len(shape) != 2:
-            raise DimensionError(f"head outputs must be 2-D, got shape {shape}")
-        for i, mat in enumerate(mats):
-            if mat.shape != shape:
-                raise DimensionError(
-                    f"head {i} output {mat.shape} does not match head 0 output {shape}"
-                )
-            require_finite(mat, f"head {i} output")
+        if not np.isfinite(values).all():
+            i, n, c = np.argwhere(~np.isfinite(values.transpose(1, 0, 2)))[0]
+            raise DataError(f"head {i} output holds a non-finite value at index [{n}, {c}]")
         if self.rows_are_probs:
-            for i, mat in enumerate(mats):
-                if np.any(mat < 0.0) or np.any(np.abs(mat.sum(axis=1) - 1.0) > 1e-9):
-                    raise DataError(f"head {i} rows are not probability vectors")
-        self.per_head = mats
+            off = (values < 0.0).any(axis=2) | (np.abs(values.sum(axis=2) - 1.0) > 1e-9)
+            if off.any():
+                i = np.nonzero(off.any(axis=0))[0][0]
+                raise DataError(f"head {i} rows are not probability vectors")
+        self.values = values
 
     @property
     def m(self) -> int:
-        return len(self.per_head)
+        return self.values.shape[1]
 
     @property
     def n(self) -> int:
-        return self.per_head[0].shape[0]
+        return self.values.shape[0]
 
     @property
     def num_classes(self) -> int:
-        return self.per_head[0].shape[1]
+        return self.values.shape[2]
 
     def stacked(self) -> np.ndarray:
-        """(m, N, C) copy of the head outputs."""
-        return np.stack(self.per_head, axis=0)
+        """(m, N, C) view of the head outputs."""
+        return self.values.transpose(1, 0, 2)
 
     def concatenated(self) -> np.ndarray:
-        """(N, m*C) head-major concatenation: head 0's C columns, then head 1's, ..."""
-        return np.concatenate(self.per_head, axis=1)
+        """(N, m*C) head-major view: head 0's C columns, then head 1's, ..."""
+        return self.values.reshape(self.n, self.m * self.num_classes)
+
+    def subset(self, idx: np.ndarray) -> "HeadOutputs":
+        """The outputs of samples idx, gathered with one fancy index; a slice
+        of checked outputs, so the constructor's checks are skipped."""
+        sub = HeadOutputs.__new__(HeadOutputs)
+        sub.values, sub.rows_are_probs = self.values[idx], self.rows_are_probs
+        return sub
 
 
-def _mean_over_heads(per_head: list) -> np.ndarray:
-    """Cellwise mean of equally shaped per-head arrays. Each cell's values are
-    sorted, so head order never affects the rounding, then added one head at
-    a time, so a cell's mean does not depend on how many cells share the call
-    (a numpy sum over axis 0 adds pairwise when there is only one cell)."""
-    ordered = np.stack(per_head)
-    ordered.sort(axis=0)
-    total = ordered[0].copy()
-    for values in ordered[1:]:
-        total += values
-    return total / len(per_head)
+def _mean_over_heads(values: np.ndarray) -> np.ndarray:
+    """Mean over axis 1 (the heads) of an (N, m, ...) array. Each cell's
+    values are sorted, so head order never affects the rounding, then added
+    one head at a time, so a cell's mean does not depend on how many cells
+    share the call (a numpy sum over the axis adds pairwise when there is
+    only one cell)."""
+    ordered = np.sort(values, axis=1)
+    total = ordered[:, 0].copy()
+    for i in range(1, ordered.shape[1]):
+        total += ordered[:, i]
+    return total / ordered.shape[1]
 
 
 def combine_average(outputs: HeadOutputs, labels) -> PredictionSet:
     """Mean of the head probability matrices."""
     if not outputs.rows_are_probs:
         raise DataError("averaging is defined on probability outputs")
-    return predictions_from_probs(_mean_over_heads(outputs.per_head), labels)
+    return predictions_from_probs(_mean_over_heads(outputs.values), labels)
 
 
 def combine_vote(outputs: HeadOutputs, labels) -> PredictionSet:
@@ -127,12 +138,12 @@ def combine_vote(outputs: HeadOutputs, labels) -> PredictionSet:
     n, c = outputs.n, outputs.num_classes
     counts = np.zeros((n, c), dtype=np.int64)
     rows = np.arange(n)
-    for probs in outputs.per_head:
-        counts[rows, np.argmax(probs, axis=1)] += 1
+    for i in range(outputs.m):
+        counts[rows, np.argmax(outputs.values[:, i, :], axis=1)] += 1
     tied = counts == counts.max(axis=1, keepdims=True)
     # only a tied class can win, so only tied cells need their mean probability
     mean_probs = np.zeros((n, c))
-    mean_probs[tied] = _mean_over_heads([probs[tied] for probs in outputs.per_head])
+    mean_probs[tied] = _mean_over_heads(outputs.values.transpose(0, 2, 1)[tied])
     # tied classes score 1+meanprob > any untied score 0; argmax keeps lowest index on exact ties
     winner = np.argmax(np.where(tied, 1.0 + mean_probs, 0.0), axis=1)
     return PredictionSet(
@@ -268,11 +279,12 @@ def metamodel_forward(
         return linear_forward(outputs.concatenated(), w, b)
     if meta.kind in ("DL", "DLL"):
         (w1, b1), (w2, b2) = meta.layers
-        hidden = relu(linear_forward(outputs.concatenated(), w1, b1))
+        hidden = linear_forward(outputs.concatenated(), w1, b1)
+        np.maximum(hidden, 0.0, out=hidden)  # ReLU on the fresh product
         if training_mode and meta.dropout_p > 0.0:
             if rng is None:
                 raise ConfigError("training-mode dropout needs an RngStream")
-            hidden = hidden * dropout_mask(hidden.shape, meta.dropout_p, rng)
+            hidden *= dropout_mask(hidden.shape, meta.dropout_p, rng)
         return linear_forward(hidden, w2, b2)
     (w, b), = meta.layers
     return _slpc_logits(w, b, outputs.stacked())
@@ -310,13 +322,6 @@ def metamodel_gradients(meta: Metamodel, outputs: HeadOutputs, labels, mask=None
     return loss, [(d_w, d_b)]
 
 
-def _subset_outputs(outputs: HeadOutputs, idx: np.ndarray) -> HeadOutputs:
-    sub = HeadOutputs.__new__(HeadOutputs)
-    sub.per_head = [p[idx] for p in outputs.per_head]
-    sub.rows_are_probs = outputs.rows_are_probs
-    return sub
-
-
 def train_metamodel(
     meta: Metamodel,
     train_outputs: HeadOutputs,
@@ -345,8 +350,9 @@ def train_metamodel(
         mask = None
         if use_dropout:
             mask = dropout_mask((batch.shape[0], work.hidden), work.dropout_p, stream)
-        batch_outputs = _subset_outputs(train_outputs, batch)
-        loss, grads = metamodel_gradients(work, batch_outputs, train_labels[batch], mask=mask)
+        loss, grads = metamodel_gradients(
+            work, train_outputs.subset(batch), train_labels[batch], mask=mask
+        )
         return loss, [g for pair in grads for g in pair]
 
     def val_loss_fn():

@@ -71,6 +71,20 @@ class FeatureDataset:
         return self.features.shape[1]
 
 
+def _rows_of_checked(
+    features: np.ndarray, labels: np.ndarray, num_classes: int, name: str
+) -> FeatureDataset:
+    """A FeatureDataset of fresh arrays holding rows of a checked dataset.
+    Those rows pass every check of the constructor, so only its read-only
+    flags are set; this saves a full pass over the features per slice."""
+    dataset = FeatureDataset.__new__(FeatureDataset)
+    features.setflags(write=False)
+    labels.setflags(write=False)
+    dataset.features, dataset.labels = features, labels
+    dataset.num_classes, dataset.name = num_classes, name
+    return dataset
+
+
 @dataclass
 class SynthSpec:
     """Gaussian-cluster generator parameters."""
@@ -221,11 +235,11 @@ def split(dataset: FeatureDataset, val_fraction: float, seed: int):
     val_sel = np.sort(np.concatenate(val_idx))
 
     def subset(sel, tag):
-        return FeatureDataset(
-            features=dataset.features[sel],
-            labels=dataset.labels[sel],
-            num_classes=dataset.num_classes,
-            name=f"{dataset.name}-{tag}" if dataset.name else tag,
+        return _rows_of_checked(
+            dataset.features[sel],
+            dataset.labels[sel],
+            dataset.num_classes,
+            f"{dataset.name}-{tag}" if dataset.name else tag,
         )
 
     return subset(train_sel, "train"), subset(val_sel, "val")
@@ -286,11 +300,11 @@ def synth_cluster_pair(spec: SynthSpec, test_samples: int):
     n = spec.num_samples
 
     def carve(sel, tag):
-        return FeatureDataset(
-            features=full.features[sel].copy(),
-            labels=full.labels[sel].copy(),
-            num_classes=full.num_classes,
-            name=f"clusters-c{spec.num_classes}-d{spec.dim}-s{spec.seed}-{tag}",
+        return _rows_of_checked(
+            full.features[sel].copy(),
+            full.labels[sel].copy(),
+            full.num_classes,
+            f"clusters-c{spec.num_classes}-d{spec.dim}-s{spec.seed}-{tag}",
         )
 
     return carve(slice(0, n), "train"), carve(slice(n, None), "test")

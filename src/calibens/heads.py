@@ -107,14 +107,17 @@ def init_head(dim: int, num_classes: int, seed: int) -> LinearHead:
     return LinearHead(weights=weights, bias=bias, seed=int(seed))
 
 
-def head_predict(head: LinearHead, features: np.ndarray) -> np.ndarray:
-    """Logits for a feature batch; apply softmax downstream as needed."""
+def head_predict(
+    head: LinearHead, features: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Logits for a feature batch, written into `out` when given (see
+    linear_forward); apply softmax downstream as needed."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != head.dim:
         raise DimensionError(
             f"features {features.shape} do not match head weights {head.weights.shape}"
         )
-    return linear_forward(features, head.weights, head.bias)
+    return linear_forward(features, head.weights, head.bias, out=out)
 
 
 def _validation_loss(weights, bias, dataset: FeatureDataset) -> float:

@@ -72,8 +72,14 @@ def require_finite(values: np.ndarray, what: str) -> None:
         raise DataError(f"{what} holds a non-finite value at index [{index}]")
 
 
-def linear_forward(inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map: out[n, c] = sum_d inputs[n, d] * weights[c, d] + bias[c]."""
+def linear_forward(
+    inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Affine map: out[n, c] = sum_d inputs[n, d] * weights[c, d] + bias[c].
+
+    The product goes into a fresh array, or into `out` (an (N, C) float64
+    array or view) when given, and the bias is added to it in place, so the
+    call allocates no second full-size array."""
     inputs = as_matrix(inputs, "inputs")
     weights = as_matrix(weights, "weights")
     bias = np.asarray(bias, dtype=np.float64)
@@ -85,15 +91,24 @@ def linear_forward(inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray) ->
         raise DimensionError(
             f"bias {bias.shape} does not match weights {weights.shape}"
         )
-    return inputs @ weights.T + bias
+    out = np.matmul(inputs, weights.T, out=out)
+    out += bias
+    return out
+
+
+def softmax_in_place(values: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, overwriting `values` (returned): subtract
+    each row's max, exponentiate, divide by the row sum."""
+    values -= values.max(axis=-1, keepdims=True)
+    np.exp(values, out=values)
+    values /= values.sum(axis=-1, keepdims=True)
+    return values
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction for stability."""
     logits = as_matrix(logits, "logits")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return softmax_in_place(logits.copy())
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -171,9 +186,9 @@ def backward_linear_stacked(inputs, weights, bias, labels):
     labels[i]) bit for bit, because every product is the same per-slice GEMM
     and every reduction runs along the same axis in the same order.
     """
-    logits = np.matmul(inputs, weights.transpose(0, 2, 1)) + bias[:, None, :]
-    exp = np.exp(logits - logits.max(axis=2, keepdims=True))
-    probs = exp / exp.sum(axis=2, keepdims=True)
+    logits = np.matmul(inputs, weights.transpose(0, 2, 1))
+    logits += bias[:, None, :]
+    probs = softmax_in_place(logits)
     layer, row = np.arange(labels.shape[0])[:, None], np.arange(labels.shape[1])
     losses = -np.log(np.maximum(probs[layer, row, labels], PROB_EPS)).mean(axis=1)
     probs[layer, row, labels] -= 1.0
@@ -245,7 +260,10 @@ def sgd_step(params: list, grads: list, state: SgdState) -> list:
                 f"param {p.shape}, grad {g.shape}, velocity {v.shape} must all match"
             )
         v *= state.momentum
-        v += g + state.weight_decay * p
+        if state.weight_decay:
+            v += g + state.weight_decay * p  # one sum: two adds round differently
+        else:
+            v += g
         p -= state.learning_rate * v
     return params
 

@@ -1,15 +1,27 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from calibens.cli import main
-from calibens.combiners import build_metamodel, save_metamodel
+from calibens.cli import _head_outputs, main
+from calibens.combiners import (
+    build_metamodel,
+    combine_average,
+    combine_metamodel,
+    combine_vote,
+    load_metamodel,
+    save_metamodel,
+)
 from calibens.data import MiscalSpec, load_dataset, save_dataset, synth_miscalibrated_predictions
 from calibens.data import FeatureDataset, chance_level_bound
-from calibens.heads import LinearHead, save_head
-from calibens.metrics import RELIABILITY_CSV_HEADER
+from calibens.errors import DimensionError
+from calibens.heads import LinearHead, load_head, save_head
+from calibens.metrics import RELIABILITY_CSV_HEADER, calibration_report, predictions_from_probs
+from calibens.numerics import RngStream
+
+from fixtures import head_outputs
 
 
 def run(argv):
@@ -21,6 +33,27 @@ def gen_args(out, n=300, classes=3, dim=4, seed=7, noise=0.1):
         "gen", "--kind", "clusters", "--classes", str(classes), "--dim", str(dim),
         "--n", str(n), "--sep", "8", "--noise", str(noise), "--seed", str(seed),
         "--out", str(out),
+    ]
+
+
+def per_head_logits(head, features):
+    """A head's logits as computed before the outputs shared one array."""
+    return features @ head.weights.T + head.bias
+
+
+def per_head_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def random_heads(m, dim, num_classes, seed):
+    stream = RngStream(seed)
+    return [
+        LinearHead(
+            stream.standard_normal((num_classes, dim)), stream.standard_normal(num_classes), i
+        )
+        for i in range(m)
     ]
 
 
@@ -115,6 +148,53 @@ class TestTrainHeads:
         ]) == 2
 
 
+class TestHeadOutputsArray:
+    """cli._head_outputs fills one (N, m, C) array head by head."""
+
+    @pytest.mark.parametrize("mode", ["probs", "logits"])
+    def test_peak_memory_within_one_and_a_half_output_sizes(self, mode):
+        heads = random_heads(5, 32, 40, seed=1)
+        features = RngStream(2).standard_normal((8000, 32))
+        tracemalloc.start()
+        try:
+            outputs = _head_outputs(heads, features, mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outputs.values.shape == (8000, 5, 40)
+        assert peak <= 1.5 * outputs.values.nbytes, peak / outputs.values.nbytes
+
+    def test_views_equal_per_head_outputs_bit_for_bit(self):
+        heads = random_heads(4, 96, 50, seed=3)
+        features = RngStream(4).standard_normal((3000, 96))
+        probs = _head_outputs(heads, features, "probs")
+        logits = _head_outputs(heads, features, "logits")
+        assert probs.rows_are_probs and not logits.rows_are_probs
+        for i, head in enumerate(heads):
+            expect = per_head_logits(head, features)
+            assert np.array_equal(logits.values[:, i, :], expect)
+            assert np.array_equal(probs.values[:, i, :], per_head_softmax(expect))
+
+    def test_head_with_other_dim_rejected(self):
+        heads = random_heads(2, 4, 3, seed=5) + random_heads(1, 5, 3, seed=6)
+        with pytest.raises(DimensionError, match=r"features \(7, 4\) do not match"):
+            _head_outputs(heads, np.zeros((7, 4)), "probs")
+
+    def test_head_with_other_class_count_rejected_naming_it(self):
+        heads = random_heads(1, 4, 3, seed=5) + random_heads(1, 4, 5, seed=6)
+        with pytest.raises(DimensionError, match="head 1 has C=5"):
+            _head_outputs(heads, np.zeros((7, 4)), "logits")
+
+    def test_mismatched_head_exits_three(self, pipeline_dir, capsys):
+        art = pipeline_dir / "artifacts"
+        save_head(random_heads(1, 4, 5, seed=6)[0], art / "head_1.hdw")
+        assert run([
+            "evaluate", "--test", str(pipeline_dir / "data" / "test.fds"),
+            "--heads-dir", str(art), "--out", str(pipeline_dir / "results"),
+        ]) == 3
+        assert "head 1 has C=5" in capsys.readouterr().err
+
+
 class TestTrainMeta:
     def test_slpc_file_size_and_sidecar(self, pipeline_dir):
         art = pipeline_dir / "artifacts"
@@ -204,6 +284,41 @@ class TestEvaluate:
         assert len(summary["rows"]) == 2 + 2 + 2  # m heads + Avg/Vot + 2 metamodels
         assert [r["name"] for r in summary["rows"][-2:]] == ["SL", "SLpC"]
         assert summary["rows"][-2]["param_count"] == 2 * 3 * 3 + 3
+
+    def test_logits_input_rows_equal_per_head_recipe(self, pipeline_dir):
+        # reference: each head's logits and softmax computed on its own, the
+        # combiners fed the logits and the rules fed the probabilities
+        art, data = pipeline_dir / "artifacts", pipeline_dir / "data"
+        for kind in ("SL", "DLL", "SLpC"):
+            assert run([
+                "train-meta", "--kind", kind, "--train", str(data / "train.fds"),
+                "--heads-dir", str(art), "--seed", "7", "--epochs", "2", "--meta-input", "logits",
+            ]) == 0
+        res = pipeline_dir / "results"
+        assert run([
+            "evaluate", "--test", str(data / "test.fds"), "--heads-dir", str(art),
+            "--meta", "SL,DLL,SLpC", "--meta-input", "logits", "--out", str(res),
+        ]) == 0
+        rows = json.loads((res / "summary.json").read_text())["rows"]
+
+        test = load_dataset(data / "test.fds")
+        heads = [load_head(art / f"head_{i}.hdw") for i in range(2)]
+        logits = [per_head_logits(h, test.features) for h in heads]
+        probs = [per_head_softmax(l) for l in logits]
+        preds = [predictions_from_probs(p, test.labels) for p in probs]
+        preds += [
+            combine_average(head_outputs(probs), test.labels),
+            combine_vote(head_outputs(probs), test.labels),
+        ]
+        for kind in ("SL", "DLL", "SLpC"):
+            meta = load_metamodel(art / f"meta_{kind}.mmd")
+            preds.append(combine_metamodel(meta, head_outputs(logits, False), test.labels))
+        assert len(rows) == len(preds) == 7
+        for row, pred in zip(rows, preds):
+            report = calibration_report(pred)
+            assert row["accuracy_pct"] == report.accuracy * 100.0
+            assert row["ece_pct"] == report.ece * 100.0
+            assert row["mce_pct"] == report.mce * 100.0
 
     def test_missing_metamodel_listed(self, pipeline_dir, capsys):
         code = run([

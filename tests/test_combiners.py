@@ -23,48 +23,98 @@ from calibens.combiners import (
     train_metamodel,
 )
 from calibens.errors import ConfigError, DataError, DimensionError, FormatError
-from calibens.numerics import RngStream, cross_entropy, relu, softmax
+from calibens.numerics import RngStream, _softmax_ce_grad, cross_entropy, relu, softmax
 
+from fixtures import head_outputs
 from gradcheck import finite_difference_grads, relative_error
 
 
 def random_outputs(stream, m, n, c, sharpness=1.0):
-    return HeadOutputs([softmax(sharpness * stream.standard_normal((n, c))) for _ in range(m)])
+    return head_outputs([softmax(sharpness * stream.standard_normal((n, c))) for _ in range(m)])
 
 
 class TestHeadOutputs:
     def test_shape_mismatch(self):
+        # an (N, C) matrix lacks the heads axis
         with pytest.raises(DimensionError):
-            HeadOutputs([np.full((2, 2), 0.5), np.full((3, 2), 0.5)])
+            HeadOutputs(np.full((2, 2), 0.5))
 
     def test_non_prob_rows_rejected(self):
         with pytest.raises(DataError):
-            HeadOutputs([np.asarray([[0.9, 0.5]])])
+            head_outputs([np.asarray([[0.9, 0.5]])])
 
     def test_nan_row_rejected_with_index(self):
         probs = np.asarray([[0.5, 0.5], [np.nan, np.nan]])
         with pytest.raises(DataError, match=r"head 1 output .* index \[1, 0\]"):
-            HeadOutputs([np.full((2, 2), 0.5), probs])
+            head_outputs([np.full((2, 2), 0.5), probs])
 
     def test_logits_mode_skips_validation(self):
-        outputs = HeadOutputs([np.asarray([[3.0, -1.0]])], rows_are_probs=False)
+        outputs = head_outputs([np.asarray([[3.0, -1.0]])], rows_are_probs=False)
         assert outputs.m == 1
 
     def test_concatenation_is_head_major(self):
         a = np.asarray([[0.2, 0.8]])
         b = np.asarray([[0.6, 0.4]])
-        assert np.array_equal(HeadOutputs([a, b]).concatenated(), [[0.2, 0.8, 0.6, 0.4]])
+        assert np.array_equal(head_outputs([a, b]).concatenated(), [[0.2, 0.8, 0.6, 0.4]])
+
+
+class TestOneArrayLayout:
+    """The (N, m, C) array must feed every consumer the operands that the
+    list of m (N, C) matrices fed it, so that results stay bit-identical."""
+
+    def per_head(self, m=5, n=300, c=40, seed=4):
+        stream = RngStream(seed)
+        return [softmax(3.0 * stream.standard_normal((n, c))) for _ in range(m)]
+
+    def test_batch_gather_equals_per_head_gather_then_concatenate(self):
+        per_head = self.per_head()
+        outputs = head_outputs(per_head)
+        batch = RngStream(1).permutation(300)[:128]
+        expect = np.concatenate([p[batch] for p in per_head], axis=1)
+        assert np.array_equal(outputs.values[batch].reshape(128, -1), expect)
+        assert np.array_equal(outputs.subset(batch).concatenated(), expect)
+        expect = np.stack([p[batch] for p in per_head])
+        assert np.array_equal(outputs.subset(batch).stacked(), expect)
+
+    def test_views_share_the_array(self):
+        outputs = head_outputs(self.per_head())
+        assert np.shares_memory(outputs.concatenated(), outputs.values)
+        assert np.shares_memory(outputs.stacked(), outputs.values)
+
+    def test_slpc_forward_and_gradients_equal_contiguous_stack(self):
+        per_head = self.per_head()
+        outputs = head_outputs(per_head)
+        labels = RngStream(2).integers(0, 40, 300)
+        meta = build_metamodel("SLpC", 5, 40, seed=3)
+        (w, b), = meta.layers
+        stacked = np.stack(per_head)  # the contiguous (m, N, C) copy stacked() used to return
+        logits = np.einsum("cm,mnc->nc", w, stacked) + b
+        assert np.array_equal(metamodel_forward(meta, outputs), logits)
+        _, dz = _softmax_ce_grad(logits, labels)
+        _, [(d_w, d_b)] = metamodel_gradients(meta, outputs, labels)
+        assert np.array_equal(d_w, np.einsum("nc,mnc->cm", dz, stacked))
+        assert np.array_equal(d_b, dz.sum(axis=0))
+
+    def test_mean_over_heads_equals_list_reference(self):
+        per_head = self.per_head(m=7, n=50, c=9)
+        ordered = np.stack(per_head)
+        ordered.sort(axis=0)
+        expect = ordered[0].copy()
+        for values in ordered[1:]:
+            expect += values
+        expect /= 7
+        assert np.array_equal(combine_average(head_outputs(per_head), [0] * 50).probs, expect)
 
 
 class TestCombineAverage:
     def test_identical_heads_idempotent(self):
         stream = RngStream(1)
         probs = softmax(stream.standard_normal((4, 3)))
-        pred = combine_average(HeadOutputs([probs.copy() for _ in range(4)]), [0, 1, 2, 0])
+        pred = combine_average(head_outputs([probs.copy() for _ in range(4)]), [0, 1, 2, 0])
         assert np.allclose(pred.probs, probs, atol=1e-15)
 
     def test_opposite_heads_tie_to_lowest_index(self):
-        outputs = HeadOutputs([np.asarray([[1.0, 0.0]]), np.asarray([[0.0, 1.0]])])
+        outputs = head_outputs([np.asarray([[1.0, 0.0]]), np.asarray([[0.0, 1.0]])])
         pred = combine_average(outputs, [1])
         assert np.array_equal(pred.probs, [[0.5, 0.5]])
         assert pred.predicted_class[0] == 0
@@ -74,7 +124,8 @@ class TestCombineAverage:
         outputs = random_outputs(stream, 3, 10, 4)
         labels = stream.integers(0, 4, 10)
         pred = combine_average(outputs, labels)
-        expect = (outputs.per_head[0] + outputs.per_head[1] + outputs.per_head[2]) / 3
+        heads = outputs.values
+        expect = (heads[:, 0] + heads[:, 1] + heads[:, 2]) / 3
         assert np.allclose(pred.probs, expect, atol=1e-12)
 
     def test_rows_remain_probability_vectors(self):
@@ -83,7 +134,7 @@ class TestCombineAverage:
         assert np.allclose(pred.probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_rejects_logit_outputs(self):
-        outputs = HeadOutputs([np.zeros((2, 2))], rows_are_probs=False)
+        outputs = head_outputs([np.zeros((2, 2))], rows_are_probs=False)
         with pytest.raises(DataError):
             combine_average(outputs, [0, 1])
 
@@ -94,20 +145,20 @@ class TestCombineVote:
         rows = [np.zeros((1, 6)) for _ in range(3)]
         for row, cls in zip(rows, [2, 2, 5]):
             row[0, cls] = 1.0
-        pred = combine_vote(HeadOutputs(rows), [0])
+        pred = combine_vote(head_outputs(rows), [0])
         assert pred.predicted_class[0] == 2
 
     def test_tie_broken_by_mean_confidence(self):
         h1 = np.asarray([[0.9, 0.1]])
         h2 = np.asarray([[0.4, 0.6]])
-        pred = combine_vote(HeadOutputs([h1, h2]), [0])
+        pred = combine_vote(head_outputs([h1, h2]), [0])
         assert pred.predicted_class[0] == 0  # the 0.9 class wins
         assert pred.confidence[0] == pytest.approx(0.65, abs=1e-15)
 
     def test_remaining_tie_goes_to_lowest_index(self):
         h1 = np.asarray([[0.7, 0.3]])
         h2 = np.asarray([[0.3, 0.7]])
-        pred = combine_vote(HeadOutputs([h1, h2]), [0])
+        pred = combine_vote(head_outputs([h1, h2]), [0])
         assert pred.predicted_class[0] == 0
 
     @pytest.mark.parametrize("m", [3, 9, 12])
@@ -118,7 +169,7 @@ class TestCombineVote:
         for n in [1] * 20 + [6]:
             logits = stream.standard_normal((m, n, 4))
             logits[:, :, 2] = logits.max(axis=2) + 1.0  # every head votes class 2
-            outputs = HeadOutputs([softmax(x) for x in logits])
+            outputs = head_outputs([softmax(x) for x in logits])
             vote, avg = combine_vote(outputs, [0] * n), combine_average(outputs, [0] * n)
             assert np.array_equal(vote.predicted_class, avg.predicted_class)
             assert np.array_equal(vote.confidence, avg.confidence)
@@ -127,7 +178,7 @@ class TestCombineVote:
         stream = RngStream(3)
         probs = softmax(stream.standard_normal((8, 4)))
         labels = stream.integers(0, 4, 8)
-        pred = combine_vote(HeadOutputs([probs]), labels)
+        pred = combine_vote(head_outputs([probs]), labels)
         assert np.array_equal(pred.predicted_class, np.argmax(probs, axis=1))
         assert np.allclose(pred.confidence, np.max(probs, axis=1), atol=1e-15)
 
@@ -141,7 +192,7 @@ class TestPermutationInvariance:
         outputs = random_outputs(stream, m, 20, 5)
         labels = stream.integers(0, 5, 20)
         perm = stream.permutation(m)
-        shuffled = HeadOutputs([outputs.per_head[i] for i in perm])
+        shuffled = HeadOutputs(outputs.values[:, perm])
         for combine in (combine_average, combine_vote):
             a = combine(outputs, labels)
             b = combine(shuffled, labels)
@@ -259,7 +310,7 @@ class TestGradients:
 def informative_outputs(stream, m, n, c, labels):
     """Heads that lean toward the true label, softened with noise."""
     one_hot = np.eye(c)[labels]
-    return HeadOutputs(
+    return head_outputs(
         [softmax(stream.standard_normal((n, c)) + 2.0 * one_hot) for _ in range(m)]
     )
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import calibens.data as data_module
 from calibens.data import (
     FeatureDataset,
     MiscalSpec,
@@ -14,6 +15,7 @@ from calibens.data import (
     load_dataset,
     save_dataset,
     split,
+    synth_cluster_pair,
     synth_clusters,
     synth_miscalibrated_predictions,
 )
@@ -152,6 +154,21 @@ class TestSplit:
         )
         with pytest.raises(StratificationError, match="class 1"):
             split(ds, 0.5, seed=0)
+
+    def test_slices_are_read_only_and_not_rechecked(self, monkeypatch):
+        ds = tiny_dataset(n=60, c=3)
+        checks = []
+        monkeypatch.setattr(data_module, "require_finite", lambda *args: checks.append(args))
+        parts = split(ds, 0.25, seed=2)
+        assert checks == []
+        parts += synth_cluster_pair(SynthSpec(3, 2, 40, 4.0, 0.1, 1), 20)
+        assert len(checks) == 1  # the one draw that both parts are carved from
+        for part in parts:
+            assert part.features.dtype == np.float64 and part.features.flags.c_contiguous
+            with pytest.raises(ValueError):
+                part.features[0, 0] = 99.0
+            with pytest.raises(ValueError):
+                part.labels[0] = 1
 
     def test_val_fraction_bounds(self):
         ds = tiny_dataset()

@@ -225,6 +225,22 @@ class TestSgd:
         with pytest.raises(DimensionError):
             sgd_step([p], [np.zeros(3)], state)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_matches_the_update_formula_bit_for_bit(self, weight_decay):
+        # v <- momentum*v + (grad + wd*param); param <- param - lr*v, in that order
+        stream = RngStream(5)
+        p = stream.standard_normal((30, 20))
+        ref_p, ref_v = p.copy(), np.zeros_like(p)
+        state = SgdState.for_params([p], learning_rate=0.05, momentum=0.9,
+                                    weight_decay=weight_decay)
+        for _ in range(6):
+            g = stream.standard_normal((30, 20))
+            sgd_step([p], [g], state)
+            ref_v = ref_v * 0.9 + (g + weight_decay * ref_p)
+            ref_p = ref_p - 0.05 * ref_v
+        assert np.array_equal(p, ref_p)
+        assert np.array_equal(state.velocity[0], ref_v)
+
 
 class TestSchedulers:
     def test_improving_metrics_keep_lr(self):
