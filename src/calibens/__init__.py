@@ -3,6 +3,9 @@
 Train several seeded linear heads on frozen features, combine them by
 averaging, majority voting or a small trainable combiner model, and measure
 calibration with the expected and maximum calibration error.
+
+The package root exports the names the CLI pipeline is built from; the
+reference trainers, kernels and helpers stay importable from their modules.
 """
 
 __version__ = "0.1.0"
@@ -17,22 +20,10 @@ from .combiners import (
     combine_metamodel,
     combine_vote,
     load_metamodel,
-    metamodel_forward,
-    param_count,
     save_metamodel,
     train_metamodel,
 )
-from .data import (
-    FeatureDataset,
-    MiscalSpec,
-    SynthSpec,
-    import_csv,
-    load_dataset,
-    save_dataset,
-    split,
-    synth_clusters,
-    synth_miscalibrated_predictions,
-)
+from .data import FeatureDataset, SynthSpec, load_dataset, save_dataset, split, synth_cluster_pair
 from .errors import (
     CalibensError,
     ConfigError,
@@ -43,38 +34,8 @@ from .errors import (
     StratificationError,
     TrainingError,
 )
-from .heads import (
-    HeadTrainConfig,
-    LinearHead,
-    head_predict,
-    init_head,
-    load_head,
-    save_head,
-    train_head,
-    train_head_family,
-    train_heads_lockstep,
-)
-from .metrics import (
-    BinStats,
-    CalibrationReport,
-    PredictionSet,
-    accuracy,
-    calibration_report,
-    ece,
-    mce,
-    predictions_from_probs,
-    reliability_bins,
-    write_reliability_csv,
-)
-from .numerics import (
-    EarlyStopper,
-    PlateauScheduler,
-    RngStream,
-    SgdState,
-    derive_seed,
-    sgd_step,
-    softmax,
-)
+from .heads import HeadTrainConfig, LinearHead, head_predict, load_head, save_head, train_heads_lockstep
+from .metrics import PredictionSet, calibration_report, predictions_from_probs, write_reliability_csv
 
 __all__ = [
     "__version__",
@@ -87,19 +48,14 @@ __all__ = [
     "combine_metamodel",
     "combine_vote",
     "load_metamodel",
-    "metamodel_forward",
-    "param_count",
     "save_metamodel",
     "train_metamodel",
     "FeatureDataset",
-    "MiscalSpec",
     "SynthSpec",
-    "import_csv",
     "load_dataset",
     "save_dataset",
     "split",
-    "synth_clusters",
-    "synth_miscalibrated_predictions",
+    "synth_cluster_pair",
     "CalibensError",
     "ConfigError",
     "DataError",
@@ -111,27 +67,11 @@ __all__ = [
     "HeadTrainConfig",
     "LinearHead",
     "head_predict",
-    "init_head",
     "load_head",
     "save_head",
-    "train_head",
-    "train_head_family",
     "train_heads_lockstep",
-    "BinStats",
-    "CalibrationReport",
     "PredictionSet",
-    "accuracy",
     "calibration_report",
-    "ece",
-    "mce",
     "predictions_from_probs",
-    "reliability_bins",
     "write_reliability_csv",
-    "EarlyStopper",
-    "PlateauScheduler",
-    "RngStream",
-    "SgdState",
-    "derive_seed",
-    "sgd_step",
-    "softmax",
 ]

@@ -48,7 +48,6 @@ from .errors import (
     DataError,
     DimensionError,
     FormatError,
-    LabelError,
     TrainingError,
 )
 from .heads import HeadTrainConfig, head_predict, load_head, save_head, train_heads_lockstep
@@ -520,7 +519,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FormatError, DimensionError, LabelError) as exc:
+    except (DataError, FormatError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -17,19 +17,19 @@ Combiner model files (magic ``MMD1``) are little-endian:
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, FormatError
+from . import container
+from .errors import ConfigError, DataError, DimensionError
 from .metrics import PredictionSet, predictions_from_probs
 from .numerics import (
     RngStream,
     _softmax_ce_grad,
     backward_linear,
     backward_mlp,
+    check_labels,
     cross_entropy,
     dropout_mask,
     fit,
@@ -40,6 +40,7 @@ from .numerics import (
 KINDS = ("SL", "DL", "DLL", "SLpC")
 KIND_TAGS = {"SL": 0, "DL": 1, "DLL": 2, "SLpC": 3}
 META_MAGIC = b"MMD1"
+META_HEADER = "<BIIIfQ"
 
 
 @dataclass(eq=False)
@@ -337,8 +338,8 @@ def train_metamodel(
     seeded stream as fit's permutations."""
     _check_outputs(meta, train_outputs)
     _check_outputs(meta, val_outputs)
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    val_labels = np.asarray(val_labels, dtype=np.int64)
+    train_labels = check_labels(train_labels, meta.num_classes)
+    val_labels = check_labels(val_labels, meta.num_classes)
     if train_labels.shape[0] != train_outputs.n or val_labels.shape[0] != val_outputs.n:
         raise DimensionError("labels do not match head-output sample counts")
 
@@ -378,8 +379,7 @@ def train_metamodel(
 
 
 def save_metamodel(meta: Metamodel, path) -> None:
-    header = META_MAGIC + struct.pack(
-        "<BIIIfQ",
+    header = (
         KIND_TAGS[meta.kind],
         meta.num_heads,
         meta.num_classes,
@@ -387,49 +387,31 @@ def save_metamodel(meta: Metamodel, path) -> None:
         meta.dropout_p,
         meta.seed,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for w, b in meta.layers:
-            fh.write(w.astype("<f4").tobytes())
-            fh.write(b.astype("<f4").tobytes())
+    payload = [arr for pair in meta.layers for arr in pair]
+    container.write(path, META_MAGIC, META_HEADER, header, payload)
 
 
 def load_metamodel(path) -> Metamodel:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != META_MAGIC:
-        raise FormatError(f"{path}: bad magic, expected {META_MAGIC!r}", offset=0)
-    if len(raw) < 29:
-        raise FormatError(f"{path}: truncated header", offset=len(raw))
-    tag, m, num_classes, h, dropout_p, seed = struct.unpack("<BIIIfQ", raw[4:29])
+    reader = container.Reader(path, META_MAGIC, META_HEADER)
+    tag, m, num_classes, h, dropout_p, seed = reader.header
     kinds_by_tag = {v: k for k, v in KIND_TAGS.items()}
     if tag not in kinds_by_tag:
-        raise FormatError(f"{path}: unknown kind tag {tag}", offset=4)
+        raise reader.error(f"unknown kind tag {tag}", offset=4)
     kind = kinds_by_tag[tag]
     if m < 1 or num_classes < 1:
-        raise FormatError(f"{path}: m={m}, C={num_classes} must both be >= 1", offset=4)
+        raise reader.error(f"m={m}, C={num_classes} must both be >= 1", offset=4)
     if not 0.0 <= dropout_p < 1.0:
-        raise FormatError(f"{path}: dropout probability {dropout_p} outside [0, 1)", offset=17)
+        raise reader.error(f"dropout probability {dropout_p} outside [0, 1)", offset=17)
     if h != hidden_width(kind, m, num_classes):
-        raise FormatError(
-            f"{path}: hidden width {h} inconsistent with kind {kind}, m={m}, C={num_classes}",
+        raise reader.error(
+            f"hidden width {h} inconsistent with kind {kind}, m={m}, C={num_classes}",
             offset=13,
         )
-    expected = 29 + 4 * param_count(kind, m, num_classes)
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} bytes, found {len(raw)}",
-            offset=min(len(raw), expected),
-        )
-    offset = 29
-    layers = []
-    for out_width, in_width in layer_shapes(kind, m, num_classes):
-        w = np.frombuffer(raw, dtype="<f4", count=out_width * in_width, offset=offset)
-        offset += 4 * out_width * in_width
-        b = np.frombuffer(raw, dtype="<f4", count=out_width, offset=offset)
-        offset += 4 * out_width
-        layers.append(
-            (w.astype(np.float64).reshape(out_width, in_width), b.astype(np.float64))
-        )
+    reader.expect_payload(4 * param_count(kind, m, num_classes))
+    layers = [
+        (reader.f32((out_width, in_width)), reader.f32((out_width,)))
+        for out_width, in_width in layer_shapes(kind, m, num_classes)
+    ]
     return Metamodel(
         kind=kind,
         num_heads=m,

@@ -5,25 +5,23 @@ On disk they use a little-endian binary layout (magic ``FDS1``):
 
     FDS1 | u32 N | u32 D | u32 C | N x (D x f32 features, u32 label)
 
-Files store 32-bit floats; in memory everything is 64-bit. A plain-text CSV
-importer (header ``f0,...,f{D-1},label``) is provided for interoperability.
+Files store 32-bit floats; in memory everything is 64-bit. The container
+module holds the rules this layout shares with the head and combiner files.
 """
 
 from __future__ import annotations
 
-import csv
-import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, StratificationError
-from .metrics import PredictionSet
-from .numerics import RngStream, require_finite
+from . import container
+from .errors import ConfigError, DataError, StratificationError
+from .numerics import RngStream, check_labels, require_finite
 
 FDS_MAGIC = b"FDS1"
+FDS_HEADER = "<III"
 
 
 @dataclass(eq=False)
@@ -50,12 +48,7 @@ class FeatureDataset:
         if self.num_classes < 1:
             raise DataError(f"class count must be >= 1, got {self.num_classes}")
         require_finite(features, "features")
-        bad = np.nonzero((labels < 0) | (labels >= self.num_classes))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise DataError(
-                f"label {int(labels[i])} at index {i} outside [0, {self.num_classes})"
-            )
+        check_labels(labels, self.num_classes)
         # enforce the read-only contract: training must never mutate features
         features.setflags(write=False)
         labels.setflags(write=False)
@@ -74,9 +67,10 @@ class FeatureDataset:
 def _rows_of_checked(
     features: np.ndarray, labels: np.ndarray, num_classes: int, name: str
 ) -> FeatureDataset:
-    """A FeatureDataset of fresh arrays holding rows of a checked dataset.
-    Those rows pass every check of the constructor, so only its read-only
-    flags are set; this saves a full pass over the features per slice."""
+    """A FeatureDataset of fresh arrays that already pass every check of the
+    constructor: rows of a checked dataset, or a file the container has
+    read. Only the read-only flags are set; this saves a full pass over the
+    features per slice or load."""
     dataset = FeatureDataset.__new__(FeatureDataset)
     features.setflags(write=False)
     labels.setflags(write=False)
@@ -107,28 +101,6 @@ class SynthSpec:
             raise ConfigError("label noise needs at least two classes")
 
 
-@dataclass
-class MiscalSpec:
-    """Fixture with a known confidence level and true accuracy; the expected
-    calibration error is |confidence_level - true_accuracy|."""
-
-    num_samples: int
-    num_classes: int
-    confidence_level: float
-    true_accuracy: float
-    seed: int
-
-    def __post_init__(self):
-        if self.num_samples < 1 or self.num_classes < 1:
-            raise ConfigError("num_samples and num_classes must be >= 1")
-        if not 0.0 < self.confidence_level <= 1.0:
-            raise ConfigError(f"confidence level must be in (0, 1], got {self.confidence_level}")
-        if not 0.0 <= self.true_accuracy <= 1.0:
-            raise ConfigError(f"true accuracy must be in [0, 1], got {self.true_accuracy}")
-        if self.true_accuracy < 1.0 and self.num_classes < 2:
-            raise ConfigError("imperfect accuracy needs at least two classes")
-
-
 def _dataset_record_dtype(dim: int) -> np.dtype:
     return np.dtype([("f", "<f4", (dim,)), ("y", "<u4")])
 
@@ -137,76 +109,28 @@ def save_dataset(dataset: FeatureDataset, path) -> None:
     records = np.empty(dataset.n, dtype=_dataset_record_dtype(dataset.dim))
     records["f"] = dataset.features.astype("<f4")
     records["y"] = dataset.labels.astype("<u4")
-    header = FDS_MAGIC + struct.pack("<III", dataset.n, dataset.dim, dataset.num_classes)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(records.tobytes())
+    header = (dataset.n, dataset.dim, dataset.num_classes)
+    container.write(path, FDS_MAGIC, FDS_HEADER, header, [records])
 
 
 def load_dataset(path) -> FeatureDataset:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != FDS_MAGIC:
-        raise FormatError(f"{path}: bad magic, expected {FDS_MAGIC!r}", offset=0)
-    if len(raw) < 16:
-        raise FormatError(f"{path}: truncated header", offset=len(raw))
-    n, dim, num_classes = struct.unpack("<III", raw[4:16])
+    reader = container.Reader(path, FDS_MAGIC, FDS_HEADER)
+    n, dim, num_classes = reader.header
     if n < 1 or dim < 1 or num_classes < 1:
-        raise FormatError(f"{path}: N={n}, D={dim}, C={num_classes} must all be >= 1", offset=4)
-    record_size = 4 * dim + 4
-    expected = 16 + n * record_size
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} bytes, found {len(raw)}",
-            offset=min(len(raw), expected),
-        )
-    records = np.frombuffer(raw, dtype=_dataset_record_dtype(dim), count=n, offset=16)
-    labels = records["y"].astype(np.int64)
+        raise reader.error(f"N={n}, D={dim}, C={num_classes} must all be >= 1", offset=4)
+    reader.expect_payload(n * (4 * dim + 4))  # bounds D before numpy sees it
+    record = _dataset_record_dtype(dim)
+    start = reader.offset
+    features, labels = reader.records(record, n)
+    labels = labels.astype(np.int64)
     bad = np.nonzero(labels >= num_classes)[0]
     if bad.size:
         i = int(bad[0])
-        raise FormatError(
-            f"{path}: label {int(labels[i])} at record {i} >= C={num_classes}",
-            offset=16 + i * record_size + 4 * dim,
+        raise reader.error(
+            f"label {int(labels[i])} at record {i} >= C={num_classes}",
+            offset=start + i * record.itemsize + 4 * dim,
         )
-    return FeatureDataset(
-        features=records["f"].astype(np.float64),
-        labels=labels,
-        num_classes=num_classes,
-        name=Path(path).stem,
-    )
-
-
-def import_csv(path, num_classes: int | None = None) -> FeatureDataset:
-    """Read ``f0,...,f{D-1},label`` rows; C defaults to max(label)+1."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        dim = len(header) - 1
-        if dim < 1 or header != [f"f{i}" for i in range(dim)] + ["label"]:
-            raise FormatError(f"{path}: header must be f0,...,f{{D-1}},label")
-        features, labels = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != dim + 1:
-                raise FormatError(f"{path}: line {line_no} has {len(row)} fields, expected {dim + 1}")
-            try:
-                features.append([float(v) for v in row[:dim]])
-                labels.append(int(row[dim]))
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {line_no}: {exc}") from None
-    if not features:
-        raise FormatError(f"{path}: no data rows")
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    if num_classes is None:
-        num_classes = int(labels_arr.max()) + 1
-    return FeatureDataset(
-        features=np.asarray(features, dtype=np.float64),
-        labels=labels_arr,
-        num_classes=num_classes,
-        name=Path(path).stem,
-    )
+    return _rows_of_checked(features, labels, num_classes, Path(path).stem)
 
 
 def split(dataset: FeatureDataset, val_fraction: float, seed: int):
@@ -308,33 +232,3 @@ def synth_cluster_pair(spec: SynthSpec, test_samples: int):
         )
 
     return carve(slice(0, n), "train"), carve(slice(n, None), "test")
-
-
-def synth_miscalibrated_predictions(spec: MiscalSpec) -> PredictionSet:
-    """Prediction set with constant confidence and a known hit rate.
-
-    Every sample reports confidence_level; the label matches the prediction
-    with probability true_accuracy, otherwise it is a uniformly random other
-    class.
-    """
-    stream = RngStream(spec.seed)
-    n, c = spec.num_samples, spec.num_classes
-    predicted = stream.integers(0, c, n).astype(np.int64)
-    hit = stream.random(n) < spec.true_accuracy
-    labels = predicted.copy()
-    if c > 1:
-        miss = ~hit
-        offsets = stream.integers(1, c, n)  # drawn for all samples to keep the stream aligned
-        labels[miss] = (predicted[miss] + offsets[miss]) % c
-    return PredictionSet(
-        predicted_class=predicted,
-        confidence=np.full(n, spec.confidence_level, dtype=np.float64),
-        labels=labels,
-    )
-
-
-def chance_level_bound(num_classes: int, n: int, sigmas: float = 3.0) -> float:
-    """Upper bound on accuracy achievable by guessing: 1/C plus a binomial
-    deviation allowance of `sigmas` standard errors."""
-    p = 1.0 / num_classes
-    return p + sigmas * math.sqrt(p * (1.0 - p) / n)

@@ -14,16 +14,17 @@ class DimensionError(CalibensError):
     """Array shapes do not conform; the message names both shapes."""
 
 
-class LabelError(CalibensError):
-    """A class label is outside [0, C); the message names the offending index."""
-
-
 class ConfigError(CalibensError):
     """A configuration value is outside its legal range."""
 
 
 class DataError(CalibensError):
     """Dataset contents violate an invariant (empty set, bad confidence, ...)."""
+
+
+class LabelError(DataError):
+    """A class label is outside [0, C); the message names the offending index.
+    A DataError, so callers that catch bad data catch bad labels too."""
 
 
 class StratificationError(DataError):

@@ -19,15 +19,14 @@ Head files (magic ``HDW1``) are little-endian:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .data import FeatureDataset
-from .errors import CalibensError, ConfigError, DataError, DimensionError, FormatError, TrainingError
+from .errors import CalibensError, ConfigError, DataError, DimensionError, TrainingError
 from .numerics import (
     FitResult,
     RngStream,
@@ -42,6 +41,7 @@ from .numerics import (
 )
 
 HEAD_MAGIC = b"HDW1"
+HEAD_HEADER = "<IIQ"
 
 # history entries are (epoch, train_loss, val_loss, learning_rate)
 EpochRecord = tuple[int, float, float, float]
@@ -253,32 +253,16 @@ def train_heads_lockstep(
 
 
 def save_head(head: LinearHead, path) -> None:
-    header = HEAD_MAGIC + struct.pack("<IIQ", head.dim, head.num_classes, head.seed)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(head.weights.astype("<f4").tobytes())
-        fh.write(head.bias.astype("<f4").tobytes())
+    header = (head.dim, head.num_classes, head.seed)
+    container.write(path, HEAD_MAGIC, HEAD_HEADER, header, [head.weights, head.bias])
 
 
 def load_head(path) -> LinearHead:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != HEAD_MAGIC:
-        raise FormatError(f"{path}: bad magic, expected {HEAD_MAGIC!r}", offset=0)
-    if len(raw) < 20:
-        raise FormatError(f"{path}: truncated header", offset=len(raw))
-    dim, num_classes, seed = struct.unpack("<IIQ", raw[4:20])
+    reader = container.Reader(path, HEAD_MAGIC, HEAD_HEADER)
+    dim, num_classes, seed = reader.header
     if dim < 1 or num_classes < 1:
-        raise FormatError(f"{path}: D={dim}, C={num_classes} must both be >= 1", offset=4)
-    expected = 20 + 4 * (num_classes * dim + num_classes)
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} bytes, found {len(raw)}",
-            offset=min(len(raw), expected),
-        )
-    weights = np.frombuffer(raw, dtype="<f4", count=num_classes * dim, offset=20)
-    bias = np.frombuffer(raw, dtype="<f4", count=num_classes, offset=20 + 4 * num_classes * dim)
-    return LinearHead(
-        weights=weights.astype(np.float64).reshape(num_classes, dim),
-        bias=bias.astype(np.float64),
-        seed=seed,
-    )
+        raise reader.error(f"D={dim}, C={num_classes} must both be >= 1", offset=4)
+    reader.expect_payload(4 * (num_classes * dim + num_classes))
+    weights = reader.f32((num_classes, dim))
+    bias = reader.f32((num_classes,))
+    return LinearHead(weights=weights, bias=bias, seed=seed)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, LabelError
-from .numerics import as_matrix, require_finite
+from .errors import ConfigError, DataError, DimensionError
+from .numerics import as_matrix, check_labels, require_finite
 
 DEFAULT_NUM_BINS = 15
 
@@ -100,10 +100,7 @@ def predictions_from_probs(probs, labels) -> PredictionSet:
         raise DimensionError(
             f"probs {probs.shape} and labels {labels.shape} disagree on sample count"
         )
-    bad = np.nonzero((labels < 0) | (labels >= probs.shape[1]))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise LabelError(f"label {int(labels[i])} at index {i} outside [0, {probs.shape[1]})")
+    check_labels(labels, probs.shape[1])
     return PredictionSet(
         predicted_class=np.argmax(probs, axis=1),
         confidence=np.max(probs, axis=1),

@@ -128,7 +128,11 @@ def dropout_mask(shape, p: float, rng: RngStream) -> np.ndarray:
     return keep.astype(np.float64) / (1.0 - p)
 
 
-def _check_labels(labels, num_classes: int) -> np.ndarray:
+def check_labels(labels, num_classes: int) -> np.ndarray:
+    """The labels as a 1-D int64 array; a label outside [0, num_classes)
+    raises LabelError naming its index. Labels are checked once, where they
+    enter (a dataset, a prediction set, combiner training); the kernels
+    below index with them unchecked."""
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DimensionError(f"labels must be 1-D, got shape {labels.shape}")
@@ -138,14 +142,14 @@ def _check_labels(labels, num_classes: int) -> np.ndarray:
         raise LabelError(
             f"label {int(labels[i])} at index {i} outside [0, {num_classes})"
         )
-    return labels.astype(np.int64)
+    return labels.astype(np.int64, copy=False)
 
 
 def cross_entropy(probs: np.ndarray, labels) -> float:
     """Mean of -log(probs[n, label_n]), probabilities clamped at 1e-12."""
     probs = as_matrix(probs, "probs")
-    labels = _check_labels(labels, probs.shape[1])
-    if labels.shape[0] != probs.shape[0]:
+    labels = np.asarray(labels)
+    if labels.shape != (probs.shape[0],):
         raise DimensionError(
             f"probs {probs.shape} and labels {labels.shape} disagree on sample count"
         )
@@ -169,7 +173,6 @@ def backward_linear(inputs, weights, bias, labels):
     Returns (loss, d_weights, d_bias).
     """
     inputs = as_matrix(inputs, "inputs")
-    labels = _check_labels(labels, np.asarray(weights).shape[0])
     logits = linear_forward(inputs, weights, bias)
     loss, dz = _softmax_ce_grad(logits, labels)
     d_weights = dz.T @ inputs
@@ -203,7 +206,6 @@ def backward_mlp(inputs, w1, b1, w2, b2, labels, mask: np.ndarray | None = None)
     Returns (loss, d_w1, d_b1, d_w2, d_b2).
     """
     inputs = as_matrix(inputs, "inputs")
-    labels = _check_labels(labels, np.asarray(w2).shape[0])
     z1 = linear_forward(inputs, w1, b1)
     a1 = relu(z1)
     if mask is not None:

@@ -14,14 +14,13 @@ from calibens.combiners import (
     load_metamodel,
     save_metamodel,
 )
-from calibens.data import MiscalSpec, load_dataset, save_dataset, synth_miscalibrated_predictions
-from calibens.data import FeatureDataset, chance_level_bound
+from calibens.data import FeatureDataset, load_dataset, save_dataset
 from calibens.errors import DimensionError
 from calibens.heads import LinearHead, load_head, save_head
 from calibens.metrics import RELIABILITY_CSV_HEADER, calibration_report, predictions_from_probs
 from calibens.numerics import RngStream
 
-from fixtures import head_outputs
+from fixtures import MiscalSpec, chance_level_bound, head_outputs, synth_miscalibrated_predictions
 
 
 def run(argv):
@@ -328,6 +327,30 @@ class TestEvaluate:
         ])
         assert code == 3
         assert "meta_DLL.mmd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "filename, offset, value",
+        [("meta_SL.mmd", 29, np.nan), ("head_1.hdw", 20, np.inf)],
+    )
+    def test_non_finite_weight_exits_three_naming_file_and_offset(
+        self, pipeline_dir, capsys, filename, offset, value
+    ):
+        # offset: the first weight, right after the MMD1 or HDW1 header
+        art = pipeline_dir / "artifacts"
+        assert run([
+            "train-meta", "--kind", "SL", "--train", str(pipeline_dir / "data" / "train.fds"),
+            "--heads-dir", str(art), "--seed", "7", "--epochs", "1",
+        ]) == 0
+        raw = bytearray((art / filename).read_bytes())
+        raw[offset : offset + 4] = np.asarray([value], dtype="<f4").tobytes()
+        (art / filename).write_bytes(bytes(raw))
+        code = run([
+            "evaluate", "--test", str(pipeline_dir / "data" / "test.fds"),
+            "--heads-dir", str(art), "--meta", "SL", "--out", str(pipeline_dir / "results"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert filename in err and f"offset {offset})" in err
 
     def test_reliability_csv_header(self, pipeline_dir):
         res = pipeline_dir / "results"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import calibens.combiners as combiners_module
 from calibens.combiners import (
     KINDS,
     HeadOutputs,
@@ -22,7 +23,7 @@ from calibens.combiners import (
     save_metamodel,
     train_metamodel,
 )
-from calibens.errors import ConfigError, DataError, DimensionError, FormatError
+from calibens.errors import ConfigError, DataError, DimensionError, FormatError, LabelError
 from calibens.numerics import RngStream, _softmax_ce_grad, cross_entropy, relu, softmax
 
 from fixtures import head_outputs
@@ -380,6 +381,25 @@ class TestTrainMetamodel:
         from calibens.metrics import accuracy
 
         assert accuracy(pred) >= accuracy(baseline) - 0.05
+
+    @pytest.mark.parametrize("part", ["train", "val"])
+    def test_label_out_of_range_rejected_before_any_step(self, monkeypatch, part):
+        # the kernels index with labels unchecked (SLpC's with no other check
+        # on its path), so the entry check must catch them
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(combiners_module, "fit", no_training)
+        tr_out, tr_y, va_out, va_y = self.make_problem(seed=7)
+        labels = (tr_y if part == "train" else va_y).copy()
+        labels[17] = 4  # C = 4
+        if part == "train":
+            tr_y = labels
+        else:
+            va_y = labels
+        meta = build_metamodel("SLpC", 3, 4, seed=5)
+        with pytest.raises(LabelError, match="label 4 at index 17"):
+            train_metamodel(meta, tr_out, tr_y, va_out, va_y, MetaTrainConfig(seed=9))
 
 
 class TestSlpcAveragingArgmax:

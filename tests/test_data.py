@@ -8,21 +8,19 @@ from hypothesis import strategies as st
 import calibens.data as data_module
 from calibens.data import (
     FeatureDataset,
-    MiscalSpec,
     SynthSpec,
-    chance_level_bound,
-    import_csv,
     load_dataset,
     save_dataset,
     split,
     synth_cluster_pair,
     synth_clusters,
-    synth_miscalibrated_predictions,
 )
 from calibens.errors import ConfigError, DataError, FormatError, StratificationError
 from calibens.heads import HeadTrainConfig, head_predict, train_head
 from calibens.metrics import accuracy, calibration_report, predictions_from_probs
 from calibens.numerics import RngStream, softmax
+
+from fixtures import MiscalSpec, chance_level_bound, synth_miscalibrated_predictions
 
 
 def tiny_dataset(n=12, d=3, c=3, seed=0):
@@ -81,6 +79,17 @@ class TestDatasetFile:
             load_dataset(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_in_file_rejected_with_offset(self, tmp_path, bad):
+        path = tmp_path / "nan.fds"
+        save_dataset(tiny_dataset(n=4, d=2, c=3), path)
+        raw = bytearray(path.read_bytes())
+        bad_offset = 16 + 2 * (4 * 2 + 4) + 4  # feature 1 of record 2
+        raw[bad_offset : bad_offset + 4] = np.asarray([bad], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"nan.fds: non-finite .* offset {bad_offset}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected_with_index(self, bad):
         features = np.zeros((4, 3))
         features[2, 1] = bad
@@ -93,28 +102,6 @@ class TestDatasetFile:
             ds.features[0, 0] = 99.0
         with pytest.raises(ValueError):
             ds.labels[0] = 1
-
-
-class TestCsvImport:
-    def test_import(self, tmp_path):
-        path = tmp_path / "ds.csv"
-        path.write_text("f0,f1,label\n1.5,-2.0,0\n0.25,3.0,2\n")
-        ds = import_csv(path)
-        assert ds.dim == 2 and ds.n == 2 and ds.num_classes == 3
-        assert np.array_equal(ds.features, [[1.5, -2.0], [0.25, 3.0]])
-        assert np.array_equal(ds.labels, [0, 2])
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x,y,label\n1,2,0\n")
-        with pytest.raises(FormatError, match="header"):
-            import_csv(path)
-
-    def test_bad_value_names_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("f0,label\n1.0,0\nnope,1\n")
-        with pytest.raises(FormatError, match="line 3"):
-            import_csv(path)
 
 
 class TestSplit:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calibens.errors import ConfigError, DimensionError, LabelError, TrainingError
+from calibens.errors import ConfigError, DimensionError, TrainingError
 from calibens.numerics import (
     EarlyStopper,
     PlateauScheduler,
@@ -93,10 +93,6 @@ class TestCrossEntropy:
 
     def test_scalar_oracle(self):
         assert cross_entropy([[0.7, 0.3]], [1]) == pytest.approx(-math.log(0.3), abs=1e-15)
-
-    def test_label_out_of_range_names_index(self):
-        with pytest.raises(LabelError, match="index 1"):
-            cross_entropy([[0.5, 0.5], [0.5, 0.5]], [0, 2])
 
 
 class TestReluDropout:
