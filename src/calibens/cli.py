@@ -53,6 +53,7 @@ from .errors import (
 from .heads import HeadTrainConfig, head_predict, load_head, save_head, train_heads_lockstep
 from .metrics import (
     DEFAULT_NUM_BINS,
+    PredictionSet,
     calibration_report,
     predictions_from_probs,
     write_reliability_csv,
@@ -69,15 +70,17 @@ def _write_json(path, obj) -> None:
         fh.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _load_config_file(path) -> dict:
+def _read_json_object(path, error=FormatError) -> dict:
+    """The JSON object in the file at `path`; unreadable text, invalid JSON or
+    any other JSON value raises `error` naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON config: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return cfg
+            obj = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise error(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _parse_with_config(parser, args, argv):
@@ -89,7 +92,7 @@ def _parse_with_config(parser, args, argv):
     own = vars(args).keys() - {"command", "handler", "command_parser", "config"}
     values = {
         key: str(value) if isinstance(value, (int, float)) else value
-        for key, value in _load_config_file(args.config).items()
+        for key, value in _read_json_object(args.config, ConfigError).items()
         if key in own
     }
     for action in args.command_parser._actions:
@@ -203,7 +206,10 @@ def cmd_train_heads(args) -> int:
 # train-meta
 # ---------------------------------------------------------------------------
 
-def _discover_heads(heads_dir) -> list:
+def _discover_heads(heads_dir, data_path, num_classes: int) -> list:
+    """The heads head_0.hdw, head_1.hdw, ... in heads_dir, checked against the
+    dataset at data_path they are about to score: its class count must be
+    head 0's, or the run would score the wrong classes without an error."""
     heads_dir = Path(heads_dir)
     if not heads_dir.is_dir():
         raise DataError(f"heads directory not found: {heads_dir}")
@@ -214,7 +220,12 @@ def _discover_heads(heads_dir) -> list:
         i += 1
     if not paths:
         raise DataError(f"no head_*.hdw files found in {heads_dir}")
-    return [load_head(p) for p in paths]
+    heads = [load_head(p) for p in paths]
+    if heads[0].num_classes != num_classes:
+        raise DimensionError(
+            f"{data_path} has C={num_classes}, but head 0 has C={heads[0].num_classes}"
+        )
+    return heads
 
 
 def _head_outputs(heads, features, meta_input: str) -> HeadOutputs:
@@ -246,7 +257,7 @@ def cmd_train_meta(args) -> int:
     train, val = split(
         load_dataset(args.train), args.val_fraction, derive_seed(seed, _SPLIT_STREAM)
     )
-    heads = _discover_heads(args.heads_dir)
+    heads = _discover_heads(args.heads_dir, args.train, train.num_classes)
     # the features are not needed once the outputs exist: drop each part's at once
     train_outputs = _head_outputs(heads, train.features, args.meta_input)
     train_labels, num_classes = train.labels, train.num_classes
@@ -286,6 +297,32 @@ def cmd_train_meta(args) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
+# Bytes of head outputs, (rows, m, C) float64, that one evaluate block holds.
+# Larger blocks only raise the peak: on the C=10 benchmark workload (50k test
+# samples), 4 and 16 MiB blocks took evaluate's peak RSS from 60 to 76 and
+# 99 MiB and were no faster.
+_EVAL_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(n: int, row_bytes: int) -> list[tuple[int, int]]:
+    """(start, stop) of the fewest row blocks that cover range(n) with at most
+    _EVAL_BLOCK_BYTES // row_bytes rows each (at least one). Block sizes
+    differ by at most one row, so no block is a short tail: numpy runs a
+    one-row product as a matrix-vector product, which rounds differently."""
+    rows = max(1, _EVAL_BLOCK_BYTES // row_bytes)
+    count = -(-n // rows)
+    bounds = [n * i // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _sidecar(path, keys) -> dict | None:
+    """The recorded `keys` of a JSON sidecar, or None when there is none."""
+    if not path.exists():
+        return None
+    recorded = _read_json_object(path)
+    return {key: recorded.get(key) for key in keys}
+
+
 def _row(name, slug, report, params) -> dict:
     return {
         "name": name,
@@ -299,6 +336,17 @@ def _row(name, slug, report, params) -> dict:
 
 
 def cmd_evaluate(args) -> int:
+    """Score every head, Avg., Vot. and each --meta combiner on the test set.
+
+    The test set is walked in row blocks (_row_blocks): a block's head
+    outputs take at most _EVAL_BLOCK_BYTES, and N is split into near-equal
+    blocks. Each block runs every predictor and keeps only its predicted
+    class and confidence per sample; the calibration reports are built from
+    those after the last block. So memory holds the features, one block with
+    its combiner intermediates, and 2*(m+2+kinds)*N scalars, not the
+    (N, m, C) outputs. Every prediction depends on its own row only, except
+    that BLAS may round the DL/DLL hidden layer differently at another row
+    count, by an ulp of a confidence."""
     if args.test is None:
         raise ConfigError("missing test dataset path (--test)")
     num_bins, degree = args.bins, args.norm_degree
@@ -318,54 +366,41 @@ def cmd_evaluate(args) -> int:
     if missing:
         raise DataError("missing artifact(s): " + ", ".join(missing))
 
-    test = load_dataset(args.test)
-    heads = _discover_heads(heads_dir)
-    meta_outputs, labels = _head_outputs(heads, test.features, args.meta_input), test.labels
-    del test  # only the outputs and labels are used from here on
-    outputs = meta_outputs
-    if args.meta_input == "logits":
-        outputs = HeadOutputs(softmax_in_place(meta_outputs.values.copy()))
-
-    rows, csvs = [], {}
-
-    def add(name, slug, pred, params):
-        report = calibration_report(pred, num_bins, degree)
-        rows.append(_row(name, slug, report, params))
-        csvs[f"reliability_{slug}.csv"] = report.bins
-
-    for i, head in enumerate(heads):
-        pred = predictions_from_probs(outputs.values[:, i, :], labels)
-        add(f"Head {i + 1}", f"head_{i + 1}", pred, head.param_count)
-
-    add("Avg.", "avg", combine_average(outputs, labels), 0)
-    add("Vot.", "vot", combine_vote(outputs, labels), 0)
-
-    for kind in kinds:
-        meta = load_metamodel(meta_paths[kind])
-        pred = combine_metamodel(meta, meta_outputs, labels)
-        add(kind, kind.lower(), pred, meta.param_count)
-
-    heads_meta = {}
-    heads_json = heads_dir / "heads.json"
-    if heads_json.exists():
-        with open(heads_json, "r", encoding="utf-8") as fh:
-            recorded = json.load(fh)
-        heads_meta = {
-            "seed": recorded.get("seed"),
-            "val_fraction": recorded.get("val_fraction"),
-            "config": recorded.get("config"),
-        }
+    heads_meta = _sidecar(heads_dir / "heads.json", ("seed", "val_fraction", "config")) or {}
     meta_training = {}
     for kind in kinds:
-        sidecar = meta_dir / f"meta_{kind}.json"
-        if sidecar.exists():
-            with open(sidecar, "r", encoding="utf-8") as fh:
-                recorded = json.load(fh)
-            meta_training[kind] = {
-                "seed": recorded.get("seed"),
-                "config": recorded.get("config"),
-                "meta_input": recorded.get("meta_input"),
-            }
+        recorded = _sidecar(meta_dir / f"meta_{kind}.json", ("seed", "config", "meta_input"))
+        if recorded is not None:
+            meta_training[kind] = recorded
+
+    test = load_dataset(args.test)
+    heads = _discover_heads(heads_dir, args.test, test.num_classes)
+    metas = {kind: load_metamodel(meta_paths[kind]) for kind in kinds}
+    predictors = [(f"Head {i + 1}", f"head_{i + 1}", h.param_count) for i, h in enumerate(heads)]
+    predictors += [("Avg.", "avg", 0), ("Vot.", "vot", 0)]
+    predictors += [(kind, kind.lower(), meta.param_count) for kind, meta in metas.items()]
+    predicted = np.empty((len(predictors), test.n), dtype=np.int64)
+    confidence = np.empty((len(predictors), test.n))
+
+    m = len(heads)
+    for start, stop in _row_blocks(test.n, m * test.num_classes * 8):
+        labels = test.labels[start:stop]
+        meta_outputs = _head_outputs(heads, test.features[start:stop], args.meta_input)
+        outputs = meta_outputs
+        if args.meta_input == "logits":
+            outputs = HeadOutputs(softmax_in_place(meta_outputs.values.copy()))
+        preds = [predictions_from_probs(outputs.values[:, i, :], labels) for i in range(m)]
+        preds += [combine_average(outputs, labels), combine_vote(outputs, labels)]
+        preds += [combine_metamodel(meta, meta_outputs, labels) for meta in metas.values()]
+        for j, pred in enumerate(preds):
+            predicted[j, start:stop] = pred.predicted_class
+            confidence[j, start:stop] = pred.confidence
+
+    rows, csvs = [], {}
+    for (name, slug, params), classes, conf in zip(predictors, predicted, confidence):
+        report = calibration_report(PredictionSet(classes, conf, test.labels), num_bins, degree)
+        rows.append(_row(name, slug, report, params))
+        csvs[f"reliability_{slug}.csv"] = report.bins
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -378,7 +413,7 @@ def cmd_evaluate(args) -> int:
             "test_path": str(args.test),
             "heads_dir": str(args.heads_dir),
             "meta_dir": str(meta_dir),
-            "m": len(heads),
+            "m": m,
             "num_bins": num_bins,
             "norm_degree": degree,
             "meta_kinds": kinds,
@@ -402,12 +437,7 @@ def cmd_report(args) -> int:
     path = Path(args.summary)
     if not path.exists():
         raise DataError(f"summary file not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            summary = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    rows = summary.get("rows")
+    rows = _read_json_object(path).get("rows")
     if not isinstance(rows, list):
         raise FormatError(f"{path}: missing 'rows' list")
     ordered = sorted(rows, key=lambda r: 0 if r.get("kind") == "head" else 1)

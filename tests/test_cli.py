@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from calibens import cli
 from calibens.cli import _head_outputs, main
 from calibens.combiners import (
+    KINDS,
     build_metamodel,
     combine_average,
     combine_metamodel,
@@ -54,6 +56,22 @@ def random_heads(m, dim, num_classes, seed):
         )
         for i in range(m)
     ]
+
+
+def save_heads(heads, art):
+    art.mkdir(parents=True, exist_ok=True)
+    for i, head in enumerate(heads):
+        save_head(head, art / f"head_{i}.hdw")
+    return art
+
+
+def refuse_head_outputs(monkeypatch):
+    """From here on, computing any head output fails the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("head outputs were computed")
+
+    monkeypatch.setattr(cli, "head_predict", refuse)
 
 
 @pytest.fixture()
@@ -236,6 +254,17 @@ class TestTrainMeta:
         assert run(args) == 0
         assert (art / "meta_SL.mmd").read_bytes() == first
 
+    def test_dataset_with_other_class_count_exits_three_before_outputs(
+        self, pipeline_dir, capsys, monkeypatch
+    ):
+        art = save_heads(random_heads(2, 4, 5, seed=6), pipeline_dir / "c5")
+        refuse_head_outputs(monkeypatch)
+        train = pipeline_dir / "data" / "train.fds"
+        assert run([
+            "train-meta", "--kind", "SL", "--train", str(train), "--heads-dir", str(art),
+        ]) == 3
+        assert f"{train} has C=3, but head 0 has C=5" in capsys.readouterr().err
+
     def test_missing_heads_exits_three(self, pipeline_dir, capsys):
         assert run([
             "train-meta", "--kind", "SL", "--train",
@@ -319,6 +348,39 @@ class TestEvaluate:
             assert row["ece_pct"] == report.ece * 100.0
             assert row["mce_pct"] == report.mce * 100.0
 
+    def test_test_set_with_other_class_count_exits_three_before_outputs(
+        self, pipeline_dir, capsys, monkeypatch
+    ):
+        art = save_heads(random_heads(2, 4, 5, seed=6), pipeline_dir / "c5")
+        refuse_head_outputs(monkeypatch)
+        test = pipeline_dir / "data" / "test.fds"
+        assert run([
+            "evaluate", "--test", str(test), "--heads-dir", str(art),
+            "--out", str(pipeline_dir / "results"),
+        ]) == 3
+        assert f"{test} has C=3, but head 0 has C=5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "filename, text",
+        [("heads.json", '{"seed": 1,'), ("heads.json", "[1]"), ("meta_SL.json", '{"kind": "SL",')],
+    )
+    def test_malformed_sidecar_exits_three_naming_it_before_outputs(
+        self, pipeline_dir, capsys, monkeypatch, filename, text
+    ):
+        art = pipeline_dir / "artifacts"
+        assert run([
+            "train-meta", "--kind", "SL", "--train", str(pipeline_dir / "data" / "train.fds"),
+            "--heads-dir", str(art), "--seed", "7", "--epochs", "1",
+        ]) == 0
+        (art / filename).write_text(text)
+        refuse_head_outputs(monkeypatch)
+        code = run([
+            "evaluate", "--test", str(pipeline_dir / "data" / "test.fds"),
+            "--heads-dir", str(art), "--meta", "SL", "--out", str(pipeline_dir / "results"),
+        ])
+        assert code == 3
+        assert str(art / filename) in capsys.readouterr().err
+
     def test_missing_metamodel_listed(self, pipeline_dir, capsys):
         code = run([
             "evaluate", "--test", str(pipeline_dir / "data" / "test.fds"),
@@ -387,6 +449,84 @@ class TestEvaluate:
         assert abs(head_row["ece_pct"] - 20.0) <= 2.0
 
 
+class TestEvaluateBlocks:
+    """cmd_evaluate walks the test set in row blocks of _EVAL_BLOCK_BYTES."""
+
+    @pytest.mark.parametrize("meta_input", ["probs", "logits"])
+    def test_block_run_writes_the_one_block_bytes(self, pipeline_dir, monkeypatch, meta_input):
+        art, data = pipeline_dir / "artifacts", pipeline_dir / "data"
+        for kind in KINDS:
+            assert run([
+                "train-meta", "--kind", kind, "--train", str(data / "train.fds"),
+                "--heads-dir", str(art), "--seed", "7", "--epochs", "2",
+                "--meta-input", meta_input,
+            ]) == 0
+
+        def evaluate(out):
+            return run([
+                "evaluate", "--test", str(data / "test.fds"), "--heads-dir", str(art),
+                "--meta", "all", "--meta-input", meta_input, "--out", str(out),
+            ])
+
+        one, blocks = pipeline_dir / "one", pipeline_dir / "blocks"
+        assert evaluate(one) == 0
+        block_rows = []
+        head_outputs_of = cli._head_outputs
+
+        def spy(heads, features, mode):
+            block_rows.append(len(features))
+            return head_outputs_of(heads, features, mode)
+
+        monkeypatch.setattr(cli, "_head_outputs", spy)
+        monkeypatch.setattr(cli, "_EVAL_BLOCK_BYTES", 70 * 2 * 3 * 8)  # 70 rows at m=2, C=3
+        assert evaluate(blocks) == 0
+        assert block_rows == [60] * 5
+        files = sorted(p.name for p in one.iterdir())
+        assert len(files) == 1 + 2 + 2 + len(KINDS)
+        for name in files:
+            assert (blocks / name).read_bytes() == (one / name).read_bytes(), name
+
+    @pytest.mark.parametrize("rows, k", [(1, 1), (2, 3), (7, 1), (7, 5), (262, 190)])
+    def test_blocks_cover_the_rows_without_a_short_tail(self, monkeypatch, rows, k):
+        row_bytes = 4000
+        monkeypatch.setattr(cli, "_EVAL_BLOCK_BYTES", rows * row_bytes + row_bytes - 1)
+        n = k * rows + 1
+        blocks = cli._row_blocks(n, row_bytes)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(blocks, blocks[1:]))
+        sizes = [stop - start for start, stop in blocks]
+        assert len(blocks) == k + 1
+        assert max(sizes) <= rows and min(sizes) >= rows / 2, sizes
+
+    def test_row_wider_than_the_budget_is_its_own_block(self, monkeypatch):
+        monkeypatch.setattr(cli, "_EVAL_BLOCK_BYTES", 100)
+        assert cli._row_blocks(3, 800) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_peak_memory_below_a_quarter_of_the_outputs(self, tmp_path):
+        # one (N, m, C) output array would be 64 blocks; evaluate must never
+        # hold it, let alone the sorted copy that averaging makes of it
+        m, c, dim = 5, 100, 8
+        n = -(-64 * cli._EVAL_BLOCK_BYTES // (m * c * 8))
+        stream = RngStream(1)
+        test = tmp_path / "test.fds"
+        save_dataset(FeatureDataset(stream.standard_normal((n, dim)), stream.integers(0, c, n), c), test)
+        art = save_heads(random_heads(m, dim, c, seed=2), tmp_path / "art")
+        for kind in KINDS:
+            save_metamodel(build_metamodel(kind, m, c, seed=3), art / f"meta_{kind}.mmd")
+        tracemalloc.start()
+        try:
+            code = run([
+                "evaluate", "--test", str(test), "--heads-dir", str(art), "--meta", "all",
+                "--out", str(tmp_path / "results"),
+            ])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        outputs_bytes = n * m * c * 8
+        assert peak < outputs_bytes / 4, peak / outputs_bytes
+
+
 class TestReport:
     def make_summary(self, tmp_path, rows):
         path = tmp_path / "summary.json"
@@ -431,6 +571,12 @@ class TestReport:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert run(["report", str(path)]) == 3
+
+    def test_json_that_is_not_an_object_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        assert run(["report", str(path)]) == 3
+        assert str(path) in capsys.readouterr().err
 
     def test_missing_file_exits_three(self, tmp_path):
         assert run(["report", str(tmp_path / "none.json")]) == 3
