@@ -87,14 +87,21 @@ def _parse_with_config(parser, args, argv):
     """Parse argv again with the --config file's values as the chosen
     command's defaults; keys that are not its options are dropped. Numbers
     pass as strings, so argparse converts them as it converts flag values.
-    argparse never checks defaults against an option's choices, so config
-    values are checked here."""
+    argparse converts only string defaults and never checks them against an
+    option's choices, so the value types and choices are checked here: a
+    value must be a string or a number, or for meta a list of strings."""
     own = vars(args).keys() - {"command", "handler", "command_parser", "config"}
-    values = {
-        key: str(value) if isinstance(value, (int, float)) else value
-        for key, value in _read_json_object(args.config, ConfigError).items()
-        if key in own
-    }
+    values = {}
+    for key, value in _read_json_object(args.config, ConfigError).items():
+        if key not in own:
+            continue
+        if key == "meta" and isinstance(value, list):
+            ok = all(isinstance(v, str) for v in value)
+        else:
+            ok = isinstance(value, (str, int, float))
+        if not ok:
+            raise ConfigError(f"{args.config}: {key} {value!r} is not a value its flag takes")
+        values[key] = str(value) if isinstance(value, (int, float)) else value
     for action in args.command_parser._actions:
         if action.choices is not None and action.dest in values:
             if values[action.dest] not in action.choices:
@@ -438,8 +445,8 @@ def cmd_report(args) -> int:
     if not path.exists():
         raise DataError(f"summary file not found: {path}")
     rows = _read_json_object(path).get("rows")
-    if not isinstance(rows, list):
-        raise FormatError(f"{path}: missing 'rows' list")
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise FormatError(f"{path}: 'rows' must be a list of objects")
     ordered = sorted(rows, key=lambda r: 0 if r.get("kind") == "head" else 1)
     name_w = max([len("Name")] + [len(str(r.get("name", ""))) for r in ordered])
     params_w = max([len("Params")] + [len(str(r.get("param_count", "")))for r in ordered])

@@ -30,6 +30,7 @@ from .numerics import (
     backward_linear,
     backward_mlp,
     check_labels,
+    check_sgd_settings,
     cross_entropy,
     dropout_mask,
     fit,
@@ -203,8 +204,10 @@ class Metamodel:
 
 @dataclass
 class MetaTrainConfig:
-    """Combiner training settings. dropout is the DL/DLL hidden-layer dropout
-    that build_metamodel stores in the model; training reads it from there."""
+    """Combiner training settings, checked when the config is built: a value
+    out of range raises ConfigError naming its flag. dropout is the DL/DLL
+    hidden-layer dropout that build_metamodel stores in the model; training
+    reads it from there."""
 
     epochs: int = 20
     lr: float = 0.05
@@ -217,12 +220,11 @@ class MetaTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0.0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        check_sgd_settings(
+            self,
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+        )
 
 
 def build_metamodel(
@@ -234,8 +236,6 @@ def build_metamodel(
         raise ConfigError(f"unknown combiner kind {kind!r}; expected one of {KINDS}")
     if m < 1 or num_classes < 1:
         raise ConfigError(f"m and num_classes must be >= 1, got {m}, {num_classes}")
-    if kind in ("DL", "DLL") and not 0.0 <= dropout_p < 1.0:
-        raise ConfigError(f"dropout probability must be in [0, 1), got {dropout_p}")
     stream = RngStream(seed)
     layers = []
     for out_width, in_width in layer_shapes(kind, m, num_classes):

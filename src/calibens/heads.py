@@ -32,6 +32,7 @@ from .numerics import (
     RngStream,
     backward_linear,
     backward_linear_stacked,
+    check_sgd_settings,
     cross_entropy,
     derive_seed,
     fit,
@@ -71,6 +72,9 @@ class LinearHead:
 
 @dataclass
 class HeadTrainConfig:
+    """Head training settings, checked when the config is built: a value out
+    of range raises ConfigError naming its flag."""
+
     lr: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 5e-4
@@ -82,14 +86,11 @@ class HeadTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 0:
-            raise ConfigError(f"max epochs must be >= 0, got {self.max_epochs}")
-        if self.plateau_patience < 1 or self.early_stop_patience < 1:
-            raise ConfigError("patiences must be >= 1")
+        check_sgd_settings(
+            self,
+            ("max_epochs", self.max_epochs >= 0, ">= 0"),
+            ("early_stop_patience", self.early_stop_patience >= 1, ">= 1"),
+        )
 
 
 def _init_params(dim: int, num_classes: int, stream: RngStream):
@@ -201,7 +202,7 @@ def train_heads_lockstep(
     bit, trained together one mini-batch step at a time.
 
     Each head runs its own numerics.fit_steps loop (its own seeded stream,
-    scheduler, early stopper, snapshot and sgd_step); at each step the
+    learning-rate schedule, stop rule, snapshot and sgd_step); at each step the
     gradients of every head still training come from one
     numerics.backward_linear_stacked call. Heads that stop early drop out.
     Training ends at the first step where a head fails, with a TrainingError

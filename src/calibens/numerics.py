@@ -227,26 +227,14 @@ def backward_mlp(inputs, w1, b1, w2, b2, labels, mask: np.ndarray | None = None)
 
 @dataclass
 class SgdState:
-    """SGD with momentum and (coupled) weight decay over a list of parameters."""
+    """SGD with momentum and (coupled) weight decay over a list of parameters.
+    The settings are used as given (HeadTrainConfig and MetaTrainConfig check
+    them); sgd_step creates the velocity buffers on its first call."""
 
     learning_rate: float
     momentum: float = 0.0
     weight_decay: float = 0.0
     velocity: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
-            raise ConfigError(f"weight decay must be non-negative, got {self.weight_decay}")
-
-    @classmethod
-    def for_params(cls, params, learning_rate, momentum=0.0, weight_decay=0.0):
-        state = cls(learning_rate, momentum, weight_decay)
-        state.velocity = [np.zeros_like(p) for p in params]
-        return state
 
 
 def sgd_step(params: list, grads: list, state: SgdState) -> list:
@@ -271,59 +259,25 @@ def sgd_step(params: list, grads: list, state: SgdState) -> list:
 
 
 IMPROVEMENT_THRESHOLD = 1e-6  # absolute improvement below this does not count
+MIN_LR = 1e-6  # a plateau cut never takes the learning rate below this
 
 
-@dataclass
-class PlateauScheduler:
-    """Multiplies the learning rate by `factor` once the monitored metric has
-    failed to improve for more than `patience` consecutive epochs."""
-
-    factor: float = 0.5
-    patience: int = 5
-    min_lr: float = 1e-6
-    threshold: float = IMPROVEMENT_THRESHOLD
-    best_metric: float = float("inf")
-    epochs_since_improvement: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.factor < 1.0:
-            raise ConfigError(f"factor must be in (0, 1), got {self.factor}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-
-    def step(self, val_metric: float, learning_rate: float) -> float:
-        """Record one epoch's metric; return the (possibly reduced) learning rate."""
-        if val_metric <= self.best_metric - self.threshold:
-            self.best_metric = val_metric
-            self.epochs_since_improvement = 0
-            return learning_rate
-        self.epochs_since_improvement += 1
-        if self.epochs_since_improvement > self.patience:
-            self.epochs_since_improvement = 0
-            return max(learning_rate * self.factor, self.min_lr)
-        return learning_rate
-
-
-@dataclass
-class EarlyStopper:
-    """Signals stop once the metric has not improved for more than `patience` epochs."""
-
-    patience: int = 15
-    threshold: float = IMPROVEMENT_THRESHOLD
-    best_metric: float = float("inf")
-    epochs_since_improvement: int = 0
-
-    def __post_init__(self):
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-
-    def step(self, val_metric: float) -> bool:
-        if val_metric <= self.best_metric - self.threshold:
-            self.best_metric = val_metric
-            self.epochs_since_improvement = 0
-            return False
-        self.epochs_since_improvement += 1
-        return self.epochs_since_improvement > self.patience
+def check_sgd_settings(cfg, *own_rules) -> None:
+    """Range-check the six settings fit reads from cfg, then the caller's own
+    (name, ok, rule) triples; the first setting out of range raises
+    ConfigError naming its flag."""
+    for name, ok, rule in (
+        ("lr", cfg.lr > 0.0, "positive"),
+        ("momentum", 0.0 <= cfg.momentum < 1.0, "in [0, 1)"),
+        ("weight_decay", cfg.weight_decay >= 0.0, "non-negative"),
+        ("batch_size", cfg.batch_size >= 1, ">= 1"),
+        ("plateau_factor", 0.0 < cfg.plateau_factor < 1.0, "in (0, 1)"),
+        ("plateau_patience", cfg.plateau_patience >= 1, ">= 1"),
+        *own_rules,
+    ):
+        if not ok:
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"{flag} must be {rule}, got {getattr(cfg, name)}")
 
 
 class FitResult(NamedTuple):
@@ -350,9 +304,8 @@ def fit_steps(
     if best_val is not None and not np.isfinite(best_val):
         raise TrainingError("non-finite validation loss before training", epoch=0)
     best_params, best_epoch = [p.copy() for p in params], 0
-    sgd = SgdState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay)
-    sched = PlateauScheduler(factor=cfg.plateau_factor, patience=cfg.plateau_patience)
-    stopper = EarlyStopper(patience=early_stop_patience) if early_stop_patience is not None else None
+    sgd = SgdState(cfg.lr, cfg.momentum, cfg.weight_decay)
+    best_metric, since_best = float("inf"), 0
     history = []
     for epoch in range(1, epochs + 1):
         lr_used = sgd.learning_rate
@@ -373,8 +326,13 @@ def fit_steps(
         if best_val is None or val_loss < best_val:
             best_val, best_epoch = val_loss, epoch
             best_params = [p.copy() for p in params]
-        sgd.learning_rate = sched.step(val_loss, sgd.learning_rate)
-        if stopper is not None and stopper.step(val_loss):
+        if val_loss <= best_metric - IMPROVEMENT_THRESHOLD:
+            best_metric, since_best = val_loss, 0
+            continue
+        since_best += 1
+        if since_best % (cfg.plateau_patience + 1) == 0:
+            sgd.learning_rate = max(sgd.learning_rate * cfg.plateau_factor, MIN_LR)
+        if early_stop_patience is not None and since_best > early_stop_patience:
             break
     return FitResult(best_params, history, best_epoch, best_val)
 
@@ -390,13 +348,20 @@ def fit(
 
     Each epoch walks a permutation of range(num_samples) drawn from `stream`
     in cfg.batch_size mini-batches; grad_fn(batch) returns (loss, grads) at
-    the current params, which sgd_step updates in place. After each epoch
-    val_loss_fn() feeds a PlateauScheduler and, if early_stop_patience is
-    set, an EarlyStopper. A non-finite loss raises TrainingError. cfg
-    supplies lr (the starting learning rate), momentum, weight_decay,
-    batch_size, plateau_factor and plateau_patience, as HeadTrainConfig and
-    MetaTrainConfig both do. The keyword arguments num_samples, epochs,
-    stream, early_stop_patience and initial_val_loss pass to fit_steps.
+    the current params, which sgd_step updates in place. A non-finite loss
+    raises TrainingError. cfg supplies lr (the starting learning rate),
+    momentum, weight_decay, batch_size, plateau_factor and plateau_patience,
+    as HeadTrainConfig and MetaTrainConfig both do (check_sgd_settings is
+    their range check; fit uses the values as given). The keyword arguments
+    num_samples, epochs, stream, early_stop_patience and initial_val_loss
+    pass to fit_steps.
+
+    Schedule and stop rule: after each epoch, the validation loss improves
+    when it is at least IMPROVEMENT_THRESHOLD below the best loss so far;
+    otherwise it counts one more epoch since the best. Each time that count
+    reaches a multiple of plateau_patience + 1, the learning rate is
+    multiplied by plateau_factor, but not below MIN_LR. If
+    early_stop_patience is set, training stops once the count exceeds it.
 
     Step protocol: the loop itself is the generator fit_steps(params,
     val_loss_fn, cfg, **loop). Each step yields one mini-batch's indices and

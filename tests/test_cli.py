@@ -281,6 +281,24 @@ class TestTrainMeta:
         assert exc.value.code == 2
 
 
+class TestTrainingSettings:
+    @pytest.mark.parametrize("command, flags", [
+        ("train-heads", ["--momentum", "1.0"]),
+        ("train-heads", ["--weight-decay", "-1"]),
+        ("train-heads", ["--plateau-factor", "2"]),
+        ("train-heads", ["--plateau-patience", "0"]),
+        ("train-meta", ["--kind", "SL", "--momentum", "1.5"]),
+        ("train-meta", ["--kind", "SL", "--plateau-factor", "0"]),
+        ("train-meta", ["--kind", "SL", "--dropout", "1.5"]),
+    ])
+    def test_bad_setting_exits_two_before_reading_data(self, tmp_path, capsys, command, flags):
+        # the dataset does not exist: reading it first would exit 3
+        assert run([command, "--train", str(tmp_path / "missing.fds"),
+                    "--out", str(tmp_path / "out"), *flags]) == 2
+        assert flags[-2] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestEvaluate:
     def test_heads_only_rows(self, pipeline_dir):
         res = pipeline_dir / "results"
@@ -581,6 +599,16 @@ class TestReport:
     def test_missing_file_exits_three(self, tmp_path):
         assert run(["report", str(tmp_path / "none.json")]) == 3
 
+    @pytest.mark.parametrize("rows", [
+        [1, 2],
+        [{"name": "Head 1", "kind": "head", "accuracy_pct": 1.0, "ece_pct": 1.0,
+          "mce_pct": 1.0, "param_count": 5}, "Avg."],
+    ])
+    def test_rows_that_are_not_objects_exit_three(self, tmp_path, capsys, rows):
+        path = self.make_summary(tmp_path, rows)
+        assert run(["report", str(path)]) == 3
+        assert str(path) in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_values_and_flags_override(self, tmp_path):
@@ -614,6 +642,29 @@ class TestConfigFile:
         assert run([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert str(cfg) in err and key in err and repr(value) in err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train-heads", "m", [1]),
+        ("train-heads", "lr", None),
+        ("gen", "n", {"value": 300}),
+        ("evaluate", "meta", None),
+        ("evaluate", "meta", ["SL", 3]),
+    ])
+    def test_config_value_of_a_type_no_flag_takes_exits_two(
+        self, tmp_path, capsys, command, key, value
+    ):
+        cfg = tmp_path / "types.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and key in err
+
+    def test_config_meta_may_list_kinds(self, tmp_path, capsys):
+        cfg = tmp_path / "meta.json"
+        cfg.write_text(json.dumps({"meta": ["SL", "DL"], "test": str(tmp_path / "t.fds")}))
+        assert run(["evaluate", "--config", str(cfg), "--heads-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "meta_SL.mmd" in err and "meta_DL.mmd" in err
 
     def test_heads_sidecar_config_reproduces_heads(self, pipeline_dir):
         data = str(pipeline_dir / "data" / "train.fds")

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from calibens.combiners import MetaTrainConfig
 from calibens.errors import ConfigError, DimensionError, TrainingError
+from calibens.heads import HeadTrainConfig
 from calibens.numerics import (
-    EarlyStopper,
-    PlateauScheduler,
     RngStream,
     SgdState,
     backward_linear,
@@ -182,21 +182,21 @@ class TestBackward:
 class TestSgd:
     def test_plain_step(self):
         p = np.asarray([0.0])
-        state = SgdState.for_params([p], learning_rate=0.1)
+        state = SgdState(learning_rate=0.1)
         sgd_step([p], [np.asarray([1.0])], state)
         assert p[0] == pytest.approx(-0.1, abs=1e-15)
 
     def test_weight_decay_only_decays_geometrically(self):
         # grad 0, momentum 0: param shrinks by (1 - lr*wd) per step
         p = np.asarray([2.0])
-        state = SgdState.for_params([p], learning_rate=0.1, weight_decay=0.5)
+        state = SgdState(learning_rate=0.1, weight_decay=0.5)
         for _ in range(4):
             sgd_step([p], [np.zeros(1)], state)
         assert p[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5) ** 4, rel=1e-12)
 
     def test_momentum_accumulates(self):
         p = np.asarray([0.0])
-        state = SgdState.for_params([p], learning_rate=1.0, momentum=0.9)
+        state = SgdState(learning_rate=1.0, momentum=0.9)
         sgd_step([p], [np.asarray([1.0])], state)
         sgd_step([p], [np.asarray([1.0])], state)
         assert state.velocity[0][0] == pytest.approx(1.9, abs=1e-15)
@@ -208,7 +208,7 @@ class TestSgd:
         a = basis.T @ basis + 0.5 * np.eye(4)
         lam_max = np.linalg.eigvalsh(a)[-1]
         x = rng.standard_normal(4)
-        state = SgdState.for_params([x], learning_rate=1.0 / lam_max)
+        state = SgdState(learning_rate=1.0 / lam_max)
         losses = [0.5 * x @ a @ x]
         for _ in range(50):
             sgd_step([x], [a @ x], state)
@@ -217,7 +217,7 @@ class TestSgd:
 
     def test_shape_mismatch(self):
         p = np.zeros(2)
-        state = SgdState.for_params([p], learning_rate=0.1)
+        state = SgdState(learning_rate=0.1)
         with pytest.raises(DimensionError):
             sgd_step([p], [np.zeros(3)], state)
 
@@ -227,8 +227,7 @@ class TestSgd:
         stream = RngStream(5)
         p = stream.standard_normal((30, 20))
         ref_p, ref_v = p.copy(), np.zeros_like(p)
-        state = SgdState.for_params([p], learning_rate=0.05, momentum=0.9,
-                                    weight_decay=weight_decay)
+        state = SgdState(learning_rate=0.05, momentum=0.9, weight_decay=weight_decay)
         for _ in range(6):
             g = stream.standard_normal((30, 20))
             sgd_step([p], [g], state)
@@ -238,63 +237,82 @@ class TestSgd:
         assert np.array_equal(state.velocity[0], ref_v)
 
 
-class TestSchedulers:
-    def test_improving_metrics_keep_lr(self):
-        sched = PlateauScheduler(factor=0.5, patience=2)
-        lr = 0.1
-        for metric in [1.0, 0.9, 0.8, 0.7, 0.6]:
-            lr = sched.step(metric, lr)
-        assert lr == 0.1
-
-    def test_flat_metrics_halve_on_epoch_four(self):
-        sched = PlateauScheduler(factor=0.5, patience=2)
-        lr = 0.1
-        lrs = []
-        for _ in range(4):
-            lr = sched.step(1.0, lr)
-            lrs.append(lr)
-        assert lrs == [0.1, 0.1, 0.1, 0.05]
-
-    def test_lr_floor(self):
-        sched = PlateauScheduler(factor=0.5, patience=1, min_lr=1e-6)
-        lr = 2e-6
-        for _ in range(20):
-            lr = sched.step(1.0, lr)
-        assert lr == 1e-6
-
-    def test_lr_never_increases(self):
-        sched = PlateauScheduler(factor=0.5, patience=1)
-        rng = RngStream(3)
-        lr = 0.1
-        prev = lr
-        for metric in rng.random(60):
-            lr = sched.step(float(metric), lr)
-            assert lr <= prev
-            prev = lr
-
-    def test_early_stopper_boundary(self):
-        stopper = EarlyStopper(patience=3)
-        assert stopper.step(1.0) is False  # establishes best
-        assert stopper.step(1.0) is False  # 1
-        assert stopper.step(1.0) is False  # 2
-        assert stopper.step(1.0) is False  # 3 == patience
-        assert stopper.step(1.0) is True   # 4 > patience
-
-    def test_early_stopper_resets_on_improvement(self):
-        stopper = EarlyStopper(patience=2)
-        stopper.step(1.0)
-        stopper.step(1.0)
-        stopper.step(1.0)
-        assert stopper.step(0.5) is False
-        assert stopper.step(0.5) is False
-        assert stopper.step(0.5) is False
-        assert stopper.step(0.5) is True
-
-
 def sgd_cfg(**kw):
     base = dict(lr=0.1, momentum=0.0, weight_decay=0.0, batch_size=2,
                 plateau_factor=0.5, plateau_patience=5)
     return SimpleNamespace(**(base | kw))
+
+
+def scheduled_lrs(val_losses, early_stop_patience=None, **cfg):
+    """The lr column of the history fit records when the validation losses
+    are scripted; its length is the number of epochs run."""
+    scripted = iter(val_losses)
+    result = fit([np.zeros(1)], lambda batch: (0.0, [np.zeros(1)]), lambda: next(scripted),
+                 sgd_cfg(**cfg), num_samples=2, epochs=len(val_losses), stream=RngStream(0),
+                 early_stop_patience=early_stop_patience)
+    return [rec[3] for rec in result.history]
+
+
+class TestSchedule:
+    """fit's learning-rate cuts and early stop, read from FitResult.history.
+    The lr of epoch e is the one set after epoch e - 1."""
+
+    def test_improving_within_patience_keeps_lr(self):
+        # improves every third epoch: 2 epochs since the best never reach 2 + 1
+        losses = [1.0, 1.0, 1.0, 0.9, 0.9, 0.9, 0.8, 0.8, 0.8, 0.7]
+        assert scheduled_lrs(losses, plateau_patience=2) == [0.1] * 10
+
+    @pytest.mark.parametrize("drift", [0.0, 1e-7])
+    def test_flat_losses_cut_every_patience_plus_one_epochs(self, drift):
+        # nine drifts stay below the 1e-6 improvement threshold
+        losses = [1.0 - drift * e for e in range(10)]
+        assert scheduled_lrs(losses, plateau_patience=2) == [0.1] * 4 + [0.05] * 3 + [0.025] * 3
+
+    def test_lr_floor(self):
+        lrs = scheduled_lrs([1.0] * 20, lr=2e-6, plateau_patience=1)
+        assert lrs == [2e-6] * 3 + [1e-6] * 17
+
+    def test_improvement_after_a_cut_keeps_the_lower_lr(self):
+        losses = [1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.2, 0.2, 0.2, 0.2]
+        lrs = scheduled_lrs(losses, plateau_patience=1)
+        assert lrs == [0.1] * 3 + [0.05] * 3 + [0.025] * 3 + [0.0125]
+        assert all(b <= a for a, b in zip(lrs, lrs[1:]))
+
+    def test_stops_after_early_stop_patience_plus_one_flat_epochs(self):
+        # epoch 1 sets the best; epochs 2-5 fail to improve, and 4 > 3 stops
+        lrs = scheduled_lrs([1.0] * 10, early_stop_patience=3, plateau_patience=2)
+        assert lrs == [0.1] * 4 + [0.05]
+
+    def test_improvement_resets_the_count(self):
+        losses = [1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]
+        lrs = scheduled_lrs(losses, early_stop_patience=2, plateau_patience=1)
+        assert lrs == [0.1] * 3 + [0.05] * 3 + [0.025]
+
+    def test_cut_and_stop_share_one_count(self):
+        # counts 2 and 4 cut; count 5 > 4 stops
+        lrs = scheduled_lrs([1.0] * 10, early_stop_patience=4, plateau_patience=1)
+        assert lrs == [0.1] * 3 + [0.05] * 2 + [0.025]
+
+
+class TestSettings:
+    @pytest.mark.parametrize("cls, name, value", [
+        (HeadTrainConfig, "lr", 0.0),
+        (MetaTrainConfig, "lr", float("nan")),
+        (HeadTrainConfig, "momentum", 1.0),
+        (MetaTrainConfig, "momentum", -0.1),
+        (HeadTrainConfig, "weight_decay", -1.0),
+        (MetaTrainConfig, "batch_size", 0),
+        (HeadTrainConfig, "plateau_factor", 2.0),
+        (MetaTrainConfig, "plateau_factor", 0.0),
+        (HeadTrainConfig, "plateau_patience", 0),
+        (HeadTrainConfig, "max_epochs", -1),
+        (HeadTrainConfig, "early_stop_patience", 0),
+        (MetaTrainConfig, "epochs", 0),
+        (MetaTrainConfig, "dropout", 1.5),
+    ])
+    def test_config_rejects_setting_naming_its_flag(self, cls, name, value):
+        with pytest.raises(ConfigError, match="--" + name.replace("_", "-")):
+            cls(**{name: value})
 
 
 class TestFit:
