@@ -14,13 +14,36 @@ sidecar is itself a valid config file. All randomness in a run derives from
 one ``--seed``; fixed offsets give each stage its own stream (heads:
 seed+1+i, splits: seed+1000, combiner models: seed+2000+kind tag).
 
+Every combiner kind trains on the same heads' outputs over the same split,
+so train-meta keeps them in ``head_outputs.cache`` in its output directory
+and reuses them in every later run on the same inputs. The file holds both
+split parts, little-endian:
+
+    HOC1 | 32-byte sha256 key | u32 N_train | u32 N_val | u32 m | u32 C |
+    zero bytes up to offset 64 | train block | val block
+
+where each block is the part's (N, m, C) outputs as row-major f64, exactly
+what HeadOutputs holds (probabilities or logits, as --meta-input says). The
+key is the sha256 of the bytes train-meta parsed, the training .fds and then
+each head_i.hdw in index order, followed by --seed, --val-fraction and
+--meta-input. A file with another header or length is a miss: the outputs
+are computed and the file is rewritten, through a temporary file and
+os.replace, so a crashed write never leaves a truncated cache. A hit maps
+the file read-only and passes its blocks through HeadOutputs, which checks
+every value. The file takes 64 + 8*N*m*C bytes for N rows in the training
+.fds (~200 MB at N=50k, m=5, C=100); deleting it is always safe.
+
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 training error.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import math
+import os
+import struct
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -63,6 +86,12 @@ from .numerics import derive_seed, softmax_in_place
 _SPLIT_STREAM = 1000
 _HEAD_STREAM = 1
 _META_STREAM = 2000
+
+HEAD_OUTPUTS_CACHE = "head_outputs.cache"
+_CACHE_MAGIC = b"HOC1"
+_CACHE_HEADER = "<4s32sIIII"  # magic, key, N_train, N_val, m, C
+_CACHE_PAYLOAD_OFFSET = 64  # the header's zero padding aligns the f64 payload
+_CACHE_DTYPE = np.dtype("<f8")
 
 
 def _write_json(path, obj) -> None:
@@ -123,6 +152,12 @@ def _config_echo(train_cfg) -> dict:
     return {k: v for k, v in asdict(train_cfg).items() if k != "seed"}
 
 
+def _check_val_fraction(val_fraction: float) -> None:
+    """The --val-fraction rule of data.split, checked before any file is read."""
+    if not 0.0 < val_fraction < 1.0:
+        raise ConfigError(f"--val-fraction must be in (0, 1), got {val_fraction}")
+
+
 def _parse_meta_kinds(raw) -> list[str]:
     if raw is None or raw == "" or raw == "none":
         return []
@@ -171,6 +206,9 @@ def cmd_train_heads(args) -> int:
     if args.train is None:
         raise ConfigError("missing training dataset path (--train)")
     m, seed = args.m, args.seed
+    if m < 1:
+        raise ConfigError(f"--m must be >= 1, got {m}")
+    _check_val_fraction(args.val_fraction)
     head_cfg = _train_config(HeadTrainConfig, args)
     dataset = load_dataset(args.train)
     train, val = split(dataset, args.val_fraction, derive_seed(seed, _SPLIT_STREAM))
@@ -213,10 +251,11 @@ def cmd_train_heads(args) -> int:
 # train-meta
 # ---------------------------------------------------------------------------
 
-def _discover_heads(heads_dir, data_path, num_classes: int) -> list:
+def _discover_heads(heads_dir, data_path, num_classes: int, digest=None) -> list:
     """The heads head_0.hdw, head_1.hdw, ... in heads_dir, checked against the
     dataset at data_path they are about to score: its class count must be
-    head 0's, or the run would score the wrong classes without an error."""
+    head 0's, or the run would score the wrong classes without an error.
+    `digest`, when given, is updated with each file's bytes in index order."""
     heads_dir = Path(heads_dir)
     if not heads_dir.is_dir():
         raise DataError(f"heads directory not found: {heads_dir}")
@@ -227,7 +266,7 @@ def _discover_heads(heads_dir, data_path, num_classes: int) -> list:
         i += 1
     if not paths:
         raise DataError(f"no head_*.hdw files found in {heads_dir}")
-    heads = [load_head(p) for p in paths]
+    heads = [load_head(p, digest) for p in paths]
     if heads[0].num_classes != num_classes:
         raise DimensionError(
             f"{data_path} has C={num_classes}, but head 0 has C={heads[0].num_classes}"
@@ -253,30 +292,87 @@ def _head_outputs(heads, features, meta_input: str) -> HeadOutputs:
     return HeadOutputs(softmax_in_place(values))
 
 
+def _cache_header(key: bytes, n_train: int, n_val: int, m: int, num_classes: int) -> bytes:
+    packed = struct.pack(_CACHE_HEADER, _CACHE_MAGIC, key, n_train, n_val, m, num_classes)
+    return packed.ljust(_CACHE_PAYLOAD_OFFSET, b"\0")
+
+
+def _map_cache(path, header: bytes, shape: tuple) -> np.ndarray | None:
+    """The (N, m, C) payload of the cache file at `path`, mapped read-only, or
+    None (a miss) when the file cannot be opened, does not start with
+    `header` or is not exactly as long as `shape` requires. The header and
+    length are checked on the file object that is mapped, so a concurrent
+    os.replace cannot slip another file in between."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if fh.read(len(header)) != header:
+                return None
+            if size != len(header) + _CACHE_DTYPE.itemsize * math.prod(shape):
+                return None
+            return np.memmap(fh, _CACHE_DTYPE, "r", len(header), shape)
+    except OSError:
+        return None
+
+
+def _write_cache(path, header: bytes, blocks) -> None:
+    """Write `header` then each array of `blocks` as f64 to a temporary file
+    and move it onto `path`. The cache only saves time, so a failed write
+    warns and leaves no file behind instead of failing the run."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            for block in blocks:
+                fh.write(block.astype(_CACHE_DTYPE, copy=False).data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        print(f"warning: head outputs not cached: {exc}", file=sys.stderr)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def cmd_train_meta(args) -> int:
     kind, seed = args.kind, args.seed
     if kind is None:
         raise ConfigError("missing combiner kind (--kind)")
     if args.train is None:
         raise ConfigError("missing training dataset path (--train)")
+    _check_val_fraction(args.val_fraction)
     meta_seed = derive_seed(seed, _META_STREAM + KIND_TAGS[kind])
     train_cfg = _train_config(MetaTrainConfig, args, seed=meta_seed)
+    key = hashlib.sha256()
     train, val = split(
-        load_dataset(args.train), args.val_fraction, derive_seed(seed, _SPLIT_STREAM)
+        load_dataset(args.train, key), args.val_fraction, derive_seed(seed, _SPLIT_STREAM)
     )
-    heads = _discover_heads(args.heads_dir, args.train, train.num_classes)
-    # the features are not needed once the outputs exist: drop each part's at once
-    train_outputs = _head_outputs(heads, train.features, args.meta_input)
-    train_labels, num_classes = train.labels, train.num_classes
-    del train
-    val_outputs = _head_outputs(heads, val.features, args.meta_input)
-    val_labels = val.labels
-    del val
-
-    meta = build_metamodel(kind, len(heads), num_classes, meta_seed, dropout_p=train_cfg.dropout)
-    trained = train_metamodel(meta, train_outputs, train_labels, val_outputs, val_labels, train_cfg)
+    heads = _discover_heads(args.heads_dir, args.train, train.num_classes, key)
+    key.update(f"{seed}\n{args.val_fraction!r}\n{args.meta_input}".encode())
     out_dir = Path(args.out) if args.out is not None else Path(args.heads_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+
+    train_labels, val_labels, num_classes = train.labels, val.labels, train.num_classes
+    n_train, m = train.n, len(heads)
+    cache = out_dir / HEAD_OUTPUTS_CACHE
+    header = _cache_header(key.digest(), n_train, val.n, m, num_classes)
+    mapped = _map_cache(cache, header, (n_train + val.n, m, num_classes))
+    # the features are not needed once the outputs exist: drop each part's at once
+    if mapped is None:
+        train_outputs = _head_outputs(heads, train.features, args.meta_input)
+        del train
+        val_outputs = _head_outputs(heads, val.features, args.meta_input)
+        del val
+        _write_cache(cache, header, [train_outputs.values, val_outputs.values])
+    else:
+        del train, val
+        rows_are_probs = args.meta_input == "probs"
+        try:
+            train_outputs = HeadOutputs(mapped[:n_train], rows_are_probs)
+            val_outputs = HeadOutputs(mapped[n_train:], rows_are_probs)
+        except DataError as exc:
+            raise DataError(f"{cache}: {exc} (delete the file to recompute)") from None
+
+    meta = build_metamodel(kind, m, num_classes, meta_seed, dropout_p=train_cfg.dropout)
+    trained = train_metamodel(meta, train_outputs, train_labels, val_outputs, val_labels, train_cfg)
     save_metamodel(trained, out_dir / f"meta_{kind}.mmd")
     _write_json(
         out_dir / f"meta_{kind}.json",
@@ -287,7 +383,7 @@ def cmd_train_meta(args) -> int:
             "train_path": str(args.train),
             "val_fraction": args.val_fraction,
             "meta_input": args.meta_input,
-            "m": len(heads),
+            "m": m,
             "num_classes": num_classes,
             "param_count": trained.param_count,
             "config": _config_echo(train_cfg),

@@ -44,6 +44,18 @@ META_MAGIC = b"MMD1"
 META_HEADER = "<BIIIfQ"
 
 
+# Bytes of outputs per block of the HeadOutputs checks: a check's temporaries
+# take at most an eighth of this (a bool per value). On (45000, 5, 100)
+# probabilities both checks took 0.062 s in 1 MiB blocks, 0.090 s at once.
+_CHECK_BLOCK_BYTES = 1 << 20
+
+
+def _off_simplex(values: np.ndarray) -> np.ndarray:
+    """(N, m) mask of the rows of (N, m, C) `values` that are not probability
+    vectors: a negative entry, or a sum more than 1e-9 from 1."""
+    return (values < 0.0).any(axis=2) | (np.abs(values.sum(axis=2) - 1.0) > 1e-9)
+
+
 @dataclass(eq=False)
 class HeadOutputs:
     """The m heads' outputs as one C-contiguous float64 array `values`,
@@ -54,7 +66,13 @@ class HeadOutputs:
     or raw logits; averaging and voting require probabilities. The
     constructor checks the whole array, one pass per check: finite
     everywhere, and with rows_are_probs every row a probability vector; a
-    failure names the lowest offending head.
+    failure names the lowest offending head. Each pass walks row blocks of
+    _CHECK_BLOCK_BYTES, so its temporaries stay small however large the
+    outputs are.
+
+    `values` may be a read-only array, such as a file mapped with
+    np.memmap: it is kept as a view, never copied, when it already is a
+    C-contiguous float64 array, and nothing in this module writes to it.
 
     stacked() (the (m, N, C) transpose) and concatenated() (the (N, m*C)
     reshape, head-major: head 0's C columns, then head 1's, ...) return
@@ -70,14 +88,15 @@ class HeadOutputs:
             raise DimensionError(f"head outputs must be 3-D (N, m, C), got shape {values.shape}")
         if values.shape[1] == 0:
             raise DataError("need at least one head output")
-        if not np.isfinite(values).all():
+        rows = max(1, _CHECK_BLOCK_BYTES // max(1, values[:1].nbytes))
+        blocks = [values[start : start + rows] for start in range(0, len(values), rows)]
+        # a failed pass finds its first fault on the whole array
+        if not all(np.isfinite(block).all() for block in blocks):
             i, n, c = np.argwhere(~np.isfinite(values.transpose(1, 0, 2)))[0]
             raise DataError(f"head {i} output holds a non-finite value at index [{n}, {c}]")
-        if self.rows_are_probs:
-            off = (values < 0.0).any(axis=2) | (np.abs(values.sum(axis=2) - 1.0) > 1e-9)
-            if off.any():
-                i = np.nonzero(off.any(axis=0))[0][0]
-                raise DataError(f"head {i} rows are not probability vectors")
+        if self.rows_are_probs and any(_off_simplex(block).any() for block in blocks):
+            i = np.nonzero(_off_simplex(values).any(axis=0))[0][0]
+            raise DataError(f"head {i} rows are not probability vectors")
         self.values = values
 
     @property

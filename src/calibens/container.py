@@ -29,16 +29,19 @@ F32 = np.dtype("<f4")
 
 
 class Reader:
-    """One file read whole; `header` holds its unpacked header fields.
+    """One file read whole; `header` holds its unpacked header fields. When
+    given, `digest` (a hashlib object) is updated with the bytes as read.
 
     Format-specific header checks raise `error(...)`; then `expect_payload`
     fixes the file length, and `f32` and `records` read the payload in
     order from the end of the header.
     """
 
-    def __init__(self, path, magic: bytes, header: str):
+    def __init__(self, path, magic: bytes, header: str, digest=None):
         self.path = path
         self.raw = Path(path).read_bytes()
+        if digest is not None:
+            digest.update(self.raw)
         if self.raw[:4] != magic:
             raise self.error(f"bad magic, expected {magic!r}", offset=0)
         self.offset = 4 + struct.calcsize(header)

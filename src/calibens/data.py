@@ -113,8 +113,10 @@ def save_dataset(dataset: FeatureDataset, path) -> None:
     container.write(path, FDS_MAGIC, FDS_HEADER, header, [records])
 
 
-def load_dataset(path) -> FeatureDataset:
-    reader = container.Reader(path, FDS_MAGIC, FDS_HEADER)
+def load_dataset(path, digest=None) -> FeatureDataset:
+    """The dataset in the FDS1 file at `path`; `digest`, when given, is
+    updated with the file's bytes (see container.Reader)."""
+    reader = container.Reader(path, FDS_MAGIC, FDS_HEADER, digest)
     n, dim, num_classes = reader.header
     if n < 1 or dim < 1 or num_classes < 1:
         raise reader.error(f"N={n}, D={dim}, C={num_classes} must all be >= 1", offset=4)

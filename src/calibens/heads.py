@@ -258,8 +258,10 @@ def save_head(head: LinearHead, path) -> None:
     container.write(path, HEAD_MAGIC, HEAD_HEADER, header, [head.weights, head.bias])
 
 
-def load_head(path) -> LinearHead:
-    reader = container.Reader(path, HEAD_MAGIC, HEAD_HEADER)
+def load_head(path, digest=None) -> LinearHead:
+    """The head in the HDW1 file at `path`; `digest`, when given, is updated
+    with the file's bytes (see container.Reader)."""
+    reader = container.Reader(path, HEAD_MAGIC, HEAD_HEADER, digest)
     dim, num_classes, seed = reader.header
     if dim < 1 or num_classes < 1:
         raise reader.error(f"D={dim}, C={num_classes} must both be >= 1", offset=4)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from calibens import cli
-from calibens.cli import _head_outputs, main
+from calibens.cli import HEAD_OUTPUTS_CACHE, _head_outputs, main
 from calibens.combiners import (
     KINDS,
     build_metamodel,
@@ -281,6 +281,120 @@ class TestTrainMeta:
         assert exc.value.code == 2
 
 
+class TestHeadOutputsCache:
+    """train-meta computes the heads' split outputs once and maps them back
+    from HEAD_OUTPUTS_CACHE in later runs on the same inputs."""
+
+    @staticmethod
+    def train_meta(pipeline_dir, out, *flags, kind="SL"):
+        return run([
+            "train-meta", "--kind", kind, "--train", str(pipeline_dir / "data" / "train.fds"),
+            "--heads-dir", str(pipeline_dir / "artifacts"), "--seed", "7", "--epochs", "2",
+            "--out", str(out), *flags,
+        ])
+
+    @pytest.mark.parametrize("meta_input", ["probs", "logits"])
+    def test_hit_writes_the_miss_bytes_without_computing_outputs(
+        self, pipeline_dir, monkeypatch, meta_input
+    ):
+        out = pipeline_dir / "out"
+        names = [f"meta_{kind}.{ext}" for kind in KINDS for ext in ("mmd", "json")]
+        for kind in KINDS:
+            (out / HEAD_OUTPUTS_CACHE).unlink(missing_ok=True)
+            assert self.train_meta(pipeline_dir, out, "--meta-input", meta_input, kind=kind) == 0
+        missed = {name: (out / name).read_bytes() for name in names}
+        refuse_head_outputs(monkeypatch)
+        for kind in KINDS:
+            assert self.train_meta(pipeline_dir, out, "--meta-input", meta_input, kind=kind) == 0
+        for name in names:
+            assert (out / name).read_bytes() == missed[name], name
+
+    @pytest.mark.parametrize("part", ["head", "dataset", "seed", "val-fraction", "meta-input"])
+    def test_cache_of_other_inputs_is_recomputed(self, pipeline_dir, part):
+        out, fresh = pipeline_dir / "out", pipeline_dir / "fresh"
+        assert self.train_meta(pipeline_dir, out) == 0
+        flags = {"seed": ["--seed", "8"], "val-fraction": ["--val-fraction", "0.2"],
+                 "meta-input": ["--meta-input", "logits"]}.get(part, [])
+        if part == "head":
+            save_head(random_heads(1, 4, 3, seed=11)[0], pipeline_dir / "artifacts" / "head_1.hdw")
+        if part == "dataset":
+            assert run(gen_args(pipeline_dir / "other", seed=8)) == 0
+            train = pipeline_dir / "data" / "train.fds"
+            train.write_bytes((pipeline_dir / "other" / "train.fds").read_bytes())
+        assert self.train_meta(pipeline_dir, out, *flags) == 0
+        assert self.train_meta(pipeline_dir, fresh, *flags) == 0
+        for name in ("meta_SL.mmd", HEAD_OUTPUTS_CACHE):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    @pytest.mark.parametrize("damage", ["truncated", "bad magic"])
+    def test_damaged_cache_is_rewritten(self, pipeline_dir, damage):
+        out = pipeline_dir / "out"
+        assert self.train_meta(pipeline_dir, out) == 0
+        cache = out / HEAD_OUTPUTS_CACHE
+        good, mmd = cache.read_bytes(), (out / "meta_SL.mmd").read_bytes()
+        cache.write_bytes(good[: len(good) - 8] if damage == "truncated" else b"XXXX" + good[4:])
+        assert self.train_meta(pipeline_dir, out) == 0
+        assert cache.read_bytes() == good
+        assert (out / "meta_SL.mmd").read_bytes() == mmd
+
+    def test_non_finite_cached_value_exits_three_naming_the_file(self, pipeline_dir, capsys):
+        out = pipeline_dir / "out"
+        assert self.train_meta(pipeline_dir, out) == 0
+        cache = out / HEAD_OUTPUTS_CACHE
+        raw = bytearray(cache.read_bytes())
+        raw[64:72] = np.float64(np.nan).tobytes()
+        cache.write_bytes(bytes(raw))
+        assert self.train_meta(pipeline_dir, out) == 3
+        err = capsys.readouterr().err
+        assert str(cache) in err and "head 0 output holds a non-finite value" in err
+
+    def test_cached_outputs_are_read_only(self, pipeline_dir, monkeypatch):
+        out = pipeline_dir / "out"
+        assert self.train_meta(pipeline_dir, out) == 0
+        seen = []
+        train_metamodel = cli.train_metamodel
+
+        def spy(meta, train_outputs, train_labels, val_outputs, val_labels, cfg):
+            seen.extend([train_outputs.values, val_outputs.values])
+            return train_metamodel(meta, train_outputs, train_labels, val_outputs, val_labels, cfg)
+
+        monkeypatch.setattr(cli, "train_metamodel", spy)
+        assert self.train_meta(pipeline_dir, out) == 0
+        assert len(seen) == 2
+        for values in seen:
+            assert not values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                values[0, 0, 0] = 0.5
+
+    def test_hit_peak_memory_below_a_tenth_of_the_outputs(self, tmp_path, monkeypatch):
+        # reading the file into fresh arrays would cost the outputs' size,
+        # and checking them in one piece an eighth of it (a bool per value)
+        m, c, dim, n = 5, 50, 2, 8000
+        stream = RngStream(1)
+        train = tmp_path / "train.fds"
+        save_dataset(FeatureDataset(stream.standard_normal((n, dim)), np.arange(n) % c, c), train)
+        art = save_heads(random_heads(m, dim, c, seed=2), tmp_path / "art")
+        argv = ["train-meta", "--kind", "SL", "--train", str(train), "--heads-dir", str(art),
+                "--epochs", "1"]
+        assert run(argv) == 0
+
+        class OutputsObtained(Exception):
+            pass
+
+        def stop(*args):
+            raise OutputsObtained(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(cli, "train_metamodel", stop)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutputsObtained) as obtained:
+                run(argv)
+        finally:
+            tracemalloc.stop()
+        peak, outputs_bytes = obtained.value.args[0], n * m * c * 8
+        assert peak < outputs_bytes / 10, peak / outputs_bytes
+
+
 class TestTrainingSettings:
     @pytest.mark.parametrize("command, flags", [
         ("train-heads", ["--momentum", "1.0"]),
@@ -290,6 +404,9 @@ class TestTrainingSettings:
         ("train-meta", ["--kind", "SL", "--momentum", "1.5"]),
         ("train-meta", ["--kind", "SL", "--plateau-factor", "0"]),
         ("train-meta", ["--kind", "SL", "--dropout", "1.5"]),
+        ("train-heads", ["--m", "0"]),
+        ("train-heads", ["--val-fraction", "2"]),
+        ("train-meta", ["--kind", "SL", "--val-fraction", "2"]),
     ])
     def test_bad_setting_exits_two_before_reading_data(self, tmp_path, capsys, command, flags):
         # the dataset does not exist: reading it first would exit 3
