@@ -16,22 +16,18 @@ seed+1+i, splits: seed+1000, combiner models: seed+2000+kind tag).
 
 Every combiner kind trains on the same heads' outputs over the same split,
 so train-meta keeps them in ``head_outputs.cache`` in its output directory
-and reuses them in every later run on the same inputs. The file holds both
-split parts, little-endian:
+and reuses them in every later run on the same inputs. The file is a
+container (HOC1) holding both split parts, little-endian:
 
     HOC1 | 32-byte sha256 key | u32 N_train | u32 N_val | u32 m | u32 C |
-    zero bytes up to offset 64 | train block | val block
+    12 zero bytes | train block | val block
 
-where each block is the part's (N, m, C) outputs as row-major f64, exactly
-what HeadOutputs holds (probabilities or logits, as --meta-input says). The
-key is the sha256 of the bytes train-meta parsed, the training .fds and then
-each head_i.hdw in index order, followed by --seed, --val-fraction and
---meta-input. A file with another header or length is a miss: the outputs
-are computed and the file is rewritten, through a temporary file and
-os.replace, so a crashed write never leaves a truncated cache. A hit maps
-the file read-only and passes its blocks through HeadOutputs, which checks
-every value. The file takes 64 + 8*N*m*C bytes for N rows in the training
-.fds (~200 MB at N=50k, m=5, C=100); deleting it is always safe.
+where each block, from offset 64, is the part's (N, m, C) outputs as
+row-major f64, exactly what HeadOutputs holds (probabilities or logits, as
+--meta-input says). The key is the sha256 of the bytes train-meta parsed,
+the training .fds and then each head_i.hdw in index order, followed by
+--seed, --val-fraction and --meta-input. A file with another header or
+length is a miss, and deleting the file is always safe.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 training error.
 """
@@ -41,16 +37,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
-import os
-import struct
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, container
 from .combiners import (
     KIND_TAGS,
     KINDS,
@@ -89,9 +82,9 @@ _META_STREAM = 2000
 
 HEAD_OUTPUTS_CACHE = "head_outputs.cache"
 _CACHE_MAGIC = b"HOC1"
-_CACHE_HEADER = "<4s32sIIII"  # magic, key, N_train, N_val, m, C
-_CACHE_PAYLOAD_OFFSET = 64  # the header's zero padding aligns the f64 payload
-_CACHE_DTYPE = np.dtype("<f8")
+# key, N_train, N_val, m, C, zeros; the zeros align the f64 payload at offset
+# 64 and are compared like the other fields, so any changed header byte misses
+_CACHE_HEADER = "<32sIIII12s"
 
 
 def _write_json(path, obj) -> None:
@@ -292,44 +285,19 @@ def _head_outputs(heads, features, meta_input: str) -> HeadOutputs:
     return HeadOutputs(softmax_in_place(values))
 
 
-def _cache_header(key: bytes, n_train: int, n_val: int, m: int, num_classes: int) -> bytes:
-    packed = struct.pack(_CACHE_HEADER, _CACHE_MAGIC, key, n_train, n_val, m, num_classes)
-    return packed.ljust(_CACHE_PAYLOAD_OFFSET, b"\0")
-
-
-def _map_cache(path, header: bytes, shape: tuple) -> np.ndarray | None:
-    """The (N, m, C) payload of the cache file at `path`, mapped read-only, or
-    None (a miss) when the file cannot be opened, does not start with
-    `header` or is not exactly as long as `shape` requires. The header and
-    length are checked on the file object that is mapped, so a concurrent
-    os.replace cannot slip another file in between."""
+def _map_cache(path, fields: tuple):
+    """The train and val blocks of the cache file at `path` as read-only
+    views of the file, or None (a miss) when it cannot be read, its header
+    fields are not `fields` or its length does not match them."""
     try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if fh.read(len(header)) != header:
-                return None
-            if size != len(header) + _CACHE_DTYPE.itemsize * math.prod(shape):
-                return None
-            return np.memmap(fh, _CACHE_DTYPE, "r", len(header), shape)
-    except OSError:
+        reader = container.Reader(path, _CACHE_MAGIC, _CACHE_HEADER)
+        if reader.header != fields:
+            return None
+        _, n_train, n_val, m, num_classes, _ = fields
+        reader.expect_payload(container.F64.itemsize * (n_train + n_val) * m * num_classes)
+        return reader.f64((n_train, m, num_classes)), reader.f64((n_val, m, num_classes))
+    except (FormatError, OSError):
         return None
-
-
-def _write_cache(path, header: bytes, blocks) -> None:
-    """Write `header` then each array of `blocks` as f64 to a temporary file
-    and move it onto `path`. The cache only saves time, so a failed write
-    warns and leaves no file behind instead of failing the run."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            for block in blocks:
-                fh.write(block.astype(_CACHE_DTYPE, copy=False).data)
-        os.replace(tmp, path)
-    except OSError as exc:
-        print(f"warning: head outputs not cached: {exc}", file=sys.stderr)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def cmd_train_meta(args) -> int:
@@ -353,21 +321,25 @@ def cmd_train_meta(args) -> int:
     train_labels, val_labels, num_classes = train.labels, val.labels, train.num_classes
     n_train, m = train.n, len(heads)
     cache = out_dir / HEAD_OUTPUTS_CACHE
-    header = _cache_header(key.digest(), n_train, val.n, m, num_classes)
-    mapped = _map_cache(cache, header, (n_train + val.n, m, num_classes))
+    header = (key.digest(), n_train, val.n, m, num_classes, bytes(12))
+    mapped = _map_cache(cache, header)
     # the features are not needed once the outputs exist: drop each part's at once
     if mapped is None:
         train_outputs = _head_outputs(heads, train.features, args.meta_input)
         del train
         val_outputs = _head_outputs(heads, val.features, args.meta_input)
         del val
-        _write_cache(cache, header, [train_outputs.values, val_outputs.values])
+        blocks = [train_outputs.values, val_outputs.values]
+        try:  # the cache only saves time: a failed write must not fail the run
+            container.write(cache, _CACHE_MAGIC, _CACHE_HEADER, header, blocks, container.F64)
+        except OSError as exc:
+            print(f"warning: head outputs not cached: {exc}", file=sys.stderr)
     else:
         del train, val
         rows_are_probs = args.meta_input == "probs"
         try:
-            train_outputs = HeadOutputs(mapped[:n_train], rows_are_probs)
-            val_outputs = HeadOutputs(mapped[n_train:], rows_are_probs)
+            train_outputs = HeadOutputs(mapped[0], rows_are_probs)
+            val_outputs = HeadOutputs(mapped[1], rows_are_probs)
         except DataError as exc:
             raise DataError(f"{cache}: {exc} (delete the file to recompute)") from None
 
@@ -452,11 +424,9 @@ def cmd_evaluate(args) -> int:
     count, by an ulp of a confidence."""
     if args.test is None:
         raise ConfigError("missing test dataset path (--test)")
-    num_bins, degree = args.bins, args.norm_degree
+    num_bins = args.bins
     if num_bins < 1:
         raise ConfigError(f"bin count must be >= 1, got {num_bins}")
-    if degree < 1:
-        raise ConfigError(f"norm degree must be >= 1, got {degree}")
     kinds = _parse_meta_kinds(args.meta)
     heads_dir = Path(args.heads_dir)
     meta_dir = Path(args.meta_dir) if args.meta_dir is not None else heads_dir
@@ -472,8 +442,14 @@ def cmd_evaluate(args) -> int:
     heads_meta = _sidecar(heads_dir / "heads.json", ("seed", "val_fraction", "config")) or {}
     meta_training = {}
     for kind in kinds:
-        recorded = _sidecar(meta_dir / f"meta_{kind}.json", ("seed", "config", "meta_input"))
+        sidecar = meta_dir / f"meta_{kind}.json"
+        recorded = _sidecar(sidecar, ("seed", "config", "meta_input"))
         if recorded is not None:
+            if recorded["meta_input"] not in (None, args.meta_input):
+                raise ConfigError(
+                    f"{sidecar}: {kind} was trained on meta_input {recorded['meta_input']!r}, "
+                    f"but --meta-input is {args.meta_input!r}"
+                )
             meta_training[kind] = recorded
 
     test = load_dataset(args.test)
@@ -501,7 +477,7 @@ def cmd_evaluate(args) -> int:
 
     rows, csvs = [], {}
     for (name, slug, params), classes, conf in zip(predictors, predicted, confidence):
-        report = calibration_report(PredictionSet(classes, conf, test.labels), num_bins, degree)
+        report = calibration_report(PredictionSet(classes, conf, test.labels), num_bins)
         rows.append(_row(name, slug, report, params))
         csvs[f"reliability_{slug}.csv"] = report.bins
 
@@ -518,7 +494,6 @@ def cmd_evaluate(args) -> int:
             "meta_dir": str(meta_dir),
             "m": m,
             "num_bins": num_bins,
-            "norm_degree": degree,
             "meta_kinds": kinds,
             "meta_input": args.meta_input,
             "heads_training": heads_meta,
@@ -631,7 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meta", default=None,
                    help="comma-separated combiner kinds to evaluate, or 'all'/'none'")
     p.add_argument("--bins", type=int, default=DEFAULT_NUM_BINS, help="number of confidence bins")
-    p.add_argument("--norm-degree", type=int, default=1)
     add_meta_input(p)
     p.add_argument("--out", default="results", help="results directory")
 

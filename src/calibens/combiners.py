@@ -70,9 +70,9 @@ class HeadOutputs:
     _CHECK_BLOCK_BYTES, so its temporaries stay small however large the
     outputs are.
 
-    `values` may be a read-only array, such as a file mapped with
-    np.memmap: it is kept as a view, never copied, when it already is a
-    C-contiguous float64 array, and nothing in this module writes to it.
+    `values` may be a read-only array, such as a view of a mapped file: it
+    is kept as a view, never copied, when it already is a C-contiguous
+    float64 array, and nothing in this module writes to it.
 
     stacked() (the (m, N, C) transpose) and concatenated() (the (N, m*C)
     reshape, head-major: head 0's C columns, then head 1's, ...) return

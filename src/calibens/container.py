@@ -1,6 +1,7 @@
-"""The binary container that feature datasets (FDS1), heads (HDW1) and
-combiner models (MMD1) share. Each format documents its own byte layout in
-its module; this one holds the rules common to all three:
+"""The binary container that feature datasets (FDS1), heads (HDW1), combiner
+models (MMD1) and the head outputs cache (HOC1) share. Each format documents
+its own byte layout in its module; this one holds the rules common to all
+four:
 
 * the file opens with a 4-byte magic;
 * a little-endian ``struct`` header follows, and a file too short to hold
@@ -8,9 +9,14 @@ its module; this one holds the rules common to all three:
 * the header determines the payload's exact byte length, and a file of any
   other length is rejected;
 * payload floats are f32 on disk and float64 in memory, and every one must
-  be finite;
+  be finite; the exception is `Reader.f64`, which hands out a stored f64
+  block as a read-only view of the file, unchecked, for a caller that
+  checks the values itself (the HOC1 cache);
 * a writer emits the magic, the packed header, then the payload arrays'
-  bytes, floats as f32.
+  bytes, floats as f32 (HOC1: f64). It writes a temporary file next to the
+  target and moves it into place with os.replace, so a failed or crashed
+  write leaves the old file, or none, never a truncated one; and a file
+  mapped by a reader is never cut short under it.
 
 Every violation raises FormatError naming the file and the byte offset.
 """
@@ -18,6 +24,8 @@ Every violation raises FormatError naming the file and the byte offset.
 from __future__ import annotations
 
 import math
+import mmap
+import os
 import struct
 from pathlib import Path
 
@@ -26,20 +34,26 @@ import numpy as np
 from .errors import FormatError
 
 F32 = np.dtype("<f4")
+F64 = np.dtype("<f8")
 
 
 class Reader:
-    """One file read whole; `header` holds its unpacked header fields. When
-    given, `digest` (a hashlib object) is updated with the bytes as read.
+    """One file mapped read-only; `header` holds its unpacked header fields.
+    When given, `digest` (a hashlib object) is updated with the file's bytes.
+    The magic, the header and the length are all checked on the one mapping,
+    so a file replaced meanwhile cannot mix into the checks.
 
     Format-specific header checks raise `error(...)`; then `expect_payload`
-    fixes the file length, and `f32` and `records` read the payload in
-    order from the end of the header.
+    fixes the file length, and `f32`, `f64` and `records` read the payload
+    in order from the end of the header.
     """
 
     def __init__(self, path, magic: bytes, header: str, digest=None):
         self.path = path
-        self.raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            # an empty file cannot be mapped; as zero bytes it has a bad magic
+            empty = os.fstat(fh.fileno()).st_size == 0
+            self.raw = b"" if empty else mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         if digest is not None:
             digest.update(self.raw)
         if self.raw[:4] != magic:
@@ -60,20 +74,29 @@ class Reader:
                 offset=min(len(self.raw), expected),
             )
 
+    def _view(self, dtype: np.dtype, count: int) -> tuple[np.ndarray, int]:
+        """The next `count` items of `dtype` as a read-only view of the file,
+        and the byte offset of the first."""
+        items = np.frombuffer(self.raw, dtype, count, self.offset)
+        start = self.offset
+        self.offset += items.nbytes
+        return items, start
+
     def f32(self, shape: tuple) -> np.ndarray:
         """The next f32 block of `shape` (row-major) as float64."""
-        block = np.frombuffer(self.raw, F32, math.prod(shape), self.offset).reshape(shape)
-        start = self.offset
-        self.offset += block.nbytes
-        return self._float64(block, start)
+        block, start = self._view(F32, math.prod(shape))
+        return self._float64(block.reshape(shape), start)
+
+    def f64(self, shape: tuple) -> np.ndarray:
+        """The next f64 block of `shape` (row-major) as a read-only view of
+        the file: neither copied nor checked."""
+        return self._view(F64, math.prod(shape))[0].reshape(shape)
 
     def records(self, dtype: np.dtype, count: int) -> list[np.ndarray]:
         """The next `count` records of the structured `dtype`, one array per
         field in field order; f32 fields come back as float64, other fields
-        as stored."""
-        items = np.frombuffer(self.raw, dtype, count, self.offset)
-        start = self.offset
-        self.offset += items.nbytes
+        as read-only views of the file."""
+        items, start = self._view(dtype, count)
         fields = []
         for name in dtype.names:
             field_dtype, field_offset = dtype.fields[name][:2]
@@ -86,19 +109,28 @@ class Reader:
     def _float64(self, values: np.ndarray, start: int) -> np.ndarray:
         """`values`, an f32 view of the file whose first element sits at
         byte `start`, as a C-contiguous float64 array. They are checked
-        before the cast, because casting a signalling NaN warns."""
-        finite = np.isfinite(values)
-        if not finite.all():
-            first = np.argwhere(~finite)[0]
+        before the cast, because casting a signalling NaN warns; the check's
+        mask is dropped before the cast allocates the result."""
+        if not np.isfinite(values).all():
+            first = np.argwhere(~np.isfinite(values))[0]
             offset = start + int(np.dot(first, values.strides))
             raise self.error("non-finite f32 value", offset=offset)
         return values.astype(np.float64, order="C")
 
 
-def write(path, magic: bytes, header: str, fields: tuple, payload: list) -> None:
+def write(path, magic: bytes, header: str, fields: tuple, payload: list, floats=F32) -> None:
     """Write magic, the header `fields` packed by `header`, then each payload
-    array's bytes in order; float arrays are stored as f32."""
-    with open(path, "wb") as fh:
-        fh.write(magic + struct.pack(header, *fields))
-        for block in payload:
-            fh.write((block.astype(F32) if block.dtype.kind == "f" else block).tobytes())
+    array's bytes in order, float arrays stored as `floats`, to a temporary
+    file that then replaces `path`. On failure the temporary file is removed
+    and `path` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic + struct.pack(header, *fields))
+            for block in payload:
+                stored = floats if block.dtype.kind == "f" else None
+                fh.write(np.ascontiguousarray(block, stored).data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

@@ -82,10 +82,7 @@ class CalibrationReport:
     accuracy: float
     ece: float
     mce: float
-    num_bins: int
-    norm_degree: int
     bins: list[BinStats] = field(default_factory=list)
-    sample_count: int = 0
 
 
 def predictions_from_probs(probs, labels) -> PredictionSet:
@@ -147,12 +144,9 @@ def reliability_bins(pred: PredictionSet, num_bins: int = DEFAULT_NUM_BINS) -> l
     return bins
 
 
-def ece(bins: list[BinStats], n: int, degree: int = 1) -> float:
+def ece(bins: list[BinStats], n: int) -> float:
     """Bin-weighted calibration error: sum over non-empty bins of
-    (count/N) * |acc - conf|^degree. Degree 1 is the usual absolute gap;
-    higher degrees weight large gaps more (no outer root is taken)."""
-    if degree < 1:
-        raise ConfigError(f"norm degree must be >= 1, got {degree}")
+    (count/N) * |acc - conf|."""
     total = sum(b.count for b in bins)
     if total != n:
         raise DataError(f"bin counts sum to {total} but N={n}")
@@ -162,7 +156,7 @@ def ece(bins: list[BinStats], n: int, degree: int = 1) -> float:
     for b in bins:
         if b.count:
             gap = abs(b.mean_accuracy - b.mean_confidence)
-            value += (b.count / n) * (gap if degree == 1 else gap**degree)
+            value += (b.count / n) * gap
     return value
 
 
@@ -179,18 +173,10 @@ def accuracy(pred: PredictionSet) -> float:
     return float(np.mean(pred.predicted_class == pred.labels))
 
 
-def calibration_report(
-    pred: PredictionSet, num_bins: int = DEFAULT_NUM_BINS, degree: int = 1
-) -> CalibrationReport:
+def calibration_report(pred: PredictionSet, num_bins: int = DEFAULT_NUM_BINS) -> CalibrationReport:
     bins = reliability_bins(pred, num_bins)
     return CalibrationReport(
-        accuracy=accuracy(pred),
-        ece=ece(bins, pred.n, degree),
-        mce=mce(bins),
-        num_bins=num_bins,
-        norm_degree=degree,
-        bins=bins,
-        sample_count=pred.n,
+        accuracy=accuracy(pred), ece=ece(bins, pred.n), mce=mce(bins), bins=bins
     )
 
 

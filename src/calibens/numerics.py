@@ -37,9 +37,6 @@ class RngStream:
         self.seed = int(seed) & U64_MASK
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
-    def derive(self, index: int) -> "RngStream":
-        return RngStream(derive_seed(self.seed, index))
-
     def uniform(self, low: float, high: float, shape) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
 

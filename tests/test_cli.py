@@ -448,6 +448,24 @@ class TestEvaluate:
         assert [r["name"] for r in summary["rows"][-2:]] == ["SL", "SLpC"]
         assert summary["rows"][-2]["param_count"] == 2 * 3 * 3 + 3
 
+    def test_combiner_of_other_meta_input_exits_two_before_reading_test_set(
+        self, pipeline_dir, capsys
+    ):
+        art = pipeline_dir / "artifacts"
+        assert run([
+            "train-meta", "--kind", "SL", "--train", str(pipeline_dir / "data" / "train.fds"),
+            "--heads-dir", str(art), "--seed", "7", "--epochs", "1", "--meta-input", "logits",
+        ]) == 0
+        test = pipeline_dir / "garbage.fds"
+        test.write_bytes(b"not a dataset")  # reading it would exit 3
+        assert run([
+            "evaluate", "--test", str(test), "--heads-dir", str(art), "--meta", "SL",
+            "--out", str(pipeline_dir / "results"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert str(art / "meta_SL.json") in err and "'logits'" in err and "'probs'" in err
+        assert not (pipeline_dir / "results").exists()
+
     def test_logits_input_rows_equal_per_head_recipe(self, pipeline_dir):
         # reference: each head's logits and softmax computed on its own, the
         # combiners fed the logits and the rules fed the probabilities

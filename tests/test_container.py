@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,8 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calibens.combiners import KINDS, build_metamodel, load_metamodel, save_metamodel
-from calibens.data import FeatureDataset, load_dataset, save_dataset
+from calibens import cli, container
+from calibens.combiners import (
+    KINDS,
+    META_HEADER,
+    META_MAGIC,
+    build_metamodel,
+    load_metamodel,
+    save_metamodel,
+)
+from calibens.data import (
+    FDS_HEADER,
+    FDS_MAGIC,
+    FeatureDataset,
+    _dataset_record_dtype,
+    load_dataset,
+    save_dataset,
+)
 from calibens.errors import FormatError
 from calibens.heads import init_head, load_head, save_head
 from calibens.numerics import RngStream
@@ -70,3 +86,68 @@ def test_corrupt_file_loads_finite_or_raises_format_error(tmp_path_factory, fmt,
         except FormatError:
             return
     assert all(np.isfinite(a).all() for a in arrays(loaded))
+
+
+# key, N_train, N_val, m, C and the zero pad of a head outputs cache (HOC1)
+CACHE_FIELDS = (bytes(range(32)), 3, 2, 2, 4, bytes(12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_corrupt_cache_is_a_miss_or_two_read_only_blocks(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz-HOC1"
+    blocks = [np.full((n, 2, 4), 0.25) for n in (3, 2)]
+    container.write(path, cli._CACHE_MAGIC, cli._CACHE_HEADER, CACHE_FIELDS, blocks, container.F64)
+    raw = path.read_bytes()
+    damaged = corrupt(raw, data.draw(corruption(len(raw))))
+    # a new file, not the old one cut short: a mapping of it may still be alive
+    path.unlink()
+    path.write_bytes(damaged)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mapped = cli._map_cache(path, CACHE_FIELDS)
+    if len(damaged) != len(raw) or damaged[:64] != raw[:64]:
+        assert mapped is None
+    if mapped is not None:
+        assert [block.shape for block in mapped] == [(3, 2, 4), (2, 2, 4)]
+        assert not any(block.flags.writeable for block in mapped)
+
+
+def test_failed_write_leaves_the_old_file_and_no_temporary(tmp_path):
+    path = tmp_path / "meta_SL.mmd"
+    save_metamodel(build_metamodel("SL", 2, 3, seed=3), path)
+    old = path.read_bytes()
+
+    class FailingBlock:
+        """A float block that fails to convert, as a write fails on a full disk."""
+
+        dtype = np.dtype(np.float64)
+
+        def __array__(self, *args, **kwargs):
+            raise OSError("no space left on device")
+
+    header = (0, 2, 3, 0, 0.0, 3)
+    with pytest.raises(OSError, match="no space"):
+        container.write(path, META_MAGIC, META_HEADER, header, [np.ones(6), FailingBlock()])
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_load_dataset_peak_memory_at_most_1_2x_the_features(tmp_path):
+    # the file's bytes are mapped, not read onto the heap, and the finite
+    # check's mask is gone before the float64 features are allocated
+    n, dim = 50_000, 256
+    path = tmp_path / "big.fds"
+    records = np.zeros(n, _dataset_record_dtype(dim))
+    records["f"][:, 0] = 1.5
+    records["y"] = np.arange(n) % 10
+    container.write(path, FDS_MAGIC, FDS_HEADER, (n, dim, 10), [records])
+    del records
+    tracemalloc.start()
+    try:
+        features = load_dataset(path).features
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert features.shape == (n, dim)
+    assert peak <= 1.2 * features.nbytes, peak / features.nbytes

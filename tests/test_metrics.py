@@ -22,7 +22,7 @@ from calibens.metrics import (
 from calibens.numerics import RngStream
 
 
-def brute_force_ece_mce(predicted, confidence, labels, num_bins, degree=1):
+def brute_force_ece_mce(predicted, confidence, labels, num_bins):
     """Independent per-sample grouping oracle (pure Python, dict-based)."""
     groups = {}
     for p, c, y in zip(predicted, confidence, labels):
@@ -34,7 +34,7 @@ def brute_force_ece_mce(predicted, confidence, labels, num_bins, degree=1):
         conf_mean = sum(c for c, _ in items) / len(items)
         acc_mean = sum(h for _, h in items) / len(items)
         gap = abs(acc_mean - conf_mean)
-        ece_val += (len(items) / n) * gap**degree
+        ece_val += (len(items) / n) * gap
         mce_val = max(mce_val, gap)
     return ece_val, mce_val
 
@@ -204,10 +204,6 @@ class TestEceMce:
     def test_mce_all_empty(self):
         with pytest.raises(DataError):
             mce(make_bins({}, 5))
-
-    def test_degree_two_squares_gaps(self):
-        bins = make_bins({3: (10, 0.35, 0.25), 8: (10, 0.55, 0.85)}, 10)
-        assert ece(bins, 20, degree=2) == pytest.approx(0.5 * 0.01 + 0.5 * 0.09, abs=1e-15)
 
 
 class TestAccuracy:

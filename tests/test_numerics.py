@@ -15,6 +15,7 @@ from calibens.numerics import (
     backward_linear,
     backward_mlp,
     cross_entropy,
+    derive_seed,
     dropout_mask,
     fit,
     linear_forward,
@@ -387,8 +388,8 @@ class TestRngStream:
         assert np.array_equal(a.standard_normal((3,)), b.standard_normal((3,)))
 
     def test_derive_offsets_seed(self):
-        assert RngStream(10).derive(5).seed == 15
-        assert RngStream(2**64 - 1).derive(1).seed == 0  # wraps at 64 bits
+        assert derive_seed(10, 5) == 15
+        assert derive_seed(2**64 - 1, 1) == 0  # wraps at 64 bits
 
 
 @settings(max_examples=30)
