@@ -22,12 +22,12 @@ container (HOC1) holding both split parts, little-endian:
     HOC1 | 32-byte sha256 key | u32 N_train | u32 N_val | u32 m | u32 C |
     12 zero bytes | train block | val block
 
-where each block, from offset 64, is the part's (N, m, C) outputs as
-row-major f64, exactly what HeadOutputs holds (probabilities or logits, as
---meta-input says). The key is the sha256 of the bytes train-meta parsed,
-the training .fds and then each head_i.hdw in index order, followed by
---seed, --val-fraction and --meta-input. A file with another header or
-length is a miss, and deleting the file is always safe.
+where each block, from offset 64, is the part's (N, m, C) softmax
+probabilities as row-major f64, exactly what HeadOutputs holds. The key is
+the sha256 of the bytes train-meta parsed, the training .fds and then each
+head_i.hdw in index order, followed by --seed and --val-fraction. A file
+with another header or length is a miss, and deleting the file is always
+safe.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 training error.
 """
@@ -54,6 +54,7 @@ from .combiners import (
     combine_metamodel,
     combine_vote,
     load_metamodel,
+    row_blocks,
     save_metamodel,
     train_metamodel,
 )
@@ -244,11 +245,12 @@ def cmd_train_heads(args) -> int:
 # train-meta
 # ---------------------------------------------------------------------------
 
-def _discover_heads(heads_dir, data_path, num_classes: int, digest=None) -> list:
+def _discover_heads(heads_dir, data_path, dataset, digest=None) -> list:
     """The heads head_0.hdw, head_1.hdw, ... in heads_dir, checked against the
-    dataset at data_path they are about to score: its class count must be
-    head 0's, or the run would score the wrong classes without an error.
-    `digest`, when given, is updated with each file's bytes in index order."""
+    dataset read from data_path that they are about to score: every head
+    must have its feature dimension and class count, or the run would fail
+    midway or score the wrong classes without an error. `digest`, when
+    given, is updated with each file's bytes in index order."""
     heads_dir = Path(heads_dir)
     if not heads_dir.is_dir():
         raise DataError(f"heads directory not found: {heads_dir}")
@@ -260,28 +262,23 @@ def _discover_heads(heads_dir, data_path, num_classes: int, digest=None) -> list
     if not paths:
         raise DataError(f"no head_*.hdw files found in {heads_dir}")
     heads = [load_head(p, digest) for p in paths]
-    if heads[0].num_classes != num_classes:
-        raise DimensionError(
-            f"{data_path} has C={num_classes}, but head 0 has C={heads[0].num_classes}"
-        )
+    for path, head in zip(paths, heads):
+        if (head.dim, head.num_classes) != (dataset.dim, dataset.num_classes):
+            raise DimensionError(
+                f"{data_path} has D={dataset.dim}, C={dataset.num_classes}, "
+                f"but {path} has D={head.dim}, C={head.num_classes}"
+            )
     return heads
 
 
-def _head_outputs(heads, features, meta_input: str) -> HeadOutputs:
-    """The heads' logits ("logits") or softmax probabilities ("probs") for
-    `features`, computed into one (N, m, C) array: head i writes its logits
-    into the view [:, i, :] and the softmax runs in place over the last axis,
-    so the outputs are the only full-size array the call allocates."""
-    num_classes = heads[0].num_classes
-    values = np.empty((len(features), len(heads), num_classes))
+def _head_outputs(heads, features) -> HeadOutputs:
+    """The heads' softmax probabilities for `features`, computed into one
+    (N, m, C) array: head i writes its logits into the view [:, i, :] and
+    the softmax runs in place over the last axis, so the outputs are the
+    only full-size array the call allocates."""
+    values = np.empty((len(features), len(heads), heads[0].num_classes))
     for i, head in enumerate(heads):
-        if head.num_classes != num_classes:
-            raise DimensionError(
-                f"head {i} has C={head.num_classes}, but head 0 has C={num_classes}"
-            )
         head_predict(head, features, out=values[:, i, :])
-    if meta_input == "logits":
-        return HeadOutputs(values, rows_are_probs=False)
     return HeadOutputs(softmax_in_place(values))
 
 
@@ -313,8 +310,8 @@ def cmd_train_meta(args) -> int:
     train, val = split(
         load_dataset(args.train, key), args.val_fraction, derive_seed(seed, _SPLIT_STREAM)
     )
-    heads = _discover_heads(args.heads_dir, args.train, train.num_classes, key)
-    key.update(f"{seed}\n{args.val_fraction!r}\n{args.meta_input}".encode())
+    heads = _discover_heads(args.heads_dir, args.train, train, key)
+    key.update(f"{seed}\n{args.val_fraction!r}".encode())
     out_dir = Path(args.out) if args.out is not None else Path(args.heads_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -325,9 +322,9 @@ def cmd_train_meta(args) -> int:
     mapped = _map_cache(cache, header)
     # the features are not needed once the outputs exist: drop each part's at once
     if mapped is None:
-        train_outputs = _head_outputs(heads, train.features, args.meta_input)
+        train_outputs = _head_outputs(heads, train.features)
         del train
-        val_outputs = _head_outputs(heads, val.features, args.meta_input)
+        val_outputs = _head_outputs(heads, val.features)
         del val
         blocks = [train_outputs.values, val_outputs.values]
         try:  # the cache only saves time: a failed write must not fail the run
@@ -336,10 +333,8 @@ def cmd_train_meta(args) -> int:
             print(f"warning: head outputs not cached: {exc}", file=sys.stderr)
     else:
         del train, val
-        rows_are_probs = args.meta_input == "probs"
         try:
-            train_outputs = HeadOutputs(mapped[0], rows_are_probs)
-            val_outputs = HeadOutputs(mapped[1], rows_are_probs)
+            train_outputs, val_outputs = HeadOutputs(mapped[0]), HeadOutputs(mapped[1])
         except DataError as exc:
             raise DataError(f"{cache}: {exc} (delete the file to recompute)") from None
 
@@ -354,7 +349,6 @@ def cmd_train_meta(args) -> int:
             "seed": seed,
             "train_path": str(args.train),
             "val_fraction": args.val_fraction,
-            "meta_input": args.meta_input,
             "m": m,
             "num_classes": num_classes,
             "param_count": trained.param_count,
@@ -371,24 +365,6 @@ def cmd_train_meta(args) -> int:
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
-
-# Bytes of head outputs, (rows, m, C) float64, that one evaluate block holds.
-# Larger blocks only raise the peak: on the C=10 benchmark workload (50k test
-# samples), 4 and 16 MiB blocks took evaluate's peak RSS from 60 to 76 and
-# 99 MiB and were no faster.
-_EVAL_BLOCK_BYTES = 1 << 20
-
-
-def _row_blocks(n: int, row_bytes: int) -> list[tuple[int, int]]:
-    """(start, stop) of the fewest row blocks that cover range(n) with at most
-    _EVAL_BLOCK_BYTES // row_bytes rows each (at least one). Block sizes
-    differ by at most one row, so no block is a short tail: numpy runs a
-    one-row product as a matrix-vector product, which rounds differently."""
-    rows = max(1, _EVAL_BLOCK_BYTES // row_bytes)
-    count = -(-n // rows)
-    bounds = [n * i // count for i in range(count + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
-
 
 def _sidecar(path, keys) -> dict | None:
     """The recorded `keys` of a JSON sidecar, or None when there is none."""
@@ -413,8 +389,8 @@ def _row(name, slug, report, params) -> dict:
 def cmd_evaluate(args) -> int:
     """Score every head, Avg., Vot. and each --meta combiner on the test set.
 
-    The test set is walked in row blocks (_row_blocks): a block's head
-    outputs take at most _EVAL_BLOCK_BYTES, and N is split into near-equal
+    The test set is walked in row blocks (combiners.row_blocks): a block's
+    head outputs take at most BLOCK_BYTES, and N is split into near-equal
     blocks. Each block runs every predictor and keeps only its predicted
     class and confidence per sample; the calibration reports are built from
     those after the last block. So memory holds the features, one block with
@@ -445,32 +421,33 @@ def cmd_evaluate(args) -> int:
         sidecar = meta_dir / f"meta_{kind}.json"
         recorded = _sidecar(sidecar, ("seed", "config", "meta_input"))
         if recorded is not None:
-            if recorded["meta_input"] not in (None, args.meta_input):
-                raise ConfigError(
-                    f"{sidecar}: {kind} was trained on meta_input {recorded['meta_input']!r}, "
-                    f"but --meta-input is {args.meta_input!r}"
-                )
+            # an older run could train a combiner on head logits, which evaluate no longer feeds
+            if recorded.pop("meta_input") not in (None, "probs"):
+                raise ConfigError(f"{sidecar}: {kind} was trained on head logits; retrain it")
             meta_training[kind] = recorded
 
     test = load_dataset(args.test)
-    heads = _discover_heads(heads_dir, args.test, test.num_classes)
+    heads = _discover_heads(heads_dir, args.test, test)
+    m = len(heads)
     metas = {kind: load_metamodel(meta_paths[kind]) for kind in kinds}
+    for kind, meta in metas.items():
+        if (meta.num_heads, meta.num_classes) != (m, test.num_classes):
+            raise DimensionError(
+                f"{meta_paths[kind]} has m={meta.num_heads}, C={meta.num_classes}, "
+                f"but {heads_dir} has m={m} heads with C={test.num_classes}"
+            )
     predictors = [(f"Head {i + 1}", f"head_{i + 1}", h.param_count) for i, h in enumerate(heads)]
     predictors += [("Avg.", "avg", 0), ("Vot.", "vot", 0)]
     predictors += [(kind, kind.lower(), meta.param_count) for kind, meta in metas.items()]
     predicted = np.empty((len(predictors), test.n), dtype=np.int64)
     confidence = np.empty((len(predictors), test.n))
 
-    m = len(heads)
-    for start, stop in _row_blocks(test.n, m * test.num_classes * 8):
+    for start, stop in row_blocks(test.n, m * test.num_classes * 8):
         labels = test.labels[start:stop]
-        meta_outputs = _head_outputs(heads, test.features[start:stop], args.meta_input)
-        outputs = meta_outputs
-        if args.meta_input == "logits":
-            outputs = HeadOutputs(softmax_in_place(meta_outputs.values.copy()))
+        outputs = _head_outputs(heads, test.features[start:stop])
         preds = [predictions_from_probs(outputs.values[:, i, :], labels) for i in range(m)]
         preds += [combine_average(outputs, labels), combine_vote(outputs, labels)]
-        preds += [combine_metamodel(meta, meta_outputs, labels) for meta in metas.values()]
+        preds += [combine_metamodel(meta, outputs, labels) for meta in metas.values()]
         for j, pred in enumerate(preds):
             predicted[j, start:stop] = pred.predicted_class
             confidence[j, start:stop] = pred.confidence
@@ -495,7 +472,6 @@ def cmd_evaluate(args) -> int:
             "m": m,
             "num_bins": num_bins,
             "meta_kinds": kinds,
-            "meta_input": args.meta_input,
             "heads_training": heads_meta,
             "meta_training": meta_training,
         },
@@ -566,14 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--val-fraction", type=float, default=0.1)
 
-    # evaluate must feed a combiner the head outputs it was trained on
-    def add_meta_input(p):
-        p.add_argument("--meta-input", choices=["probs", "logits"], default="probs")
-
     artifacts = "artifacts"
 
     p = command("gen", cmd_gen, "generate synthetic train/test feature datasets")
-    p.add_argument("--kind", choices=["clusters"], default="clusters")
     p.add_argument("--classes", type=int, default=10, help="number of classes")
     p.add_argument("--dim", type=int, default=16, help="feature dimension")
     p.add_argument("--n", type=int, default=4000, help="training sample count")
@@ -596,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heads-dir", default=artifacts, help="directory with head_*.hdw")
     add_split(p)
     p.add_argument("--out", default=None, help="output directory (default: heads dir)")
-    add_meta_input(p)
     add_train_config(p, MetaTrainConfig)
 
     p = command("evaluate", cmd_evaluate, "evaluate heads and combiners on a test set")
@@ -606,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meta", default=None,
                    help="comma-separated combiner kinds to evaluate, or 'all'/'none'")
     p.add_argument("--bins", type=int, default=DEFAULT_NUM_BINS, help="number of confidence bins")
-    add_meta_input(p)
     p.add_argument("--out", default="results", help="results directory")
 
     p = sub.add_parser("report", help="print a summary.json as a fixed-width table")

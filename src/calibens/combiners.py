@@ -44,10 +44,25 @@ META_MAGIC = b"MMD1"
 META_HEADER = "<BIIIfQ"
 
 
-# Bytes of outputs per block of the HeadOutputs checks: a check's temporaries
-# take at most an eighth of this (a bool per value). On (45000, 5, 100)
-# probabilities both checks took 0.062 s in 1 MiB blocks, 0.090 s at once.
-_CHECK_BLOCK_BYTES = 1 << 20
+# Bytes of head outputs, (rows, m, C) float64, that one row block holds: the
+# HeadOutputs checks and evaluate walk the outputs in such blocks, so their
+# temporaries stay small however large N is. Larger blocks only raise the
+# peak: on the C=10 benchmark workload (50k test samples), 4 and 16 MiB
+# evaluate blocks took its peak RSS from 60 to 76 and 99 MiB and were no
+# faster; on (45000, 5, 100) probabilities both checks took 0.062 s in 1 MiB
+# blocks, 0.090 s at once.
+BLOCK_BYTES = 1 << 20
+
+
+def row_blocks(n: int, row_bytes: int) -> list[tuple[int, int]]:
+    """(start, stop) of the fewest row blocks that cover range(n) with at most
+    BLOCK_BYTES // row_bytes rows each (at least one). Block sizes differ by
+    at most one row, so no block is a short tail: numpy runs a one-row
+    product as a matrix-vector product, which rounds differently."""
+    rows = max(1, BLOCK_BYTES // max(1, row_bytes))
+    count = max(1, -(-n // rows))
+    bounds = [n * i // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _off_simplex(values: np.ndarray) -> np.ndarray:
@@ -58,17 +73,14 @@ def _off_simplex(values: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class HeadOutputs:
-    """The m heads' outputs as one C-contiguous float64 array `values`,
-    shaped (N, m, C): values[n, i, c] is head i's output for sample n and
-    class c, so values[:, i, :] is head i's (N, C) matrix.
+    """The m heads' softmax probabilities as one C-contiguous float64 array
+    `values`, shaped (N, m, C): values[n, i, c] is head i's probability of
+    class c for sample n, so values[:, i, :] is head i's (N, C) matrix.
 
-    rows_are_probs marks whether rows are probability vectors (the default)
-    or raw logits; averaging and voting require probabilities. The
-    constructor checks the whole array, one pass per check: finite
-    everywhere, and with rows_are_probs every row a probability vector; a
-    failure names the lowest offending head. Each pass walks row blocks of
-    _CHECK_BLOCK_BYTES, so its temporaries stay small however large the
-    outputs are.
+    The constructor checks the whole array, one pass per check: finite
+    everywhere, and every row a probability vector; a failure names the
+    lowest offending head. Each pass walks row_blocks, so its temporaries
+    stay small however large the outputs are.
 
     `values` may be a read-only array, such as a view of a mapped file: it
     is kept as a view, never copied, when it already is a C-contiguous
@@ -80,7 +92,6 @@ class HeadOutputs:
     """
 
     values: np.ndarray
-    rows_are_probs: bool = True
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -88,13 +99,13 @@ class HeadOutputs:
             raise DimensionError(f"head outputs must be 3-D (N, m, C), got shape {values.shape}")
         if values.shape[1] == 0:
             raise DataError("need at least one head output")
-        rows = max(1, _CHECK_BLOCK_BYTES // max(1, values[:1].nbytes))
-        blocks = [values[start : start + rows] for start in range(0, len(values), rows)]
+        row_bytes = values.shape[1] * values.shape[2] * values.itemsize
+        blocks = [values[start:stop] for start, stop in row_blocks(len(values), row_bytes)]
         # a failed pass finds its first fault on the whole array
         if not all(np.isfinite(block).all() for block in blocks):
             i, n, c = np.argwhere(~np.isfinite(values.transpose(1, 0, 2)))[0]
             raise DataError(f"head {i} output holds a non-finite value at index [{n}, {c}]")
-        if self.rows_are_probs and any(_off_simplex(block).any() for block in blocks):
+        if any(_off_simplex(block).any() for block in blocks):
             i = np.nonzero(_off_simplex(values).any(axis=0))[0][0]
             raise DataError(f"head {i} rows are not probability vectors")
         self.values = values
@@ -123,7 +134,7 @@ class HeadOutputs:
         """The outputs of samples idx, gathered with one fancy index; a slice
         of checked outputs, so the constructor's checks are skipped."""
         sub = HeadOutputs.__new__(HeadOutputs)
-        sub.values, sub.rows_are_probs = self.values[idx], self.rows_are_probs
+        sub.values = self.values[idx]
         return sub
 
 
@@ -142,8 +153,6 @@ def _mean_over_heads(values: np.ndarray) -> np.ndarray:
 
 def combine_average(outputs: HeadOutputs, labels) -> PredictionSet:
     """Mean of the head probability matrices."""
-    if not outputs.rows_are_probs:
-        raise DataError("averaging is defined on probability outputs")
     return predictions_from_probs(_mean_over_heads(outputs.values), labels)
 
 
@@ -154,8 +163,6 @@ def combine_vote(outputs: HeadOutputs, labels) -> PredictionSet:
     to the lowest class index. The reported confidence is the mean over all
     heads of their probability for the winning class.
     """
-    if not outputs.rows_are_probs:
-        raise DataError("voting is defined on probability outputs")
     n, c = outputs.n, outputs.num_classes
     counts = np.zeros((n, c), dtype=np.int64)
     rows = np.arange(n)

@@ -12,7 +12,6 @@ module holds the rules this layout shares with the head and combiner files.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +30,6 @@ class FeatureDataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    name: str = ""
 
     def __post_init__(self):
         features = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -64,9 +62,7 @@ class FeatureDataset:
         return self.features.shape[1]
 
 
-def _rows_of_checked(
-    features: np.ndarray, labels: np.ndarray, num_classes: int, name: str
-) -> FeatureDataset:
+def _rows_of_checked(features: np.ndarray, labels: np.ndarray, num_classes: int) -> FeatureDataset:
     """A FeatureDataset of fresh arrays that already pass every check of the
     constructor: rows of a checked dataset, or a file the container has
     read. Only the read-only flags are set; this saves a full pass over the
@@ -74,8 +70,7 @@ def _rows_of_checked(
     dataset = FeatureDataset.__new__(FeatureDataset)
     features.setflags(write=False)
     labels.setflags(write=False)
-    dataset.features, dataset.labels = features, labels
-    dataset.num_classes, dataset.name = num_classes, name
+    dataset.features, dataset.labels, dataset.num_classes = features, labels, num_classes
     return dataset
 
 
@@ -93,8 +88,10 @@ class SynthSpec:
     def __post_init__(self):
         if self.num_classes < 1 or self.dim < 1 or self.num_samples < 1:
             raise ConfigError("num_classes, dim and num_samples must all be >= 1")
-        if self.cluster_separation < 0.0:
-            raise ConfigError(f"cluster separation must be >= 0, got {self.cluster_separation}")
+        if not 0.0 <= self.cluster_separation < np.inf:
+            raise ConfigError(
+                f"cluster separation must be finite and >= 0, got {self.cluster_separation}"
+            )
         if not 0.0 <= self.label_noise < 1.0:
             raise ConfigError(f"label noise must be in [0, 1), got {self.label_noise}")
         if self.label_noise > 0.0 and self.num_classes < 2:
@@ -132,7 +129,7 @@ def load_dataset(path, digest=None) -> FeatureDataset:
             f"label {int(labels[i])} at record {i} >= C={num_classes}",
             offset=start + i * record.itemsize + 4 * dim,
         )
-    return _rows_of_checked(features, labels, num_classes, Path(path).stem)
+    return _rows_of_checked(features, labels, num_classes)
 
 
 def split(dataset: FeatureDataset, val_fraction: float, seed: int):
@@ -157,18 +154,10 @@ def split(dataset: FeatureDataset, val_fraction: float, seed: int):
         shuffled = class_idx[stream.permutation(n_c)]
         val_idx.append(shuffled[:n_val])
         train_idx.append(shuffled[n_val:])
-    train_sel = np.sort(np.concatenate(train_idx))
-    val_sel = np.sort(np.concatenate(val_idx))
-
-    def subset(sel, tag):
-        return _rows_of_checked(
-            dataset.features[sel],
-            dataset.labels[sel],
-            dataset.num_classes,
-            f"{dataset.name}-{tag}" if dataset.name else tag,
-        )
-
-    return subset(train_sel, "train"), subset(val_sel, "val")
+    return tuple(
+        _rows_of_checked(dataset.features[sel], dataset.labels[sel], dataset.num_classes)
+        for sel in (np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(val_idx)))
+    )
 
 
 def synth_clusters(spec: SynthSpec) -> FeatureDataset:
@@ -197,12 +186,7 @@ def synth_clusters(spec: SynthSpec) -> FeatureDataset:
         offsets = stream.integers(1, c, num_noisy)
         labels = labels.copy()
         labels[noisy] = (labels[noisy] + offsets) % c
-    return FeatureDataset(
-        features=features,
-        labels=labels,
-        num_classes=c,
-        name=f"clusters-c{c}-d{d}-n{n}-s{spec.seed}",
-    )
+    return FeatureDataset(features=features, labels=labels, num_classes=c)
 
 
 def synth_cluster_pair(spec: SynthSpec, test_samples: int):
@@ -224,13 +208,7 @@ def synth_cluster_pair(spec: SynthSpec, test_samples: int):
     )
     full = synth_clusters(full_spec)
     n = spec.num_samples
-
-    def carve(sel, tag):
-        return _rows_of_checked(
-            full.features[sel].copy(),
-            full.labels[sel].copy(),
-            full.num_classes,
-            f"clusters-c{spec.num_classes}-d{spec.dim}-s{spec.seed}-{tag}",
-        )
-
-    return carve(slice(0, n), "train"), carve(slice(n, None), "test")
+    return tuple(
+        _rows_of_checked(full.features[sel].copy(), full.labels[sel].copy(), full.num_classes)
+        for sel in (slice(0, n), slice(n, None))
+    )

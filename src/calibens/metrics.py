@@ -23,16 +23,11 @@ DEFAULT_NUM_BINS = 15
 
 @dataclass
 class PredictionSet:
-    """Per-sample predicted class, confidence and ground-truth label.
-
-    When the full probability matrix is attached, confidence must be the
-    row maximum and predicted_class its argmax (ties to the lowest index).
-    """
+    """Per-sample predicted class, confidence and ground-truth label."""
 
     predicted_class: np.ndarray
     confidence: np.ndarray
     labels: np.ndarray
-    probs: np.ndarray | None = None
 
     def __post_init__(self):
         self.predicted_class = np.asarray(self.predicted_class, dtype=np.int64)
@@ -49,16 +44,6 @@ class PredictionSet:
         require_finite(self.confidence, "confidence")
         if np.any(self.confidence < 0.0) or np.any(self.confidence > 1.0):
             raise DataError("confidences must lie in [0, 1]")
-        if self.probs is not None:
-            self.probs = as_matrix(self.probs, "probs")
-            if self.probs.shape[0] != n:
-                raise DimensionError(
-                    f"probs {self.probs.shape} and labels ({n},) disagree on sample count"
-                )
-            if not np.array_equal(self.predicted_class, np.argmax(self.probs, axis=1)):
-                raise DataError("predicted_class must be the per-row argmax of probs")
-            if not np.array_equal(self.confidence, np.max(self.probs, axis=1)):
-                raise DataError("confidence must be the per-row maximum of probs")
 
     @property
     def n(self) -> int:
@@ -102,7 +87,6 @@ def predictions_from_probs(probs, labels) -> PredictionSet:
         predicted_class=np.argmax(probs, axis=1),
         confidence=np.max(probs, axis=1),
         labels=labels,
-        probs=probs,
     )
 
 

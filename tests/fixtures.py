@@ -11,10 +11,10 @@ from calibens.metrics import PredictionSet
 from calibens.numerics import RngStream
 
 
-def head_outputs(per_head, rows_are_probs=True):
+def head_outputs(per_head):
     """HeadOutputs from a list of m equally shaped (N, C) matrices, head i's
     matrix becoming the view [:, i, :] of the (N, m, C) array."""
-    return HeadOutputs(np.stack(per_head, axis=1), rows_are_probs=rows_are_probs)
+    return HeadOutputs(np.stack(per_head, axis=1))
 
 
 @dataclass

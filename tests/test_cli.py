@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from calibens import cli
-from calibens.cli import HEAD_OUTPUTS_CACHE, _head_outputs, main
+from calibens import cli, combiners
+from calibens.cli import HEAD_OUTPUTS_CACHE, _head_outputs, build_parser, main
 from calibens.combiners import (
     KINDS,
     build_metamodel,
@@ -14,10 +14,10 @@ from calibens.combiners import (
     combine_metamodel,
     combine_vote,
     load_metamodel,
+    row_blocks,
     save_metamodel,
 )
 from calibens.data import FeatureDataset, load_dataset, save_dataset
-from calibens.errors import DimensionError
 from calibens.heads import LinearHead, load_head, save_head
 from calibens.metrics import RELIABILITY_CSV_HEADER, calibration_report, predictions_from_probs
 from calibens.numerics import RngStream
@@ -31,7 +31,7 @@ def run(argv):
 
 def gen_args(out, n=300, classes=3, dim=4, seed=7, noise=0.1):
     return [
-        "gen", "--kind", "clusters", "--classes", str(classes), "--dim", str(dim),
+        "gen", "--classes", str(classes), "--dim", str(dim),
         "--n", str(n), "--sep", "8", "--noise", str(noise), "--seed", str(seed),
         "--out", str(out),
     ]
@@ -125,6 +125,14 @@ class TestGen:
         assert run(gen_args(tmp_path / "d", noise=1.5)) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sep", ["nan", "inf"])
+    def test_non_finite_separation_exits_two_before_writing(self, tmp_path, capsys, sep):
+        # nan compares false with every bound, so it would put every centre at the origin
+        out = tmp_path / "d"
+        assert run(["gen", "--sep", sep, "--out", str(out)]) == 2
+        assert f"cluster separation must be finite and >= 0, got {sep}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run(["gen", "--bogus", "1"])
@@ -168,13 +176,12 @@ class TestTrainHeads:
 class TestHeadOutputsArray:
     """cli._head_outputs fills one (N, m, C) array head by head."""
 
-    @pytest.mark.parametrize("mode", ["probs", "logits"])
-    def test_peak_memory_within_one_and_a_half_output_sizes(self, mode):
+    def test_peak_memory_within_one_and_a_half_output_sizes(self):
         heads = random_heads(5, 32, 40, seed=1)
         features = RngStream(2).standard_normal((8000, 32))
         tracemalloc.start()
         try:
-            outputs = _head_outputs(heads, features, mode)
+            outputs = _head_outputs(heads, features)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -184,32 +191,27 @@ class TestHeadOutputsArray:
     def test_views_equal_per_head_outputs_bit_for_bit(self):
         heads = random_heads(4, 96, 50, seed=3)
         features = RngStream(4).standard_normal((3000, 96))
-        probs = _head_outputs(heads, features, "probs")
-        logits = _head_outputs(heads, features, "logits")
-        assert probs.rows_are_probs and not logits.rows_are_probs
+        outputs = _head_outputs(heads, features)
         for i, head in enumerate(heads):
-            expect = per_head_logits(head, features)
-            assert np.array_equal(logits.values[:, i, :], expect)
-            assert np.array_equal(probs.values[:, i, :], per_head_softmax(expect))
+            expect = per_head_softmax(per_head_logits(head, features))
+            assert np.array_equal(outputs.values[:, i, :], expect)
 
-    def test_head_with_other_dim_rejected(self):
-        heads = random_heads(2, 4, 3, seed=5) + random_heads(1, 5, 3, seed=6)
-        with pytest.raises(DimensionError, match=r"features \(7, 4\) do not match"):
-            _head_outputs(heads, np.zeros((7, 4)), "probs")
-
-    def test_head_with_other_class_count_rejected_naming_it(self):
-        heads = random_heads(1, 4, 3, seed=5) + random_heads(1, 4, 5, seed=6)
-        with pytest.raises(DimensionError, match="head 1 has C=5"):
-            _head_outputs(heads, np.zeros((7, 4)), "logits")
-
-    def test_mismatched_head_exits_three(self, pipeline_dir, capsys):
-        art = pipeline_dir / "artifacts"
-        save_head(random_heads(1, 4, 5, seed=6)[0], art / "head_1.hdw")
-        assert run([
-            "evaluate", "--test", str(pipeline_dir / "data" / "test.fds"),
-            "--heads-dir", str(art), "--out", str(pipeline_dir / "results"),
-        ]) == 3
-        assert "head 1 has C=5" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["train-meta", "evaluate"])
+    @pytest.mark.parametrize("dim, classes", [(5, 3), (4, 5)])
+    def test_head_of_other_shape_exits_three_naming_it_before_outputs(
+        self, pipeline_dir, capsys, monkeypatch, command, dim, classes
+    ):
+        # the data has D=4, C=3; head 1 of 2 has another D or C
+        art, data = pipeline_dir / "artifacts", pipeline_dir / "data"
+        save_head(random_heads(1, dim, classes, seed=6)[0], art / "head_1.hdw")
+        refuse_head_outputs(monkeypatch)
+        if command == "train-meta":
+            argv = ["train-meta", "--kind", "SL", "--train", str(data / "train.fds")]
+        else:
+            argv = ["evaluate", "--test", str(data / "test.fds")]
+        assert run([*argv, "--heads-dir", str(art), "--out", str(pipeline_dir / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"has D=4, C=3, but {art / 'head_1.hdw'} has D={dim}, C={classes}" in err
 
 
 class TestTrainMeta:
@@ -263,7 +265,8 @@ class TestTrainMeta:
         assert run([
             "train-meta", "--kind", "SL", "--train", str(train), "--heads-dir", str(art),
         ]) == 3
-        assert f"{train} has C=3, but head 0 has C=5" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{train} has D=4, C=3, but {art / 'head_0.hdw'} has D=4, C=5" in err
 
     def test_missing_heads_exits_three(self, pipeline_dir, capsys):
         assert run([
@@ -293,28 +296,24 @@ class TestHeadOutputsCache:
             "--out", str(out), *flags,
         ])
 
-    @pytest.mark.parametrize("meta_input", ["probs", "logits"])
-    def test_hit_writes_the_miss_bytes_without_computing_outputs(
-        self, pipeline_dir, monkeypatch, meta_input
-    ):
+    def test_hit_writes_the_miss_bytes_without_computing_outputs(self, pipeline_dir, monkeypatch):
         out = pipeline_dir / "out"
         names = [f"meta_{kind}.{ext}" for kind in KINDS for ext in ("mmd", "json")]
         for kind in KINDS:
             (out / HEAD_OUTPUTS_CACHE).unlink(missing_ok=True)
-            assert self.train_meta(pipeline_dir, out, "--meta-input", meta_input, kind=kind) == 0
+            assert self.train_meta(pipeline_dir, out, kind=kind) == 0
         missed = {name: (out / name).read_bytes() for name in names}
         refuse_head_outputs(monkeypatch)
         for kind in KINDS:
-            assert self.train_meta(pipeline_dir, out, "--meta-input", meta_input, kind=kind) == 0
+            assert self.train_meta(pipeline_dir, out, kind=kind) == 0
         for name in names:
             assert (out / name).read_bytes() == missed[name], name
 
-    @pytest.mark.parametrize("part", ["head", "dataset", "seed", "val-fraction", "meta-input"])
+    @pytest.mark.parametrize("part", ["head", "dataset", "seed", "val-fraction"])
     def test_cache_of_other_inputs_is_recomputed(self, pipeline_dir, part):
         out, fresh = pipeline_dir / "out", pipeline_dir / "fresh"
         assert self.train_meta(pipeline_dir, out) == 0
-        flags = {"seed": ["--seed", "8"], "val-fraction": ["--val-fraction", "0.2"],
-                 "meta-input": ["--meta-input", "logits"]}.get(part, [])
+        flags = {"seed": ["--seed", "8"], "val-fraction": ["--val-fraction", "0.2"]}.get(part, [])
         if part == "head":
             save_head(random_heads(1, 4, 3, seed=11)[0], pipeline_dir / "artifacts" / "head_1.hdw")
         if part == "dataset":
@@ -448,44 +447,60 @@ class TestEvaluate:
         assert [r["name"] for r in summary["rows"][-2:]] == ["SL", "SLpC"]
         assert summary["rows"][-2]["param_count"] == 2 * 3 * 3 + 3
 
-    def test_combiner_of_other_meta_input_exits_two_before_reading_test_set(
-        self, pipeline_dir, capsys
-    ):
+    def test_legacy_logits_combiner_exits_two_before_reading_test_set(self, pipeline_dir, capsys):
+        # a sidecar from a run that still trained combiners on head logits
         art = pipeline_dir / "artifacts"
         assert run([
             "train-meta", "--kind", "SL", "--train", str(pipeline_dir / "data" / "train.fds"),
-            "--heads-dir", str(art), "--seed", "7", "--epochs", "1", "--meta-input", "logits",
+            "--heads-dir", str(art), "--seed", "7", "--epochs", "1",
         ]) == 0
+        sidecar = art / "meta_SL.json"
+        assert "meta_input" not in json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "meta_input": "logits"}))
         test = pipeline_dir / "garbage.fds"
         test.write_bytes(b"not a dataset")  # reading it would exit 3
         assert run([
             "evaluate", "--test", str(test), "--heads-dir", str(art), "--meta", "SL",
             "--out", str(pipeline_dir / "results"),
         ]) == 2
-        err = capsys.readouterr().err
-        assert str(art / "meta_SL.json") in err and "'logits'" in err and "'probs'" in err
+        assert f"{sidecar}: SL was trained on head logits" in capsys.readouterr().err
         assert not (pipeline_dir / "results").exists()
 
-    def test_logits_input_rows_equal_per_head_recipe(self, pipeline_dir):
-        # reference: each head's logits and softmax computed on its own, the
-        # combiners fed the logits and the rules fed the probabilities
+    def test_sidecar_recording_probs_still_evaluates(self, pipeline_dir):
+        # sidecars written before the option was removed record "probs"
+        art, res = pipeline_dir / "artifacts", pipeline_dir / "results"
+        assert run([
+            "train-meta", "--kind", "SL", "--train", str(pipeline_dir / "data" / "train.fds"),
+            "--heads-dir", str(art), "--seed", "7", "--epochs", "1",
+        ]) == 0
+        sidecar = art / "meta_SL.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "meta_input": "probs"}))
+        assert run([
+            "evaluate", "--test", str(pipeline_dir / "data" / "test.fds"), "--heads-dir", str(art),
+            "--meta", "SL", "--out", str(res),
+        ]) == 0
+        config = json.loads((res / "summary.json").read_text())["config"]
+        assert set(config["meta_training"]["SL"]) == {"seed", "config"}
+
+    def test_rows_equal_per_head_recipe(self, pipeline_dir):
+        # reference: each head's logits and softmax computed on its own, and
+        # every rule and combiner fed the probabilities
         art, data = pipeline_dir / "artifacts", pipeline_dir / "data"
         for kind in ("SL", "DLL", "SLpC"):
             assert run([
                 "train-meta", "--kind", kind, "--train", str(data / "train.fds"),
-                "--heads-dir", str(art), "--seed", "7", "--epochs", "2", "--meta-input", "logits",
+                "--heads-dir", str(art), "--seed", "7", "--epochs", "2",
             ]) == 0
         res = pipeline_dir / "results"
         assert run([
             "evaluate", "--test", str(data / "test.fds"), "--heads-dir", str(art),
-            "--meta", "SL,DLL,SLpC", "--meta-input", "logits", "--out", str(res),
+            "--meta", "SL,DLL,SLpC", "--out", str(res),
         ]) == 0
         rows = json.loads((res / "summary.json").read_text())["rows"]
 
         test = load_dataset(data / "test.fds")
         heads = [load_head(art / f"head_{i}.hdw") for i in range(2)]
-        logits = [per_head_logits(h, test.features) for h in heads]
-        probs = [per_head_softmax(l) for l in logits]
+        probs = [per_head_softmax(per_head_logits(h, test.features)) for h in heads]
         preds = [predictions_from_probs(p, test.labels) for p in probs]
         preds += [
             combine_average(head_outputs(probs), test.labels),
@@ -493,7 +508,7 @@ class TestEvaluate:
         ]
         for kind in ("SL", "DLL", "SLpC"):
             meta = load_metamodel(art / f"meta_{kind}.mmd")
-            preds.append(combine_metamodel(meta, head_outputs(logits, False), test.labels))
+            preds.append(combine_metamodel(meta, head_outputs(probs), test.labels))
         assert len(rows) == len(preds) == 7
         for row, pred in zip(rows, preds):
             report = calibration_report(pred)
@@ -511,7 +526,22 @@ class TestEvaluate:
             "evaluate", "--test", str(test), "--heads-dir", str(art),
             "--out", str(pipeline_dir / "results"),
         ]) == 3
-        assert f"{test} has C=3, but head 0 has C=5" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{test} has D=4, C=3, but {art / 'head_0.hdw'} has D=4, C=5" in err
+
+    @pytest.mark.parametrize("m, c", [(3, 3), (2, 4)])
+    def test_combiner_of_other_shape_exits_three_naming_it_before_outputs(
+        self, pipeline_dir, capsys, monkeypatch, m, c
+    ):
+        art = pipeline_dir / "artifacts"  # m=2 heads, C=3
+        save_metamodel(build_metamodel("SL", m, c, seed=1), art / "meta_SL.mmd")
+        refuse_head_outputs(monkeypatch)
+        assert run([
+            "evaluate", "--test", str(pipeline_dir / "data" / "test.fds"), "--heads-dir", str(art),
+            "--meta", "SL", "--out", str(pipeline_dir / "results"),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert f"{art / 'meta_SL.mmd'} has m={m}, C={c}, but {art} has m=2 heads with C=3" in err
 
     @pytest.mark.parametrize(
         "filename, text",
@@ -603,22 +633,20 @@ class TestEvaluate:
 
 
 class TestEvaluateBlocks:
-    """cmd_evaluate walks the test set in row blocks of _EVAL_BLOCK_BYTES."""
+    """cmd_evaluate walks the test set in row blocks of combiners.BLOCK_BYTES."""
 
-    @pytest.mark.parametrize("meta_input", ["probs", "logits"])
-    def test_block_run_writes_the_one_block_bytes(self, pipeline_dir, monkeypatch, meta_input):
+    def test_block_run_writes_the_one_block_bytes(self, pipeline_dir, monkeypatch):
         art, data = pipeline_dir / "artifacts", pipeline_dir / "data"
         for kind in KINDS:
             assert run([
                 "train-meta", "--kind", kind, "--train", str(data / "train.fds"),
                 "--heads-dir", str(art), "--seed", "7", "--epochs", "2",
-                "--meta-input", meta_input,
             ]) == 0
 
         def evaluate(out):
             return run([
                 "evaluate", "--test", str(data / "test.fds"), "--heads-dir", str(art),
-                "--meta", "all", "--meta-input", meta_input, "--out", str(out),
+                "--meta", "all", "--out", str(out),
             ])
 
         one, blocks = pipeline_dir / "one", pipeline_dir / "blocks"
@@ -626,12 +654,12 @@ class TestEvaluateBlocks:
         block_rows = []
         head_outputs_of = cli._head_outputs
 
-        def spy(heads, features, mode):
+        def spy(heads, features):
             block_rows.append(len(features))
-            return head_outputs_of(heads, features, mode)
+            return head_outputs_of(heads, features)
 
         monkeypatch.setattr(cli, "_head_outputs", spy)
-        monkeypatch.setattr(cli, "_EVAL_BLOCK_BYTES", 70 * 2 * 3 * 8)  # 70 rows at m=2, C=3
+        monkeypatch.setattr(combiners, "BLOCK_BYTES", 70 * 2 * 3 * 8)  # 70 rows at m=2, C=3
         assert evaluate(blocks) == 0
         assert block_rows == [60] * 5
         files = sorted(p.name for p in one.iterdir())
@@ -642,9 +670,9 @@ class TestEvaluateBlocks:
     @pytest.mark.parametrize("rows, k", [(1, 1), (2, 3), (7, 1), (7, 5), (262, 190)])
     def test_blocks_cover_the_rows_without_a_short_tail(self, monkeypatch, rows, k):
         row_bytes = 4000
-        monkeypatch.setattr(cli, "_EVAL_BLOCK_BYTES", rows * row_bytes + row_bytes - 1)
+        monkeypatch.setattr(combiners, "BLOCK_BYTES", rows * row_bytes + row_bytes - 1)
         n = k * rows + 1
-        blocks = cli._row_blocks(n, row_bytes)
+        blocks = row_blocks(n, row_bytes)
         assert blocks[0][0] == 0 and blocks[-1][1] == n
         assert all(prev[1] == nxt[0] for prev, nxt in zip(blocks, blocks[1:]))
         sizes = [stop - start for start, stop in blocks]
@@ -652,14 +680,14 @@ class TestEvaluateBlocks:
         assert max(sizes) <= rows and min(sizes) >= rows / 2, sizes
 
     def test_row_wider_than_the_budget_is_its_own_block(self, monkeypatch):
-        monkeypatch.setattr(cli, "_EVAL_BLOCK_BYTES", 100)
-        assert cli._row_blocks(3, 800) == [(0, 1), (1, 2), (2, 3)]
+        monkeypatch.setattr(combiners, "BLOCK_BYTES", 100)
+        assert row_blocks(3, 800) == [(0, 1), (1, 2), (2, 3)]
 
     def test_peak_memory_below_a_quarter_of_the_outputs(self, tmp_path):
         # one (N, m, C) output array would be 64 blocks; evaluate must never
         # hold it, let alone the sorted copy that averaging makes of it
         m, c, dim = 5, 100, 8
-        n = -(-64 * cli._EVAL_BLOCK_BYTES // (m * c * 8))
+        n = -(-64 * combiners.BLOCK_BYTES // (m * c * 8))
         stream = RngStream(1)
         test = tmp_path / "test.fds"
         save_dataset(FeatureDataset(stream.standard_normal((n, dim)), stream.integers(0, c, n), c), test)
@@ -765,12 +793,13 @@ class TestConfigFile:
         cfg.write_text("[1, 2")
         assert run(["gen", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("command, key, value", [
-        ("gen", "kind", "blobs"),
-        ("train-meta", "kind", "XL"),
-        ("train-meta", "meta_input", "raw"),
-        ("evaluate", "meta_input", "raw"),
-    ])
+    def test_gen_accepts_a_pipeline_config_holding_kind(self, tmp_path):
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps({"kind": "SL", "n": 200, "out": str(tmp_path / "data")}))
+        assert run(["gen", "--config", str(cfg)]) == 0
+        assert load_dataset(tmp_path / "data" / "train.fds").n == 200
+
+    @pytest.mark.parametrize("command, key, value", [("train-meta", "kind", "XL")])
     def test_config_value_outside_choices_exits_two(self, tmp_path, capsys, command, key, value):
         cfg = tmp_path / "choices.json"
         cfg.write_text(json.dumps({key: value}))
@@ -827,6 +856,35 @@ class TestConfigFile:
         assert run(base + ["--config", str(path), "--out", str(second)]) == 0
         assert json.loads((second / "meta_DL.json").read_text())["config"] == config
         assert (first / "meta_DL.mmd").read_bytes() == (second / "meta_DL.mmd").read_bytes()
+
+
+class TestOptions:
+    """Every long flag of every command, in declaration order: a flag added or
+    removed later shows up as a change to this list."""
+
+    FLAGS = {
+        "gen": ["--config", "--classes", "--dim", "--n", "--test-n", "--sep", "--noise",
+                "--seed", "--out"],
+        "train-heads": ["--config", "--train", "--m", "--seed", "--val-fraction", "--out",
+                        "--lr", "--momentum", "--weight-decay", "--batch-size", "--max-epochs",
+                        "--plateau-factor", "--plateau-patience", "--early-stop-patience"],
+        "train-meta": ["--config", "--kind", "--train", "--heads-dir", "--seed",
+                       "--val-fraction", "--out", "--epochs", "--lr", "--momentum",
+                       "--weight-decay", "--batch-size", "--plateau-factor",
+                       "--plateau-patience", "--dropout"],
+        "evaluate": ["--config", "--test", "--heads-dir", "--meta-dir", "--meta", "--bins",
+                     "--out"],
+        "report": [],
+    }
+
+    def test_long_flags_of_each_command(self):
+        (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+        flags = {
+            name: [flag for action in sub._actions for flag in action.option_strings
+                   if flag.startswith("--") and flag != "--help"]
+            for name, sub in commands.choices.items()
+        }
+        assert flags == self.FLAGS
 
 
 class TestEndToEndAtDefaults:

@@ -9,6 +9,7 @@ import calibens.combiners as combiners_module
 from calibens.combiners import (
     KINDS,
     HeadOutputs,
+    _mean_over_heads,
     MetaTrainConfig,
     Metamodel,
     build_metamodel,
@@ -48,10 +49,6 @@ class TestHeadOutputs:
         probs = np.asarray([[0.5, 0.5], [np.nan, np.nan]])
         with pytest.raises(DataError, match=r"head 1 output .* index \[1, 0\]"):
             head_outputs([np.full((2, 2), 0.5), probs])
-
-    def test_logits_mode_skips_validation(self):
-        outputs = head_outputs([np.asarray([[3.0, -1.0]])], rows_are_probs=False)
-        assert outputs.m == 1
 
     def test_concatenation_is_head_major(self):
         a = np.asarray([[0.2, 0.8]])
@@ -104,40 +101,41 @@ class TestOneArrayLayout:
         for values in ordered[1:]:
             expect += values
         expect /= 7
-        assert np.array_equal(combine_average(head_outputs(per_head), [0] * 50).probs, expect)
+        assert np.array_equal(_mean_over_heads(head_outputs(per_head).values), expect)
 
 
 class TestCombineAverage:
+    """combine_average predicts the argmax and max of _mean_over_heads."""
+
     def test_identical_heads_idempotent(self):
         stream = RngStream(1)
         probs = softmax(stream.standard_normal((4, 3)))
-        pred = combine_average(head_outputs([probs.copy() for _ in range(4)]), [0, 1, 2, 0])
-        assert np.allclose(pred.probs, probs, atol=1e-15)
+        outputs = head_outputs([probs.copy() for _ in range(4)])
+        assert np.allclose(_mean_over_heads(outputs.values), probs, atol=1e-15)
+        pred = combine_average(outputs, [0, 1, 2, 0])
+        assert np.array_equal(pred.predicted_class, probs.argmax(axis=1))
+        assert np.allclose(pred.confidence, probs.max(axis=1), atol=1e-15)
 
     def test_opposite_heads_tie_to_lowest_index(self):
         outputs = head_outputs([np.asarray([[1.0, 0.0]]), np.asarray([[0.0, 1.0]])])
+        assert np.array_equal(_mean_over_heads(outputs.values), [[0.5, 0.5]])
         pred = combine_average(outputs, [1])
-        assert np.array_equal(pred.probs, [[0.5, 0.5]])
-        assert pred.predicted_class[0] == 0
+        assert pred.predicted_class[0] == 0 and pred.confidence[0] == 0.5
 
     def test_matches_elementwise_mean_oracle(self):
         stream = RngStream(7)
         outputs = random_outputs(stream, 3, 10, 4)
         labels = stream.integers(0, 4, 10)
-        pred = combine_average(outputs, labels)
         heads = outputs.values
         expect = (heads[:, 0] + heads[:, 1] + heads[:, 2]) / 3
-        assert np.allclose(pred.probs, expect, atol=1e-12)
+        assert np.allclose(_mean_over_heads(heads), expect, atol=1e-12)
+        pred = combine_average(outputs, labels)
+        assert np.array_equal(pred.predicted_class, expect.argmax(axis=1))
+        assert np.allclose(pred.confidence, expect.max(axis=1), atol=1e-12)
 
     def test_rows_remain_probability_vectors(self):
         outputs = random_outputs(RngStream(9), 5, 50, 6)
-        pred = combine_average(outputs, np.zeros(50, dtype=int))
-        assert np.allclose(pred.probs.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_rejects_logit_outputs(self):
-        outputs = head_outputs([np.zeros((2, 2))], rows_are_probs=False)
-        with pytest.raises(DataError):
-            combine_average(outputs, [0, 1])
+        assert np.allclose(_mean_over_heads(outputs.values).sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestCombineVote:

@@ -29,7 +29,6 @@ def tiny_dataset(n=12, d=3, c=3, seed=0):
         features=stream.standard_normal((n, d)),
         labels=np.arange(n) % c,
         num_classes=c,
-        name="tiny",
     )
 
 

@@ -75,15 +75,6 @@ class TestPredictionsFromProbs:
         with pytest.raises(DataError, match=r"confidence .* index \[1\]"):
             PredictionSet(predicted_class=[0, 1], confidence=[0.5, np.nan], labels=[0, 1])
 
-    def test_prediction_set_rejects_inconsistent_probs(self):
-        with pytest.raises(DataError):
-            PredictionSet(
-                predicted_class=[1],
-                confidence=[0.4],
-                labels=[0],
-                probs=np.asarray([[0.6, 0.4]]),
-            )
-
 
 def bin_of(confidence, num_bins):
     """Index of the one bin reliability_bins puts a single sample in."""
