@@ -309,13 +309,15 @@ class TestHeadOutputsCache:
         for name in names:
             assert (out / name).read_bytes() == missed[name], name
 
-    @pytest.mark.parametrize("part", ["head", "dataset", "seed", "val-fraction"])
+    @pytest.mark.parametrize("part", ["head", "head-count", "dataset", "seed", "val-fraction"])
     def test_cache_of_other_inputs_is_recomputed(self, pipeline_dir, part):
         out, fresh = pipeline_dir / "out", pipeline_dir / "fresh"
         assert self.train_meta(pipeline_dir, out) == 0
         flags = {"seed": ["--seed", "8"], "val-fraction": ["--val-fraction", "0.2"]}.get(part, [])
         if part == "head":
             save_head(random_heads(1, 4, 3, seed=11)[0], pipeline_dir / "artifacts" / "head_1.hdw")
+        if part == "head-count":
+            save_head(random_heads(3, 4, 3, seed=11)[2], pipeline_dir / "artifacts" / "head_2.hdw")
         if part == "dataset":
             assert run(gen_args(pipeline_dir / "other", seed=8)) == 0
             train = pipeline_dir / "data" / "train.fds"
@@ -325,13 +327,18 @@ class TestHeadOutputsCache:
         for name in ("meta_SL.mmd", HEAD_OUTPUTS_CACHE):
             assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
-    @pytest.mark.parametrize("damage", ["truncated", "bad magic"])
+    @pytest.mark.parametrize("damage", ["truncated", "bad magic", "stale key"])
     def test_damaged_cache_is_rewritten(self, pipeline_dir, damage):
+        # a stale key is what a cache from a run whose key hashed other inputs holds
         out = pipeline_dir / "out"
         assert self.train_meta(pipeline_dir, out) == 0
         cache = out / HEAD_OUTPUTS_CACHE
         good, mmd = cache.read_bytes(), (out / "meta_SL.mmd").read_bytes()
-        cache.write_bytes(good[: len(good) - 8] if damage == "truncated" else b"XXXX" + good[4:])
+        cache.write_bytes({
+            "truncated": good[: len(good) - 8],
+            "bad magic": b"XXXX" + good[4:],
+            "stale key": good[:4] + bytes(b ^ 0xFF for b in good[4:36]) + good[36:],
+        }[damage])
         assert self.train_meta(pipeline_dir, out) == 0
         assert cache.read_bytes() == good
         assert (out / "meta_SL.mmd").read_bytes() == mmd
