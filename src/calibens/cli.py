@@ -108,15 +108,22 @@ def _read_json_object(path, error=FormatError) -> dict:
 
 def _parse_with_config(parser, args, argv):
     """Parse argv again with the --config file's values as the chosen
-    command's defaults; keys that are not its options are dropped. Numbers
-    pass as strings, so argparse converts them as it converts flag values.
-    argparse converts only string defaults and never checks them against an
-    option's choices, so the value types and choices are checked here: a
-    value must be a string or a number, or for meta a list of strings."""
+    command's defaults. Keys that are not its options are dropped, so one
+    file can serve the whole pipeline; a key that no command takes (a
+    misspelling, say) is dropped with a warning on stderr. Numbers pass as
+    strings, so argparse converts them as it converts flag values. argparse
+    converts only string defaults and never checks them against an option's
+    choices, so the value types and choices are checked here: a value must be
+    a string or a number, or for meta a list of strings."""
     own = vars(args).keys() - {"command", "handler", "command_parser", "config"}
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    any_command = {a.dest for p in commands.choices.values() for a in p._actions}
     values = {}
     for key, value in _read_json_object(args.config, ConfigError).items():
         if key not in own:
+            if key not in any_command:
+                print(f"warning: {args.config}: {key} is not an option of any command; ignored",
+                      file=sys.stderr)
             continue
         if key == "meta" and isinstance(value, list):
             ok = all(isinstance(v, str) for v in value)

@@ -1,16 +1,17 @@
 """Seeded linear classifier heads trained on frozen features.
 
 Each head is a single fully connected layer trained on softmax cross-entropy
-by numerics.fit, with early stopping. A family of m heads differs only in its
-seeds (head i uses base_seed + i).
+by mini-batch SGD, with early stopping. A family of m heads differs only in
+its seeds (head i uses base_seed + i).
 
 Two trainers produce the same family bit for bit. The CLI uses
-train_heads_lockstep, which steps every head's training loop together and
-computes all m heads' mini-batch gradients in one stacked call, so the cost
-of the many small per-batch numpy calls is paid once per step instead of once
-per head. train_head_family trains the heads one after another with
-train_head; it stays as the plain reference the tests compare the lockstep
-trainer against.
+train_heads_lockstep, which trains all heads still running as one stacked
+model: their parameters live in (k, C, D) and (k, C) buffers, one call
+computes every head's mini-batch gradients and one sgd_step (with one
+learning rate per head) updates them all, so each mini-batch costs a fixed
+number of numpy calls whatever m is. train_head_family trains the heads one
+after another with train_head and numerics.fit; it stays as the plain
+reference the tests compare the lockstep trainer against.
 
 Head files (magic ``HDW1``) are little-endian:
 
@@ -20,7 +21,6 @@ Head files (magic ``HDW1``) are little-endian:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -28,16 +28,18 @@ from . import container
 from .data import FeatureDataset
 from .errors import CalibensError, ConfigError, DataError, DimensionError, TrainingError
 from .numerics import (
+    EpochRule,
     FitResult,
     RngStream,
+    SgdState,
     backward_linear,
     backward_linear_stacked,
     check_sgd_settings,
     cross_entropy,
     derive_seed,
     fit,
-    fit_steps,
     linear_forward,
+    sgd_step,
     softmax,
 )
 
@@ -199,58 +201,66 @@ def train_heads_lockstep(
     cfg: HeadTrainConfig,
 ) -> list[LinearHead]:
     """The heads of train_head_family(train, val, m, base_seed, cfg), bit for
-    bit, trained together one mini-batch step at a time.
+    bit, trained together as one stacked model.
 
-    Each head runs its own numerics.fit_steps loop (its own seeded stream,
-    learning-rate schedule, stop rule, snapshot and sgd_step); at each step the
-    gradients of every head still training come from one
-    numerics.backward_linear_stacked call. Heads that stop early drop out.
-    Training ends at the first step where a head fails, with a TrainingError
-    naming that head's index (the lowest, if several fail at that step).
+    Row j of the weights (k, C, D), bias (k, C) and velocity buffers belongs
+    to live[j], the j-th head still training. Each head keeps its own seeded
+    stream (its init, then one permutation per epoch) and its own
+    numerics.EpochRule (learning rate, history, snapshot, stop). Each
+    mini-batch takes every live head's gradients from one
+    numerics.backward_linear_stacked call and updates them with one
+    sgd_step at the heads' learning-rate vector; each element sees the same
+    operations in the same order as in train_head. A head that stops leaves
+    the buffers at the end of that epoch. A non-finite loss ends training
+    with a TrainingError naming the lowest failing head index.
     """
     if m < 1:
         raise ConfigError(f"head count must be >= 1, got {m}")
     _check_shared_shape(train, val)
     seeds = [derive_seed(base_seed, i) for i in range(m)]
+    streams = [RngStream(seed) for seed in seeds]
     weights = np.empty((m, train.num_classes, train.dim))
     bias = np.empty((m, train.num_classes))
-    runs = []
-    for i, seed in enumerate(seeds):
-        stream = RngStream(seed)
+    for i, stream in enumerate(streams):
         weights[i], bias[i] = _init_params(train.dim, train.num_classes, stream)
-        runs.append(
-            fit_steps(
-                [weights[i], bias[i]],
-                partial(_validation_loss, weights[i], bias[i], val),
-                cfg,
-                num_samples=train.n,
-                epochs=cfg.max_epochs,
-                stream=stream,
-                early_stop_patience=cfg.early_stop_patience,
+    rules = [EpochRule([weights[i], bias[i]], cfg, cfg.early_stop_patience) for i in range(m)]
+    sgd = SgdState(np.full(m, cfg.lr), cfg.momentum, cfg.weight_decay)
+    live = list(range(m))
+    for epoch in range(1, cfg.max_epochs + 1):
+        orders = np.stack([streams[i].permutation(train.n) for i in live])
+        loss_sums = np.zeros(len(live))
+        for start in range(0, train.n, cfg.batch_size):
+            idx = orders[:, start : start + cfg.batch_size]
+            losses, d_weights, d_bias = backward_linear_stacked(
+                train.features[idx], weights, bias, train.labels[idx]
             )
-        )
-    batches, results = {}, {}
-
-    def advance(i, step):
-        try:
-            batches[i] = runs[i].send(step)
-        except StopIteration as done:
-            batches.pop(i, None)
-            results[i] = done.value
-        except CalibensError as exc:
-            raise TrainingError(f"head {i}: {exc}") from exc
-
-    for i in range(m):
-        advance(i, None)
-    while batches:
-        live = list(batches)
-        idx = np.stack([batches[i] for i in live])
-        losses, d_weights, d_bias = backward_linear_stacked(
-            train.features[idx], weights[live], bias[live], train.labels[idx]
-        )
+            finite = np.isfinite(losses)
+            if not finite.all():
+                i = live[int(np.argmin(finite))]
+                raise TrainingError(
+                    f"head {i}: non-finite training loss at epoch {epoch}", epoch=epoch
+                )
+            sgd_step([weights, bias], [d_weights, d_bias], sgd)
+            loss_sums += losses * idx.shape[1]
+        keep = []
         for j, i in enumerate(live):
-            advance(i, (float(losses[j]), [d_weights[j], d_bias[j]]))
-    return [_trained_head(seed, results[i]) for i, seed in enumerate(seeds)]
+            try:
+                val_loss = _validation_loss(weights[j], bias[j], val)
+                stop = rules[i].end_epoch(
+                    epoch, float(loss_sums[j]) / train.n, val_loss, [weights[j], bias[j]]
+                )
+            except TrainingError as exc:
+                raise TrainingError(f"head {i}: {exc}", epoch=exc.epoch) from exc
+            if not stop:
+                keep.append(j)
+        if len(keep) < len(live):
+            weights, bias = weights[keep], bias[keep]
+            sgd.velocity = [v[keep] for v in sgd.velocity]
+            live = [live[j] for j in keep]
+            if not live:
+                break
+        sgd.learning_rate = np.array([rules[i].lr for i in live])
+    return [_trained_head(seed, rules[i].result()) for i, seed in enumerate(seeds)]
 
 
 def save_head(head: LinearHead, path) -> None:

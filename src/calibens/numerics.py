@@ -9,7 +9,7 @@ single integer seed reproduces a run bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -226,9 +226,11 @@ def backward_mlp(inputs, w1, b1, w2, b2, labels, mask: np.ndarray | None = None)
 class SgdState:
     """SGD with momentum and (coupled) weight decay over a list of parameters.
     The settings are used as given (HeadTrainConfig and MetaTrainConfig check
-    them); sgd_step creates the velocity buffers on its first call."""
+    them); sgd_step creates the velocity buffers on its first call.
+    learning_rate is a float, or one value per leading-axis slice when the
+    parameters stack k independent models along their first axis."""
 
-    learning_rate: float
+    learning_rate: float | np.ndarray
     momentum: float = 0.0
     weight_decay: float = 0.0
     velocity: list = field(default_factory=list)
@@ -237,6 +239,8 @@ class SgdState:
 def sgd_step(params: list, grads: list, state: SgdState) -> list:
     """One update: v <- momentum*v + (grad + wd*param); param <- param - lr*v.
 
+    A (k,) learning rate scales slice i of every (k, ...) parameter by its
+    entry i, so each slice gets the update a scalar step at that rate gives.
     Mutates params and state.velocity in place; returns params.
     """
     if not state.velocity:
@@ -246,12 +250,19 @@ def sgd_step(params: list, grads: list, state: SgdState) -> list:
             raise DimensionError(
                 f"param {p.shape}, grad {g.shape}, velocity {v.shape} must all match"
             )
+        rate = state.learning_rate
+        if np.ndim(rate):
+            if np.shape(rate) != p.shape[:1]:
+                raise DimensionError(
+                    f"learning rates {np.shape(rate)} do not match param {p.shape}"
+                )
+            rate = np.reshape(rate, (-1,) + (1,) * (p.ndim - 1))
         v *= state.momentum
         if state.weight_decay:
             v += g + state.weight_decay * p  # one sum: two adds round differently
         else:
             v += g
-        p -= state.learning_rate * v
+        p -= rate * v
     return params
 
 
@@ -284,8 +295,48 @@ class FitResult(NamedTuple):
     best_val_loss: float | None  # its validation loss; None if never measured
 
 
-def fit_steps(
+class EpochRule:
+    """What one training run carries from one epoch to the next: its
+    learning rate, history, kept snapshot and plateau count. end_epoch
+    applies the rule fit describes; fit and heads.train_heads_lockstep both
+    train through it."""
+
+    def __init__(self, params: list, cfg, early_stop_patience=None, initial_val_loss=None):
+        if initial_val_loss is not None and not np.isfinite(initial_val_loss):
+            raise TrainingError("non-finite validation loss before training", epoch=0)
+        self.lr = cfg.lr
+        self.history = []
+        self._cfg, self._early_stop_patience = cfg, early_stop_patience
+        self._best_val, self._best_epoch = initial_val_loss, 0
+        self._best_params = [p.copy() for p in params]
+        self._best_metric, self._since_best = float("inf"), 0
+
+    def end_epoch(self, epoch: int, train_loss: float, val_loss: float, params: list) -> bool:
+        """Record the epoch run at self.lr, keep a snapshot of params if it
+        is the best so far, cut self.lr on a plateau, and return whether
+        training stops here."""
+        if not np.isfinite(val_loss):
+            raise TrainingError(f"non-finite validation loss at epoch {epoch}", epoch=epoch)
+        self.history.append((epoch, train_loss, val_loss, self.lr))
+        if self._best_val is None or val_loss < self._best_val:
+            self._best_val, self._best_epoch = val_loss, epoch
+            self._best_params = [p.copy() for p in params]
+        if val_loss <= self._best_metric - IMPROVEMENT_THRESHOLD:
+            self._best_metric, self._since_best = val_loss, 0
+            return False
+        self._since_best += 1
+        if self._since_best % (self._cfg.plateau_patience + 1) == 0:
+            self.lr = max(self.lr * self._cfg.plateau_factor, MIN_LR)
+        patience = self._early_stop_patience
+        return patience is not None and self._since_best > patience
+
+    def result(self) -> FitResult:
+        return FitResult(self._best_params, self.history, self._best_epoch, self._best_val)
+
+
+def fit(
     params: list,
+    grad_fn: Callable[[np.ndarray], tuple[float, list]],
     val_loss_fn: Callable[[], float],
     cfg,
     *,
@@ -294,89 +345,41 @@ def fit_steps(
     stream: RngStream,
     early_stop_patience: int | None = None,
     initial_val_loss: float | None = None,
-) -> Generator[np.ndarray, tuple[float, list], FitResult]:
-    """The mini-batch SGD training loop shared by heads and combiners, one
-    step per mini-batch; fit describes the protocol and the snapshot rule."""
-    best_val = initial_val_loss
-    if best_val is not None and not np.isfinite(best_val):
-        raise TrainingError("non-finite validation loss before training", epoch=0)
-    best_params, best_epoch = [p.copy() for p in params], 0
-    sgd = SgdState(cfg.lr, cfg.momentum, cfg.weight_decay)
-    best_metric, since_best = float("inf"), 0
-    history = []
-    for epoch in range(1, epochs + 1):
-        lr_used = sgd.learning_rate
-        order = stream.permutation(num_samples)
-        loss_sum = 0.0
-        for start in range(0, num_samples, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            loss, grads = yield batch
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite training loss at epoch {epoch}", epoch=epoch)
-            sgd_step(params, grads, sgd)
-            loss_sum += loss * batch.shape[0]
-        train_loss = loss_sum / num_samples
-        val_loss = val_loss_fn()
-        if not np.isfinite(val_loss):
-            raise TrainingError(f"non-finite validation loss at epoch {epoch}", epoch=epoch)
-        history.append((epoch, train_loss, val_loss, lr_used))
-        if best_val is None or val_loss < best_val:
-            best_val, best_epoch = val_loss, epoch
-            best_params = [p.copy() for p in params]
-        if val_loss <= best_metric - IMPROVEMENT_THRESHOLD:
-            best_metric, since_best = val_loss, 0
-            continue
-        since_best += 1
-        if since_best % (cfg.plateau_patience + 1) == 0:
-            sgd.learning_rate = max(sgd.learning_rate * cfg.plateau_factor, MIN_LR)
-        if early_stop_patience is not None and since_best > early_stop_patience:
-            break
-    return FitResult(best_params, history, best_epoch, best_val)
-
-
-def fit(
-    params: list,
-    grad_fn: Callable[[np.ndarray], tuple[float, list]],
-    val_loss_fn: Callable[[], float],
-    cfg,
-    **loop,
 ) -> FitResult:
     """Mini-batch SGD training loop shared by heads and combiners.
 
     Each epoch walks a permutation of range(num_samples) drawn from `stream`
     in cfg.batch_size mini-batches; grad_fn(batch) returns (loss, grads) at
-    the current params, which sgd_step updates in place. A non-finite loss
-    raises TrainingError. cfg supplies lr (the starting learning rate),
-    momentum, weight_decay, batch_size, plateau_factor and plateau_patience,
-    as HeadTrainConfig and MetaTrainConfig both do (check_sgd_settings is
-    their range check; fit uses the values as given). The keyword arguments
-    num_samples, epochs, stream, early_stop_patience and initial_val_loss
-    pass to fit_steps.
+    the current params, which sgd_step updates in place. A non-finite
+    training or validation loss raises TrainingError naming the epoch. cfg
+    supplies lr (the starting learning rate), momentum, weight_decay,
+    batch_size, plateau_factor and plateau_patience, as HeadTrainConfig and
+    MetaTrainConfig both do (check_sgd_settings is their range check; fit
+    uses the values as given).
 
-    Schedule and stop rule: after each epoch, the validation loss improves
-    when it is at least IMPROVEMENT_THRESHOLD below the best loss so far;
-    otherwise it counts one more epoch since the best. Each time that count
-    reaches a multiple of plateau_patience + 1, the learning rate is
-    multiplied by plateau_factor, but not below MIN_LR. If
-    early_stop_patience is set, training stops once the count exceeds it.
-
-    Step protocol: the loop itself is the generator fit_steps(params,
-    val_loss_fn, cfg, **loop). Each step yields one mini-batch's indices and
-    expects (loss, grads) for that batch at the current params to be sent
-    back; the generator returns the FitResult. fit drives it with grad_fn;
-    heads.train_heads_lockstep drives one generator per head and computes
-    the gradients of all heads' batches in one stacked call.
-
-    Snapshot rule: keep the first epoch with the strictly lowest validation
-    loss. The untrained params are candidate zero with loss initial_val_loss;
-    when that is None any epoch beats them, so they are kept only if no epoch
-    runs.
+    Epoch-end rule (EpochRule): the validation loss improves when it is at
+    least IMPROVEMENT_THRESHOLD below the best loss so far; otherwise it
+    counts one more epoch since the best. Each time that count reaches a
+    multiple of plateau_patience + 1, the learning rate is multiplied by
+    plateau_factor, but not below MIN_LR. If early_stop_patience is set,
+    training stops once the count exceeds it. The kept snapshot is the first
+    epoch with the strictly lowest validation loss; the untrained params are
+    candidate zero with loss initial_val_loss, and when that is None any
+    epoch beats them, so they are kept only if no epoch runs.
     """
-    steps = fit_steps(params, val_loss_fn, cfg, **loop)
-    step = None
-    while True:
-        try:
-            batch = steps.send(step)
-        except StopIteration as done:
-            return done.value
-        step = grad_fn(batch)
+    rule = EpochRule(params, cfg, early_stop_patience, initial_val_loss)
+    sgd = SgdState(rule.lr, cfg.momentum, cfg.weight_decay)
+    for epoch in range(1, epochs + 1):
+        order = stream.permutation(num_samples)
+        loss_sum = 0.0
+        for start in range(0, num_samples, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            loss, grads = grad_fn(batch)
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite training loss at epoch {epoch}", epoch=epoch)
+            sgd_step(params, grads, sgd)
+            loss_sum += loss * batch.shape[0]
+        if rule.end_epoch(epoch, loss_sum / num_samples, val_loss_fn(), params):
+            break
+        sgd.learning_rate = rule.lr
+    return rule.result()

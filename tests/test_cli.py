@@ -806,6 +806,24 @@ class TestConfigFile:
         assert run(["gen", "--config", str(cfg)]) == 0
         assert load_dataset(tmp_path / "data" / "train.fds").n == 200
 
+    @pytest.mark.parametrize("key, value, warned", [
+        ("max_epoch", 1, True),  # a misspelling of max_epochs: no command takes it
+        ("kind", "SL", False),  # train-meta's option, so a pipeline-wide config works
+    ])
+    def test_config_key_no_command_takes_is_named_in_a_warning(
+        self, tmp_path, capsys, key, value, warned
+    ):
+        assert run(gen_args(tmp_path / "data", n=200)) == 0
+        cfg = tmp_path / "train_heads.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = ["train-heads", "--config", str(cfg), "--train", str(tmp_path / "data" / "train.fds"),
+                "--m", "1", "--max-epochs", "2", "--out", str(tmp_path / "art")]
+        capsys.readouterr()
+        assert run(argv) == 0
+        warning = f"warning: {cfg}: {key} is not an option of any command; ignored"
+        err = capsys.readouterr().err
+        assert (warning in err) == warned and ("warning" in err) == warned
+
     @pytest.mark.parametrize("command, key, value", [("train-meta", "kind", "XL")])
     def test_config_value_outside_choices_exits_two(self, tmp_path, capsys, command, key, value):
         cfg = tmp_path / "choices.json"

@@ -193,11 +193,16 @@ class TestHeadFamily:
             (separable, quick_cfg(max_epochs=8)),
             # these heads early-stop at different epochs
             (noisy, quick_cfg(max_epochs=60, early_stop_patience=3, batch_size=32)),
+            # these cut their learning rates at different epochs, and weight
+            # decay 0 takes sgd_step's v += g branch
+            (noisy, quick_cfg(max_epochs=40, plateau_patience=1, early_stop_patience=4,
+                              weight_decay=0.0, batch_size=32)),
         ]
-        epochs_run = []
+        epochs_run, lrs = [], []
         for (train, val), cfg in cases:
             alone = [train_head(train, val, replace(cfg, seed=70 + i)) for i in range(4)]
             epochs_run.append([len(h.training_history) for h in alone])
+            lrs.append([[rec[3] for rec in h.training_history] for h in alone])
             for trainer in (train_head_family, train_heads_lockstep):
                 for member, lone in zip(trainer(train, val, 4, base_seed=70, cfg=cfg), alone):
                     assert np.array_equal(member.weights, lone.weights)
@@ -206,6 +211,7 @@ class TestHeadFamily:
                     assert member.best_epoch == lone.best_epoch
                     assert member.best_val_loss == lone.best_val_loss
         assert len(set(epochs_run[1])) > 1 and max(epochs_run[1]) < 60
+        assert any(len(set(at_epoch)) > 1 for at_epoch in zip(*lrs[2]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_error_names_head_index(self, separable):

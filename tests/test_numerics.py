@@ -237,6 +237,28 @@ class TestSgd:
         assert np.array_equal(p, ref_p)
         assert np.array_equal(state.velocity[0], ref_v)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_learning_rate_vector_equals_one_scalar_step_per_slice(self, weight_decay):
+        stream = RngStream(6)
+        rates = np.asarray([0.1, 0.05, 0.025])
+        params = [stream.standard_normal((3, 4, 5)), stream.standard_normal((3, 4))]
+        slices = [[p[i].copy() for p in params] for i in range(3)]
+        stacked = SgdState(rates, momentum=0.9, weight_decay=weight_decay)
+        alone = [SgdState(float(r), momentum=0.9, weight_decay=weight_decay) for r in rates]
+        for _ in range(3):
+            grads = [stream.standard_normal(p.shape) for p in params]
+            sgd_step(params, grads, stacked)
+            for i in range(3):
+                sgd_step(slices[i], [g[i] for g in grads], alone[i])
+        for i in range(3):
+            for p, v, lone_p, lone_v in zip(params, stacked.velocity, slices[i], alone[i].velocity):
+                assert np.array_equal(p[i], lone_p)
+                assert np.array_equal(v[i], lone_v)
+
+    def test_learning_rate_vector_must_match_the_leading_axis(self):
+        with pytest.raises(DimensionError, match="learning rates"):
+            sgd_step([np.zeros((3, 2))], [np.zeros((3, 2))], SgdState(np.ones(2)))
+
 
 def sgd_cfg(**kw):
     base = dict(lr=0.1, momentum=0.0, weight_decay=0.0, batch_size=2,
