@@ -58,15 +58,8 @@ from .combiners import (
     save_metamodel,
     train_metamodel,
 )
-from .data import SynthSpec, load_dataset, save_dataset, split, synth_cluster_pair
-from .errors import (
-    CalibensError,
-    ConfigError,
-    DataError,
-    DimensionError,
-    FormatError,
-    TrainingError,
-)
+from .data import SynthSpec, check_val_fraction, load_dataset, save_dataset, split, synth_cluster_pair
+from .errors import CalibensError, ConfigError, DataError, DimensionError, FormatError, TrainingError
 from .heads import HeadTrainConfig, head_predict, load_head, save_head, train_heads_lockstep
 from .metrics import (
     DEFAULT_NUM_BINS,
@@ -153,12 +146,6 @@ def _config_echo(train_cfg) -> dict:
     return {k: v for k, v in asdict(train_cfg).items() if k != "seed"}
 
 
-def _check_val_fraction(val_fraction: float) -> None:
-    """The --val-fraction rule of data.split, checked before any file is read."""
-    if not 0.0 < val_fraction < 1.0:
-        raise ConfigError(f"--val-fraction must be in (0, 1), got {val_fraction}")
-
-
 def _parse_meta_kinds(raw) -> list[str]:
     if raw is None or raw == "" or raw == "none":
         return []
@@ -209,7 +196,7 @@ def cmd_train_heads(args) -> int:
     m, seed = args.m, args.seed
     if m < 1:
         raise ConfigError(f"--m must be >= 1, got {m}")
-    _check_val_fraction(args.val_fraction)
+    check_val_fraction(args.val_fraction)  # before any file is read
     head_cfg = _train_config(HeadTrainConfig, args)
     dataset = load_dataset(args.train)
     train, val = split(dataset, args.val_fraction, derive_seed(seed, _SPLIT_STREAM))
@@ -310,7 +297,7 @@ def cmd_train_meta(args) -> int:
         raise ConfigError("missing combiner kind (--kind)")
     if args.train is None:
         raise ConfigError("missing training dataset path (--train)")
-    _check_val_fraction(args.val_fraction)
+    check_val_fraction(args.val_fraction)  # before any file is read
     meta_seed = derive_seed(seed, _META_STREAM + KIND_TAGS[kind])
     train_cfg = _train_config(MetaTrainConfig, args, seed=meta_seed)
     key = hashlib.sha256()
@@ -602,16 +589,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FormatError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except CalibensError as exc:
+    except (CalibensError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -296,7 +296,7 @@ def metamodel_forward(
     meta: Metamodel,
     outputs: HeadOutputs,
     training_mode: bool = False,
-    rng: RngStream | None = None,
+    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Logits of the combiner. Dropout applies only when training_mode is set
     (DL/DLL); evaluation mode ignores rng entirely."""
@@ -360,8 +360,9 @@ def train_metamodel(
     """Train a copy of `meta` with numerics.fit for exactly cfg.epochs epochs
     (no early stopping). The untrained model is snapshot candidate zero, so
     the returned model never validates worse than its starting point; the
-    input model is left untouched. Dropout masks (DL/DLL) come from the same
-    seeded stream as fit's permutations."""
+    input model is left untouched. fit trains [None] views of the copy's
+    layers (k = 1), so the copy is always the live model. Dropout masks
+    (DL/DLL) come from the same seeded stream as fit's permutations."""
     _check_outputs(meta, train_outputs)
     _check_outputs(meta, val_outputs)
     train_labels = check_labels(train_labels, meta.num_classes)
@@ -373,27 +374,28 @@ def train_metamodel(
     stream = RngStream(cfg.seed)
     use_dropout = work.kind in ("DL", "DLL") and work.dropout_p > 0.0
 
-    def grad_fn(batch):
+    def grad_fn(params, idx):
+        batch = idx[0]
         mask = None
         if use_dropout:
             mask = dropout_mask((batch.shape[0], work.hidden), work.dropout_p, stream)
         loss, grads = metamodel_gradients(
             work, train_outputs.subset(batch), train_labels[batch], mask=mask
         )
-        return loss, [g for pair in grads for g in pair]
+        return np.array([loss]), [g[None] for pair in grads for g in pair]
 
-    def val_loss_fn():
-        return cross_entropy(softmax(metamodel_forward(work, val_outputs)), val_labels)
+    def val_loss_fn(params=None):
+        return np.array([cross_entropy(softmax(metamodel_forward(work, val_outputs)), val_labels)])
 
-    result = fit(
-        [arr for pair in work.layers for arr in pair],
+    result, = fit(
+        [arr[None] for pair in work.layers for arr in pair],
         grad_fn,
         val_loss_fn,
         cfg,
         num_samples=train_outputs.n,
         epochs=cfg.epochs,
-        stream=stream,
-        initial_val_loss=val_loss_fn(),
+        streams=[stream],
+        initial_val_losses=val_loss_fn(),
     )
     return replace(
         work,

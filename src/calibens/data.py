@@ -11,7 +11,7 @@ module holds the rules this layout shares with the head and combiner files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,6 +132,13 @@ def load_dataset(path, digest=None) -> FeatureDataset:
     return _rows_of_checked(features, labels, num_classes)
 
 
+def check_val_fraction(val_fraction: float) -> None:
+    """The rule split puts on val_fraction; the CLI checks it before reading
+    any file."""
+    if not 0.0 < val_fraction < 1.0:
+        raise ConfigError(f"--val-fraction must be in (0, 1), got {val_fraction}")
+
+
 def split(dataset: FeatureDataset, val_fraction: float, seed: int):
     """Stratified train/validation split.
 
@@ -139,8 +146,7 @@ def split(dataset: FeatureDataset, val_fraction: float, seed: int):
     share within half a sample of val_fraction (so always within +-1). Returns
     (train, val); the two are disjoint and their union is the input.
     """
-    if not 0.0 < val_fraction < 1.0:
-        raise ConfigError(f"val fraction must be in (0, 1), got {val_fraction}")
+    check_val_fraction(val_fraction)
     stream = RngStream(seed)
     train_idx, val_idx = [], []
     for c in range(dataset.num_classes):
@@ -198,15 +204,7 @@ def synth_cluster_pair(spec: SynthSpec, test_samples: int):
     """
     if test_samples < 1:
         raise ConfigError(f"test sample count must be >= 1, got {test_samples}")
-    full_spec = SynthSpec(
-        num_classes=spec.num_classes,
-        dim=spec.dim,
-        num_samples=spec.num_samples + test_samples,
-        cluster_separation=spec.cluster_separation,
-        label_noise=spec.label_noise,
-        seed=spec.seed,
-    )
-    full = synth_clusters(full_spec)
+    full = synth_clusters(replace(spec, num_samples=spec.num_samples + test_samples))
     n = spec.num_samples
     return tuple(
         _rows_of_checked(full.features[sel].copy(), full.labels[sel].copy(), full.num_classes)

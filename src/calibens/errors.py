@@ -42,8 +42,9 @@ class FormatError(CalibensError):
 
 
 class TrainingError(CalibensError):
-    """Training diverged or could not run; carries the failing epoch."""
+    """Training diverged or could not run; carries the failing epoch and the
+    index of the failing model among those trained together."""
 
-    def __init__(self, message: str, epoch: int | None = None):
+    def __init__(self, message: str, epoch: int | None = None, model: int | None = None):
         super().__init__(message)
-        self.epoch = epoch
+        self.epoch, self.model = epoch, model

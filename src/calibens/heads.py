@@ -4,13 +4,12 @@ Each head is a single fully connected layer trained on softmax cross-entropy
 by mini-batch SGD, with early stopping. A family of m heads differs only in
 its seeds (head i uses base_seed + i).
 
-Two trainers produce the same family bit for bit. The CLI uses
-train_heads_lockstep, which trains all heads still running as one stacked
-model: their parameters live in (k, C, D) and (k, C) buffers, one call
-computes every head's mini-batch gradients and one sgd_step (with one
-learning rate per head) updates them all, so each mini-batch costs a fixed
-number of numpy calls whatever m is. train_head_family trains the heads one
-after another with train_head and numerics.fit; it stays as the plain
+Both trainers run numerics.fit, the one SGD loop of the package, and produce
+the same family bit for bit. The CLI uses train_heads_lockstep, which hands
+fit all m heads as one stack of (m, C, D) weights and (m, C) biases, so each
+mini-batch costs one backward_linear_stacked call and one sgd_step whatever
+m is. train_head_family trains the heads one after another with train_head
+(fit with k = 1, through the 2-D backward_linear); it stays as the plain
 reference the tests compare the lockstep trainer against.
 
 Head files (magic ``HDW1``) are little-endian:
@@ -28,10 +27,8 @@ from . import container
 from .data import FeatureDataset
 from .errors import CalibensError, ConfigError, DataError, DimensionError, TrainingError
 from .numerics import (
-    EpochRule,
     FitResult,
     RngStream,
-    SgdState,
     backward_linear,
     backward_linear_stacked,
     check_sgd_settings,
@@ -39,7 +36,6 @@ from .numerics import (
     derive_seed,
     fit,
     linear_forward,
-    sgd_step,
     softmax,
 )
 
@@ -95,7 +91,7 @@ class HeadTrainConfig:
         )
 
 
-def _init_params(dim: int, num_classes: int, stream: RngStream):
+def _init_params(dim: int, num_classes: int, stream: np.random.Generator):
     bound = 1.0 / np.sqrt(dim)
     weights = stream.uniform(-bound, bound, (num_classes, dim))
     bias = np.zeros(num_classes)
@@ -128,6 +124,11 @@ def _validation_loss(weights, bias, dataset: FeatureDataset) -> float:
     return cross_entropy(probs, dataset.labels)
 
 
+def _validation_losses(params, dataset: FeatureDataset) -> np.ndarray:
+    """The validation loss of each head in the stacked [weights, bias]."""
+    return np.array([_validation_loss(w, b, dataset) for w, b in zip(*params)])
+
+
 def _check_shared_shape(train: FeatureDataset, val: FeatureDataset) -> None:
     if train.dim != val.dim or train.num_classes != val.num_classes:
         raise DataError(
@@ -155,18 +156,21 @@ def train_head(train: FeatureDataset, val: FeatureDataset, cfg: HeadTrainConfig)
     stream = RngStream(cfg.seed)
     weights, bias = _init_params(train.dim, train.num_classes, stream)
 
-    def grad_fn(batch):
-        loss, d_w, d_b = backward_linear(train.features[batch], weights, bias, train.labels[batch])
-        return loss, [d_w, d_b]
+    def grad_fn(params, idx):
+        batch = idx[0]
+        loss, d_w, d_b = backward_linear(
+            train.features[batch], params[0][0], params[1][0], train.labels[batch]
+        )
+        return np.array([loss]), [d_w[None], d_b[None]]
 
-    result = fit(
-        [weights, bias],
+    result, = fit(
+        [weights[None], bias[None]],
         grad_fn,
-        lambda: _validation_loss(weights, bias, val),
+        lambda params: _validation_losses(params, val),
         cfg,
         num_samples=train.n,
         epochs=cfg.max_epochs,
-        stream=stream,
+        streams=[stream],
         early_stop_patience=cfg.early_stop_patience,
     )
     return _trained_head(cfg.seed, result)
@@ -201,18 +205,15 @@ def train_heads_lockstep(
     cfg: HeadTrainConfig,
 ) -> list[LinearHead]:
     """The heads of train_head_family(train, val, m, base_seed, cfg), bit for
-    bit, trained together as one stacked model.
+    bit, trained by one numerics.fit call as a stack of m models.
 
-    Row j of the weights (k, C, D), bias (k, C) and velocity buffers belongs
-    to live[j], the j-th head still training. Each head keeps its own seeded
-    stream (its init, then one permutation per epoch) and its own
-    numerics.EpochRule (learning rate, history, snapshot, stop). Each
-    mini-batch takes every live head's gradients from one
-    numerics.backward_linear_stacked call and updates them with one
-    sgd_step at the heads' learning-rate vector; each element sees the same
-    operations in the same order as in train_head. A head that stops leaves
-    the buffers at the end of that epoch. A non-finite loss ends training
-    with a TrainingError naming the lowest failing head index.
+    Head i is row i of the (m, C, D) weights and (m, C) biases, with its own
+    seeded stream (its init, then one permutation per epoch) and its own
+    epoch rule. Each mini-batch takes the live heads' gradients from one
+    backward_linear_stacked call, whose slices equal backward_linear's, so
+    each element sees the same operations in the same order as in
+    train_head. A non-finite loss raises a TrainingError naming the lowest
+    failing head.
     """
     if m < 1:
         raise ConfigError(f"head count must be >= 1, got {m}")
@@ -223,44 +224,25 @@ def train_heads_lockstep(
     bias = np.empty((m, train.num_classes))
     for i, stream in enumerate(streams):
         weights[i], bias[i] = _init_params(train.dim, train.num_classes, stream)
-    rules = [EpochRule([weights[i], bias[i]], cfg, cfg.early_stop_patience) for i in range(m)]
-    sgd = SgdState(np.full(m, cfg.lr), cfg.momentum, cfg.weight_decay)
-    live = list(range(m))
-    for epoch in range(1, cfg.max_epochs + 1):
-        orders = np.stack([streams[i].permutation(train.n) for i in live])
-        loss_sums = np.zeros(len(live))
-        for start in range(0, train.n, cfg.batch_size):
-            idx = orders[:, start : start + cfg.batch_size]
-            losses, d_weights, d_bias = backward_linear_stacked(
-                train.features[idx], weights, bias, train.labels[idx]
-            )
-            finite = np.isfinite(losses)
-            if not finite.all():
-                i = live[int(np.argmin(finite))]
-                raise TrainingError(
-                    f"head {i}: non-finite training loss at epoch {epoch}", epoch=epoch
-                )
-            sgd_step([weights, bias], [d_weights, d_bias], sgd)
-            loss_sums += losses * idx.shape[1]
-        keep = []
-        for j, i in enumerate(live):
-            try:
-                val_loss = _validation_loss(weights[j], bias[j], val)
-                stop = rules[i].end_epoch(
-                    epoch, float(loss_sums[j]) / train.n, val_loss, [weights[j], bias[j]]
-                )
-            except TrainingError as exc:
-                raise TrainingError(f"head {i}: {exc}", epoch=exc.epoch) from exc
-            if not stop:
-                keep.append(j)
-        if len(keep) < len(live):
-            weights, bias = weights[keep], bias[keep]
-            sgd.velocity = [v[keep] for v in sgd.velocity]
-            live = [live[j] for j in keep]
-            if not live:
-                break
-        sgd.learning_rate = np.array([rules[i].lr for i in live])
-    return [_trained_head(seed, rules[i].result()) for i, seed in enumerate(seeds)]
+
+    def grad_fn(params, idx):
+        losses, d_w, d_b = backward_linear_stacked(train.features[idx], *params, train.labels[idx])
+        return losses, [d_w, d_b]
+
+    try:
+        results = fit(
+            [weights, bias],
+            grad_fn,
+            lambda params: _validation_losses(params, val),
+            cfg,
+            num_samples=train.n,
+            epochs=cfg.max_epochs,
+            streams=streams,
+            early_stop_patience=cfg.early_stop_patience,
+        )
+    except TrainingError as exc:
+        raise TrainingError(f"head {exc.model}: {exc}", exc.epoch, exc.model) from exc
+    return [_trained_head(seed, result) for seed, result in zip(seeds, results)]
 
 
 def save_head(head: LinearHead, path) -> None:

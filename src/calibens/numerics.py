@@ -25,32 +25,13 @@ def derive_seed(seed: int, index: int) -> int:
     return (int(seed) + int(index)) & U64_MASK
 
 
-class RngStream:
-    """Seeded deterministic random stream.
-
-    Backed by numpy's PCG64 generator: the same 64-bit seed yields the same
-    draw sequence on every platform. Sub-streams are derived by fixed integer
-    offsets on the seed (see derive_seed), never by splitting state.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed) & U64_MASK
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def uniform(self, low: float, high: float, shape) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape)
-
-    def standard_normal(self, shape) -> np.ndarray:
-        return self._gen.standard_normal(size=shape)
-
-    def integers(self, low: int, high: int, shape=None) -> np.ndarray:
-        return self._gen.integers(low, high, size=shape)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def random(self, shape=None) -> np.ndarray:
-        return self._gen.random(size=shape)
+def RngStream(seed: int) -> np.random.Generator:
+    """Seeded deterministic random stream: a numpy Generator on PCG64, named
+    rather than left to default_rng (whose choice may change), so the same
+    64-bit seed yields the same draw sequence on every platform. Sub-streams
+    are derived by fixed integer offsets on the seed (see derive_seed), never
+    by splitting state."""
+    return np.random.Generator(np.random.PCG64(int(seed) & U64_MASK))
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -112,7 +93,7 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def dropout_mask(shape, p: float, rng: RngStream) -> np.ndarray:
+def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-scaling dropout mask: entries are 0 with probability p, else 1/(1-p).
 
     Applying the mask only during training makes evaluation a no-op.
@@ -227,8 +208,9 @@ class SgdState:
     """SGD with momentum and (coupled) weight decay over a list of parameters.
     The settings are used as given (HeadTrainConfig and MetaTrainConfig check
     them); sgd_step creates the velocity buffers on its first call.
-    learning_rate is a float, or one value per leading-axis slice when the
-    parameters stack k independent models along their first axis."""
+    learning_rate is a float, or a (k,) array with one value per leading-axis
+    slice when the parameters stack k independent models along their first
+    axis."""
 
     learning_rate: float | np.ndarray
     momentum: float = 0.0
@@ -251,12 +233,10 @@ def sgd_step(params: list, grads: list, state: SgdState) -> list:
                 f"param {p.shape}, grad {g.shape}, velocity {v.shape} must all match"
             )
         rate = state.learning_rate
-        if np.ndim(rate):
-            if np.shape(rate) != p.shape[:1]:
-                raise DimensionError(
-                    f"learning rates {np.shape(rate)} do not match param {p.shape}"
-                )
-            rate = np.reshape(rate, (-1,) + (1,) * (p.ndim - 1))
+        if isinstance(rate, np.ndarray):
+            if rate.shape != p.shape[:1]:
+                raise DimensionError(f"learning rates {rate.shape} do not match param {p.shape}")
+            rate = rate.reshape(rate.shape + (1,) * (p.ndim - 1))
         v *= state.momentum
         if state.weight_decay:
             v += g + state.weight_decay * p  # one sum: two adds round differently
@@ -289,21 +269,18 @@ def check_sgd_settings(cfg, *own_rules) -> None:
 
 
 class FitResult(NamedTuple):
-    params: list  # copies of the kept snapshot, in the order fit received them
+    params: list  # copies of the kept snapshot, one 2-D or 1-D array per parameter
     history: list  # (epoch, train_loss, val_loss, learning_rate) per epoch run
     best_epoch: int  # epoch of the kept snapshot; 0 is the untrained model
     best_val_loss: float | None  # its validation loss; None if never measured
 
 
 class EpochRule:
-    """What one training run carries from one epoch to the next: its
-    learning rate, history, kept snapshot and plateau count. end_epoch
-    applies the rule fit describes; fit and heads.train_heads_lockstep both
-    train through it."""
+    """What one model carries from one epoch to the next in fit: its learning
+    rate, history, kept snapshot and plateau count. end_epoch applies the
+    epoch-end rule that fit describes."""
 
     def __init__(self, params: list, cfg, early_stop_patience=None, initial_val_loss=None):
-        if initial_val_loss is not None and not np.isfinite(initial_val_loss):
-            raise TrainingError("non-finite validation loss before training", epoch=0)
         self.lr = cfg.lr
         self.history = []
         self._cfg, self._early_stop_patience = cfg, early_stop_patience
@@ -315,8 +292,6 @@ class EpochRule:
         """Record the epoch run at self.lr, keep a snapshot of params if it
         is the best so far, cut self.lr on a plateau, and return whether
         training stops here."""
-        if not np.isfinite(val_loss):
-            raise TrainingError(f"non-finite validation loss at epoch {epoch}", epoch=epoch)
         self.history.append((epoch, train_loss, val_loss, self.lr))
         if self._best_val is None or val_loss < self._best_val:
             self._best_val, self._best_epoch = val_loss, epoch
@@ -334,28 +309,48 @@ class EpochRule:
         return FitResult(self._best_params, self.history, self._best_epoch, self._best_val)
 
 
+def _check_losses(losses: np.ndarray, what: str, epoch: int, live: list) -> None:
+    """Raise TrainingError naming the lowest model whose loss is not finite;
+    losses[j] belongs to model live[j], and epoch 0 is before training."""
+    finite = np.isfinite(losses)
+    if not finite.all():
+        when = f"at epoch {epoch}" if epoch else "before training"
+        model = live[int(np.argmin(finite))]
+        raise TrainingError(f"non-finite {what} loss {when}", epoch=epoch, model=model)
+
+
 def fit(
     params: list,
-    grad_fn: Callable[[np.ndarray], tuple[float, list]],
-    val_loss_fn: Callable[[], float],
+    grad_fn: Callable[[list, np.ndarray], tuple[np.ndarray, list]],
+    val_loss_fn: Callable[[list], np.ndarray],
     cfg,
     *,
     num_samples: int,
     epochs: int,
-    stream: RngStream,
+    streams: list[np.random.Generator],
     early_stop_patience: int | None = None,
-    initial_val_loss: float | None = None,
-) -> FitResult:
-    """Mini-batch SGD training loop shared by heads and combiners.
+    initial_val_losses: np.ndarray | None = None,
+) -> list[FitResult]:
+    """Mini-batch SGD for k independent models side by side: the one training
+    loop of heads and combiners.
 
-    Each epoch walks a permutation of range(num_samples) drawn from `stream`
-    in cfg.batch_size mini-batches; grad_fn(batch) returns (loss, grads) at
-    the current params, which sgd_step updates in place. A non-finite
-    training or validation loss raises TrainingError naming the epoch. cfg
-    supplies lr (the starting learning rate), momentum, weight_decay,
-    batch_size, plateau_factor and plateau_patience, as HeadTrainConfig and
+    Model i is row i of every array in params, each shaped (k, ...); one
+    model passes [None] views of its arrays. Each epoch, model i draws a
+    permutation of range(num_samples) from streams[i] (a RngStream) and walks
+    it in cfg.batch_size mini-batches. grad_fn(params, idx) gets the (k, B)
+    sample indices, row j for the j-th model still training, and returns
+    their (k,) training losses and their gradients stacked like params; one
+    sgd_step then updates every model at its own learning rate. After each
+    epoch, val_loss_fn(params) returns the (k,) validation losses and each
+    model's epoch rule runs, in index order. A model that stops leaves
+    params, a new smaller stack, at the end of that epoch; the last one ends
+    the loop without a copy, so with k = 1 the given arrays stay the live
+    parameters. A non-finite training, validation or initial loss raises
+    TrainingError naming the epoch and the lowest failing model. cfg supplies
+    lr (the starting learning rate), momentum, weight_decay, batch_size,
+    plateau_factor and plateau_patience, as HeadTrainConfig and
     MetaTrainConfig both do (check_sgd_settings is their range check; fit
-    uses the values as given).
+    uses the values as given). Returns one FitResult per model.
 
     Epoch-end rule (EpochRule): the validation loss improves when it is at
     least IMPROVEMENT_THRESHOLD below the best loss so far; otherwise it
@@ -364,22 +359,37 @@ def fit(
     plateau_factor, but not below MIN_LR. If early_stop_patience is set,
     training stops once the count exceeds it. The kept snapshot is the first
     epoch with the strictly lowest validation loss; the untrained params are
-    candidate zero with loss initial_val_loss, and when that is None any
-    epoch beats them, so they are kept only if no epoch runs.
+    candidate zero with loss initial_val_losses[i], and when that is None
+    any epoch beats them, so they are kept only if no epoch runs.
     """
-    rule = EpochRule(params, cfg, early_stop_patience, initial_val_loss)
-    sgd = SgdState(rule.lr, cfg.momentum, cfg.weight_decay)
+    live = list(range(len(streams)))
+    initial = [None] * len(live)
+    if initial_val_losses is not None:
+        _check_losses(initial_val_losses, "validation", 0, live)
+        initial = [float(loss) for loss in initial_val_losses]
+    rules = [EpochRule([p[i] for p in params], cfg, early_stop_patience, initial[i]) for i in live]
+    sgd = SgdState(np.full(len(live), cfg.lr), cfg.momentum, cfg.weight_decay)
     for epoch in range(1, epochs + 1):
-        order = stream.permutation(num_samples)
-        loss_sum = 0.0
+        orders = np.stack([streams[i].permutation(num_samples) for i in live])
+        loss_sums = np.zeros(len(live))
         for start in range(0, num_samples, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            loss, grads = grad_fn(batch)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite training loss at epoch {epoch}", epoch=epoch)
+            idx = orders[:, start : start + cfg.batch_size]
+            losses, grads = grad_fn(params, idx)
+            _check_losses(losses, "training", epoch, live)
             sgd_step(params, grads, sgd)
-            loss_sum += loss * batch.shape[0]
-        if rule.end_epoch(epoch, loss_sum / num_samples, val_loss_fn(), params):
+            loss_sums += losses * idx.shape[1]
+        val_losses = val_loss_fn(params)
+        _check_losses(val_losses, "validation", epoch, live)
+        keep = []
+        for j, i in enumerate(live):
+            loss = float(loss_sums[j]) / num_samples
+            if not rules[i].end_epoch(epoch, loss, float(val_losses[j]), [p[j] for p in params]):
+                keep.append(j)
+        if not keep:
             break
-        sgd.learning_rate = rule.lr
-    return rule.result()
+        if len(keep) < len(live):
+            params = [p[keep] for p in params]
+            sgd.velocity = [v[keep] for v in sgd.velocity]
+            live = [live[j] for j in keep]
+        sgd.learning_rate = np.array([rules[i].lr for i in live])
+    return [rule.result() for rule in rules]

@@ -220,6 +220,16 @@ class TestHeadFamily:
             with pytest.raises(TrainingError, match="head 0"):
                 trainer(train, val, 2, base_seed=0, cfg=quick_cfg(lr=1e200, max_epochs=5))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_validation_error_names_head_index(self, separable):
+        # one mini-batch per epoch: every training loss is taken before the
+        # step that diverges, so a validation loss is the first non-finite one
+        train, val = separable
+        cfg = quick_cfg(lr=1e200, max_epochs=5, batch_size=train.n)
+        for trainer in (train_head_family, train_heads_lockstep):
+            with pytest.raises(TrainingError, match="head 0: non-finite validation loss"):
+                trainer(train, val, 2, base_seed=0, cfg=cfg)
+
 
 class TestHeadFile:
     def test_round_trip_at_f32(self, tmp_path):

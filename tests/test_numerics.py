@@ -270,9 +270,10 @@ def scheduled_lrs(val_losses, early_stop_patience=None, **cfg):
     """The lr column of the history fit records when the validation losses
     are scripted; its length is the number of epochs run."""
     scripted = iter(val_losses)
-    result = fit([np.zeros(1)], lambda batch: (0.0, [np.zeros(1)]), lambda: next(scripted),
-                 sgd_cfg(**cfg), num_samples=2, epochs=len(val_losses), stream=RngStream(0),
-                 early_stop_patience=early_stop_patience)
+    result, = fit([np.zeros((1, 1))], lambda params, idx: (np.zeros(1), [np.zeros((1, 1))]),
+                  lambda params: np.array([next(scripted)]), sgd_cfg(**cfg), num_samples=2,
+                  epochs=len(val_losses), streams=[RngStream(0)],
+                  early_stop_patience=early_stop_patience)
     return [rec[3] for rec in result.history]
 
 
@@ -345,11 +346,11 @@ class TestFit:
         param = np.zeros(1)
         scripted = iter(val_losses)
 
-        def grad_fn(batch):
-            return 1.0, [-np.ones(1)]  # every step adds lr to the parameter
+        def grad_fn(params, idx):
+            return np.ones(1), [-np.ones((1, 1))]  # every step adds lr to the parameter
 
-        result = fit([param], grad_fn, lambda: next(scripted), sgd_cfg(),
-                     num_samples=4, epochs=epochs, stream=RngStream(0), **kw)
+        result, = fit([param[None]], grad_fn, lambda params: np.array([next(scripted)]),
+                      sgd_cfg(), num_samples=4, epochs=epochs, streams=[RngStream(0)], **kw)
         return param, result
 
     def test_keeps_first_lowest_epoch(self):
@@ -362,7 +363,7 @@ class TestFit:
         assert all(rec[1] == 1.0 and rec[3] == 0.1 for rec in result.history)
 
     def test_untrained_candidate_wins_when_no_epoch_beats_it(self):
-        _, result = self.run([2.0, 1.5, 1.0], epochs=3, initial_val_loss=1.0)
+        _, result = self.run([2.0, 1.5, 1.0], epochs=3, initial_val_losses=np.ones(1))
         assert (result.best_epoch, result.best_val_loss) == (0, 1.0)
         assert np.array_equal(result.params[0], np.zeros(1))
         assert len(result.history) == 3
@@ -378,7 +379,7 @@ class TestFit:
 
     def test_non_finite_initial_loss_names_epoch_zero(self):
         with pytest.raises(TrainingError, match="before training") as exc:
-            self.run([], epochs=1, initial_val_loss=float("nan"))
+            self.run([], epochs=1, initial_val_losses=np.array([np.nan]))
         assert exc.value.epoch == 0
 
     def test_non_finite_val_loss_names_epoch(self):
@@ -388,17 +389,82 @@ class TestFit:
     def test_batches_walk_one_permutation_per_epoch(self):
         seen = []
 
-        def grad_fn(batch):
-            seen.append(batch.copy())
-            return 0.0, [np.zeros(1)]
+        def grad_fn(params, idx):
+            seen.append(idx[0].copy())
+            return np.zeros(1), [np.zeros((1, 1))]
 
-        fit([np.zeros(1)], grad_fn, lambda: 0.0, sgd_cfg(batch_size=3),
-            num_samples=7, epochs=2, stream=RngStream(4))
+        fit([np.zeros((1, 1))], grad_fn, lambda params: np.zeros(1), sgd_cfg(batch_size=3),
+            num_samples=7, epochs=2, streams=[RngStream(4)])
         reference = RngStream(4)
         assert [len(b) for b in seen] == [3, 3, 1, 3, 3, 1]
         for epoch in range(2):
             walked = np.concatenate(seen[3 * epoch : 3 * epoch + 3])
             assert np.array_equal(walked, reference.permutation(7))
+
+
+class TestFitStack:
+    """fit on k = 3 models at once. Column 0 of each model's parameter row
+    is its index: it gets no gradient (and no weight decay), so the scripted
+    losses can look up the model a row belongs to after rows are dropped."""
+
+    # model 0 keeps improving; model 1 is flat from epoch 1, so it stops
+    # after epoch 4 (early_stop_patience 2), with plateau cuts along the way;
+    # model 2 improves, then goes flat and cuts its learning rate
+    VAL = {0: [3.0, 2.5, 2.0, 1.5, 1.2, 1.0, 0.9, 0.8],
+           1: [2.0] * 8,
+           2: [4.0, 3.0, 3.0, 3.0, 2.0, 2.0, 2.0, 2.0]}
+
+    def run(self, models, nan_at=None):
+        """fit the listed models as one stack. nan_at = (what, epoch, failing)
+        makes the training or validation loss of the models in `failing` NaN
+        at that epoch."""
+        params = [np.array([[i, 0.5 * (i + 1)] for i in models], dtype=np.float64)]
+        done = [0]  # epochs finished
+
+        def scripted(what, values, params):
+            if nan_at is not None and nan_at[:2] == (what, done[0] + 1):
+                values[np.isin(params[0][:, 0], nan_at[2])] = np.nan
+            return values
+
+        def grad_fn(params, idx):
+            w = params[0]
+            grad = np.zeros_like(w)
+            grad[:, 1] = 0.5 * w[:, 1] - idx.mean(axis=1) / 5
+            return scripted("training", w[:, 1] ** 2, params), [grad]
+
+        def val_loss_fn(params):
+            values = np.array([self.VAL[int(i)][done[0]] for i in params[0][:, 0]])
+            values = scripted("validation", values, params)
+            done[0] += 1
+            return values
+
+        return fit(params, grad_fn, val_loss_fn, sgd_cfg(momentum=0.9, plateau_patience=1),
+                   num_samples=5, epochs=8, streams=[RngStream(10 + i) for i in models],
+                   early_stop_patience=2)
+
+    def test_each_model_equals_its_own_run(self):
+        stacked = self.run([0, 1, 2])
+        assert [len(r.history) for r in stacked] == [8, 4, 8]
+        assert len({rec[3] for rec in stacked[2].history}) > 1
+        for i, result in enumerate(stacked):
+            alone, = self.run([i])
+            assert len(result.params) == len(alone.params) == 1
+            assert result.params[0].tobytes() == alone.params[0].tobytes()
+            assert result.history == alone.history
+            assert (result.best_epoch, result.best_val_loss) == (alone.best_epoch,
+                                                                 alone.best_val_loss)
+
+    @pytest.mark.parametrize("what", ["training", "validation"])
+    @pytest.mark.parametrize("epoch, failing, model", [
+        (1, [1, 2], 1),
+        (1, [2], 2),
+        (6, [2], 2),  # after model 1 stopped, model 2 is row 1 of the stack
+        (6, [0, 2], 0),
+    ])
+    def test_non_finite_loss_names_the_lowest_failing_model(self, what, epoch, failing, model):
+        with pytest.raises(TrainingError, match=f"non-finite {what} loss at epoch {epoch}") as exc:
+            self.run([0, 1, 2], nan_at=(what, epoch, failing))
+        assert (exc.value.model, exc.value.epoch) == (model, epoch)
 
 
 class TestRngStream:
