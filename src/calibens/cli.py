@@ -14,9 +14,15 @@ sidecar is itself a valid config file. All randomness in a run derives from
 one ``--seed``; fixed offsets give each stage its own stream (heads:
 seed+1+i, splits: seed+1000, combiner models: seed+2000+kind tag).
 
-Every combiner kind trains on the same heads' outputs over the same split,
-so train-meta keeps them in ``head_outputs.cache`` in its output directory
-and reuses them in every later run on the same inputs. The file is a
+train-meta and evaluate map their .fds file read-only (data.map_dataset)
+and never hold its float64 feature matrix: both compute head outputs in row
+blocks (combiners.row_blocks), each block casting only its own rows'
+features. Every combiner kind trains on the same heads' outputs over the
+same split, so train-meta keeps them in ``head_outputs.cache`` in its output
+directory and reuses them in every later run on the same inputs. Such a hit
+reads the training file's bytes for the key, checks its features are finite
+and its labels in range, and draws the split from the labels
+(data.split_indices); it casts and gathers no feature row. The file is a
 container (HOC1) holding both split parts, little-endian:
 
     HOC1 | 32-byte sha256 key | u32 N_train | u32 N_val | u32 m | u32 C |
@@ -58,7 +64,16 @@ from .combiners import (
     save_metamodel,
     train_metamodel,
 )
-from .data import SynthSpec, check_val_fraction, load_dataset, save_dataset, split, synth_cluster_pair
+from .data import (
+    SynthSpec,
+    check_val_fraction,
+    load_dataset,
+    map_dataset,
+    save_dataset,
+    split,
+    split_indices,
+    synth_cluster_pair,
+)
 from .errors import CalibensError, ConfigError, DataError, DimensionError, FormatError, TrainingError
 from .heads import HeadTrainConfig, head_predict, load_head, save_head, train_heads_lockstep
 from .metrics import (
@@ -265,15 +280,21 @@ def _discover_heads(heads_dir, data_path, dataset, digest=None) -> list:
     return heads
 
 
-def _head_outputs(heads, features) -> HeadOutputs:
-    """The heads' softmax probabilities for `features`, computed into one
-    (N, m, C) array: head i writes its logits into the view [:, i, :] and
-    the softmax runs in place over the last axis, so the outputs are the
-    only full-size array the call allocates."""
-    values = np.empty((len(features), len(heads), heads[0].num_classes))
-    for i, head in enumerate(heads):
-        head_predict(head, features, out=values[:, i, :])
-    return HeadOutputs(softmax_in_place(values))
+def _head_outputs(heads, dataset, rows) -> HeadOutputs:
+    """The heads' softmax probabilities for the rows `rows` (an index array)
+    of the MappedDataset `dataset`, as one (len(rows), m, C) array filled
+    in row blocks (combiners.row_blocks): each block gathers its rows'
+    features and casts them to float64, head i writes its logits into the
+    block's view [:, i, :], and the softmax runs in place over the last
+    axis. Besides the outputs, the call holds one block's features."""
+    values = np.empty((len(rows), len(heads), dataset.num_classes))
+    for start, stop in row_blocks(len(rows), values.itemsize * len(heads) * dataset.num_classes):
+        block = values[start:stop]
+        features = dataset.features(rows[start:stop])
+        for i, head in enumerate(heads):
+            head_predict(head, features, out=block[:, i, :])
+        softmax_in_place(block)
+    return HeadOutputs(values)
 
 
 def _map_cache(path, fields: tuple):
@@ -301,36 +322,34 @@ def cmd_train_meta(args) -> int:
     meta_seed = derive_seed(seed, _META_STREAM + KIND_TAGS[kind])
     train_cfg = _train_config(MetaTrainConfig, args, seed=meta_seed)
     key = hashlib.sha256()
-    train, val = split(
-        load_dataset(args.train, key), args.val_fraction, derive_seed(seed, _SPLIT_STREAM)
+    dataset = map_dataset(args.train, key)
+    train_rows, val_rows = split_indices(
+        dataset.labels, dataset.num_classes, args.val_fraction, derive_seed(seed, _SPLIT_STREAM)
     )
-    heads = _discover_heads(args.heads_dir, args.train, train, key)
+    heads = _discover_heads(args.heads_dir, args.train, dataset, key)
     key.update(f"{seed}\n{args.val_fraction!r}".encode())
     out_dir = Path(args.out) if args.out is not None else Path(args.heads_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    train_labels, val_labels, num_classes = train.labels, val.labels, train.num_classes
-    n_train, m = train.n, len(heads)
+    m, num_classes = len(heads), dataset.num_classes
     cache = out_dir / HEAD_OUTPUTS_CACHE
-    header = (key.digest(), n_train, val.n, m, num_classes, bytes(12))
+    header = (key.digest(), len(train_rows), len(val_rows), m, num_classes, bytes(12))
     mapped = _map_cache(cache, header)
-    # the features are not needed once the outputs exist: drop each part's at once
     if mapped is None:
-        train_outputs = _head_outputs(heads, train.features)
-        del train
-        val_outputs = _head_outputs(heads, val.features)
-        del val
+        train_outputs = _head_outputs(heads, dataset, train_rows)
+        val_outputs = _head_outputs(heads, dataset, val_rows)
         blocks = [train_outputs.values, val_outputs.values]
         try:  # the cache only saves time: a failed write must not fail the run
             container.write(cache, _CACHE_MAGIC, _CACHE_HEADER, header, blocks, container.F64)
         except OSError as exc:
             print(f"warning: head outputs not cached: {exc}", file=sys.stderr)
     else:
-        del train, val
         try:
             train_outputs, val_outputs = HeadOutputs(mapped[0]), HeadOutputs(mapped[1])
         except DataError as exc:
             raise DataError(f"{cache}: {exc} (delete the file to recompute)") from None
+    train_labels, val_labels = dataset.labels[train_rows], dataset.labels[val_rows]
+    del dataset  # unmaps the training file before the fit
 
     meta = build_metamodel(kind, m, num_classes, meta_seed, dropout_p=train_cfg.dropout)
     trained = train_metamodel(meta, train_outputs, train_labels, val_outputs, val_labels, train_cfg)
@@ -383,15 +402,17 @@ def _row(name, slug, report, params) -> dict:
 def cmd_evaluate(args) -> int:
     """Score every head, Avg., Vot. and each --meta combiner on the test set.
 
-    The test set is walked in row blocks (combiners.row_blocks): a block's
-    head outputs take at most BLOCK_BYTES, and N is split into near-equal
-    blocks. Each block runs every predictor and keeps only its predicted
-    class and confidence per sample; the calibration reports are built from
-    those after the last block. So memory holds the features, one block with
-    its combiner intermediates, and 2*(m+2+kinds)*N scalars, not the
-    (N, m, C) outputs. Every prediction depends on its own row only, except
-    that BLAS may round the DL/DLL hidden layer differently at another row
-    count, by an ulp of a confidence."""
+    The test set is mapped, not loaded, and walked in row blocks
+    (combiners.row_blocks): a block's head outputs take at most BLOCK_BYTES,
+    and N is split into near-equal blocks. Each block casts its rows'
+    features, runs every predictor and keeps only its predicted class and
+    confidence per sample; the calibration reports are built from those
+    after the last block. So memory holds the mapped file, one block with
+    its features and combiner intermediates, and 2*(m+2+kinds)*N scalars,
+    neither the float64 features nor the (N, m, C) outputs. Every
+    prediction depends on its own row only, except that BLAS may round the
+    DL/DLL hidden layer differently at another row count, by an ulp of a
+    confidence."""
     if args.test is None:
         raise ConfigError("missing test dataset path (--test)")
     num_bins = args.bins
@@ -420,7 +441,7 @@ def cmd_evaluate(args) -> int:
                 raise ConfigError(f"{sidecar}: {kind} was trained on head logits; retrain it")
             meta_training[kind] = recorded
 
-    test = load_dataset(args.test)
+    test = map_dataset(args.test)
     heads = _discover_heads(heads_dir, args.test, test)
     m = len(heads)
     metas = {kind: load_metamodel(meta_paths[kind]) for kind in kinds}
@@ -436,9 +457,10 @@ def cmd_evaluate(args) -> int:
     predicted = np.empty((len(predictors), test.n), dtype=np.int64)
     confidence = np.empty((len(predictors), test.n))
 
+    rows = np.arange(test.n)
     for start, stop in row_blocks(test.n, m * test.num_classes * 8):
         labels = test.labels[start:stop]
-        outputs = _head_outputs(heads, test.features[start:stop])
+        outputs = _head_outputs(heads, test, rows[start:stop])
         preds = [predictions_from_probs(outputs.values[:, i, :], labels) for i in range(m)]
         preds += [combine_average(outputs, labels), combine_vote(outputs, labels)]
         preds += [combine_metamodel(meta, outputs, labels) for meta in metas.values()]

@@ -45,12 +45,14 @@ META_HEADER = "<BIIIfQ"
 
 
 # Bytes of head outputs, (rows, m, C) float64, that one row block holds: the
-# HeadOutputs checks and evaluate walk the outputs in such blocks, so their
-# temporaries stay small however large N is. Larger blocks only raise the
-# peak: on the C=10 benchmark workload (50k test samples), 4 and 16 MiB
-# evaluate blocks took its peak RSS from 60 to 76 and 99 MiB and were no
-# faster; on (45000, 5, 100) probabilities both checks took 0.062 s in 1 MiB
-# blocks, 0.090 s at once.
+# CLI computes head outputs block by block, and the HeadOutputs check and
+# evaluate walk the outputs in such blocks, so their temporaries stay small
+# however large N is. Larger blocks only raise the peak: on the C=10
+# benchmark workload (50k test samples), 4 and 16 MiB evaluate blocks took
+# its peak RSS from 60 to 76 and 99 MiB and were no faster. On (45000, 5,
+# 100) probabilities a finite pass then a simplex pass took 0.062 s in 1 MiB
+# blocks and 0.090 s at once; on a 2-vCPU VM where those two passes took
+# 0.075 s in blocks, the one-pass check took 0.038 s.
 BLOCK_BYTES = 1 << 20
 
 
@@ -65,10 +67,28 @@ def row_blocks(n: int, row_bytes: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _off_simplex(values: np.ndarray) -> np.ndarray:
-    """(N, m) mask of the rows of (N, m, C) `values` that are not probability
-    vectors: a negative entry, or a sum more than 1e-9 from 1."""
-    return (values < 0.0).any(axis=2) | (np.abs(values.sum(axis=2) - 1.0) > 1e-9)
+def _all_probability_rows(block: np.ndarray) -> bool:
+    """Whether every entry of the (rows, m, C) `block` is finite and every
+    row a probability vector, in one pass: no entry below 0 and every sum
+    within 1e-9 of 1. The min propagates a NaN, and a row holding an inf
+    sums to inf or NaN, so no non-finite block passes; initial=0.0 lets an
+    empty block pass, where a plain min raises."""
+    return bool(block.min(initial=0.0) >= 0.0) and bool(
+        (np.abs(block.sum(axis=2) - 1.0) <= 1e-9).all()
+    )
+
+
+def _raise_first_fault(values: np.ndarray) -> None:
+    """Raise the DataError naming the lowest head of the (N, m, C) `values`
+    that holds a non-finite value or, when every value is finite, a row
+    that is not a probability vector (a negative entry, or a sum more than
+    1e-9 from 1)."""
+    if not np.isfinite(values).all():
+        i, n, c = np.argwhere(~np.isfinite(values.transpose(1, 0, 2)))[0]
+        raise DataError(f"head {i} output holds a non-finite value at index [{n}, {c}]")
+    off_simplex = (values < 0.0).any(axis=2) | (np.abs(values.sum(axis=2) - 1.0) > 1e-9)
+    i = np.nonzero(off_simplex.any(axis=0))[0][0]
+    raise DataError(f"head {i} rows are not probability vectors")
 
 
 @dataclass(eq=False)
@@ -77,10 +97,11 @@ class HeadOutputs:
     `values`, shaped (N, m, C): values[n, i, c] is head i's probability of
     class c for sample n, so values[:, i, :] is head i's (N, C) matrix.
 
-    The constructor checks the whole array, one pass per check: finite
-    everywhere, and every row a probability vector; a failure names the
-    lowest offending head. Each pass walks row_blocks, so its temporaries
-    stay small however large the outputs are.
+    The constructor checks the whole array in one pass over row_blocks, so
+    its temporaries stay small however large the outputs are: every value
+    finite and every row a probability vector. Only when a block fails does
+    it diagnose the whole array, non-finite values first, and name the
+    lowest offending head.
 
     `values` may be a read-only array, such as a view of a mapped file: it
     is kept as a view, never copied, when it already is a C-contiguous
@@ -100,14 +121,9 @@ class HeadOutputs:
         if values.shape[1] == 0:
             raise DataError("need at least one head output")
         row_bytes = values.shape[1] * values.shape[2] * values.itemsize
-        blocks = [values[start:stop] for start, stop in row_blocks(len(values), row_bytes)]
-        # a failed pass finds its first fault on the whole array
-        if not all(np.isfinite(block).all() for block in blocks):
-            i, n, c = np.argwhere(~np.isfinite(values.transpose(1, 0, 2)))[0]
-            raise DataError(f"head {i} output holds a non-finite value at index [{n}, {c}]")
-        if any(_off_simplex(block).any() for block in blocks):
-            i = np.nonzero(_off_simplex(values).any(axis=0))[0][0]
-            raise DataError(f"head {i} rows are not probability vectors")
+        for start, stop in row_blocks(len(values), row_bytes):
+            if not _all_probability_rows(values[start:stop]):
+                _raise_first_fault(values)
         self.values = values
 
     @property

@@ -8,10 +8,13 @@ four:
   it is a truncated header;
 * the header determines the payload's exact byte length, and a file of any
   other length is rejected;
-* payload floats are f32 on disk and float64 in memory, and every one must
-  be finite; the exception is `Reader.f64`, which hands out a stored f64
-  block as a read-only view of the file, unchecked, for a caller that
-  checks the values itself (the HOC1 cache);
+* payload floats are f32 on disk, and every one must be finite. `Reader.f32`
+  hands a block out as float64; `Reader.records` hands each field of a
+  record array out as a read-only view of the file, its f32 values checked
+  but not cast, so a caller casts only the rows it needs (FDS1's features).
+  The exception is `Reader.f64`, which hands out a stored f64 block as a
+  read-only view of the file, unchecked, for a caller that checks the
+  values itself (the HOC1 cache);
 * a writer emits the magic, the packed header, then the payload arrays'
   bytes, floats as f32 (HOC1: f64). It writes a temporary file next to the
   target and moves it into place with os.replace, so a failed or crashed
@@ -45,7 +48,8 @@ class Reader:
 
     Format-specific header checks raise `error(...)`; then `expect_payload`
     fixes the file length, and `f32`, `f64` and `records` read the payload
-    in order from the end of the header.
+    in order from the end of the header. `f64` and `records` hand out views
+    of the mapping, which stays open as long as any of them is alive.
     """
 
     def __init__(self, path, magic: bytes, header: str, digest=None):
@@ -83,9 +87,13 @@ class Reader:
         return items, start
 
     def f32(self, shape: tuple) -> np.ndarray:
-        """The next f32 block of `shape` (row-major) as float64."""
+        """The next f32 block of `shape` (row-major) as a C-contiguous
+        float64 array. The block is checked before the cast, because casting
+        a signalling NaN warns."""
         block, start = self._view(F32, math.prod(shape))
-        return self._float64(block.reshape(shape), start)
+        block = block.reshape(shape)
+        self._check_finite(block, start)
+        return block.astype(np.float64, order="C")
 
     def f64(self, shape: tuple) -> np.ndarray:
         """The next f64 block of `shape` (row-major) as a read-only view of
@@ -93,29 +101,29 @@ class Reader:
         return self._view(F64, math.prod(shape))[0].reshape(shape)
 
     def records(self, dtype: np.dtype, count: int) -> list[np.ndarray]:
-        """The next `count` records of the structured `dtype`, one array per
-        field in field order; f32 fields come back as float64, other fields
-        as read-only views of the file."""
+        """The next `count` records of the structured `dtype`, one read-only
+        view of the file per field, in field order. The values of every f32
+        field are checked finite, not cast: the file's bytes are the only
+        copy, and a caller casts the rows it needs."""
         items, start = self._view(dtype, count)
         fields = []
         for name in dtype.names:
             field_dtype, field_offset = dtype.fields[name][:2]
             values = items[name]
             if field_dtype.base == F32:
-                values = self._float64(values, start + field_offset)
+                self._check_finite(values, start + field_offset)
             fields.append(values)
         return fields
 
-    def _float64(self, values: np.ndarray, start: int) -> np.ndarray:
-        """`values`, an f32 view of the file whose first element sits at
-        byte `start`, as a C-contiguous float64 array. They are checked
-        before the cast, because casting a signalling NaN warns; the check's
-        mask is dropped before the cast allocates the result."""
+    def _check_finite(self, values: np.ndarray, start: int) -> None:
+        """Raise a FormatError at the byte offset of the first non-finite
+        value of `values`, an f32 view of the file whose first element sits
+        at byte `start`. The check's mask is dropped on return, before a
+        caller allocates anything of the values' size."""
         if not np.isfinite(values).all():
             first = np.argwhere(~np.isfinite(values))[0]
             offset = start + int(np.dot(first, values.strides))
             raise self.error("non-finite f32 value", offset=offset)
-        return values.astype(np.float64, order="C")
 
 
 def write(path, magic: bytes, header: str, fields: tuple, payload: list, floats=F32) -> None:

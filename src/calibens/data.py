@@ -5,8 +5,14 @@ On disk they use a little-endian binary layout (magic ``FDS1``):
 
     FDS1 | u32 N | u32 D | u32 C | N x (D x f32 features, u32 label)
 
-Files store 32-bit floats; in memory everything is 64-bit. The container
-module holds the rules this layout shares with the head and combiner files.
+Files store 32-bit floats; everything computed from them is 64-bit. A file
+is read in two parts. map_dataset maps it read-only and checks it (header,
+length, finite features, labels below C) without casting anything, so a
+caller that needs only the labels, or a few rows at a time, never holds the
+float64 matrix; load_dataset casts the whole matrix into a FeatureDataset.
+Likewise split_indices draws a split's row indices from the labels alone,
+and split gathers those rows. The container module holds the rules this
+layout shares with the head and combiner files.
 """
 
 from __future__ import annotations
@@ -110,9 +116,37 @@ def save_dataset(dataset: FeatureDataset, path) -> None:
     container.write(path, FDS_MAGIC, FDS_HEADER, header, [records])
 
 
-def load_dataset(path, digest=None) -> FeatureDataset:
-    """The dataset in the FDS1 file at `path`; `digest`, when given, is
-    updated with the file's bytes (see container.Reader)."""
+@dataclass(eq=False)
+class MappedDataset:
+    """An FDS1 file mapped read-only and checked: `features_f32` is the
+    (N, D) f32 feature view of the file, every value finite, and `labels`
+    the (N,) int64 labels, every one below num_classes. Both are read-only.
+    features(rows) is the one place the features become float64."""
+
+    features_f32: np.ndarray
+    labels: np.ndarray
+    num_classes: int
+
+    @property
+    def n(self) -> int:
+        return self.features_f32.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.features_f32.shape[1]
+
+    def features(self, rows=slice(None)) -> np.ndarray:
+        """The float64 features of `rows` (an index array or a slice; all
+        rows by default) as a fresh C-contiguous (len(rows), D) array."""
+        return self.features_f32[rows].astype(np.float64, order="C")
+
+
+def map_dataset(path, digest=None) -> MappedDataset:
+    """The FDS1 file at `path`, mapped and checked (see MappedDataset), with
+    no float64 copy of its features; `digest`, when given, is updated with
+    the file's bytes (see container.Reader). A fault raises FormatError at
+    its byte offset: a bad header or length, then the first non-finite
+    feature, then the first label >= C."""
     reader = container.Reader(path, FDS_MAGIC, FDS_HEADER, digest)
     n, dim, num_classes = reader.header
     if n < 1 or dim < 1 or num_classes < 1:
@@ -129,7 +163,17 @@ def load_dataset(path, digest=None) -> FeatureDataset:
             f"label {int(labels[i])} at record {i} >= C={num_classes}",
             offset=start + i * record.itemsize + 4 * dim,
         )
-    return _rows_of_checked(features, labels, num_classes)
+    labels.setflags(write=False)
+    return MappedDataset(features, labels, num_classes)
+
+
+def load_dataset(path, digest=None) -> FeatureDataset:
+    """The dataset in the FDS1 file at `path`, its features cast to one
+    float64 matrix; `digest` as for map_dataset, which does every check.
+    Training reads the whole matrix each epoch; a caller that needs fewer
+    rows, or only the labels, uses map_dataset instead."""
+    mapped = map_dataset(path, digest)
+    return _rows_of_checked(mapped.features(), mapped.labels, mapped.num_classes)
 
 
 def check_val_fraction(val_fraction: float) -> None:
@@ -139,18 +183,20 @@ def check_val_fraction(val_fraction: float) -> None:
         raise ConfigError(f"--val-fraction must be in (0, 1), got {val_fraction}")
 
 
-def split(dataset: FeatureDataset, val_fraction: float, seed: int):
-    """Stratified train/validation split.
+def split_indices(labels: np.ndarray, num_classes: int, val_fraction: float, seed: int):
+    """Row indices of a stratified train/validation split of `labels`
+    (checked to lie in [0, num_classes)), drawn from the labels alone.
 
     Each class is shuffled with the seeded stream and contributes a validation
     share within half a sample of val_fraction (so always within +-1). Returns
-    (train, val); the two are disjoint and their union is the input.
+    (train, val), each sorted; the two are disjoint and their union is every
+    row.
     """
     check_val_fraction(val_fraction)
     stream = RngStream(seed)
     train_idx, val_idx = [], []
-    for c in range(dataset.num_classes):
-        class_idx = np.nonzero(dataset.labels == c)[0]
+    for c in range(num_classes):
+        class_idx = np.nonzero(labels == c)[0]
         n_c = class_idx.shape[0]
         if n_c < 2:
             raise StratificationError(
@@ -160,9 +206,15 @@ def split(dataset: FeatureDataset, val_fraction: float, seed: int):
         shuffled = class_idx[stream.permutation(n_c)]
         val_idx.append(shuffled[:n_val])
         train_idx.append(shuffled[n_val:])
+    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(val_idx))
+
+
+def split(dataset: FeatureDataset, val_fraction: float, seed: int):
+    """The (train, val) datasets of split_indices(dataset.labels, ...): each
+    part gathers its rows of the float64 features, in index order."""
     return tuple(
         _rows_of_checked(dataset.features[sel], dataset.labels[sel], dataset.num_classes)
-        for sel in (np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(val_idx)))
+        for sel in split_indices(dataset.labels, dataset.num_classes, val_fraction, seed)
     )
 
 

@@ -193,7 +193,7 @@ def train_head_family(
         try:
             heads.append(train_head(train, val, replace(cfg, seed=derive_seed(base_seed, i))))
         except CalibensError as exc:
-            raise TrainingError(f"head {i}: {exc}") from exc
+            raise TrainingError(f"head {i}: {exc}", getattr(exc, "epoch", None), i) from exc
     return heads
 
 

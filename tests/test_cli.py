@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from calibens import cli, combiners
+from calibens import cli, combiners, container
 from calibens.cli import HEAD_OUTPUTS_CACHE, _head_outputs, build_parser, main
 from calibens.combiners import (
     KINDS,
@@ -17,10 +18,18 @@ from calibens.combiners import (
     row_blocks,
     save_metamodel,
 )
-from calibens.data import FeatureDataset, load_dataset, save_dataset
-from calibens.heads import LinearHead, load_head, save_head
+from calibens.data import (
+    FeatureDataset,
+    MappedDataset,
+    _dataset_record_dtype,
+    load_dataset,
+    map_dataset,
+    save_dataset,
+    split_indices,
+)
+from calibens.heads import LinearHead, head_predict, load_head, save_head
 from calibens.metrics import RELIABILITY_CSV_HEADER, calibration_report, predictions_from_probs
-from calibens.numerics import RngStream
+from calibens.numerics import RngStream, softmax_in_place
 
 from fixtures import MiscalSpec, chance_level_bound, head_outputs, synth_miscalibrated_predictions
 
@@ -72,6 +81,17 @@ def refuse_head_outputs(monkeypatch):
         raise AssertionError("head outputs were computed")
 
     monkeypatch.setattr(cli, "head_predict", refuse)
+
+
+def refuse_feature_casts(monkeypatch):
+    """From here on, gathering or casting any feature row of a dataset file
+    fails the test: MappedDataset.features is the only path from the f32
+    records to float64, load_dataset's included."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("features were cast to float64")
+
+    monkeypatch.setattr(MappedDataset, "features", refuse)
 
 
 @pytest.fixture()
@@ -173,28 +193,50 @@ class TestTrainHeads:
         ]) == 2
 
 
-class TestHeadOutputsArray:
-    """cli._head_outputs fills one (N, m, C) array head by head."""
+def mapped_dataset(path, n, dim, num_classes, seed):
+    """A MappedDataset of n random rows, written to `path` first."""
+    stream = RngStream(seed)
+    features, labels = stream.standard_normal((n, dim)), np.arange(n) % num_classes
+    save_dataset(FeatureDataset(features, labels, num_classes), path)
+    return map_dataset(path)
 
-    def test_peak_memory_within_one_and_a_half_output_sizes(self):
+
+class TestHeadOutputsArray:
+    """cli._head_outputs fills one (N, m, C) array block by block, head by head."""
+
+    def test_peak_memory_within_one_and_a_half_output_sizes(self, tmp_path):
         heads = random_heads(5, 32, 40, seed=1)
-        features = RngStream(2).standard_normal((8000, 32))
+        dataset = mapped_dataset(tmp_path / "d.fds", 8000, 32, 40, seed=2)
         tracemalloc.start()
         try:
-            outputs = _head_outputs(heads, features)
+            outputs = _head_outputs(heads, dataset, np.arange(8000))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert outputs.values.shape == (8000, 5, 40)
         assert peak <= 1.5 * outputs.values.nbytes, peak / outputs.values.nbytes
 
-    def test_views_equal_per_head_outputs_bit_for_bit(self):
+    def test_views_equal_per_head_outputs_bit_for_bit(self, tmp_path):
         heads = random_heads(4, 96, 50, seed=3)
-        features = RngStream(4).standard_normal((3000, 96))
-        outputs = _head_outputs(heads, features)
+        dataset = mapped_dataset(tmp_path / "d.fds", 3000, 96, 50, seed=4)
+        outputs = _head_outputs(heads, dataset, np.arange(3000))
+        features = dataset.features()
         for i, head in enumerate(heads):
             expect = per_head_softmax(per_head_logits(head, features))
             assert np.array_equal(outputs.values[:, i, :], expect)
+
+    def test_block_walk_equals_whole_matrix_bit_for_bit(self, tmp_path):
+        # 1800 rows in split order: 7 blocks of at most 262 rows at m=5, C=100
+        heads = random_heads(5, 256, 100, seed=5)
+        dataset = mapped_dataset(tmp_path / "d.fds", 2000, 256, 100, seed=6)
+        rows = split_indices(dataset.labels, 100, 0.1, seed=7)[0]
+        assert len(row_blocks(len(rows), 5 * 100 * 8)) >= 3
+        outputs = _head_outputs(heads, dataset, rows)
+        features = dataset.features()[rows]
+        expect = np.empty((len(rows), 5, 100))
+        for i, head in enumerate(heads):
+            head_predict(head, features, out=expect[:, i, :])
+        assert np.array_equal(outputs.values, softmax_in_place(expect))
 
     @pytest.mark.parametrize("command", ["train-meta", "evaluate"])
     @pytest.mark.parametrize("dim, classes", [(5, 3), (4, 5)])
@@ -297,6 +339,8 @@ class TestHeadOutputsCache:
         ])
 
     def test_hit_writes_the_miss_bytes_without_computing_outputs(self, pipeline_dir, monkeypatch):
+        # a hit reads the file's bytes for the key and its labels for the
+        # split, and casts or gathers no feature row
         out = pipeline_dir / "out"
         names = [f"meta_{kind}.{ext}" for kind in KINDS for ext in ("mmd", "json")]
         for kind in KINDS:
@@ -304,10 +348,59 @@ class TestHeadOutputsCache:
             assert self.train_meta(pipeline_dir, out, kind=kind) == 0
         missed = {name: (out / name).read_bytes() for name in names}
         refuse_head_outputs(monkeypatch)
+        refuse_feature_casts(monkeypatch)
         for kind in KINDS:
             assert self.train_meta(pipeline_dir, out, kind=kind) == 0
         for name in names:
             assert (out / name).read_bytes() == missed[name], name
+
+    @staticmethod
+    def forge_cache(pipeline_dir, train, out):
+        """A cache keyed, as train-meta keys it, to the exact bytes of
+        `train` and the heads at --seed 7 and --val-fraction 0.1, holding
+        uniform outputs for the split that the file's labels give."""
+        art = pipeline_dir / "artifacts"
+        key = hashlib.sha256(train.read_bytes())
+        for i in range(2):
+            key.update((art / f"head_{i}.hdw").read_bytes())
+        key.update(b"7\n0.1")
+        labels = np.frombuffer(train.read_bytes(), _dataset_record_dtype(4), offset=16)["y"]
+        parts = split_indices(labels, 3, 0.1, 7 + 1000)
+        header = (key.digest(), len(parts[0]), len(parts[1]), 2, 3, bytes(12))
+        blocks = [np.full((len(rows), 2, 3), 1 / 3) for rows in parts]
+        out.mkdir(parents=True, exist_ok=True)
+        container.write(out / HEAD_OUTPUTS_CACHE, cli._CACHE_MAGIC, cli._CACHE_HEADER, header,
+                        blocks, container.F64)
+
+    @pytest.mark.parametrize("fault, offset", [
+        (None, None),
+        ("nan feature", 16 + 5 * (4 * 4 + 4) + 4 * 1),  # feature 1 of record 5
+        ("label >= C", 16 + 5 * (4 * 4 + 4) + 4 * 4),  # label of record 5
+    ])
+    def test_forged_cache_of_a_bad_file_still_exits_three_at_its_offset(
+        self, pipeline_dir, capsys, monkeypatch, fault, offset
+    ):
+        train = pipeline_dir / "data" / "train.fds"
+        raw = bytearray(train.read_bytes())
+        if fault == "nan feature":
+            raw[offset : offset + 4] = np.float32(np.nan).tobytes()
+        if fault == "label >= C":
+            raw[offset : offset + 4] = (3).to_bytes(4, "little")
+        train.write_bytes(bytes(raw))
+        flags = ["train-meta", "--kind", "SL", "--train", str(train),
+                 "--heads-dir", str(pipeline_dir / "artifacts"), "--seed", "7", "--epochs", "1"]
+        self.forge_cache(pipeline_dir, train, pipeline_dir / "forged")
+        refuse_head_outputs(monkeypatch)
+        if fault is None:  # the forged cache is a hit
+            refuse_feature_casts(monkeypatch)
+            assert run([*flags, "--out", str(pipeline_dir / "forged")]) == 0
+            return
+        assert run([*flags, "--out", str(pipeline_dir / "no-cache")]) == 3
+        no_cache = capsys.readouterr().err
+        assert run([*flags, "--out", str(pipeline_dir / "forged")]) == 3
+        forged = capsys.readouterr().err
+        assert f"(byte offset {offset})" in no_cache
+        assert forged == no_cache
 
     @pytest.mark.parametrize("part", ["head", "head-count", "dataset", "seed", "val-fraction"])
     def test_cache_of_other_inputs_is_recomputed(self, pipeline_dir, part):
@@ -661,9 +754,9 @@ class TestEvaluateBlocks:
         block_rows = []
         head_outputs_of = cli._head_outputs
 
-        def spy(heads, features):
-            block_rows.append(len(features))
-            return head_outputs_of(heads, features)
+        def spy(heads, dataset, rows):
+            block_rows.append(len(rows))
+            return head_outputs_of(heads, dataset, rows)
 
         monkeypatch.setattr(cli, "_head_outputs", spy)
         monkeypatch.setattr(combiners, "BLOCK_BYTES", 70 * 2 * 3 * 8)  # 70 rows at m=2, C=3

@@ -1,4 +1,5 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from calibens.combiners import (
     train_metamodel,
 )
 from calibens.errors import ConfigError, DataError, DimensionError, FormatError, LabelError
-from calibens.numerics import RngStream, _softmax_ce_grad, cross_entropy, relu, softmax
+from calibens.numerics import (
+    RngStream,
+    _softmax_ce_grad,
+    cross_entropy,
+    relu,
+    softmax,
+    softmax_in_place,
+)
 
 from fixtures import head_outputs
 from gradcheck import finite_difference_grads, relative_error
@@ -54,6 +62,76 @@ class TestHeadOutputs:
         a = np.asarray([[0.2, 0.8]])
         b = np.asarray([[0.6, 0.4]])
         assert np.array_equal(head_outputs([a, b]).concatenated(), [[0.2, 0.8, 0.6, 0.4]])
+
+
+def two_pass_check(values):
+    """The HeadOutputs check as two passes over the whole array: every value
+    finite, then every row a probability vector; the first failing pass
+    names the lowest offending head."""
+    if not np.isfinite(values).all():
+        i, n, c = np.argwhere(~np.isfinite(values.transpose(1, 0, 2)))[0]
+        raise DataError(f"head {i} output holds a non-finite value at index [{n}, {c}]")
+    off_simplex = (values < 0.0).any(axis=2) | (np.abs(values.sum(axis=2) - 1.0) > 1e-9)
+    if off_simplex.any():
+        i = np.nonzero(off_simplex.any(axis=0))[0][0]
+        raise DataError(f"head {i} rows are not probability vectors")
+
+
+# entries that break a probability row, or (0.0, -0.0) keep it one
+ODD_ENTRY = st.sampled_from([np.nan, np.inf, -np.inf, -1e-300, -0.25, -0.0, 0.0, 1.5, 1e308])
+# row scales that keep the sum within 1e-9 of 1, or take it out
+ROW_SCALE = st.sampled_from([1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 1e-8, 1.0 - 1e-8, 0.5, 2.0])
+
+
+@st.composite
+def head_output_arrays(draw):
+    """(N, m, C) softmax rows, N possibly 0, with a few rows damaged: an odd
+    entry, a scaled row, or mass moved between two entries, which keeps the
+    sum near 1 and can leave an entry at exactly 0 or below it."""
+    n, m, c = draw(st.integers(0, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    values = softmax_in_place(RngStream(draw(st.integers(0, 2**32))).standard_normal((n, m, c)))
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        row = values[draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))]
+        a, b = draw(st.integers(0, c - 1)), draw(st.integers(0, c - 1))
+        damage = draw(st.sampled_from(["entry", "scale", "move"]))
+        if damage == "entry":
+            row[a] = draw(ODD_ENTRY)
+        elif damage == "scale":
+            row *= draw(ROW_SCALE)
+        elif a != b:
+            moved = draw(st.sampled_from([row[b], 1.0, 1e-3]))
+            row[a] += moved
+            row[b] -= moved
+    return values
+
+
+class TestOnePassCheck:
+    """HeadOutputs checks each row block in one pass (a min and the row sums)
+    and must accept and reject exactly as the two-pass check does."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # sums that overflow, inf - inf
+    @settings(max_examples=400, deadline=None)
+    @given(values=head_output_arrays(), block_rows=st.integers(1, 4))
+    def test_same_arrays_pass_and_failures_read_the_same(self, values, block_rows):
+        try:
+            two_pass_check(values)
+            expected = None
+        except DataError as exc:
+            expected = str(exc)
+        row_bytes = values.shape[1] * values.shape[2] * 8
+        with mock.patch.object(combiners_module, "BLOCK_BYTES", block_rows * row_bytes):
+            if expected is None:
+                assert HeadOutputs(values).values is values
+            else:
+                with pytest.raises(DataError) as exc:
+                    HeadOutputs(values)
+                assert str(exc.value) == expected
+
+    def test_empty_outputs_pass(self):
+        values = np.empty((0, 2, 3))
+        with pytest.raises(ValueError):
+            values.min()  # why the check's min starts from an initial 0
+        assert HeadOutputs(values).n == 0
 
 
 class TestOneArrayLayout:

@@ -10,8 +10,10 @@ from calibens.data import (
     FeatureDataset,
     SynthSpec,
     load_dataset,
+    map_dataset,
     save_dataset,
     split,
+    split_indices,
     synth_cluster_pair,
     synth_clusters,
 )
@@ -155,6 +157,33 @@ class TestSplit:
                 part.features[0, 0] = 99.0
             with pytest.raises(ValueError):
                 part.labels[0] = 1
+
+    @pytest.mark.parametrize("seed", [0, 3, 1000])
+    @pytest.mark.parametrize("frac", [0.1, 0.25, 0.5])
+    def test_split_is_split_indices_plus_the_gather(self, tmp_path, seed, frac):
+        # train-heads splits the loaded dataset; train-meta draws the indices
+        # from the labels and gathers rows of the mapped file: same rows, same order
+        path = tmp_path / "d.fds"
+        save_dataset(synth_clusters(SynthSpec(5, 3, 200, 2.0, 0.2, seed=seed)), path)
+        mapped = map_dataset(path)
+        rows = split_indices(mapped.labels, mapped.num_classes, frac, seed)
+        for part, idx in zip(split(load_dataset(path), frac, seed), rows, strict=True):
+            assert np.all(np.diff(idx) > 0)
+            assert np.array_equal(part.features, mapped.features(idx))
+            assert np.array_equal(part.labels, mapped.labels[idx])
+
+    def test_mapped_file_is_read_only_and_casts_only_the_rows_asked_for(self, tmp_path):
+        path = tmp_path / "d.fds"
+        ds = tiny_dataset(n=12, d=3, c=3)
+        save_dataset(ds, path)
+        mapped = map_dataset(path)
+        assert mapped.features_f32.dtype == np.float32 and mapped.labels.dtype == np.int64
+        for array in (mapped.features_f32, mapped.labels):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        rows = mapped.features(np.asarray([7, 2]))
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous and rows.flags.writeable
+        assert np.array_equal(rows, ds.features[[7, 2]].astype(np.float32))
 
     def test_val_fraction_bounds(self):
         ds = tiny_dataset()

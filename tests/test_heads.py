@@ -230,6 +230,18 @@ class TestHeadFamily:
             with pytest.raises(TrainingError, match="head 0: non-finite validation loss"):
                 trainer(train, val, 2, base_seed=0, cfg=cfg)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_both_trainers_name_the_same_epoch_and_model(self, separable):
+        train, val = separable
+        cfg = quick_cfg(lr=1e308, max_epochs=5, batch_size=train.n)
+        raised = []
+        for trainer in (train_head_family, train_heads_lockstep):
+            with pytest.raises(TrainingError) as exc:
+                trainer(train, val, 2, base_seed=0, cfg=cfg)
+            raised.append((exc.value.epoch, exc.value.model, str(exc.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][:2] == (1, 0)
+
 
 class TestHeadFile:
     def test_round_trip_at_f32(self, tmp_path):
