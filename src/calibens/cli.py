@@ -80,7 +80,6 @@ from .metrics import (
     DEFAULT_NUM_BINS,
     PredictionSet,
     calibration_report,
-    predictions_from_probs,
     write_reliability_csv,
 )
 from .numerics import derive_seed, softmax_in_place
@@ -409,10 +408,13 @@ def cmd_evaluate(args) -> int:
     confidence per sample; the calibration reports are built from those
     after the last block. So memory holds the mapped file, one block with
     its features and combiner intermediates, and 2*(m+2+kinds)*N scalars,
-    neither the float64 features nor the (N, m, C) outputs. Every
-    prediction depends on its own row only, except that BLAS may round the
-    DL/DLL hidden layer differently at another row count, by an ulp of a
-    confidence."""
+    neither the float64 features nor the (N, m, C) outputs. Each block is
+    reduced once per predictor: one argmax over the block's (rows, m, C)
+    outputs gives every head's class, and its confidence is the probability
+    gathered there (the row max), while Avg., Vot. and the combiners go
+    through the combine_* functions. Every prediction depends on its own
+    row only, except that BLAS may round the DL/DLL hidden layer
+    differently at another row count, by an ulp of a confidence."""
     if args.test is None:
         raise ConfigError("missing test dataset path (--test)")
     num_bins = args.bins
@@ -461,10 +463,14 @@ def cmd_evaluate(args) -> int:
     for start, stop in row_blocks(test.n, m * test.num_classes * 8):
         labels = test.labels[start:stop]
         outputs = _head_outputs(heads, test, rows[start:stop])
-        preds = [predictions_from_probs(outputs.values[:, i, :], labels) for i in range(m)]
-        preds += [combine_average(outputs, labels), combine_vote(outputs, labels)]
+        head_classes = np.argmax(outputs.values, axis=2)  # (rows, m)
+        predicted[:m, start:stop] = head_classes.T
+        confidence[:m, start:stop] = np.take_along_axis(
+            outputs.values, head_classes[:, :, None], axis=2
+        )[:, :, 0].T
+        preds = [combine_average(outputs, labels), combine_vote(outputs, labels)]
         preds += [combine_metamodel(meta, outputs, labels) for meta in metas.values()]
-        for j, pred in enumerate(preds):
+        for j, pred in enumerate(preds, start=m):
             predicted[j, start:stop] = pred.predicted_class
             confidence[j, start:stop] = pred.confidence
 

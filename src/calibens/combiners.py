@@ -36,6 +36,7 @@ from .numerics import (
     fit,
     linear_forward,
     softmax,
+    softmax_in_place,
 )
 
 KINDS = ("SL", "DL", "DLL", "SLpC")
@@ -154,17 +155,52 @@ class HeadOutputs:
         return sub
 
 
+def _sorting_network(m: int) -> list[tuple[int, int]]:
+    """Compare-exchange pairs (i, j), i < j, of Batcher's odd-even merge sort
+    over m inputs: applied in order, each putting the smaller of positions i
+    and j at i, they sort any m values ascending. The network is built for
+    the next power of two and keeps only the pairs inside range(m): the
+    positions past m could hold +inf, which no pair would ever move."""
+    size = 1
+    while size < m:
+        size *= 2
+    pairs = []
+    p = 1
+    while p < size:
+        k = p
+        while k >= 1:
+            for j in range(k % p, size - k, 2 * k):
+                for i in range(j, j + min(k, size - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p) and i + k < m:
+                        pairs.append((i, i + k))
+            k //= 2
+        p *= 2
+    return pairs
+
+
 def _mean_over_heads(values: np.ndarray) -> np.ndarray:
-    """Mean over axis 1 (the heads) of an (N, m, ...) array. Each cell's
-    values are sorted, so head order never affects the rounding, then added
-    one head at a time, so a cell's mean does not depend on how many cells
-    share the call (a numpy sum over the axis adds pairwise when there is
-    only one cell)."""
-    ordered = np.sort(values, axis=1)
-    total = ordered[:, 0].copy()
-    for i in range(1, ordered.shape[1]):
-        total += ordered[:, i]
-    return total / ordered.shape[1]
+    """Mean over axis 1 (the heads) of a finite (N, m, ...) array. A sorting
+    network (_sorting_network) of exact np.minimum/np.maximum swaps over
+    copies of the m head columns orders each cell's values ascending, so
+    head order never affects the rounding; they are then added one head at
+    a time, so a cell's mean does not depend on how many cells share the
+    call (a numpy sum over the axis adds pairwise when there is only one
+    cell). The result equals a mean of np.sort(values, axis=1) summed the
+    same way, bit for bit, except that a cell of zeros mixing 0.0 and -0.0
+    may take either sign. At m=5 its 9 swaps cost about a fifth of np.sort
+    per evaluate block; at m=32 its 191 swaps cost more than np.sort."""
+    m = values.shape[1]
+    columns = [values[:, i].copy() for i in range(m)]
+    spare = np.empty_like(columns[0])
+    for i, j in _sorting_network(m):
+        np.minimum(columns[i], columns[j], out=spare)
+        np.maximum(columns[i], columns[j], out=columns[j])
+        columns[i], spare = spare, columns[i]
+    total = columns[0]
+    for column in columns[1:]:
+        total += column
+    total /= m
+    return total
 
 
 def combine_average(outputs: HeadOutputs, labels) -> PredictionSet:
@@ -180,16 +216,17 @@ def combine_vote(outputs: HeadOutputs, labels) -> PredictionSet:
     heads of their probability for the winning class.
     """
     n, c = outputs.n, outputs.num_classes
-    counts = np.zeros((n, c), dtype=np.int64)
     rows = np.arange(n)
-    for i in range(outputs.m):
-        counts[rows, np.argmax(outputs.values[:, i, :], axis=1)] += 1
+    votes = np.argmax(outputs.values, axis=2)  # (N, m): each head's class
+    cells = (rows[:, None] * c + votes).ravel()
+    counts = np.bincount(cells, minlength=n * c).reshape(n, c)
     tied = counts == counts.max(axis=1, keepdims=True)
     # only a tied class can win, so only tied cells need their mean probability
     mean_probs = np.zeros((n, c))
     mean_probs[tied] = _mean_over_heads(outputs.values.transpose(0, 2, 1)[tied])
-    # tied classes score 1+meanprob > any untied score 0; argmax keeps lowest index on exact ties
-    winner = np.argmax(np.where(tied, 1.0 + mean_probs, 0.0), axis=1)
+    # a tied class's mean (>= 0) beats any untied score -1; argmax keeps the
+    # lowest index on exact ties
+    winner = np.argmax(np.where(tied, mean_probs, -1.0), axis=1)
     return PredictionSet(
         predicted_class=winner,
         confidence=mean_probs[rows, winner],
@@ -335,7 +372,7 @@ def metamodel_forward(
 
 def combine_metamodel(meta: Metamodel, outputs: HeadOutputs, labels) -> PredictionSet:
     """Evaluation-mode combiner predictions."""
-    probs = softmax(metamodel_forward(meta, outputs))
+    probs = softmax_in_place(metamodel_forward(meta, outputs))  # fresh logits
     return predictions_from_probs(probs, labels)
 
 

@@ -74,7 +74,7 @@ def predictions_from_probs(probs, labels) -> PredictionSet:
     """Build a PredictionSet from a probability matrix.
 
     Predicted class is the per-row argmax (ties broken toward the lowest
-    class index); confidence is the row maximum.
+    class index); confidence is the row maximum, gathered at that class.
     """
     probs = as_matrix(probs, "probs")
     labels = np.asarray(labels, dtype=np.int64)
@@ -83,35 +83,47 @@ def predictions_from_probs(probs, labels) -> PredictionSet:
             f"probs {probs.shape} and labels {labels.shape} disagree on sample count"
         )
     check_labels(labels, probs.shape[1])
+    predicted = np.argmax(probs, axis=1)
     return PredictionSet(
-        predicted_class=np.argmax(probs, axis=1),
-        confidence=np.max(probs, axis=1),
+        predicted_class=predicted,
+        confidence=probs[np.arange(probs.shape[0]), predicted],
         labels=labels,
     )
 
 
 def _bin_indices(confidence: np.ndarray, num_bins: int) -> np.ndarray:
-    idx = np.floor(confidence * num_bins).astype(np.int64)
-    return np.minimum(idx, num_bins - 1)
+    """floor(confidence * M), the top bin closed at 1.0, in the narrowest
+    unsigned type that holds M - 1: numpy's stable argsort sorts types of at
+    most 16 bits by radix."""
+    idx = np.floor(confidence * num_bins)
+    np.minimum(idx, num_bins - 1, out=idx)
+    return idx.astype(np.min_scalar_type(num_bins - 1))
 
 
 def reliability_bins(pred: PredictionSet, num_bins: int = DEFAULT_NUM_BINS) -> list[BinStats]:
     """Group samples into M equal-width confidence bins.
 
     Returns one BinStats per bin (including empty ones); the bins partition
-    all samples.
+    all samples. One stable argsort of the bin indices lays every bin's
+    samples out contiguously in their original order, so each bin's means
+    are np.mean over one slice: the same operands in the same order as a
+    per-bin mask would select, hence the same bits.
     """
     if num_bins < 1:
         raise ConfigError(f"number of bins must be >= 1, got {num_bins}")
     idx = _bin_indices(pred.confidence, num_bins)
-    correct = (pred.predicted_class == pred.labels).astype(np.float64)
+    order = np.argsort(idx, kind="stable")
+    counts = np.bincount(idx, minlength=num_bins)
+    confidence = pred.confidence[order]
+    # a mean of booleans sums exact integers, so it needs no float64 copy
+    correct = (pred.predicted_class == pred.labels)[order]
     bins = []
-    for m in range(num_bins):
-        mask = idx == m
-        count = int(mask.sum())
+    start = 0
+    for m, count in enumerate(counts.tolist()):
+        stop = start + count
         if count:
-            mean_conf = float(np.mean(pred.confidence[mask]))
-            mean_acc = float(np.mean(correct[mask]))
+            mean_conf = float(np.mean(confidence[start:stop]))
+            mean_acc = float(np.mean(correct[start:stop]))
         else:
             mean_conf = None
             mean_acc = None
@@ -125,6 +137,7 @@ def reliability_bins(pred: PredictionSet, num_bins: int = DEFAULT_NUM_BINS) -> l
                 upper_edge=(m + 1) / num_bins,
             )
         )
+        start = stop
     return bins
 
 

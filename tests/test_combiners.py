@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import calibens.combiners as combiners_module
 from calibens.combiners import (
     KINDS,
     HeadOutputs,
     _mean_over_heads,
+    _sorting_network,
     MetaTrainConfig,
     Metamodel,
     build_metamodel,
@@ -182,6 +184,69 @@ class TestOneArrayLayout:
         assert np.array_equal(_mean_over_heads(head_outputs(per_head).values), expect)
 
 
+def sorted_mean_reference(values):
+    """_mean_over_heads as written with np.sort over the heads axis, kept as
+    the reference that the sorting network must match bit for bit."""
+    ordered = np.sort(values, axis=1)
+    total = ordered[:, 0].copy()
+    for i in range(1, ordered.shape[1]):
+        total += ordered[:, i]
+    return total / ordered.shape[1]
+
+
+@st.composite
+def head_cells(draw):
+    """(N, m) or (N, m, C) finite arrays, m from 1 to 17, whose entries come
+    from a short drawn pool, so cells repeat values and hold zeros."""
+    m = draw(st.integers(1, 17))
+    shape = (draw(st.integers(1, 5)), m) + draw(st.sampled_from([(), (1,), (3,)]))
+    pool = draw(
+        st.lists(
+            st.sampled_from([0.0, 1.0, 0.1, 0.2, 1e-300, 5e-324])
+            | st.floats(-1e3, 1e3, allow_subnormal=True),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    # -0.0 + 0.0 is 0.0: a cell mixing 0.0 and -0.0 may sum to either sign
+    return draw(arrays(np.float64, shape, elements=st.sampled_from(pool))) + 0.0
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+class TestNetworkMean:
+    """_mean_over_heads orders each cell with a sorting network of
+    np.minimum/np.maximum swaps instead of np.sort."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=head_cells(), data=st.data())
+    def test_equals_sorted_mean_bit_for_bit(self, values, data):
+        expect = sorted_mean_reference(values)
+        assert np.array_equal(bits(_mean_over_heads(values)), bits(expect))
+        perm = data.draw(st.permutations(range(values.shape[1])))
+        assert np.array_equal(bits(_mean_over_heads(values[:, perm])), bits(expect))
+
+    @pytest.mark.parametrize("m", range(1, 14))
+    def test_network_sorts_every_zero_one_input(self, m):
+        # the 0-1 principle: a comparator network that sorts all 2^m inputs
+        # of zeros and ones sorts every input
+        columns = [((np.arange(2**m) >> i) & 1).astype(np.int8) for i in range(m)]
+        for i, j in _sorting_network(m):
+            columns[i], columns[j] = (
+                np.minimum(columns[i], columns[j]),
+                np.maximum(columns[i], columns[j]),
+            )
+        assert (np.diff(np.stack(columns, axis=1), axis=1) >= 0).all()
+
+    def test_input_left_untouched(self):
+        values = np.array([[[0.7, 0.3], [0.1, 0.9], [0.4, 0.6]]])
+        before = values.copy()
+        _mean_over_heads(values)
+        assert np.array_equal(values, before)
+
+
 class TestCombineAverage:
     """combine_average predicts the argmax and max of _mean_over_heads."""
 
@@ -231,6 +296,24 @@ class TestCombineVote:
         pred = combine_vote(head_outputs([h1, h2]), [0])
         assert pred.predicted_class[0] == 0  # the 0.9 class wins
         assert pred.confidence[0] == pytest.approx(0.65, abs=1e-15)
+
+    @pytest.mark.parametrize("ulps", range(3, 8))
+    def test_tie_goes_to_the_higher_mean_however_close(self, ulps):
+        # class 1's mean exceeds class 0's by less than half an ulp of 1.0,
+        # so a tie score of 1 + mean would round both to one value
+        c, high = 20, 0.1
+        for _ in range(ulps):
+            high = np.nextafter(high, 1.0)
+        h0 = np.full(c, 0.85 / (c - 2))
+        h0[:2] = 0.1, 0.05
+        h1 = np.full(c, (0.95 - high) / (c - 2))
+        h1[:2] = 0.05, high
+        outputs = head_outputs([h0[None], h1[None]])
+        mean = _mean_over_heads(outputs.values)[0]
+        assert mean[1] > mean[0] and 1.0 + mean[1] == 1.0 + mean[0]
+        pred = combine_vote(outputs, [0])
+        assert pred.predicted_class[0] == 1
+        assert pred.confidence[0] == mean[1]
 
     def test_remaining_tie_goes_to_lowest_index(self):
         h1 = np.asarray([[0.7, 0.3]])

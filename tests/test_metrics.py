@@ -71,6 +71,19 @@ class TestPredictionsFromProbs:
         with pytest.raises(LabelError, match="index 0"):
             predictions_from_probs([[0.5, 0.5]], [2])
 
+    @given(st.integers(0, 2**31), st.integers(1, 40), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_confidence_is_the_row_max(self, seed, n, c):
+        # the confidence is gathered at the argmax; rows with tied maxima and
+        # zeros must still give exactly the row max
+        stream = RngStream(seed)
+        probs = stream.choice([0.0, 0.25, 0.5, 1.0], (n, c)) + stream.random((n, c)) * (
+            stream.random((n, 1)) < 0.5
+        )
+        probs /= np.maximum(probs.sum(axis=1, keepdims=True), 1e-300)
+        pred = predictions_from_probs(probs, stream.integers(0, c, n))
+        assert np.array_equal(pred.confidence, probs.max(axis=1))
+
     def test_prediction_set_rejects_nan_confidence(self):
         with pytest.raises(DataError, match=r"confidence .* index \[1\]"):
             PredictionSet(predicted_class=[0, 1], confidence=[0.5, np.nan], labels=[0, 1])
@@ -265,6 +278,62 @@ class TestInvariants:
                 assert b_new.count == b_old.count
                 assert b_new.mean_confidence == b_old.mean_confidence
                 assert b_new.mean_accuracy == b_old.mean_accuracy
+
+
+def masked_reliability_bins(pred, num_bins):
+    """reliability_bins as written with one mask per bin, kept as the
+    reference that the one-sort grouping must match bit for bit."""
+    idx = np.minimum(np.floor(pred.confidence * num_bins).astype(np.int64), num_bins - 1)
+    correct = (pred.predicted_class == pred.labels).astype(np.float64)
+    bins = []
+    for m in range(num_bins):
+        mask = idx == m
+        count = int(mask.sum())
+        bins.append(
+            BinStats(
+                bin_index=m,
+                count=count,
+                mean_confidence=float(np.mean(pred.confidence[mask])) if count else None,
+                mean_accuracy=float(np.mean(correct[mask])) if count else None,
+                lower_edge=m / num_bins,
+                upper_edge=(m + 1) / num_bins,
+            )
+        )
+    return bins
+
+
+@st.composite
+def binned_predictions(draw):
+    """(PredictionSet, M): up to 3000 samples, so a bin's mean runs numpy's
+    pairwise sum over several blocks; a drawn share of the confidences comes
+    from 0.0, 1.0, every edge k/M, 0.7333 and 11/15."""
+    num_bins = draw(st.integers(1, 50))
+    n = draw(st.integers(1, 3000))
+    stream = RngStream(draw(st.integers(0, 2**31)))
+    special = np.array([0.0, 1.0, 0.7333, 11 / 15] + [k / num_bins for k in range(num_bins + 1)])
+    confidence = np.where(
+        stream.random(n) < draw(st.floats(0.0, 1.0)), stream.choice(special, n), stream.random(n)
+    )
+    pred = PredictionSet(stream.integers(0, 3, n), confidence, stream.integers(0, 3, n))
+    return pred, num_bins
+
+
+class TestOneSortBinning:
+    """reliability_bins groups the samples with one stable argsort and must
+    give every bin the counts and means the per-bin masks gave it."""
+
+    @given(binned_predictions())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_bin_masks(self, case):
+        pred, num_bins = case
+        assert reliability_bins(pred, num_bins) == masked_reliability_bins(pred, num_bins)
+
+    @pytest.mark.parametrize("num_bins", [1, 2, 7, 15, 50, 256, 257])
+    def test_edges_and_pinned_cases(self, num_bins):
+        confidence = [0.0, 1.0, 0.7333, 11 / 15] + [k / num_bins for k in range(num_bins + 1)]
+        n = len(confidence)
+        pred = PredictionSet(np.arange(n) % 2, confidence, np.zeros(n, dtype=np.int64))
+        assert reliability_bins(pred, num_bins) == masked_reliability_bins(pred, num_bins)
 
 
 class TestCsvExport:
