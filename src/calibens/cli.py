@@ -16,13 +16,15 @@ seed+1+i, splits: seed+1000, combiner models: seed+2000+kind tag).
 
 train-meta and evaluate map their .fds file read-only (data.map_dataset)
 and never hold its float64 feature matrix: both compute head outputs in row
-blocks (combiners.row_blocks), each block casting only its own rows'
+blocks (numerics.row_blocks), each block casting only its own rows'
 features. Every combiner kind trains on the same heads' outputs over the
 same split, so train-meta keeps them in ``head_outputs.cache`` in its output
 directory and reuses them in every later run on the same inputs. Such a hit
 reads the training file's bytes for the key, checks its features are finite
 and its labels in range, and draws the split from the labels
-(data.split_indices); it casts and gathers no feature row. The file is a
+(data.split_indices); it casts and gathers no feature row, and it unmaps the
+training file, keeping only the split's labels, before it checks the cached
+outputs, so the two files are never resident at once. The cache file is a
 container (HOC1) holding both split parts, little-endian:
 
     HOC1 | 32-byte sha256 key | u32 N_train | u32 N_val | u32 m | u32 C |
@@ -60,7 +62,6 @@ from .combiners import (
     combine_metamodel,
     combine_vote,
     load_metamodel,
-    row_blocks,
     save_metamodel,
     train_metamodel,
 )
@@ -82,7 +83,7 @@ from .metrics import (
     calibration_report,
     write_reliability_csv,
 )
-from .numerics import derive_seed, softmax_in_place
+from .numerics import derive_seed, row_blocks, softmax_in_place
 
 _SPLIT_STREAM = 1000
 _HEAD_STREAM = 1
@@ -282,7 +283,7 @@ def _discover_heads(heads_dir, data_path, dataset, digest=None) -> list:
 def _head_outputs(heads, dataset, rows) -> HeadOutputs:
     """The heads' softmax probabilities for the rows `rows` (an index array)
     of the MappedDataset `dataset`, as one (len(rows), m, C) array filled
-    in row blocks (combiners.row_blocks): each block gathers its rows'
+    in row blocks (numerics.row_blocks): each block gathers its rows'
     features and casts them to float64, head i writes its logits into the
     block's view [:, i, :], and the softmax runs in place over the last
     axis. Besides the outputs, the call holds one block's features."""
@@ -333,22 +334,23 @@ def cmd_train_meta(args) -> int:
     m, num_classes = len(heads), dataset.num_classes
     cache = out_dir / HEAD_OUTPUTS_CACHE
     header = (key.digest(), len(train_rows), len(val_rows), m, num_classes, bytes(12))
+    train_labels, val_labels = dataset.labels[train_rows], dataset.labels[val_rows]
     mapped = _map_cache(cache, header)
     if mapped is None:
         train_outputs = _head_outputs(heads, dataset, train_rows)
         val_outputs = _head_outputs(heads, dataset, val_rows)
+        del dataset  # unmaps the training file before the write and the fit
         blocks = [train_outputs.values, val_outputs.values]
         try:  # the cache only saves time: a failed write must not fail the run
             container.write(cache, _CACHE_MAGIC, _CACHE_HEADER, header, blocks, container.F64)
         except OSError as exc:
             print(f"warning: head outputs not cached: {exc}", file=sys.stderr)
     else:
+        del dataset  # a hit needs only the labels: unmap the file before the cache is checked
         try:
             train_outputs, val_outputs = HeadOutputs(mapped[0]), HeadOutputs(mapped[1])
         except DataError as exc:
             raise DataError(f"{cache}: {exc} (delete the file to recompute)") from None
-    train_labels, val_labels = dataset.labels[train_rows], dataset.labels[val_rows]
-    del dataset  # unmaps the training file before the fit
 
     meta = build_metamodel(kind, m, num_classes, meta_seed, dropout_p=train_cfg.dropout)
     trained = train_metamodel(meta, train_outputs, train_labels, val_outputs, val_labels, train_cfg)
@@ -402,7 +404,7 @@ def cmd_evaluate(args) -> int:
     """Score every head, Avg., Vot. and each --meta combiner on the test set.
 
     The test set is mapped, not loaded, and walked in row blocks
-    (combiners.row_blocks): a block's head outputs take at most BLOCK_BYTES,
+    (numerics.row_blocks): a block's head outputs take at most BLOCK_BYTES,
     and N is split into near-equal blocks. Each block casts its rows'
     features, runs every predictor and keeps only its predicted class and
     confidence per sample; the calibration reports are built from those

@@ -35,6 +35,7 @@ from .numerics import (
     dropout_mask,
     fit,
     linear_forward,
+    row_blocks,
     softmax,
     softmax_in_place,
 )
@@ -43,29 +44,6 @@ KINDS = ("SL", "DL", "DLL", "SLpC")
 KIND_TAGS = {"SL": 0, "DL": 1, "DLL": 2, "SLpC": 3}
 META_MAGIC = b"MMD1"
 META_HEADER = "<BIIIfQ"
-
-
-# Bytes of head outputs, (rows, m, C) float64, that one row block holds: the
-# CLI computes head outputs block by block, and the HeadOutputs check and
-# evaluate walk the outputs in such blocks, so their temporaries stay small
-# however large N is. Larger blocks only raise the peak: on the C=10
-# benchmark workload (50k test samples), 4 and 16 MiB evaluate blocks took
-# its peak RSS from 60 to 76 and 99 MiB and were no faster. On (45000, 5,
-# 100) probabilities a finite pass then a simplex pass took 0.062 s in 1 MiB
-# blocks and 0.090 s at once; on a 2-vCPU VM where those two passes took
-# 0.075 s in blocks, the one-pass check took 0.038 s.
-BLOCK_BYTES = 1 << 20
-
-
-def row_blocks(n: int, row_bytes: int) -> list[tuple[int, int]]:
-    """(start, stop) of the fewest row blocks that cover range(n) with at most
-    BLOCK_BYTES // row_bytes rows each (at least one). Block sizes differ by
-    at most one row, so no block is a short tail: numpy runs a one-row
-    product as a matrix-vector product, which rounds differently."""
-    rows = max(1, BLOCK_BYTES // max(1, row_bytes))
-    count = max(1, -(-n // rows))
-    bounds = [n * i // count for i in range(count + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _all_probability_rows(block: np.ndarray) -> bool:

@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
+from .numerics import first_non_finite
 
 F32 = np.dtype("<f4")
 F64 = np.dtype("<f8")
@@ -118,19 +119,22 @@ class Reader:
     def _check_finite(self, values: np.ndarray, start: int) -> None:
         """Raise a FormatError at the byte offset of the first non-finite
         value of `values`, an f32 view of the file whose first element sits
-        at byte `start`. The check's mask is dropped on return, before a
-        caller allocates anything of the values' size."""
-        if not np.isfinite(values).all():
-            first = np.argwhere(~np.isfinite(values))[0]
-            offset = start + int(np.dot(first, values.strides))
+        at byte `start`. The scan (numerics.first_non_finite) holds one row
+        block's mask at a time."""
+        first = first_non_finite(values)
+        if first is not None:
+            offset = start + sum(i * stride for i, stride in zip(first, values.strides))
             raise self.error("non-finite f32 value", offset=offset)
 
 
-def write(path, magic: bytes, header: str, fields: tuple, payload: list, floats=F32) -> None:
+def write(path, magic: bytes, header: str, fields: tuple, payload, floats=F32) -> None:
     """Write magic, the header `fields` packed by `header`, then each payload
     array's bytes in order, float arrays stored as `floats`, to a temporary
-    file that then replaces `path`. On failure the temporary file is removed
-    and `path` is left as it was."""
+    file that then replaces `path`. `payload` is any iterable of arrays,
+    consumed once, each block written before the next is asked for, so a
+    generator can stream a large payload a block at a time. When the write
+    or the payload raises, the temporary file is removed and `path` is left
+    as it was."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:

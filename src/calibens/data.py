@@ -13,6 +13,12 @@ float64 matrix; load_dataset casts the whole matrix into a FeatureDataset.
 Likewise split_indices draws a split's row indices from the labels alone,
 and split gathers those rows. The container module holds the rules this
 layout shares with the head and combiner files.
+
+Generating and writing hold one copy of the features: synth_clusters adds
+the cluster centers into its one standard-normal draw in row blocks,
+synth_cluster_pair hands out row views of that draw, and save_dataset casts
+the records into a buffer of one row block (numerics.BLOCK_BYTES) at a
+time. So the peak is the float64 features plus about a block.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from . import container
 from .errors import ConfigError, DataError, StratificationError
-from .numerics import RngStream, check_labels, require_finite
+from .numerics import RngStream, check_labels, require_finite, row_blocks
 
 FDS_MAGIC = b"FDS1"
 FDS_HEADER = "<III"
@@ -108,12 +114,26 @@ def _dataset_record_dtype(dim: int) -> np.dtype:
     return np.dtype([("f", "<f4", (dim,)), ("y", "<u4")])
 
 
+def _record_blocks(dataset: FeatureDataset):
+    """The FDS1 records of `dataset` in row blocks of at most BLOCK_BYTES,
+    each cast on assignment (which rounds as astype("<f4") does) into one
+    reused buffer: a block is valid until the next is asked for."""
+    record = _dataset_record_dtype(dataset.dim)
+    blocks = row_blocks(dataset.n, record.itemsize)
+    buffer = np.empty(max(stop - start for start, stop in blocks), record)
+    for start, stop in blocks:
+        records = buffer[: stop - start]
+        records["f"] = dataset.features[start:stop]
+        records["y"] = dataset.labels[start:stop]
+        yield records
+
+
 def save_dataset(dataset: FeatureDataset, path) -> None:
-    records = np.empty(dataset.n, dtype=_dataset_record_dtype(dataset.dim))
-    records["f"] = dataset.features.astype("<f4")
-    records["y"] = dataset.labels.astype("<u4")
+    """Write `dataset` to `path` as FDS1 (replacing any file there). The
+    records stream out a row block at a time, so the call holds one block
+    of records besides the dataset, never an f32 copy of the features."""
     header = (dataset.n, dataset.dim, dataset.num_classes)
-    container.write(path, FDS_MAGIC, FDS_HEADER, header, [records])
+    container.write(path, FDS_MAGIC, FDS_HEADER, header, _record_blocks(dataset))
 
 
 @dataclass(eq=False)
@@ -226,6 +246,10 @@ def synth_clusters(spec: SynthSpec) -> FeatureDataset:
     label_noise fraction of labels is reassigned uniformly to a different
     class. The features keep their original cluster, so the best achievable
     accuracy at large separation is roughly 1 - label_noise.
+
+    The features are the stream's one (N, D) standard-normal draw, each row's
+    center added in place a row block at a time: the same bits as
+    centers[labels] + draw, without an (N, D) array of centers.
     """
     stream = RngStream(spec.seed)
     c, d, n = spec.num_classes, spec.dim, spec.num_samples
@@ -237,7 +261,9 @@ def synth_clusters(spec: SynthSpec) -> FeatureDataset:
     else:
         centers = np.zeros((c, d))
     labels = np.arange(n, dtype=np.int64) % c
-    features = centers[labels] + stream.standard_normal((n, d))
+    features = stream.standard_normal((n, d))
+    for start, stop in row_blocks(n, features.itemsize * d):
+        features[start:stop] += centers[labels[start:stop]]
     if spec.label_noise > 0.0:
         num_noisy = int(round(spec.label_noise * n))
         noisy = stream.permutation(n)[:num_noisy]
@@ -252,13 +278,15 @@ def synth_cluster_pair(spec: SynthSpec, test_samples: int):
 
     A single draw of num_samples + test_samples is carved into a training set
     (first num_samples rows) and a test set (the rest), so both come from the
-    same clusters while sharing no samples.
+    same clusters while sharing no samples. The two are read-only row views
+    of that one draw, not copies: together they hold one copy of the
+    features, and the draw lives as long as either of them.
     """
     if test_samples < 1:
         raise ConfigError(f"test sample count must be >= 1, got {test_samples}")
     full = synth_clusters(replace(spec, num_samples=spec.num_samples + test_samples))
     n = spec.num_samples
     return tuple(
-        _rows_of_checked(full.features[sel].copy(), full.labels[sel].copy(), full.num_classes)
+        _rows_of_checked(full.features[sel], full.labels[sel], full.num_classes)
         for sel in (slice(0, n), slice(n, None))
     )

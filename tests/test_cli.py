@@ -2,11 +2,12 @@ import hashlib
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from calibens import cli, combiners, container
+from calibens import cli, container, numerics
 from calibens.cli import HEAD_OUTPUTS_CACHE, _head_outputs, build_parser, main
 from calibens.combiners import (
     KINDS,
@@ -15,7 +16,6 @@ from calibens.combiners import (
     combine_metamodel,
     combine_vote,
     load_metamodel,
-    row_blocks,
     save_metamodel,
 )
 from calibens.data import (
@@ -29,7 +29,7 @@ from calibens.data import (
 )
 from calibens.heads import LinearHead, head_predict, load_head, save_head
 from calibens.metrics import RELIABILITY_CSV_HEADER, calibration_report, predictions_from_probs
-from calibens.numerics import RngStream, softmax_in_place
+from calibens.numerics import RngStream, row_blocks, softmax_in_place
 
 from fixtures import MiscalSpec, chance_level_bound, head_outputs, synth_miscalibrated_predictions
 
@@ -353,6 +353,33 @@ class TestHeadOutputsCache:
             assert self.train_meta(pipeline_dir, out, kind=kind) == 0
         for name in names:
             assert (out / name).read_bytes() == missed[name], name
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_hit_releases_the_training_file_before_checking_the_cache(
+        self, pipeline_dir, monkeypatch, kind
+    ):
+        # a hit keeps the split's labels only: the mapped file must be gone
+        # before the cached outputs are checked, or both stay resident
+        out = pipeline_dir / "out"
+        assert self.train_meta(pipeline_dir, out, kind=kind) == 0
+        missed = (out / f"meta_{kind}.mmd").read_bytes()
+        mapped, alive = [], []
+        map_dataset_of, head_outputs_of = cli.map_dataset, cli.HeadOutputs
+
+        def spy_map(*args):
+            dataset = map_dataset_of(*args)
+            mapped.append(weakref.ref(dataset))
+            return dataset
+
+        def spy_outputs(values):
+            alive.append([ref() is not None for ref in mapped])
+            return head_outputs_of(values)
+
+        monkeypatch.setattr(cli, "map_dataset", spy_map)
+        monkeypatch.setattr(cli, "HeadOutputs", spy_outputs)
+        assert self.train_meta(pipeline_dir, out, kind=kind) == 0
+        assert alive == [[False], [False]]
+        assert (out / f"meta_{kind}.mmd").read_bytes() == missed
 
     @staticmethod
     def forge_cache(pipeline_dir, train, out):
@@ -733,7 +760,7 @@ class TestEvaluate:
 
 
 class TestEvaluateBlocks:
-    """cmd_evaluate walks the test set in row blocks of combiners.BLOCK_BYTES."""
+    """cmd_evaluate walks the test set in row blocks of numerics.BLOCK_BYTES."""
 
     def test_block_run_writes_the_one_block_bytes(self, pipeline_dir, monkeypatch):
         art, data = pipeline_dir / "artifacts", pipeline_dir / "data"
@@ -759,7 +786,7 @@ class TestEvaluateBlocks:
             return head_outputs_of(heads, dataset, rows)
 
         monkeypatch.setattr(cli, "_head_outputs", spy)
-        monkeypatch.setattr(combiners, "BLOCK_BYTES", 70 * 2 * 3 * 8)  # 70 rows at m=2, C=3
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 70 * 2 * 3 * 8)  # 70 rows at m=2, C=3
         assert evaluate(blocks) == 0
         assert block_rows == [60] * 5
         files = sorted(p.name for p in one.iterdir())
@@ -770,7 +797,7 @@ class TestEvaluateBlocks:
     @pytest.mark.parametrize("rows, k", [(1, 1), (2, 3), (7, 1), (7, 5), (262, 190)])
     def test_blocks_cover_the_rows_without_a_short_tail(self, monkeypatch, rows, k):
         row_bytes = 4000
-        monkeypatch.setattr(combiners, "BLOCK_BYTES", rows * row_bytes + row_bytes - 1)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", rows * row_bytes + row_bytes - 1)
         n = k * rows + 1
         blocks = row_blocks(n, row_bytes)
         assert blocks[0][0] == 0 and blocks[-1][1] == n
@@ -780,14 +807,14 @@ class TestEvaluateBlocks:
         assert max(sizes) <= rows and min(sizes) >= rows / 2, sizes
 
     def test_row_wider_than_the_budget_is_its_own_block(self, monkeypatch):
-        monkeypatch.setattr(combiners, "BLOCK_BYTES", 100)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 100)
         assert row_blocks(3, 800) == [(0, 1), (1, 2), (2, 3)]
 
     def test_peak_memory_below_a_quarter_of_the_outputs(self, tmp_path):
         # one (N, m, C) output array would be 64 blocks; evaluate must never
         # hold it, let alone the sorted copy that averaging makes of it
         m, c, dim = 5, 100, 8
-        n = -(-64 * combiners.BLOCK_BYTES // (m * c * 8))
+        n = -(-64 * numerics.BLOCK_BYTES // (m * c * 8))
         stream = RngStream(1)
         test = tmp_path / "test.fds"
         save_dataset(FeatureDataset(stream.standard_normal((n, dim)), stream.integers(0, c, n), c), test)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import calibens.combiners as combiners_module
+import calibens.numerics as numerics_module
 from calibens.combiners import (
     KINDS,
     HeadOutputs,
@@ -121,7 +122,7 @@ class TestOnePassCheck:
         except DataError as exc:
             expected = str(exc)
         row_bytes = values.shape[1] * values.shape[2] * 8
-        with mock.patch.object(combiners_module, "BLOCK_BYTES", block_rows * row_bytes):
+        with mock.patch.object(numerics_module, "BLOCK_BYTES", block_rows * row_bytes):
             if expected is None:
                 assert HeadOutputs(values).values is values
             else:

@@ -21,6 +21,7 @@ from calibens.data import (
     FeatureDataset,
     _dataset_record_dtype,
     load_dataset,
+    map_dataset,
     save_dataset,
 )
 from calibens.errors import FormatError
@@ -131,6 +132,53 @@ def test_failed_write_leaves_the_old_file_and_no_temporary(tmp_path):
         container.write(path, META_MAGIC, META_HEADER, header, [np.ones(6), FailingBlock()])
     assert path.read_bytes() == old
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_block_generator_leaves_the_old_file_and_no_temporary(tmp_path):
+    path = tmp_path / "train.fds"
+    save_dataset(FeatureDataset(np.ones((4, 3)), np.arange(4) % 2, 2), path)
+    old = path.read_bytes()
+    records = np.zeros(4, _dataset_record_dtype(3))
+
+    def blocks():
+        yield records[:2]
+        raise OSError("no space left on device")
+
+    with pytest.raises(OSError, match="no space"):
+        container.write(path, FDS_MAGIC, FDS_HEADER, (4, 3, 2), blocks())
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+
+
+# f32 in 1 MiB blocks: 262144 values, or 16384 rows of 16; an FDS1 record
+# of D=16 takes 68 bytes, so 15420 records
+@pytest.mark.parametrize("shape", [(1,), (600_000,), (3, 4), (40_000, 16)])
+@pytest.mark.parametrize("where", ["first block", "last block"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_f32_named_at_the_whole_array_offset(tmp_path, shape, where, bad):
+    values = np.zeros(shape, container.F32)
+    flat = values.reshape(-1)
+    at = min(1, flat.size - 1) if where == "first block" else max(0, flat.size - 2)
+    flat[at] = bad
+    if at < flat.size - 1:
+        flat[-1] = np.nan  # a later fault must not be the one named
+    expect = 4 + 4 + 4 * at
+    path = tmp_path / "block.bin"
+    container.write(path, b"TST1", "<I", (flat.size,), [values])
+    reader = container.Reader(path, b"TST1", "<I")
+    reader.expect_payload(values.nbytes)
+    with pytest.raises(FormatError, match=f"non-finite f32 value \\(byte offset {expect}\\)"):
+        reader.f32(shape)
+    if values.ndim == 2:
+        n, dim = shape
+        records = np.zeros(n, _dataset_record_dtype(dim))
+        records["f"] = values
+        path = tmp_path / "records.fds"
+        container.write(path, FDS_MAGIC, FDS_HEADER, (n, dim, 1), [records])
+        row, col = divmod(at, dim)
+        expect = 16 + row * records.itemsize + 4 * col
+        with pytest.raises(FormatError, match=f"\\(byte offset {expect}\\)"):
+            map_dataset(path)
 
 
 def test_load_dataset_peak_memory_at_most_1_2x_the_features(tmp_path):

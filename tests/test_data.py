@@ -1,4 +1,7 @@
 import struct
+import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,9 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import calibens.data as data_module
+import calibens.numerics as numerics_module
 from calibens.data import (
+    FDS_HEADER,
+    FDS_MAGIC,
     FeatureDataset,
     SynthSpec,
+    _dataset_record_dtype,
     load_dataset,
     map_dataset,
     save_dataset,
@@ -20,7 +27,7 @@ from calibens.data import (
 from calibens.errors import ConfigError, DataError, FormatError, StratificationError
 from calibens.heads import HeadTrainConfig, head_predict, train_head
 from calibens.metrics import accuracy, calibration_report, predictions_from_probs
-from calibens.numerics import RngStream, softmax
+from calibens.numerics import BLOCK_BYTES, RngStream, softmax
 
 from fixtures import MiscalSpec, chance_level_bound, synth_miscalibrated_predictions
 
@@ -103,6 +110,100 @@ class TestDatasetFile:
             ds.features[0, 0] = 99.0
         with pytest.raises(ValueError):
             ds.labels[0] = 1
+
+
+def single_records_bytes(dataset):
+    """The FDS1 bytes of `dataset` built as one record array, as save_dataset
+    wrote them before it streamed row blocks."""
+    records = np.empty(dataset.n, dtype=_dataset_record_dtype(dataset.dim))
+    records["f"] = dataset.features.astype("<f4")
+    records["y"] = dataset.labels.astype("<u4")
+    header = struct.pack(FDS_HEADER, dataset.n, dataset.dim, dataset.num_classes)
+    return FDS_MAGIC + header + records.tobytes()
+
+
+class TestStreamedSave:
+    @pytest.mark.parametrize("dim", [1, 3, 256])
+    @pytest.mark.parametrize("rows", ["1", "block - 1", "block", "block + 1", "3 blocks + 2"])
+    def test_bytes_equal_one_record_array(self, tmp_path, dim, rows):
+        block = BLOCK_BYTES // _dataset_record_dtype(dim).itemsize
+        n = {"1": 1, "block - 1": block - 1, "block": block, "block + 1": block + 1,
+             "3 blocks + 2": 3 * block + 2}[rows]
+        stream = RngStream(dim)
+        # magnitudes from below the f32 subnormals (rounding to zero) up to near its largest
+        features = stream.standard_normal((n, dim)) * 10.0 ** stream.integers(-47, 37, (n, dim))
+        dataset = FeatureDataset(features, stream.integers(0, 7, n), 7)
+        path = tmp_path / "d.fds"
+        save_dataset(dataset, path)
+        assert path.read_bytes() == single_records_bytes(dataset)
+
+    def test_gen_and_save_peak_at_most_1_2x_the_features(self, tmp_path):
+        spec = SynthSpec(100, 256, 16_000, 6.0, 0.2, seed=1)
+        tracemalloc.start()
+        try:
+            train, test = synth_cluster_pair(spec, 4_000)
+            save_dataset(train, tmp_path / "train.fds")
+            save_dataset(test, tmp_path / "test.fds")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        feature_bytes = 20_000 * 256 * 8
+        assert peak <= 1.2 * feature_bytes, peak / feature_bytes
+        assert train.features.base is test.features.base  # row views of one draw
+
+
+def old_synth_clusters(spec):
+    """synth_clusters as it was written before it added the centers in place."""
+    stream = RngStream(spec.seed)
+    c, d, n = spec.num_classes, spec.dim, spec.num_samples
+    if spec.cluster_separation > 0.0:
+        directions = stream.standard_normal((c, d))
+        norms = np.linalg.norm(directions, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        centers = spec.cluster_separation * directions / norms
+    else:
+        centers = np.zeros((c, d))
+    labels = np.arange(n, dtype=np.int64) % c
+    features = centers[labels] + stream.standard_normal((n, d))
+    if spec.label_noise > 0.0:
+        num_noisy = int(round(spec.label_noise * n))
+        noisy = stream.permutation(n)[:num_noisy]
+        offsets = stream.integers(1, c, num_noisy)
+        labels = labels.copy()
+        labels[noisy] = (labels[noisy] + offsets) % c
+    return features, labels
+
+
+@st.composite
+def synth_specs(draw):
+    c = draw(st.integers(1, 12))
+    noise = draw(st.sampled_from([0.0, 0.2, 0.5]) | st.floats(0.0, 0.9)) if c > 1 else 0.0
+    sep = draw(st.sampled_from([0.0, 1e-300, 6.0, 1e6]) | st.floats(0.0, 100.0))
+    return SynthSpec(c, draw(st.integers(1, 9)), draw(st.integers(1, 400)), sep, noise,
+                     seed=draw(st.integers(0, 2**64 - 1)))
+
+
+class TestSynthInPlace:
+    @given(synth_specs(), st.integers(1, 4000))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_old_expression_bit_for_bit(self, spec, block_bytes):
+        features, labels = old_synth_clusters(spec)
+        with mock.patch.object(numerics_module, "BLOCK_BYTES", block_bytes):
+            ds = synth_clusters(spec)
+        assert ds.features.tobytes() == features.tobytes()
+        assert np.array_equal(ds.labels, labels)
+
+    @given(synth_specs(), st.integers(1, 50))
+    @settings(max_examples=50, deadline=None)
+    def test_pair_is_the_two_row_ranges_of_one_draw(self, spec, test_samples):
+        features, labels = old_synth_clusters(
+            replace(spec, num_samples=spec.num_samples + test_samples)
+        )
+        train, test = synth_cluster_pair(spec, test_samples)
+        n = spec.num_samples
+        assert train.features.tobytes() == features[:n].tobytes()
+        assert test.features.tobytes() == features[n:].tobytes()
+        assert np.array_equal(train.labels, labels[:n]) and np.array_equal(test.labels, labels[n:])
 
 
 class TestSplit:

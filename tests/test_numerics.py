@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calibens.combiners import MetaTrainConfig
-from calibens.errors import ConfigError, DimensionError, TrainingError
+from calibens.errors import ConfigError, DataError, DimensionError, TrainingError
 from calibens.heads import HeadTrainConfig
 from calibens.numerics import (
     RngStream,
@@ -17,14 +17,50 @@ from calibens.numerics import (
     cross_entropy,
     derive_seed,
     dropout_mask,
+    first_non_finite,
     fit,
     linear_forward,
     relu,
+    require_finite,
+    row_blocks,
     sgd_step,
     softmax,
 )
 
 from gradcheck import finite_difference_grads, relative_error
+
+
+class TestFiniteScan:
+    """The row-block scan names the entry a whole-array argwhere names."""
+
+    # f64 in 1 MiB blocks: 131072 values, 8192 rows of 16 or 21845 rows of 2x3
+    SHAPES = [(1,), (300_000,), (3, 4), (40_000, 16), (50_000, 2, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("where", ["first block", "last block"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_index_equals_the_whole_array_argwhere(self, shape, where, bad):
+        values = np.zeros(shape)
+        flat = values.reshape(-1)
+        at = min(1, flat.size - 1) if where == "first block" else max(0, flat.size - 2)
+        flat[at] = bad
+        if at < flat.size - 1:
+            flat[-1] = np.nan  # a later fault must not be the one named
+        if flat.size > 1000:
+            assert len(row_blocks(len(values), values[0].nbytes)) >= 3
+        expect = np.argwhere(~np.isfinite(values))[0]
+        assert first_non_finite(values) == tuple(int(i) for i in expect)
+        index = ", ".join(str(int(i)) for i in expect)
+        with pytest.raises(DataError, match=rf"^x holds a non-finite value at index \[{index}\]$"):
+            require_finite(values, "x")
+
+    @pytest.mark.parametrize("shape", [(), (0,), (0, 5), (5, 0), (300_000,)])
+    def test_finite_input_passes(self, shape):
+        assert first_non_finite(np.ones(shape)) is None
+        require_finite(np.ones(shape), "x")
+
+    def test_zero_dimensional_input_names_the_empty_index(self):
+        assert first_non_finite(np.array(np.inf)) == ()
 
 
 class TestLinearForward:
