@@ -24,8 +24,13 @@ reads the training file's bytes for the key, checks its features are finite
 and its labels in range, and draws the split from the labels
 (data.split_indices); it casts and gathers no feature row, and it unmaps the
 training file, keeping only the split's labels, before it checks the cached
-outputs, so the two files are never resident at once. The cache file is a
-container (HOC1) holding both split parts, little-endian:
+outputs, so the two files are never resident at once. A miss streams the
+outputs to the cache one row block at a time, the train part and then the
+val part, never holding them whole; it then maps the file back and goes on
+as a hit does, so every run trains on the same read-only view of the cache
+and checks its values once. Only when the cache cannot be written or mapped
+back does train-meta warn and compute the outputs in memory. The cache file
+is a container (HOC1) holding both split parts, little-endian:
 
     HOC1 | 32-byte sha256 key | u32 N_train | u32 N_val | u32 m | u32 C |
     12 zero bytes | train block | val block
@@ -280,21 +285,50 @@ def _discover_heads(heads_dir, data_path, dataset, digest=None) -> list:
     return heads
 
 
+def _output_blocks(heads, dataset, rows):
+    """The row blocks (numerics.row_blocks) of the heads' outputs for the
+    rows `rows` (an index array): (start, stop) pairs, 8*m*C bytes a row."""
+    return row_blocks(len(rows), 8 * len(heads) * dataset.num_classes)
+
+
+def _score_block(heads, dataset, rows, block) -> np.ndarray:
+    """Fill the (len(rows), m, C) float64 `block` with the heads' softmax
+    probabilities for `rows`, and return it: the rows' features are
+    gathered and cast to float64, head i writes its logits into the view
+    block[:, i, :], and the softmax runs in place over the last axis."""
+    features = dataset.features(rows)
+    for i, head in enumerate(heads):
+        head_predict(head, features, out=block[:, i, :])
+    return softmax_in_place(block)
+
+
 def _head_outputs(heads, dataset, rows) -> HeadOutputs:
     """The heads' softmax probabilities for the rows `rows` (an index array)
-    of the MappedDataset `dataset`, as one (len(rows), m, C) array filled
-    in row blocks (numerics.row_blocks): each block gathers its rows'
-    features and casts them to float64, head i writes its logits into the
-    block's view [:, i, :], and the softmax runs in place over the last
-    axis. Besides the outputs, the call holds one block's features."""
+    of the MappedDataset `dataset`, as one checked (len(rows), m, C) array
+    filled in row blocks: each block casts only its own rows' features
+    (_score_block). Besides the outputs, the call holds one block's
+    features. evaluate scores each of its blocks with it; train-meta only
+    when its cache cannot be written or mapped back, for a miss streams the
+    same blocks to the cache (_streamed_outputs) and then maps it like a
+    hit."""
     values = np.empty((len(rows), len(heads), dataset.num_classes))
-    for start, stop in row_blocks(len(rows), values.itemsize * len(heads) * dataset.num_classes):
-        block = values[start:stop]
-        features = dataset.features(rows[start:stop])
-        for i, head in enumerate(heads):
-            head_predict(head, features, out=block[:, i, :])
-        softmax_in_place(block)
+    for start, stop in _output_blocks(heads, dataset, rows):
+        _score_block(heads, dataset, rows[start:stop], values[start:stop])
     return HeadOutputs(values)
+
+
+def _streamed_outputs(heads, dataset, *parts):
+    """The blocks of _head_outputs(heads, dataset, rows).values for each
+    index array `rows` in `parts`, in order, scored into one reused buffer:
+    a block is valid until the next is asked for. Each block has the shape
+    and strides of its slice of the whole array, so its bytes are the
+    same. The values are not checked."""
+    blocks = [_output_blocks(heads, dataset, rows) for rows in parts]
+    most = max(stop - start for part in blocks for start, stop in part)
+    buffer = np.empty((most, len(heads), dataset.num_classes))
+    for rows, part in zip(parts, blocks):
+        for start, stop in part:
+            yield _score_block(heads, dataset, rows[start:stop], buffer[: stop - start])
 
 
 def _map_cache(path, fields: tuple):
@@ -310,6 +344,23 @@ def _map_cache(path, fields: tuple):
         return reader.f64((n_train, m, num_classes)), reader.f64((n_val, m, num_classes))
     except (FormatError, OSError):
         return None
+
+
+def _write_cache(cache, header, heads, dataset, train_rows, val_rows):
+    """Stream the heads' outputs for the train rows, then the val rows, to
+    the cache file at `cache` (_streamed_outputs), and return its blocks as
+    _map_cache maps them back. When the write raises OSError or the written
+    file does not map back, warn and return None."""
+    try:
+        blocks = _streamed_outputs(heads, dataset, train_rows, val_rows)
+        container.write(cache, _CACHE_MAGIC, _CACHE_HEADER, header, blocks, container.F64)
+    except OSError as exc:
+        print(f"warning: head outputs not cached: {exc}", file=sys.stderr)
+        return None
+    mapped = _map_cache(cache, header)
+    if mapped is None:
+        print(f"warning: head outputs not cached: {cache} does not map back", file=sys.stderr)
+    return mapped
 
 
 def cmd_train_meta(args) -> int:
@@ -336,17 +387,14 @@ def cmd_train_meta(args) -> int:
     header = (key.digest(), len(train_rows), len(val_rows), m, num_classes, bytes(12))
     train_labels, val_labels = dataset.labels[train_rows], dataset.labels[val_rows]
     mapped = _map_cache(cache, header)
-    if mapped is None:
+    if mapped is None:  # a miss streams the outputs to the cache, then maps it as a hit does
+        mapped = _write_cache(cache, header, heads, dataset, train_rows, val_rows)
+    if mapped is None:  # the cache only saves time: without it, the outputs are computed here
         train_outputs = _head_outputs(heads, dataset, train_rows)
         val_outputs = _head_outputs(heads, dataset, val_rows)
-        del dataset  # unmaps the training file before the write and the fit
-        blocks = [train_outputs.values, val_outputs.values]
-        try:  # the cache only saves time: a failed write must not fail the run
-            container.write(cache, _CACHE_MAGIC, _CACHE_HEADER, header, blocks, container.F64)
-        except OSError as exc:
-            print(f"warning: head outputs not cached: {exc}", file=sys.stderr)
+        del dataset  # unmaps the training file before the fit
     else:
-        del dataset  # a hit needs only the labels: unmap the file before the cache is checked
+        del dataset  # training needs only the labels: unmap the file before the cache is checked
         try:
             train_outputs, val_outputs = HeadOutputs(mapped[0]), HeadOutputs(mapped[1])
         except DataError as exc:
@@ -462,7 +510,7 @@ def cmd_evaluate(args) -> int:
     confidence = np.empty((len(predictors), test.n))
 
     rows = np.arange(test.n)
-    for start, stop in row_blocks(test.n, m * test.num_classes * 8):
+    for start, stop in _output_blocks(heads, test, rows):
         labels = test.labels[start:stop]
         outputs = _head_outputs(heads, test, rows[start:stop])
         head_classes = np.argmax(outputs.values, axis=2)  # (rows, m)

@@ -225,8 +225,16 @@ def train_heads_lockstep(
     for i, stream in enumerate(streams):
         weights[i], bias[i] = _init_params(train.dim, train.num_classes, stream)
 
+    # every mini-batch gathers its (k, B, D) features into a prefix of one
+    # buffer, so no batch allocates; mode="clip" (idx is always in range)
+    # lets np.take write to `out` directly, where "raise" gathers into a
+    # temporary first
+    batches = np.empty(m * min(cfg.batch_size, train.n) * train.dim)
+
     def grad_fn(params, idx):
-        losses, d_w, d_b = backward_linear_stacked(train.features[idx], *params, train.labels[idx])
+        batch = batches[: idx.size * train.dim].reshape(*idx.shape, train.dim)
+        np.take(train.features, idx, axis=0, out=batch, mode="clip")
+        losses, d_w, d_b = backward_linear_stacked(batch, *params, train.labels[idx])
         return losses, [d_w, d_b]
 
     try:

@@ -238,6 +238,16 @@ class TestHeadOutputsArray:
             head_predict(head, features, out=expect[:, i, :])
         assert np.array_equal(outputs.values, softmax_in_place(expect))
 
+    def test_streamed_blocks_equal_the_whole_arrays_bit_for_bit(self, tmp_path):
+        # what a cache miss writes: the train part's blocks, then the val part's
+        heads = random_heads(5, 256, 100, seed=5)
+        dataset = mapped_dataset(tmp_path / "d.fds", 2000, 256, 100, seed=6)
+        parts = split_indices(dataset.labels, 100, 0.1, seed=7)
+        streamed = [block.copy() for block in cli._streamed_outputs(heads, dataset, *parts)]
+        assert len(streamed) == sum(len(row_blocks(len(rows), 5 * 100 * 8)) for rows in parts)
+        whole = [_head_outputs(heads, dataset, rows).values for rows in parts]
+        assert np.array_equal(np.concatenate(streamed), np.concatenate(whole))
+
     @pytest.mark.parametrize("command", ["train-meta", "evaluate"])
     @pytest.mark.parametrize("dim, classes", [(5, 3), (4, 5)])
     def test_head_of_other_shape_exits_three_naming_it_before_outputs(
@@ -355,14 +365,12 @@ class TestHeadOutputsCache:
             assert (out / name).read_bytes() == missed[name], name
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_hit_releases_the_training_file_before_checking_the_cache(
+    def test_miss_and_hit_release_the_training_file_before_checking_the_cache(
         self, pipeline_dir, monkeypatch, kind
     ):
-        # a hit keeps the split's labels only: the mapped file must be gone
+        # training keeps the split's labels only: the mapped file must be gone
         # before the cached outputs are checked, or both stay resident
         out = pipeline_dir / "out"
-        assert self.train_meta(pipeline_dir, out, kind=kind) == 0
-        missed = (out / f"meta_{kind}.mmd").read_bytes()
         mapped, alive = [], []
         map_dataset_of, head_outputs_of = cli.map_dataset, cli.HeadOutputs
 
@@ -377,8 +385,10 @@ class TestHeadOutputsCache:
 
         monkeypatch.setattr(cli, "map_dataset", spy_map)
         monkeypatch.setattr(cli, "HeadOutputs", spy_outputs)
-        assert self.train_meta(pipeline_dir, out, kind=kind) == 0
-        assert alive == [[False], [False]]
+        assert self.train_meta(pipeline_dir, out, kind=kind) == 0  # a miss
+        missed = (out / f"meta_{kind}.mmd").read_bytes()
+        assert self.train_meta(pipeline_dir, out, kind=kind) == 0  # a hit
+        assert alive == [[False], [False], [False, False], [False, False]]
         assert (out / f"meta_{kind}.mmd").read_bytes() == missed
 
     @staticmethod
@@ -475,8 +485,8 @@ class TestHeadOutputsCache:
         assert str(cache) in err and "head 0 output holds a non-finite value" in err
 
     def test_cached_outputs_are_read_only(self, pipeline_dir, monkeypatch):
+        # a miss trains on the cache it has just written, mapped as a hit maps it
         out = pipeline_dir / "out"
-        assert self.train_meta(pipeline_dir, out) == 0
         seen = []
         train_metamodel = cli.train_metamodel
 
@@ -485,16 +495,52 @@ class TestHeadOutputsCache:
             return train_metamodel(meta, train_outputs, train_labels, val_outputs, val_labels, cfg)
 
         monkeypatch.setattr(cli, "train_metamodel", spy)
-        assert self.train_meta(pipeline_dir, out) == 0
-        assert len(seen) == 2
+        assert self.train_meta(pipeline_dir, out) == 0  # a miss
+        assert self.train_meta(pipeline_dir, out) == 0  # a hit
+        assert len(seen) == 4
         for values in seen:
             assert not values.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 values[0, 0, 0] = 0.5
 
-    def test_hit_peak_memory_below_a_tenth_of_the_outputs(self, tmp_path, monkeypatch):
-        # reading the file into fresh arrays would cost the outputs' size,
-        # and checking them in one piece an eighth of it (a bool per value)
+    @pytest.mark.parametrize("fault", ["write raises", "does not map back"])
+    def test_failed_cache_trains_on_outputs_in_memory(
+        self, pipeline_dir, capsys, monkeypatch, fault
+    ):
+        out, cached = pipeline_dir / "out", pipeline_dir / "cached"
+        assert self.train_meta(pipeline_dir, cached) == 0
+        write = container.write
+
+        def fail_midway(path, magic, header, fields, payload, floats=container.F32):
+            # the cache write runs out of disk after its first block
+            def first_block_then_full_disk(blocks):
+                yield next(iter(blocks))
+                raise OSError(28, "No space left on device")
+
+            if magic == cli._CACHE_MAGIC:
+                payload = first_block_then_full_disk(payload)
+            write(path, magic, header, fields, payload, floats)
+
+        if fault == "write raises":
+            monkeypatch.setattr(cli.container, "write", fail_midway)
+        else:
+            monkeypatch.setattr(cli, "_map_cache", lambda path, fields: None)
+        assert self.train_meta(pipeline_dir, out) == 0
+        err = capsys.readouterr().err
+        assert "warning: head outputs not cached: " in err
+        if fault == "write raises":
+            assert "No space left on device" in err
+            assert not (out / HEAD_OUTPUTS_CACHE).exists()
+        else:
+            assert f"{out / HEAD_OUTPUTS_CACHE} does not map back" in err
+        assert not list(out.glob("*.tmp"))
+        assert (out / "meta_SL.mmd").read_bytes() == (cached / "meta_SL.mmd").read_bytes()
+
+    @pytest.mark.parametrize("run_kind", ["hit", "miss"])
+    def test_peak_memory_below_a_tenth_of_the_outputs(self, tmp_path, monkeypatch, run_kind):
+        # holding the outputs in fresh arrays would cost their whole size, and
+        # checking them in one piece an eighth of it (a bool per value); a miss
+        # holds one block of them while it writes the cache, a hit none
         m, c, dim, n = 5, 50, 2, 8000
         stream = RngStream(1)
         train = tmp_path / "train.fds"
@@ -503,6 +549,8 @@ class TestHeadOutputsCache:
         argv = ["train-meta", "--kind", "SL", "--train", str(train), "--heads-dir", str(art),
                 "--epochs", "1"]
         assert run(argv) == 0
+        if run_kind == "miss":
+            (art / HEAD_OUTPUTS_CACHE).unlink()
 
         class OutputsObtained(Exception):
             pass
@@ -517,6 +565,7 @@ class TestHeadOutputsCache:
                 run(argv)
         finally:
             tracemalloc.stop()
+        assert (art / HEAD_OUTPUTS_CACHE).exists()
         peak, outputs_bytes = obtained.value.args[0], n * m * c * 8
         assert peak < outputs_bytes / 10, peak / outputs_bytes
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from calibens import heads as heads_module
 from calibens.data import FeatureDataset, SynthSpec, split, synth_clusters
 from calibens.errors import DataError, DimensionError, FormatError, TrainingError
 from calibens.heads import (
@@ -212,6 +213,27 @@ class TestHeadFamily:
                     assert member.best_val_loss == lone.best_val_loss
         assert len(set(epochs_run[1])) > 1 and max(epochs_run[1]) < 60
         assert any(len(set(at_epoch)) > 1 for at_epoch in zip(*lrs[2]))
+
+    def test_lockstep_batches_reuse_one_buffer(self, monkeypatch):
+        # 481 training rows in batches of 50: nine full batches and a tail of
+        # 31 per epoch, while the heads early-stop at different epochs
+        train, val = split(synth_clusters(SynthSpec(4, 8, 600, 3.0, 0.2, seed=40)), 0.2, seed=2)
+        cfg = quick_cfg(max_epochs=60, early_stop_patience=3, batch_size=50)
+        pointers = {}
+        backward = heads_module.backward_linear_stacked
+
+        def spy(inputs, *args):
+            pointers.setdefault(inputs.shape, set()).add(inputs.__array_interface__["data"][0])
+            return backward(inputs, *args)
+
+        monkeypatch.setattr(heads_module, "backward_linear_stacked", spy)
+        lockstep = train_heads_lockstep(train, val, 4, base_seed=70, cfg=cfg)
+        full = {shape: seen for shape, seen in pointers.items() if shape[1] == 50}
+        assert len(full) > 1 and (4, 50, 8) in full and (4, 31, 8) in pointers
+        assert all(len(seen) == 1 for seen in full.values()), pointers
+        for member, lone in zip(lockstep, train_head_family(train, val, 4, 70, cfg)):
+            assert np.array_equal(member.weights, lone.weights)
+            assert np.array_equal(member.bias, lone.bias)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_error_names_head_index(self, separable):
