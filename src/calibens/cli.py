@@ -285,50 +285,39 @@ def _discover_heads(heads_dir, data_path, dataset, digest=None) -> list:
     return heads
 
 
-def _output_blocks(heads, dataset, rows):
-    """The row blocks (numerics.row_blocks) of the heads' outputs for the
-    rows `rows` (an index array): (start, stop) pairs, 8*m*C bytes a row."""
-    return row_blocks(len(rows), 8 * len(heads) * dataset.num_classes)
-
-
-def _score_block(heads, dataset, rows, block) -> np.ndarray:
-    """Fill the (len(rows), m, C) float64 `block` with the heads' softmax
-    probabilities for `rows`, and return it: the rows' features are
+def _scored_blocks(heads, dataset, *parts):
+    """The heads' softmax probabilities for each index array `rows` in
+    `parts`, in order, one row block (numerics.row_blocks, 8*m*C bytes a
+    row) at a time: (start, stop, block), where block holds the (stop -
+    start, m, C) outputs of rows[start:stop]. The block's rows' features are
     gathered and cast to float64, head i writes its logits into the view
-    block[:, i, :], and the softmax runs in place over the last axis."""
-    features = dataset.features(rows)
-    for i, head in enumerate(heads):
-        head_predict(head, features, out=block[:, i, :])
-    return softmax_in_place(block)
-
-
-def _head_outputs(heads, dataset, rows) -> HeadOutputs:
-    """The heads' softmax probabilities for the rows `rows` (an index array)
-    of the MappedDataset `dataset`, as one checked (len(rows), m, C) array
-    filled in row blocks: each block casts only its own rows' features
-    (_score_block). Besides the outputs, the call holds one block's
-    features. evaluate scores each of its blocks with it; train-meta only
-    when its cache cannot be written or mapped back, for a miss streams the
-    same blocks to the cache (_streamed_outputs) and then maps it like a
-    hit."""
-    values = np.empty((len(rows), len(heads), dataset.num_classes))
-    for start, stop in _output_blocks(heads, dataset, rows):
-        _score_block(heads, dataset, rows[start:stop], values[start:stop])
-    return HeadOutputs(values)
-
-
-def _streamed_outputs(heads, dataset, *parts):
-    """The blocks of _head_outputs(heads, dataset, rows).values for each
-    index array `rows` in `parts`, in order, scored into one reused buffer:
-    a block is valid until the next is asked for. Each block has the shape
-    and strides of its slice of the whole array, so its bytes are the
+    block[:, i, :], and the softmax runs in place over the last axis. Every
+    block is a prefix of one buffer, sized for the largest block of any
+    part, so a block is valid until the next is asked for; its shape and
+    strides are those of its slice of the whole array, so its bytes are the
     same. The values are not checked."""
-    blocks = [_output_blocks(heads, dataset, rows) for rows in parts]
+    row_bytes = 8 * len(heads) * dataset.num_classes
+    blocks = [row_blocks(len(rows), row_bytes) for rows in parts]
     most = max(stop - start for part in blocks for start, stop in part)
     buffer = np.empty((most, len(heads), dataset.num_classes))
     for rows, part in zip(parts, blocks):
         for start, stop in part:
-            yield _score_block(heads, dataset, rows[start:stop], buffer[: stop - start])
+            block = buffer[: stop - start]
+            features = dataset.features(rows[start:stop])
+            for i, head in enumerate(heads):
+                head_predict(head, features, out=block[:, i, :])
+            yield start, stop, softmax_in_place(block)
+
+
+def _head_outputs(heads, dataset, rows) -> HeadOutputs:
+    """The heads' outputs for the rows `rows` (an index array) of the
+    MappedDataset `dataset`, as one checked (len(rows), m, C) array copied
+    from the _scored_blocks blocks. train-meta calls it only when its cache
+    cannot be written or mapped back."""
+    values = np.empty((len(rows), len(heads), dataset.num_classes))
+    for start, stop, block in _scored_blocks(heads, dataset, rows):
+        values[start:stop] = block
+    return HeadOutputs(values)
 
 
 def _map_cache(path, fields: tuple):
@@ -348,11 +337,11 @@ def _map_cache(path, fields: tuple):
 
 def _write_cache(cache, header, heads, dataset, train_rows, val_rows):
     """Stream the heads' outputs for the train rows, then the val rows, to
-    the cache file at `cache` (_streamed_outputs), and return its blocks as
+    the cache file at `cache` (_scored_blocks), and return its blocks as
     _map_cache maps them back. When the write raises OSError or the written
     file does not map back, warn and return None."""
     try:
-        blocks = _streamed_outputs(heads, dataset, train_rows, val_rows)
+        blocks = (block for _, _, block in _scored_blocks(heads, dataset, train_rows, val_rows))
         container.write(cache, _CACHE_MAGIC, _CACHE_HEADER, header, blocks, container.F64)
     except OSError as exc:
         print(f"warning: head outputs not cached: {exc}", file=sys.stderr)
@@ -453,10 +442,11 @@ def cmd_evaluate(args) -> int:
 
     The test set is mapped, not loaded, and walked in row blocks
     (numerics.row_blocks): a block's head outputs take at most BLOCK_BYTES,
-    and N is split into near-equal blocks. Each block casts its rows'
-    features, runs every predictor and keeps only its predicted class and
-    confidence per sample; the calibration reports are built from those
-    after the last block. So memory holds the mapped file, one block with
+    and N is split into near-equal blocks, each scored into one reused
+    buffer (_scored_blocks). Each block casts its rows' features, runs
+    every predictor and keeps only its predicted class and confidence per
+    sample; the calibration reports are built from those after the last
+    block. So memory holds the mapped file, one block with
     its features and combiner intermediates, and 2*(m+2+kinds)*N scalars,
     neither the float64 features nor the (N, m, C) outputs. Each block is
     reduced once per predictor: one argmax over the block's (rows, m, C)
@@ -509,10 +499,9 @@ def cmd_evaluate(args) -> int:
     predicted = np.empty((len(predictors), test.n), dtype=np.int64)
     confidence = np.empty((len(predictors), test.n))
 
-    rows = np.arange(test.n)
-    for start, stop in _output_blocks(heads, test, rows):
+    for start, stop, block in _scored_blocks(heads, test, np.arange(test.n)):
         labels = test.labels[start:stop]
-        outputs = _head_outputs(heads, test, rows[start:stop])
+        outputs = HeadOutputs(block)
         head_classes = np.argmax(outputs.values, axis=2)  # (rows, m)
         predicted[:m, start:stop] = head_classes.T
         confidence[:m, start:stop] = np.take_along_axis(

@@ -323,14 +323,9 @@ def _slpc_logits(weights, bias, stacked):
     return np.einsum("cm,mnc->nc", weights, stacked) + bias
 
 
-def metamodel_forward(
-    meta: Metamodel,
-    outputs: HeadOutputs,
-    training_mode: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Logits of the combiner. Dropout applies only when training_mode is set
-    (DL/DLL); evaluation mode ignores rng entirely."""
+def metamodel_forward(meta: Metamodel, outputs: HeadOutputs) -> np.ndarray:
+    """Evaluation-mode logits of the combiner: no dropout (training draws
+    its DL/DLL masks for metamodel_gradients)."""
     _check_outputs(meta, outputs)
     if meta.kind == "SL":
         (w, b), = meta.layers
@@ -339,10 +334,6 @@ def metamodel_forward(
         (w1, b1), (w2, b2) = meta.layers
         hidden = linear_forward(outputs.concatenated(), w1, b1)
         np.maximum(hidden, 0.0, out=hidden)  # ReLU on the fresh product
-        if training_mode and meta.dropout_p > 0.0:
-            if rng is None:
-                raise ConfigError("training-mode dropout needs an RngStream")
-            hidden *= dropout_mask(hidden.shape, meta.dropout_p, rng)
         return linear_forward(hidden, w2, b2)
     (w, b), = meta.layers
     return _slpc_logits(w, b, outputs.stacked())

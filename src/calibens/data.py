@@ -187,12 +187,12 @@ def map_dataset(path, digest=None) -> MappedDataset:
     return MappedDataset(features, labels, num_classes)
 
 
-def load_dataset(path, digest=None) -> FeatureDataset:
+def load_dataset(path) -> FeatureDataset:
     """The dataset in the FDS1 file at `path`, its features cast to one
-    float64 matrix; `digest` as for map_dataset, which does every check.
-    Training reads the whole matrix each epoch; a caller that needs fewer
-    rows, or only the labels, uses map_dataset instead."""
-    mapped = map_dataset(path, digest)
+    float64 matrix; map_dataset does every check. Training reads the whole
+    matrix each epoch; a caller that needs fewer rows, or only the labels,
+    uses map_dataset instead."""
+    mapped = map_dataset(path)
     return _rows_of_checked(mapped.features(), mapped.labels, mapped.num_classes)
 
 
@@ -204,13 +204,16 @@ def check_val_fraction(val_fraction: float) -> None:
 
 
 def split_indices(labels: np.ndarray, num_classes: int, val_fraction: float, seed: int):
-    """Row indices of a stratified train/validation split of `labels`
-    (checked to lie in [0, num_classes)), drawn from the labels alone.
+    """Row indices of a stratified train/validation split of `labels`,
+    drawn from the labels alone. The labels must lie in [0, num_classes)
+    (map_dataset and FeatureDataset check them); they are not checked here,
+    and a row with any other label is in neither part.
 
     Each class is shuffled with the seeded stream and contributes a validation
     share within half a sample of val_fraction (so always within +-1). Returns
     (train, val), each sorted; the two are disjoint and their union is every
-    row.
+    row. A class with fewer than two samples, or a val_fraction that gives no
+    class a validation row, raises StratificationError.
     """
     check_val_fraction(val_fraction)
     stream = RngStream(seed)
@@ -226,6 +229,11 @@ def split_indices(labels: np.ndarray, num_classes: int, val_fraction: float, see
         shuffled = class_idx[stream.permutation(n_c)]
         val_idx.append(shuffled[:n_val])
         train_idx.append(shuffled[n_val:])
+    if not any(len(rows) for rows in val_idx):
+        raise StratificationError(
+            f"--val-fraction {val_fraction} gives no class a validation row; "
+            "raise it or use more samples per class"
+        )
     return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(val_idx))
 
 

@@ -127,10 +127,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return softmax_in_place(logits.copy())
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-scaling dropout mask: entries are 0 with probability p, else 1/(1-p).
 
@@ -138,8 +134,6 @@ def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    if p == 0.0:
-        return np.ones(shape, dtype=np.float64)
     keep = rng.random(shape) >= p
     return keep.astype(np.float64) / (1.0 - p)
 
@@ -147,8 +141,8 @@ def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
 def check_labels(labels, num_classes: int) -> np.ndarray:
     """The labels as a 1-D int64 array; a label outside [0, num_classes)
     raises LabelError naming its index. Labels are checked once, where they
-    enter (a dataset, a prediction set, combiner training); the kernels
-    below index with them unchecked."""
+    enter (a dataset, predictions_from_probs, combiner training); the
+    kernels below index with them unchecked."""
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DimensionError(f"labels must be 1-D, got shape {labels.shape}")
@@ -223,7 +217,7 @@ def backward_mlp(inputs, w1, b1, w2, b2, labels, mask: np.ndarray | None = None)
     """
     inputs = as_matrix(inputs, "inputs")
     z1 = linear_forward(inputs, w1, b1)
-    a1 = relu(z1)
+    a1 = np.maximum(z1, 0.0)
     if mask is not None:
         if mask.shape != a1.shape:
             raise DimensionError(f"mask {mask.shape} does not match hidden {a1.shape}")

@@ -186,6 +186,17 @@ class TestTrainHeads:
             "--out", str(tmp_path / "a"),
         ]) == 3
 
+    def test_empty_validation_split_exits_three_before_training(self, tmp_path, capsys):
+        # C=10 and 30 samples a class: a 0.01 share rounds to no row in any class
+        data, art = tmp_path / "data", tmp_path / "artifacts"
+        assert run(["gen", "--n", "300", "--out", str(data)]) == 0
+        assert run([
+            "train-heads", "--train", str(data / "train.fds"), "--val-fraction", "0.01",
+            "--out", str(art),
+        ]) == 3
+        assert "--val-fraction 0.01 gives no class a validation row" in capsys.readouterr().err
+        assert not art.exists()
+
     def test_zero_heads_exits_two(self, pipeline_dir):
         assert run([
             "train-heads", "--train", str(pipeline_dir / "data" / "train.fds"), "--m", "0",
@@ -202,7 +213,8 @@ def mapped_dataset(path, n, dim, num_classes, seed):
 
 
 class TestHeadOutputsArray:
-    """cli._head_outputs fills one (N, m, C) array block by block, head by head."""
+    """cli._scored_blocks scores row blocks head by head into one buffer, and
+    cli._head_outputs copies them into one (N, m, C) array."""
 
     def test_peak_memory_within_one_and_a_half_output_sizes(self, tmp_path):
         heads = random_heads(5, 32, 40, seed=1)
@@ -243,7 +255,7 @@ class TestHeadOutputsArray:
         heads = random_heads(5, 256, 100, seed=5)
         dataset = mapped_dataset(tmp_path / "d.fds", 2000, 256, 100, seed=6)
         parts = split_indices(dataset.labels, 100, 0.1, seed=7)
-        streamed = [block.copy() for block in cli._streamed_outputs(heads, dataset, *parts)]
+        streamed = [block.copy() for _, _, block in cli._scored_blocks(heads, dataset, *parts)]
         assert len(streamed) == sum(len(row_blocks(len(rows), 5 * 100 * 8)) for rows in parts)
         whole = [_head_outputs(heads, dataset, rows).values for rows in parts]
         assert np.array_equal(np.concatenate(streamed), np.concatenate(whole))
@@ -319,6 +331,20 @@ class TestTrainMeta:
         ]) == 3
         err = capsys.readouterr().err
         assert f"{train} has D=4, C=3, but {art / 'head_0.hdw'} has D=4, C=5" in err
+
+    def test_empty_validation_split_exits_three_before_outputs(
+        self, pipeline_dir, capsys, monkeypatch
+    ):
+        # about 100 samples a class: a 0.004 share rounds to no row in any class
+        out = pipeline_dir / "out"
+        refuse_head_outputs(monkeypatch)
+        assert run([
+            "train-meta", "--kind", "SL", "--train", str(pipeline_dir / "data" / "train.fds"),
+            "--heads-dir", str(pipeline_dir / "artifacts"), "--val-fraction", "0.004",
+            "--out", str(out),
+        ]) == 3
+        assert "--val-fraction 0.004 gives no class a validation row" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_heads_exits_three(self, pipeline_dir, capsys):
         assert run([
@@ -828,13 +854,14 @@ class TestEvaluateBlocks:
         one, blocks = pipeline_dir / "one", pipeline_dir / "blocks"
         assert evaluate(one) == 0
         block_rows = []
-        head_outputs_of = cli._head_outputs
+        scored_blocks = cli._scored_blocks
 
-        def spy(heads, dataset, rows):
-            block_rows.append(len(rows))
-            return head_outputs_of(heads, dataset, rows)
+        def spy(heads, dataset, *parts):
+            for start, stop, block in scored_blocks(heads, dataset, *parts):
+                block_rows.append(stop - start)
+                yield start, stop, block
 
-        monkeypatch.setattr(cli, "_head_outputs", spy)
+        monkeypatch.setattr(cli, "_scored_blocks", spy)
         monkeypatch.setattr(numerics, "BLOCK_BYTES", 70 * 2 * 3 * 8)  # 70 rows at m=2, C=3
         assert evaluate(blocks) == 0
         assert block_rows == [60] * 5
@@ -842,6 +869,24 @@ class TestEvaluateBlocks:
         assert len(files) == 1 + 2 + 2 + len(KINDS)
         for name in files:
             assert (blocks / name).read_bytes() == (one / name).read_bytes(), name
+
+    def test_every_block_is_scored_into_one_buffer(self, pipeline_dir, monkeypatch):
+        # each head writes its logits into a view of the buffer; keeping the
+        # views' bases alive keeps a fresh array per block from reusing an id
+        bases = []
+
+        def spy(head, features, out=None):
+            bases.append(out.base)
+            return head_predict(head, features, out=out)
+
+        monkeypatch.setattr(cli, "head_predict", spy)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 70 * 2 * 3 * 8)  # 70 rows at m=2, C=3
+        assert run([
+            "evaluate", "--test", str(pipeline_dir / "data" / "test.fds"),
+            "--heads-dir", str(pipeline_dir / "artifacts"), "--out", str(pipeline_dir / "res"),
+        ]) == 0
+        assert len(bases) == 2 * 5
+        assert all(base is bases[0] for base in bases)
 
     @pytest.mark.parametrize("rows, k", [(1, 1), (2, 3), (7, 1), (7, 5), (262, 190)])
     def test_blocks_cover_the_rows_without_a_short_tail(self, monkeypatch, rows, k):

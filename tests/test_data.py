@@ -244,6 +244,16 @@ class TestSplit:
         with pytest.raises(StratificationError, match="class 1"):
             split(ds, 0.5, seed=0)
 
+    def test_fraction_that_gives_no_class_a_validation_row_rejected(self):
+        # 4 samples a class: a 0.1 share rounds to no row, a 0.2 share to one
+        labels = np.arange(12) % 3
+        with pytest.raises(StratificationError, match="--val-fraction 0.1 gives no class"):
+            split_indices(labels, 3, 0.1, seed=0)
+        assert len(split_indices(labels, 3, 0.2, seed=0)[1]) == 3
+        # one class of 10 contributes a row, which is enough
+        labels = np.concatenate([labels, np.zeros(6, dtype=np.int64)])
+        assert len(split_indices(labels, 3, 0.1, seed=0)[1]) == 1
+
     def test_slices_are_read_only_and_not_rechecked(self, monkeypatch):
         ds = tiny_dataset(n=60, c=3)
         checks = []

@@ -20,7 +20,6 @@ from calibens.numerics import (
     first_non_finite,
     fit,
     linear_forward,
-    relu,
     require_finite,
     row_blocks,
     sgd_step,
@@ -133,9 +132,6 @@ class TestCrossEntropy:
 
 
 class TestReluDropout:
-    def test_relu(self):
-        assert np.array_equal(relu(np.asarray([[-1.0, 2.0]])), [[0.0, 2.0]])
-
     def test_dropout_p_zero_is_all_ones(self):
         mask = dropout_mask((3, 4), 0.0, RngStream(1))
         assert np.array_equal(mask, np.ones((3, 4)))
