@@ -28,8 +28,10 @@ outputs, so the two files are never resident at once. A miss streams the
 outputs to the cache one row block at a time, the train part and then the
 val part, never holding them whole; it then maps the file back and goes on
 as a hit does, so every run trains on the same read-only view of the cache
-and checks its values once. Only when the cache cannot be written or mapped
-back does train-meta warn and compute the outputs in memory. The cache file
+and checks its values once. When the written file cannot replace the cache
+file, train-meta warns and trains from the written file all the same; only
+when the cache cannot be written or mapped back does it warn and compute the
+outputs in memory. The cache file
 is a container (HOC1) holding both split parts, little-endian:
 
     HOC1 | 32-byte sha256 key | u32 N_train | u32 N_val | u32 m | u32 C |
@@ -50,6 +52,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -88,7 +91,7 @@ from .metrics import (
     calibration_report,
     write_reliability_csv,
 )
-from .numerics import derive_seed, row_blocks, softmax_in_place
+from .numerics import class_argmax, derive_seed, row_blocks, softmax_in_place
 
 _SPLIT_STREAM = 1000
 _HEAD_STREAM = 1
@@ -336,17 +339,23 @@ def _map_cache(path, fields: tuple):
 
 
 def _write_cache(cache, header, heads, dataset, train_rows, val_rows):
-    """Stream the heads' outputs for the train rows, then the val rows, to
-    the cache file at `cache` (_scored_blocks), and return its blocks as
-    _map_cache maps them back. When the write raises OSError or the written
-    file does not map back, warn and return None."""
+    """Stream the heads' outputs for the train rows, then the val rows, to a
+    temporary file next to the cache file at `cache` (_scored_blocks), map it
+    as _map_cache maps the cache, move it onto `cache` and return the mapped
+    blocks. Every row is scored once: when only the move raises OSError,
+    warn and return the blocks of the temporary file, which is removed but
+    stays mapped. When the write raises OSError or the written file does not
+    map back, warn and return None."""
+    blocks = (block for _, _, block in _scored_blocks(heads, dataset, train_rows, val_rows))
+    mapped = None
     try:
-        blocks = (block for _, _, block in _scored_blocks(heads, dataset, train_rows, val_rows))
-        container.write(cache, _CACHE_MAGIC, _CACHE_HEADER, header, blocks, container.F64)
+        with container.staged(cache, _CACHE_MAGIC, _CACHE_HEADER, header, blocks, container.F64) as tmp:
+            mapped = _map_cache(tmp, header)
+            if mapped is not None:
+                os.replace(tmp, cache)
     except OSError as exc:
         print(f"warning: head outputs not cached: {exc}", file=sys.stderr)
-        return None
-    mapped = _map_cache(cache, header)
+        return mapped
     if mapped is None:
         print(f"warning: head outputs not cached: {cache} does not map back", file=sys.stderr)
     return mapped
@@ -449,12 +458,13 @@ def cmd_evaluate(args) -> int:
     block. So memory holds the mapped file, one block with
     its features and combiner intermediates, and 2*(m+2+kinds)*N scalars,
     neither the float64 features nor the (N, m, C) outputs. Each block is
-    reduced once per predictor: one argmax over the block's (rows, m, C)
-    outputs gives every head's class, and its confidence is the probability
-    gathered there (the row max), while Avg., Vot. and the combiners go
-    through the combine_* functions. Every prediction depends on its own
-    row only, except that BLAS may round the DL/DLL hidden layer
-    differently at another row count, by an ulp of a confidence."""
+    reduced once per predictor: one numerics.class_argmax over the block's
+    (rows, m, C) outputs gives every head's class, and its confidence is the
+    probability gathered there (the row max). Vot. counts those same head
+    classes, and Avg. and the combiners go through the combine_* functions.
+    Every prediction depends on its own row only, except that BLAS may round
+    the DL/DLL hidden layer differently at another row count, by an ulp of a
+    confidence."""
     if args.test is None:
         raise ConfigError("missing test dataset path (--test)")
     num_bins = args.bins
@@ -502,12 +512,12 @@ def cmd_evaluate(args) -> int:
     for start, stop, block in _scored_blocks(heads, test, np.arange(test.n)):
         labels = test.labels[start:stop]
         outputs = HeadOutputs(block)
-        head_classes = np.argmax(outputs.values, axis=2)  # (rows, m)
+        head_classes = class_argmax(outputs.values)  # (rows, m)
         predicted[:m, start:stop] = head_classes.T
         confidence[:m, start:stop] = np.take_along_axis(
             outputs.values, head_classes[:, :, None], axis=2
         )[:, :, 0].T
-        preds = [combine_average(outputs, labels), combine_vote(outputs, labels)]
+        preds = [combine_average(outputs, labels), combine_vote(outputs, labels, head_classes)]
         preds += [combine_metamodel(meta, outputs, labels) for meta in metas.values()]
         for j, pred in enumerate(preds, start=m):
             predicted[j, start:stop] = pred.predicted_class

@@ -31,6 +31,7 @@ from .numerics import (
     backward_mlp,
     check_labels,
     check_sgd_settings,
+    class_argmax,
     cross_entropy,
     dropout_mask,
     fit,
@@ -186,28 +187,36 @@ def combine_average(outputs: HeadOutputs, labels) -> PredictionSet:
     return predictions_from_probs(_mean_over_heads(outputs.values), labels)
 
 
-def combine_vote(outputs: HeadOutputs, labels) -> PredictionSet:
+def combine_vote(outputs: HeadOutputs, labels, votes=None) -> PredictionSet:
     """Majority vote over the heads' argmax classes.
 
     Vote ties go to the tied class with the higher mean head probability, then
     to the lowest class index. The reported confidence is the mean over all
-    heads of their probability for the winning class.
+    heads of their probability for the winning class (_mean_over_heads of
+    that one cell, which gives the bits the full mean gives it). `votes`, the
+    (N, m) head classes class_argmax(outputs.values), is computed here when
+    not given. Only rows whose top vote count is shared by two or more
+    classes average their tied classes; every other row's winner is its one
+    top class.
     """
-    n, c = outputs.n, outputs.num_classes
+    values = outputs.values
+    n, m, c = values.shape
+    if votes is None:
+        votes = class_argmax(values)
     rows = np.arange(n)
-    votes = np.argmax(outputs.values, axis=2)  # (N, m): each head's class
-    cells = (rows[:, None] * c + votes).ravel()
-    counts = np.bincount(cells, minlength=n * c).reshape(n, c)
-    tied = counts == counts.max(axis=1, keepdims=True)
-    # only a tied class can win, so only tied cells need their mean probability
-    mean_probs = np.zeros((n, c))
-    mean_probs[tied] = _mean_over_heads(outputs.values.transpose(0, 2, 1)[tied])
-    # a tied class's mean (>= 0) beats any untied score -1; argmax keeps the
-    # lowest index on exact ties
-    winner = np.argmax(np.where(tied, mean_probs, -1.0), axis=1)
+    counts = np.bincount((rows[:, None] * c + votes).ravel(), minlength=n * c).reshape(n, c)
+    winner = class_argmax(counts)  # the lowest class with the top count
+    top = counts[rows, winner]
+    maybe = np.flatnonzero(2 * top <= m)  # a count above m/2 cannot be shared
+    tied = counts[maybe] == top[maybe, None]
+    many = tied.sum(axis=1) > 1
+    shared, tied = maybe[many], tied[many]
+    means = np.full(tied.shape, -1.0)  # below any tied class's mean, which is >= 0
+    means[tied] = _mean_over_heads(values[shared].transpose(0, 2, 1)[tied])
+    winner[shared] = class_argmax(means)
     return PredictionSet(
         predicted_class=winner,
-        confidence=mean_probs[rows, winner],
+        confidence=_mean_over_heads(values[rows, :, winner]),
         labels=np.asarray(labels, dtype=np.int64),
     )
 

@@ -26,6 +26,7 @@ Every violation raises FormatError naming the file and the byte offset.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import os
@@ -127,14 +128,17 @@ class Reader:
             raise self.error("non-finite f32 value", offset=offset)
 
 
-def write(path, magic: bytes, header: str, fields: tuple, payload, floats=F32) -> None:
+@contextlib.contextmanager
+def staged(path, magic: bytes, header: str, fields: tuple, payload, floats=F32):
     """Write magic, the header `fields` packed by `header`, then each payload
     array's bytes in order, float arrays stored as `floats`, to a temporary
-    file that then replaces `path`. `payload` is any iterable of arrays,
+    file next to `path`, and yield the temporary file's path for the caller
+    to move into place with os.replace. `payload` is any iterable of arrays,
     consumed once, each block written before the next is asked for, so a
-    generator can stream a large payload a block at a time. When the write
-    or the payload raises, the temporary file is removed and `path` is left
-    as it was."""
+    generator can stream a large payload a block at a time. On exit the
+    temporary file is removed if it is still there, also when the write or
+    the payload raised; `path` is left as it was unless the caller moved the
+    file onto it."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -143,6 +147,12 @@ def write(path, magic: bytes, header: str, fields: tuple, payload, floats=F32) -
             for block in payload:
                 stored = floats if block.dtype.kind == "f" else None
                 fh.write(np.ascontiguousarray(block, stored).data)
-        os.replace(tmp, path)
+        yield tmp
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write(path, magic: bytes, header: str, fields: tuple, payload, floats=F32) -> None:
+    """Write the file that `staged` writes and move it onto `path`."""
+    with staged(path, magic, header, fields, payload, floats) as tmp:
+        os.replace(tmp, path)

@@ -535,7 +535,7 @@ class TestHeadOutputsCache:
     ):
         out, cached = pipeline_dir / "out", pipeline_dir / "cached"
         assert self.train_meta(pipeline_dir, cached) == 0
-        write = container.write
+        staged = container.staged
 
         def fail_midway(path, magic, header, fields, payload, floats=container.F32):
             # the cache write runs out of disk after its first block
@@ -545,10 +545,10 @@ class TestHeadOutputsCache:
 
             if magic == cli._CACHE_MAGIC:
                 payload = first_block_then_full_disk(payload)
-            write(path, magic, header, fields, payload, floats)
+            return staged(path, magic, header, fields, payload, floats)
 
         if fault == "write raises":
-            monkeypatch.setattr(cli.container, "write", fail_midway)
+            monkeypatch.setattr(cli.container, "staged", fail_midway)
         else:
             monkeypatch.setattr(cli, "_map_cache", lambda path, fields: None)
         assert self.train_meta(pipeline_dir, out) == 0
@@ -559,6 +559,34 @@ class TestHeadOutputsCache:
             assert not (out / HEAD_OUTPUTS_CACHE).exists()
         else:
             assert f"{out / HEAD_OUTPUTS_CACHE} does not map back" in err
+        assert not list(out.glob("*.tmp"))
+        assert (out / "meta_SL.mmd").read_bytes() == (cached / "meta_SL.mmd").read_bytes()
+
+    def test_cache_that_cannot_be_replaced_scores_every_row_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a directory where the cache file goes makes the move fail after the
+        # outputs are written: train-meta trains from the written file
+        data, art, cached, out = (tmp_path / name for name in ("data", "art", "cached", "out"))
+        assert run(["gen", "--n", "400", "--out", str(data)]) == 0
+        assert run(["train-heads", "--train", str(data / "train.fds"), "--max-epochs", "2",
+                    "--out", str(art)]) == 0
+        argv = ["train-meta", "--kind", "SL", "--train", str(data / "train.fds"),
+                "--heads-dir", str(art), "--epochs", "1", "--out"]
+        assert run(argv + [str(cached)]) == 0
+        (out / HEAD_OUTPUTS_CACHE).mkdir(parents=True)
+        scored = []
+
+        def spy(head, features, out=None):
+            scored.append(len(features))
+            return head_predict(head, features, out=out)
+
+        monkeypatch.setattr(cli, "head_predict", spy)
+        capsys.readouterr()
+        assert run(argv + [str(out)]) == 0
+        assert "warning: head outputs not cached: " in capsys.readouterr().err
+        assert sum(scored) == 5 * 400
+        assert (out / HEAD_OUTPUTS_CACHE).is_dir()
         assert not list(out.glob("*.tmp"))
         assert (out / "meta_SL.mmd").read_bytes() == (cached / "meta_SL.mmd").read_bytes()
 
@@ -869,6 +897,29 @@ class TestEvaluateBlocks:
         assert len(files) == 1 + 2 + 2 + len(KINDS)
         for name in files:
             assert (blocks / name).read_bytes() == (one / name).read_bytes(), name
+
+    def test_short_class_sweeps_write_the_numpy_bytes(self, tmp_path, monkeypatch):
+        # SHORT_CLASSES 0 sends every class-axis max and argmax to numpy,
+        # 10**6 to the column sweeps; random heads disagree often, so Vot.
+        # settles many shared top counts
+        m, c, dim, n = 4, 6, 3, 500
+        stream = RngStream(5)
+        test = tmp_path / "test.fds"
+        save_dataset(FeatureDataset(stream.standard_normal((n, dim)), stream.integers(0, c, n), c), test)
+        art = save_heads(random_heads(m, dim, c, seed=6), tmp_path / "art")
+        for kind in KINDS:
+            save_metamodel(build_metamodel(kind, m, c, seed=7), art / f"meta_{kind}.mmd")
+        outs = {short: tmp_path / f"short_{short}" for short in (0, 10**6)}
+        for short, out in outs.items():
+            monkeypatch.setattr(numerics, "SHORT_CLASSES", short)
+            assert run([
+                "evaluate", "--test", str(test), "--heads-dir", str(art), "--meta", "all",
+                "--out", str(out),
+            ]) == 0
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert len(files) == 1 + m + 2 + len(KINDS)
+        for name in files:
+            assert (outs[10**6] / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
     def test_every_block_is_scored_into_one_buffer(self, pipeline_dir, monkeypatch):
         # each head writes its logits into a view of the buffer; keeping the

@@ -30,8 +30,10 @@ from calibens.combiners import (
 )
 from calibens.errors import ConfigError, DataError, DimensionError, FormatError, LabelError
 from calibens.numerics import (
+    SHORT_CLASSES,
     RngStream,
     _softmax_ce_grad,
+    class_argmax,
     cross_entropy,
     softmax,
     softmax_in_place,
@@ -281,6 +283,81 @@ class TestCombineAverage:
         assert np.allclose(_mean_over_heads(outputs.values).sum(axis=1), 1.0, atol=1e-12)
 
 
+def vote_reference(outputs):
+    """combine_vote as written before it took the head classes and averaged
+    only rows whose top count is shared, kept as the oracle it must match:
+    (winner, confidence)."""
+    n, c = outputs.n, outputs.num_classes
+    rows = np.arange(n)
+    votes = np.argmax(outputs.values, axis=2)
+    cells = (rows[:, None] * c + votes).ravel()
+    counts = np.bincount(cells, minlength=n * c).reshape(n, c)
+    tied = counts == counts.max(axis=1, keepdims=True)
+    mean_probs = np.zeros((n, c))
+    mean_probs[tied] = _mean_over_heads(outputs.values.transpose(0, 2, 1)[tied])
+    winner = np.argmax(np.where(tied, mean_probs, -1.0), axis=1)
+    return winner, mean_probs[rows, winner]
+
+
+def half_ulp_tie(ulps):
+    """Two heads over 20 classes that split their votes between classes 0
+    and 1, where class 1's mean exceeds class 0's by less than half an ulp
+    of 1.0."""
+    c, high = 20, 0.1
+    for _ in range(ulps):
+        high = np.nextafter(high, 1.0)
+    h0 = np.full(c, 0.85 / (c - 2))
+    h0[:2] = 0.1, 0.05
+    h1 = np.full(c, (0.95 - high) / (c - 2))
+    h1[:2] = 0.05, high
+    return head_outputs([h0[None], h1[None]])
+
+
+@st.composite
+def tied_vote_blocks(draw):
+    """HeadOutputs whose heads vote among a few classes, so top counts are
+    often shared two or more ways; in some rows head 1 holds head 0's
+    probabilities in reverse class order, so the classes they vote for can
+    also tie exactly on their means."""
+    stream = RngStream(draw(st.integers(0, 2**32)))
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 40))
+    c = draw(st.sampled_from([2, 3, 5, SHORT_CLASSES, SHORT_CLASSES + 1]))
+    choices = draw(st.integers(1, min(c, 4)))
+    logits = stream.standard_normal((n, m, c))
+    votes = stream.integers(0, choices, (n, m))
+    np.put_along_axis(logits, votes[:, :, None], logits.max(axis=2, keepdims=True) + 1.0, axis=2)
+    values = softmax_in_place(logits)
+    if m >= 2:
+        mirrored = stream.random(n) < 0.3
+        values[mirrored, 1] = values[mirrored, 0, ::-1]
+    return HeadOutputs(values)
+
+
+class TestCombineVoteOracle:
+    """combine_vote equals vote_reference bit for bit, with the head classes
+    passed in (as evaluate does) and without."""
+
+    @staticmethod
+    def assert_matches_reference(outputs):
+        winner, confidence = vote_reference(outputs)
+        labels = np.zeros(outputs.n, dtype=np.int64)
+        for pred in (
+            combine_vote(outputs, labels),
+            combine_vote(outputs, labels, class_argmax(outputs.values)),
+        ):
+            assert np.array_equal(pred.predicted_class, winner)
+            assert np.array_equal(bits(pred.confidence), bits(confidence))
+
+    @settings(max_examples=300, deadline=None)
+    @given(outputs=tied_vote_blocks())
+    def test_tied_blocks_match_the_reference(self, outputs):
+        self.assert_matches_reference(outputs)
+
+    @pytest.mark.parametrize("ulps", range(3, 8))
+    def test_half_ulp_tie_matches_the_reference(self, ulps):
+        self.assert_matches_reference(half_ulp_tie(ulps))
+
+
 class TestCombineVote:
     def test_strict_majority(self):
         # head argmaxes {2, 2, 5} -> class 2
@@ -299,16 +376,8 @@ class TestCombineVote:
 
     @pytest.mark.parametrize("ulps", range(3, 8))
     def test_tie_goes_to_the_higher_mean_however_close(self, ulps):
-        # class 1's mean exceeds class 0's by less than half an ulp of 1.0,
-        # so a tie score of 1 + mean would round both to one value
-        c, high = 20, 0.1
-        for _ in range(ulps):
-            high = np.nextafter(high, 1.0)
-        h0 = np.full(c, 0.85 / (c - 2))
-        h0[:2] = 0.1, 0.05
-        h1 = np.full(c, (0.95 - high) / (c - 2))
-        h1[:2] = 0.05, high
-        outputs = head_outputs([h0[None], h1[None]])
+        # a tie score of 1 + mean would round both means to one value
+        outputs = half_ulp_tie(ulps)
         mean = _mean_over_heads(outputs.values)[0]
         assert mean[1] > mean[0] and 1.0 + mean[1] == 1.0 + mean[0]
         pred = combine_vote(outputs, [0])

@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from calibens.combiners import MetaTrainConfig
 from calibens.errors import ConfigError, DataError, DimensionError, TrainingError
 from calibens.heads import HeadTrainConfig
 from calibens.numerics import (
+    SHORT_CLASSES,
     RngStream,
     SgdState,
     backward_linear,
     backward_mlp,
+    class_argmax,
+    class_max,
     cross_entropy,
     derive_seed,
     dropout_mask,
@@ -24,6 +28,7 @@ from calibens.numerics import (
     row_blocks,
     sgd_step,
     softmax,
+    softmax_in_place,
 )
 
 from gradcheck import finite_difference_grads, relative_error
@@ -116,6 +121,59 @@ class TestSoftmax:
     def test_float_shift_invariance_within_tolerance(self, row, shift):
         logits = np.asarray([row], dtype=np.float64)
         assert np.allclose(softmax(logits), softmax(logits + shift), atol=1e-12)
+
+
+@st.composite
+def class_arrays(draw):
+    """Rank 1-3 arrays whose last (class) axis lies on either side of
+    SHORT_CLASSES: int64 counts, or float64 entries drawn from a short pool,
+    so rows tie exactly and hold 0.0 and -0.0 (and at times a NaN or an
+    infinity)."""
+    c = draw(st.sampled_from([1, 2, 3, SHORT_CLASSES - 1, SHORT_CLASSES, SHORT_CLASSES + 1, 40]))
+    shape = (*draw(st.lists(st.integers(1, 4), max_size=2)), c)
+    if draw(st.booleans()):
+        return draw(arrays(np.int64, shape, elements=st.integers(0, 3)))
+    pool = draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, np.inf, -np.inf, np.nan])
+        | st.floats(-1e3, 1e3),
+        min_size=1, max_size=4,
+    ))
+    return draw(arrays(np.float64, shape, elements=st.sampled_from(pool)))
+
+
+def same_bytes(got, expect):
+    got, expect = np.asarray(got), np.asarray(expect)
+    return got.dtype == expect.dtype and got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
+class TestClassReductions:
+    """class_max and class_argmax sweep a short class axis column by column
+    and must give numpy's max and argmax over the last axis exactly."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=class_arrays())
+    def test_equal_numpy_bit_for_bit(self, values):
+        assert same_bytes(class_max(values), values.max(axis=-1))
+        assert same_bytes(class_argmax(values), np.argmax(values, axis=-1))
+
+    @pytest.mark.parametrize("c", [SHORT_CLASSES - 1, SHORT_CLASSES])
+    def test_zero_max_takes_numpys_sign(self, c):
+        # folding the columns in order keeps the first zero's sign, while
+        # numpy's vectorised reduction can keep another's
+        values = RngStream(c).choice([0.0, -0.0, -1.0], size=(4000, c))
+        assert same_bytes(class_max(values), values.max(axis=-1))
+        assert same_bytes(class_argmax(values), np.argmax(values, axis=-1))
+
+    @pytest.mark.parametrize("c", [SHORT_CLASSES, SHORT_CLASSES + 1])
+    def test_softmax_equals_the_numpy_max_formula(self, c):
+        logits = 30.0 * RngStream(c).standard_normal((3, 200, c))
+        logits[:, ::4, -1] = logits[:, ::4].max(axis=-1)  # tied maxima
+        logits[:, 1::4] = np.where(logits[:, 1::4] > 0, 0.0, logits[:, 1::4])  # zero maxima
+        logits[:, 1::8, 0] = -0.0
+        expect = logits - logits.max(axis=-1, keepdims=True)
+        np.exp(expect, out=expect)
+        expect /= expect.sum(axis=-1, keepdims=True)
+        assert same_bytes(softmax_in_place(logits.copy()), expect)
 
 
 class TestCrossEntropy:
