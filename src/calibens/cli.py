@@ -91,7 +91,7 @@ from .metrics import (
     calibration_report,
     write_reliability_csv,
 )
-from .numerics import class_argmax, derive_seed, row_blocks, softmax_in_place
+from .numerics import derive_seed, row_blocks, softmax_in_place
 
 _SPLIT_STREAM = 1000
 _HEAD_STREAM = 1
@@ -341,11 +341,12 @@ def _map_cache(path, fields: tuple):
 def _write_cache(cache, header, heads, dataset, train_rows, val_rows):
     """Stream the heads' outputs for the train rows, then the val rows, to a
     temporary file next to the cache file at `cache` (_scored_blocks), map it
-    as _map_cache maps the cache, move it onto `cache` and return the mapped
-    blocks. Every row is scored once: when only the move raises OSError,
-    warn and return the blocks of the temporary file, which is removed but
-    stays mapped. When the write raises OSError or the written file does not
-    map back, warn and return None."""
+    as _map_cache maps the cache, move it onto `cache` and return (blocks,
+    True): the mapped blocks, which are now the cache file's. Every row is
+    scored once: when only the move raises OSError, warn and return the
+    blocks of the temporary file, which is removed but stays mapped, and
+    False. When the write raises OSError or the written file does not map
+    back, warn and return (None, False)."""
     blocks = (block for _, _, block in _scored_blocks(heads, dataset, train_rows, val_rows))
     mapped = None
     try:
@@ -355,10 +356,10 @@ def _write_cache(cache, header, heads, dataset, train_rows, val_rows):
                 os.replace(tmp, cache)
     except OSError as exc:
         print(f"warning: head outputs not cached: {exc}", file=sys.stderr)
-        return mapped
+        return mapped, False
     if mapped is None:
         print(f"warning: head outputs not cached: {cache} does not map back", file=sys.stderr)
-    return mapped
+    return mapped, mapped is not None
 
 
 def cmd_train_meta(args) -> int:
@@ -384,9 +385,9 @@ def cmd_train_meta(args) -> int:
     cache = out_dir / HEAD_OUTPUTS_CACHE
     header = (key.digest(), len(train_rows), len(val_rows), m, num_classes, bytes(12))
     train_labels, val_labels = dataset.labels[train_rows], dataset.labels[val_rows]
-    mapped = _map_cache(cache, header)
+    mapped, cached = _map_cache(cache, header), True
     if mapped is None:  # a miss streams the outputs to the cache, then maps it as a hit does
-        mapped = _write_cache(cache, header, heads, dataset, train_rows, val_rows)
+        mapped, cached = _write_cache(cache, header, heads, dataset, train_rows, val_rows)
     if mapped is None:  # the cache only saves time: without it, the outputs are computed here
         train_outputs = _head_outputs(heads, dataset, train_rows)
         val_outputs = _head_outputs(heads, dataset, val_rows)
@@ -396,6 +397,8 @@ def cmd_train_meta(args) -> int:
         try:
             train_outputs, val_outputs = HeadOutputs(mapped[0]), HeadOutputs(mapped[1])
         except DataError as exc:
+            if not cached:  # the outputs never reached the cache file: nothing to delete
+                raise
             raise DataError(f"{cache}: {exc} (delete the file to recompute)") from None
 
     meta = build_metamodel(kind, m, num_classes, meta_seed, dropout_p=train_cfg.dropout)
@@ -458,12 +461,12 @@ def cmd_evaluate(args) -> int:
     block. So memory holds the mapped file, one block with
     its features and combiner intermediates, and 2*(m+2+kinds)*N scalars,
     neither the float64 features nor the (N, m, C) outputs. Each block is
-    reduced once per predictor: one numerics.class_argmax over the block's
-    (rows, m, C) outputs gives every head's class, and its confidence is the
-    probability gathered there (the row max). Vot. counts those same head
-    classes, and Avg. and the combiners go through the combine_* functions.
-    Every prediction depends on its own row only, except that BLAS may round
-    the DL/DLL hidden layer differently at another row count, by an ulp of a
+    reduced once per predictor: one argmax over the block's (rows, m, C)
+    outputs gives every head's class, and its confidence is the probability
+    gathered there (the row max). Vot. counts those same head classes, and
+    Avg. and the combiners go through the combine_* functions. Every
+    prediction depends on its own row only, except that BLAS may round the
+    DL/DLL hidden layer differently at another row count, by an ulp of a
     confidence."""
     if args.test is None:
         raise ConfigError("missing test dataset path (--test)")
@@ -512,7 +515,7 @@ def cmd_evaluate(args) -> int:
     for start, stop, block in _scored_blocks(heads, test, np.arange(test.n)):
         labels = test.labels[start:stop]
         outputs = HeadOutputs(block)
-        head_classes = class_argmax(outputs.values)  # (rows, m)
+        head_classes = np.argmax(outputs.values, axis=2)  # (rows, m)
         predicted[:m, start:stop] = head_classes.T
         confidence[:m, start:stop] = np.take_along_axis(
             outputs.values, head_classes[:, :, None], axis=2

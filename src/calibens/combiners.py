@@ -31,7 +31,6 @@ from .numerics import (
     backward_mlp,
     check_labels,
     check_sgd_settings,
-    class_argmax,
     cross_entropy,
     dropout_mask,
     fit,
@@ -194,26 +193,24 @@ def combine_vote(outputs: HeadOutputs, labels, votes=None) -> PredictionSet:
     to the lowest class index. The reported confidence is the mean over all
     heads of their probability for the winning class (_mean_over_heads of
     that one cell, which gives the bits the full mean gives it). `votes`, the
-    (N, m) head classes class_argmax(outputs.values), is computed here when
-    not given. Only rows whose top vote count is shared by two or more
+    (N, m) head classes np.argmax(outputs.values, axis=2), is computed here
+    when not given. Only rows whose top vote count is shared by two or more
     classes average their tied classes; every other row's winner is its one
     top class.
     """
     values = outputs.values
-    n, m, c = values.shape
+    n, c = outputs.n, outputs.num_classes
     if votes is None:
-        votes = class_argmax(values)
+        votes = np.argmax(values, axis=2)
     rows = np.arange(n)
     counts = np.bincount((rows[:, None] * c + votes).ravel(), minlength=n * c).reshape(n, c)
-    winner = class_argmax(counts)  # the lowest class with the top count
-    top = counts[rows, winner]
-    maybe = np.flatnonzero(2 * top <= m)  # a count above m/2 cannot be shared
-    tied = counts[maybe] == top[maybe, None]
-    many = tied.sum(axis=1) > 1
-    shared, tied = maybe[many], tied[many]
+    winner = np.argmax(counts, axis=1)  # the lowest class with the top count
+    tied = counts == counts[rows, winner][:, None]
+    shared = np.flatnonzero(tied.sum(axis=1) > 1)
+    tied = tied[shared]
     means = np.full(tied.shape, -1.0)  # below any tied class's mean, which is >= 0
     means[tied] = _mean_over_heads(values[shared].transpose(0, 2, 1)[tied])
-    winner[shared] = class_argmax(means)
+    winner[shared] = np.argmax(means, axis=1)
     return PredictionSet(
         predicted_class=winner,
         confidence=_mean_over_heads(values[rows, :, winner]),

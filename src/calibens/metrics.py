@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
-from .numerics import as_matrix, check_labels, class_argmax, require_finite
+from .numerics import as_matrix, check_labels, require_finite
 
 DEFAULT_NUM_BINS = 15
 
@@ -73,9 +73,8 @@ class CalibrationReport:
 def predictions_from_probs(probs, labels) -> PredictionSet:
     """Build a PredictionSet from a probability matrix.
 
-    Predicted class is the per-row argmax (class_argmax: ties broken toward
-    the lowest class index); confidence is the row maximum, gathered at that
-    class.
+    Predicted class is the per-row argmax (ties broken toward the lowest
+    class index); confidence is the row maximum, gathered at that class.
     """
     probs = as_matrix(probs, "probs")
     labels = np.asarray(labels, dtype=np.int64)
@@ -84,7 +83,7 @@ def predictions_from_probs(probs, labels) -> PredictionSet:
             f"probs {probs.shape} and labels {labels.shape} disagree on sample count"
         )
     check_labels(labels, probs.shape[1])
-    predicted = class_argmax(probs)
+    predicted = np.argmax(probs, axis=1)
     return PredictionSet(
         predicted_class=predicted,
         confidence=probs[np.arange(probs.shape[0]), predicted],

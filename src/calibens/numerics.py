@@ -112,28 +112,24 @@ def linear_forward(
     return out
 
 
-# Class counts up to which class_max and class_argmax sweep the class axis
-# column by column instead of calling numpy's reduction, which pays a fixed
-# cost per row along a short last axis. Medians of 200 interleaved timings
-# (us, numpy -> sweep) on a shared 2-vCPU VM with numpy 2.4, on evaluate's
-# 1 MiB blocks of (rows, 5, C) float64 and on one combiner's (rows, C):
-#   C     (rows, 5, C) max   argmax         (rows, C) max   argmax
-#   10    701 -> 119         494 -> 539     138 -> 29        83 -> 93
-#   16    704 -> 157         423 -> 450     137 -> 39        71 -> 85
-#   32    371 -> 177         158 -> 395      79 -> 54        17 -> 88
-#   100   125 -> 231          48 -> 381      27 -> 79        10 -> 109
-# The max sweep gains up to 32 classes. The argmax sweep (the max sweep,
-# then a boolean argmax) is up to 20% slower than numpy's argmax up to 16
-# classes and far slower above.
-SHORT_CLASSES = 16
-
-
-def _column_max(values: np.ndarray) -> np.ndarray:
-    """The max over the last axis by np.maximum, column after column."""
-    top = values[..., 0].copy()
-    for j in range(1, values.shape[-1]):
-        np.maximum(top, values[..., j], out=top)
-    return top
+# Class counts up to which class_max sweeps the class axis column by column
+# instead of calling numpy's max, which pays a fixed cost per row along a
+# short last axis. Medians of 200 interleaved timings (us, numpy -> sweep)
+# on a shared 2-vCPU VM with numpy 2.4, on evaluate's 1 MiB blocks of
+# (rows, 5, C) float64 and on one combiner's (rows, C):
+#   C     (rows, 5, C)   (rows, C)
+#   10    851 -> 165     188 -> 53
+#   16    858 -> 267     168 -> 67
+#   24    598 -> 234     118 -> 72
+#   32    467 -> 306      92 -> 91
+#   40    391 -> 276      65 -> 52
+#   48    340 -> 336      57 -> 63
+#   64    274 -> 405      46 -> 72
+#   100   161 -> 444      34 -> 149
+# A second run (400 timings, C = 24-56) read 97 -> 94 at (rows, 32) but
+# 81 -> 100 at (rows, 40). So 32 is the largest class count at which the
+# sweep lost on neither shape in either run.
+SHORT_CLASSES = 32
 
 
 def class_max(values: np.ndarray) -> np.ndarray:
@@ -143,23 +139,12 @@ def class_max(values: np.ndarray) -> np.ndarray:
     numpy's reduction, numpy's reduction gives the result."""
     if not 0 < values.shape[-1] <= SHORT_CLASSES:
         return values.max(axis=-1)
-    top = _column_max(values)
+    top = values[..., 0].copy()
+    for j in range(1, values.shape[-1]):
+        np.maximum(top, values[..., j], out=top)
     if not (np.abs(top) > 0).all():  # a zero or NaN max
         return values.max(axis=-1)
     return top
-
-
-def class_argmax(values: np.ndarray) -> np.ndarray:
-    """np.argmax(values, axis=-1): the first index of each row's max, or of
-    its first NaN. Up to SHORT_CLASSES classes it is the first column equal
-    to the row's max (_column_max), found by a boolean argmax; when a row
-    holds a NaN, numpy's argmax gives the result."""
-    if not 0 < values.shape[-1] <= SHORT_CLASSES:
-        return np.argmax(values, axis=-1)
-    top = _column_max(values)
-    if np.isnan(top).any():
-        return np.argmax(values, axis=-1)
-    return np.argmax(values == top[..., None], axis=-1)
 
 
 def softmax_in_place(values: np.ndarray) -> np.ndarray:

@@ -510,6 +510,32 @@ class TestHeadOutputsCache:
         err = capsys.readouterr().err
         assert str(cache) in err and "head 0 output holds a non-finite value" in err
 
+    @pytest.mark.parametrize("moved", [True, False])
+    def test_non_finite_written_value_names_the_cache_only_when_moved(
+        self, pipeline_dir, capsys, monkeypatch, moved
+    ):
+        # a directory at the cache path keeps the written file from becoming
+        # the cache, so there is no file to delete and the error is the one
+        # the outputs' check raises
+        out = pipeline_dir / "out"
+        cache = out / HEAD_OUTPUTS_CACHE
+        if not moved:
+            cache.mkdir(parents=True)
+
+        def nan_logit(head, features, out=None):
+            logits = head_predict(head, features, out=out)
+            logits[0, 0] = np.nan
+            return logits
+
+        monkeypatch.setattr(cli, "head_predict", nan_logit)
+        capsys.readouterr()
+        assert self.train_meta(pipeline_dir, out) == 3
+        err = capsys.readouterr().err
+        assert "head 0 output holds a non-finite value" in err
+        assert ("delete the file to recompute" in err) is moved
+        assert cache.is_file() is moved
+        assert not list(out.glob("*.tmp"))
+
     def test_cached_outputs_are_read_only(self, pipeline_dir, monkeypatch):
         # a miss trains on the cache it has just written, mapped as a hit maps it
         out = pipeline_dir / "out"
@@ -899,9 +925,8 @@ class TestEvaluateBlocks:
             assert (blocks / name).read_bytes() == (one / name).read_bytes(), name
 
     def test_short_class_sweeps_write_the_numpy_bytes(self, tmp_path, monkeypatch):
-        # SHORT_CLASSES 0 sends every class-axis max and argmax to numpy,
-        # 10**6 to the column sweeps; random heads disagree often, so Vot.
-        # settles many shared top counts
+        # SHORT_CLASSES 0 sends every softmax's row max to numpy's reduction,
+        # 10**6 to the column sweep
         m, c, dim, n = 4, 6, 3, 500
         stream = RngStream(5)
         test = tmp_path / "test.fds"

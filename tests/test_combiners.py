@@ -30,10 +30,8 @@ from calibens.combiners import (
 )
 from calibens.errors import ConfigError, DataError, DimensionError, FormatError, LabelError
 from calibens.numerics import (
-    SHORT_CLASSES,
     RngStream,
     _softmax_ce_grad,
-    class_argmax,
     cross_entropy,
     softmax,
     softmax_in_place,
@@ -321,7 +319,7 @@ def tied_vote_blocks(draw):
     also tie exactly on their means."""
     stream = RngStream(draw(st.integers(0, 2**32)))
     m, n = draw(st.integers(1, 9)), draw(st.integers(1, 40))
-    c = draw(st.sampled_from([2, 3, 5, SHORT_CLASSES, SHORT_CLASSES + 1]))
+    c = draw(st.sampled_from([2, 3, 5, 10, 40]))
     choices = draw(st.integers(1, min(c, 4)))
     logits = stream.standard_normal((n, m, c))
     votes = stream.integers(0, choices, (n, m))
@@ -343,7 +341,7 @@ class TestCombineVoteOracle:
         labels = np.zeros(outputs.n, dtype=np.int64)
         for pred in (
             combine_vote(outputs, labels),
-            combine_vote(outputs, labels, class_argmax(outputs.values)),
+            combine_vote(outputs, labels, np.argmax(outputs.values, axis=2)),
         ):
             assert np.array_equal(pred.predicted_class, winner)
             assert np.array_equal(bits(pred.confidence), bits(confidence))

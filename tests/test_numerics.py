@@ -16,7 +16,6 @@ from calibens.numerics import (
     SgdState,
     backward_linear,
     backward_mlp,
-    class_argmax,
     class_max,
     cross_entropy,
     derive_seed,
@@ -129,7 +128,7 @@ def class_arrays(draw):
     SHORT_CLASSES: int64 counts, or float64 entries drawn from a short pool,
     so rows tie exactly and hold 0.0 and -0.0 (and at times a NaN or an
     infinity)."""
-    c = draw(st.sampled_from([1, 2, 3, SHORT_CLASSES - 1, SHORT_CLASSES, SHORT_CLASSES + 1, 40]))
+    c = draw(st.sampled_from([1, 2, 3, SHORT_CLASSES - 1, SHORT_CLASSES, SHORT_CLASSES + 1, 100]))
     shape = (*draw(st.lists(st.integers(1, 4), max_size=2)), c)
     if draw(st.booleans()):
         return draw(arrays(np.int64, shape, elements=st.integers(0, 3)))
@@ -146,15 +145,14 @@ def same_bytes(got, expect):
     return got.dtype == expect.dtype and got.shape == expect.shape and got.tobytes() == expect.tobytes()
 
 
-class TestClassReductions:
-    """class_max and class_argmax sweep a short class axis column by column
-    and must give numpy's max and argmax over the last axis exactly."""
+class TestClassMax:
+    """class_max sweeps a short class axis column by column and must give
+    numpy's max over the last axis exactly."""
 
     @settings(max_examples=500, deadline=None)
     @given(values=class_arrays())
-    def test_equal_numpy_bit_for_bit(self, values):
+    def test_equals_numpy_bit_for_bit(self, values):
         assert same_bytes(class_max(values), values.max(axis=-1))
-        assert same_bytes(class_argmax(values), np.argmax(values, axis=-1))
 
     @pytest.mark.parametrize("c", [SHORT_CLASSES - 1, SHORT_CLASSES])
     def test_zero_max_takes_numpys_sign(self, c):
@@ -162,7 +160,6 @@ class TestClassReductions:
         # numpy's vectorised reduction can keep another's
         values = RngStream(c).choice([0.0, -0.0, -1.0], size=(4000, c))
         assert same_bytes(class_max(values), values.max(axis=-1))
-        assert same_bytes(class_argmax(values), np.argmax(values, axis=-1))
 
     @pytest.mark.parametrize("c", [SHORT_CLASSES, SHORT_CLASSES + 1])
     def test_softmax_equals_the_numpy_max_formula(self, c):
