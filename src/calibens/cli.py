@@ -12,7 +12,7 @@ command has no flag for are ignored, so one file can carry the keys for the
 whole pipeline, and the ``config`` block of a heads.json or meta_<KIND>.json
 sidecar is itself a valid config file. All randomness in a run derives from
 one ``--seed``; fixed offsets give each stage its own stream (heads:
-seed+1+i, splits: seed+1000, combiner models: seed+2000+kind tag).
+seed+1+i, splits: seed+1000, combiner models: seed+2000+KINDS.index(kind)).
 
 train-meta and evaluate map their .fds file read-only (data.map_dataset)
 and never hold its float64 feature matrix: both compute head outputs in row
@@ -61,7 +61,6 @@ import numpy as np
 
 from . import __version__, container
 from .combiners import (
-    KIND_TAGS,
     KINDS,
     HeadOutputs,
     MetaTrainConfig,
@@ -126,17 +125,19 @@ def _parse_with_config(parser, args, argv):
     """Parse argv again with the --config file's values as the chosen
     command's defaults. Keys that are not its options are dropped, so one
     file can serve the whole pipeline; a key that no command takes (a
-    misspelling, say) is dropped with a warning on stderr. Numbers pass as
-    strings, so argparse converts them as it converts flag values. argparse
-    converts only string defaults and never checks them against an option's
-    choices, so the value types and choices are checked here: a value must be
-    a string or a number, or for meta a list of strings."""
-    own = vars(args).keys() - {"command", "handler", "command_parser", "config"}
+    misspelling, say) is dropped with a warning on stderr. A value must be a
+    string or a number (not a boolean), or for meta a list of strings. argparse
+    neither converts non-string defaults nor checks them against an option's
+    choices, so here each value is converted as its flag's text would be, by
+    the option's type applied to str(value), and checked against its choices:
+    a value that fails raises ConfigError naming the file and the key."""
+    actions = {a.dest: a for a in args.command_parser._actions if a.dest not in ("help", "config")}
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     any_command = {a.dest for p in commands.choices.values() for a in p._actions}
     values = {}
     for key, value in _read_json_object(args.config, ConfigError).items():
-        if key not in own:
+        action = actions.get(key)
+        if action is None:
             if key not in any_command:
                 print(f"warning: {args.config}: {key} is not an option of any command; ignored",
                       file=sys.stderr)
@@ -144,17 +145,17 @@ def _parse_with_config(parser, args, argv):
         if key == "meta" and isinstance(value, list):
             ok = all(isinstance(v, str) for v in value)
         else:
-            ok = isinstance(value, (str, int, float))
+            ok = isinstance(value, (str, int, float)) and not isinstance(value, bool)
+        if ok and action.type is not None:
+            try:
+                value = action.type(str(value))
+            except ValueError:
+                ok = False
         if not ok:
             raise ConfigError(f"{args.config}: {key} {value!r} is not a value its flag takes")
-        values[key] = str(value) if isinstance(value, (int, float)) else value
-    for action in args.command_parser._actions:
-        if action.choices is not None and action.dest in values:
-            if values[action.dest] not in action.choices:
-                raise ConfigError(
-                    f"{args.config}: {action.dest} {values[action.dest]!r} "
-                    f"is not one of {list(action.choices)}"
-                )
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"{args.config}: {key} {value!r} is not one of {list(action.choices)}")
+        values[key] = value
     args.command_parser.set_defaults(**values)
     return parser.parse_args(argv)
 
@@ -242,6 +243,11 @@ def cmd_train_heads(args) -> int:
                 "history": [list(rec) for rec in head.training_history],
             }
         )
+    # heads past m from an earlier run would join these in _discover_heads
+    stale = m
+    while (out_dir / f"head_{stale}.hdw").exists():
+        (out_dir / f"head_{stale}.hdw").unlink()
+        stale += 1
     _write_json(
         out_dir / "heads.json",
         {
@@ -369,7 +375,7 @@ def cmd_train_meta(args) -> int:
     if args.train is None:
         raise ConfigError("missing training dataset path (--train)")
     check_val_fraction(args.val_fraction)  # before any file is read
-    meta_seed = derive_seed(seed, _META_STREAM + KIND_TAGS[kind])
+    meta_seed = derive_seed(seed, _META_STREAM + KINDS.index(kind))
     train_cfg = _train_config(MetaTrainConfig, args, seed=meta_seed)
     key = hashlib.sha256()
     dataset = map_dataset(args.train, key)

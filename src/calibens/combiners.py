@@ -10,7 +10,7 @@ trainable combiner models:
 
 Combiner model files (magic ``MMD1``) are little-endian:
 
-    MMD1 | u8 kind | u32 m | u32 C | u32 h (0 when unused) | f32 dropout_p |
+    MMD1 | u8 KINDS index | u32 m | u32 C | u32 h (0 when unused) | f32 dropout_p |
     u64 seed | parameter blocks as f32 (each layer: weights row-major, then bias)
 """
 
@@ -36,12 +36,10 @@ from .numerics import (
     fit,
     linear_forward,
     row_blocks,
-    softmax,
     softmax_in_place,
 )
 
 KINDS = ("SL", "DL", "DLL", "SLpC")
-KIND_TAGS = {"SL": 0, "DL": 1, "DLL": 2, "SLpC": 3}
 META_MAGIC = b"MMD1"
 META_HEADER = "<BIIIfQ"
 
@@ -229,14 +227,14 @@ def hidden_width(kind: str, m: int, num_classes: int) -> int:
 def layer_shapes(kind: str, m: int, num_classes: int) -> list[tuple[int, int]]:
     """(out_width, in_width) of each layer's weights, in file order; each layer
     also has an out_width bias. SLpC's row c holds class c's m head inputs."""
-    if kind == "SL":
-        return [(num_classes, m * num_classes)]
-    if kind in ("DL", "DLL"):
-        h = hidden_width(kind, m, num_classes)
-        return [(h, m * num_classes), (num_classes, h)]
+    if kind not in KINDS:
+        raise ConfigError(f"unknown combiner kind {kind!r}; expected one of {KINDS}")
     if kind == "SLpC":
         return [(num_classes, m)]
-    raise ConfigError(f"unknown combiner kind {kind!r}; expected one of {KINDS}")
+    h = hidden_width(kind, m, num_classes)
+    if h:
+        return [(h, m * num_classes), (num_classes, h)]
+    return [(num_classes, m * num_classes)]
 
 
 def param_count(kind: str, m: int, num_classes: int) -> int:
@@ -295,22 +293,22 @@ def build_metamodel(
 ) -> Metamodel:
     """Initialize a combiner; each layer's weights and bias are drawn uniformly
     from [-1/sqrt(fan_in), 1/sqrt(fan_in)], fan_in being the layer's in_width."""
-    if kind not in KINDS:
-        raise ConfigError(f"unknown combiner kind {kind!r}; expected one of {KINDS}")
+    shapes = layer_shapes(kind, m, num_classes)
     if m < 1 or num_classes < 1:
         raise ConfigError(f"m and num_classes must be >= 1, got {m}, {num_classes}")
     stream = RngStream(seed)
     layers = []
-    for out_width, in_width in layer_shapes(kind, m, num_classes):
+    for out_width, in_width in shapes:
         bound = 1.0 / np.sqrt(in_width)
         weights = stream.uniform(-bound, bound, (out_width, in_width))
         layers.append((weights, stream.uniform(-bound, bound, out_width)))
+    hidden = hidden_width(kind, m, num_classes)
     return Metamodel(
         kind=kind,
         num_heads=m,
         num_classes=num_classes,
-        hidden=hidden_width(kind, m, num_classes),
-        dropout_p=dropout_p if kind in ("DL", "DLL") else 0.0,
+        hidden=hidden,
+        dropout_p=dropout_p if hidden else 0.0,
         seed=int(seed),
         layers=layers,
     )
@@ -331,18 +329,15 @@ def _slpc_logits(weights, bias, stacked):
 
 def metamodel_forward(meta: Metamodel, outputs: HeadOutputs) -> np.ndarray:
     """Evaluation-mode logits of the combiner: no dropout (training draws
-    its DL/DLL masks for metamodel_gradients)."""
+    its hidden-layer masks for metamodel_gradients)."""
     _check_outputs(meta, outputs)
-    if meta.kind == "SL":
-        (w, b), = meta.layers
-        return linear_forward(outputs.concatenated(), w, b)
-    if meta.kind in ("DL", "DLL"):
-        (w1, b1), (w2, b2) = meta.layers
-        hidden = linear_forward(outputs.concatenated(), w1, b1)
-        np.maximum(hidden, 0.0, out=hidden)  # ReLU on the fresh product
-        return linear_forward(hidden, w2, b2)
-    (w, b), = meta.layers
-    return _slpc_logits(w, b, outputs.stacked())
+    (w, b), *rest = meta.layers
+    if meta.kind == "SLpC":
+        return _slpc_logits(w, b, outputs.stacked())
+    x = linear_forward(outputs.concatenated(), w, b)
+    for w, b in rest:
+        x = linear_forward(np.maximum(x, 0.0, out=x), w, b)  # ReLU in place on the fresh product
+    return x
 
 
 def combine_metamodel(meta: Metamodel, outputs: HeadOutputs, labels) -> PredictionSet:
@@ -354,22 +349,21 @@ def combine_metamodel(meta: Metamodel, outputs: HeadOutputs, labels) -> Predicti
 def metamodel_gradients(meta: Metamodel, outputs: HeadOutputs, labels, mask=None):
     """Loss and per-layer gradients of mean softmax cross-entropy.
 
-    mask is a precomputed dropout mask over the hidden layer (DL/DLL training)
-    or None for evaluation mode. Returns (loss, [(d_w, d_b), ...]).
+    mask is a precomputed dropout mask over the hidden layer (training) or
+    None for evaluation mode. Returns (loss, [(d_w, d_b), ...]).
     """
     _check_outputs(meta, outputs)
     labels = np.asarray(labels, dtype=np.int64)
-    if meta.kind == "SL":
-        (w, b), = meta.layers
-        loss, d_w, d_b = backward_linear(outputs.concatenated(), w, b, labels)
-        return loss, [(d_w, d_b)]
-    if meta.kind in ("DL", "DLL"):
+    if meta.hidden:
         (w1, b1), (w2, b2) = meta.layers
         loss, d_w1, d_b1, d_w2, d_b2 = backward_mlp(
             outputs.concatenated(), w1, b1, w2, b2, labels, mask=mask
         )
         return loss, [(d_w1, d_b1), (d_w2, d_b2)]
     (w, b), = meta.layers
+    if meta.kind == "SL":
+        loss, d_w, d_b = backward_linear(outputs.concatenated(), w, b, labels)
+        return loss, [(d_w, d_b)]
     stacked = outputs.stacked()
     loss, dz = _softmax_ce_grad(_slpc_logits(w, b, stacked), labels)
     d_w = np.einsum("nc,mnc->cm", dz, stacked)
@@ -400,7 +394,7 @@ def train_metamodel(
 
     work = replace(meta, layers=[(w.copy(), b.copy()) for w, b in meta.layers])
     stream = RngStream(cfg.seed)
-    use_dropout = work.kind in ("DL", "DLL") and work.dropout_p > 0.0
+    use_dropout = work.hidden and work.dropout_p > 0.0
 
     def grad_fn(params, idx):
         batch = idx[0]
@@ -413,7 +407,8 @@ def train_metamodel(
         return np.array([loss]), [g[None] for pair in grads for g in pair]
 
     def val_loss_fn(params=None):
-        return np.array([cross_entropy(softmax(metamodel_forward(work, val_outputs)), val_labels)])
+        probs = softmax_in_place(metamodel_forward(work, val_outputs))  # fresh logits
+        return np.array([cross_entropy(probs, val_labels)])
 
     result, = fit(
         [arr[None] for pair in work.layers for arr in pair],
@@ -436,7 +431,7 @@ def train_metamodel(
 
 def save_metamodel(meta: Metamodel, path) -> None:
     header = (
-        KIND_TAGS[meta.kind],
+        KINDS.index(meta.kind),
         meta.num_heads,
         meta.num_classes,
         meta.hidden,
@@ -450,10 +445,9 @@ def save_metamodel(meta: Metamodel, path) -> None:
 def load_metamodel(path) -> Metamodel:
     reader = container.Reader(path, META_MAGIC, META_HEADER)
     tag, m, num_classes, h, dropout_p, seed = reader.header
-    kinds_by_tag = {v: k for k, v in KIND_TAGS.items()}
-    if tag not in kinds_by_tag:
+    if tag >= len(KINDS):
         raise reader.error(f"unknown kind tag {tag}", offset=4)
-    kind = kinds_by_tag[tag]
+    kind = KINDS[tag]
     if m < 1 or num_classes < 1:
         raise reader.error(f"m={m}, C={num_classes} must both be >= 1", offset=4)
     if not 0.0 <= dropout_p < 1.0:

@@ -112,11 +112,11 @@ def linear_forward(
     return out
 
 
-# Class counts up to which class_max sweeps the class axis column by column
-# instead of calling numpy's max, which pays a fixed cost per row along a
-# short last axis. Medians of 200 interleaved timings (us, numpy -> sweep)
-# on a shared 2-vCPU VM with numpy 2.4, on evaluate's 1 MiB blocks of
-# (rows, 5, C) float64 and on one combiner's (rows, C):
+# Class counts up to which softmax_in_place sweeps the class axis column by
+# column for each row's max instead of calling numpy's max, which pays a
+# fixed cost per row along a short last axis. Medians of 200 interleaved
+# timings (us, numpy -> sweep) on a shared 2-vCPU VM with numpy 2.4, on
+# evaluate's 1 MiB blocks of (rows, 5, C) float64 and on one combiner's (rows, C):
 #   C     (rows, 5, C)   (rows, C)
 #   10    851 -> 165     188 -> 53
 #   16    858 -> 267     168 -> 67
@@ -132,25 +132,18 @@ def linear_forward(
 SHORT_CLASSES = 32
 
 
-def class_max(values: np.ndarray) -> np.ndarray:
-    """values.max(axis=-1), bit for bit. Up to SHORT_CLASSES classes the
-    columns are folded by np.maximum, which is exact in any order; when a
-    row's max is zero or NaN, whose sign or payload follows the order of
-    numpy's reduction, numpy's reduction gives the result."""
-    if not 0 < values.shape[-1] <= SHORT_CLASSES:
-        return values.max(axis=-1)
-    top = values[..., 0].copy()
-    for j in range(1, values.shape[-1]):
-        np.maximum(top, values[..., j], out=top)
-    if not (np.abs(top) > 0).all():  # a zero or NaN max
-        return values.max(axis=-1)
-    return top
-
-
 def softmax_in_place(values: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, overwriting `values` (returned): subtract
-    each row's max (class_max), exponentiate, divide by the row sum."""
-    values -= class_max(values)[..., None]
+    """Softmax over the last axis, overwriting `values` (returned). Up to
+    SHORT_CLASSES classes np.maximum folds the columns for the row max. It can
+    differ from numpy's max only in a zero's sign, which exp(x - max) ignores,
+    or in which of a row's NaNs it is, and such a row comes out all NaN."""
+    if 0 < values.shape[-1] <= SHORT_CLASSES:
+        top = values[..., 0].copy()
+        for j in range(1, values.shape[-1]):
+            np.maximum(top, values[..., j], out=top)
+    else:
+        top = values.max(axis=-1)
+    values -= top[..., None]
     np.exp(values, out=values)
     values /= values.sum(axis=-1, keepdims=True)
     return values
@@ -204,9 +197,8 @@ def cross_entropy(probs: np.ndarray, labels) -> float:
 
 def _softmax_ce_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Loss and dL/dlogits for mean cross-entropy after softmax."""
-    probs = softmax(logits)
-    loss = cross_entropy(probs, labels)
-    grad = probs.copy()
+    grad = softmax(logits)
+    loss = cross_entropy(grad, labels)
     grad[np.arange(len(labels)), labels] -= 1.0
     grad /= len(labels)
     return loss, grad

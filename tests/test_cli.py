@@ -203,6 +203,20 @@ class TestTrainHeads:
             "--out", str(pipeline_dir / "none"),
         ]) == 2
 
+    def test_rerun_with_fewer_heads_removes_the_stale_ones(self, pipeline_dir):
+        # train-meta and evaluate take every head_i.hdw in a row, so a head
+        # left from the m=5 run would join the m=3 family
+        train, art = str(pipeline_dir / "data" / "train.fds"), pipeline_dir / "rerun"
+        for m in (5, 3):
+            assert run([
+                "train-heads", "--train", train, "--m", str(m), "--max-epochs", "2",
+                "--out", str(art),
+            ]) == 0
+        assert sorted(p.name for p in art.glob("head_*.hdw")) == [f"head_{i}.hdw" for i in range(3)]
+        assert run(["train-meta", "--kind", "SL", "--train", train, "--heads-dir", str(art),
+                    "--epochs", "1"]) == 0
+        assert json.loads((art / "meta_SL.json").read_text())["m"] == 3
+
 
 def mapped_dataset(path, n, dim, num_classes, seed):
     """A MappedDataset of n random rows, written to `path` first."""
@@ -1128,10 +1142,15 @@ class TestConfigFile:
         ("gen", "n", {"value": 300}),
         ("evaluate", "meta", None),
         ("evaluate", "meta", ["SL", 3]),
+        # a JSON boolean is a Python int, and 1.5 is no int flag's text
+        ("gen", "seed", True),
+        ("gen", "out", True),
+        ("train-heads", "max_epochs", 1.5),
     ])
     def test_config_value_of_a_type_no_flag_takes_exits_two(
-        self, tmp_path, capsys, command, key, value
+        self, tmp_path, capsys, monkeypatch, command, key, value
     ):
+        monkeypatch.chdir(tmp_path)  # were the value taken, gen would write here
         cfg = tmp_path / "types.json"
         cfg.write_text(json.dumps({key: value}))
         assert run([command, "--config", str(cfg)]) == 2

@@ -14,9 +14,9 @@ from calibens.numerics import (
     SHORT_CLASSES,
     RngStream,
     SgdState,
+    _softmax_ce_grad,
     backward_linear,
     backward_mlp,
-    class_max,
     cross_entropy,
     derive_seed,
     dropout_mask,
@@ -124,14 +124,11 @@ class TestSoftmax:
 
 @st.composite
 def class_arrays(draw):
-    """Rank 1-3 arrays whose last (class) axis lies on either side of
-    SHORT_CLASSES: int64 counts, or float64 entries drawn from a short pool,
-    so rows tie exactly and hold 0.0 and -0.0 (and at times a NaN or an
-    infinity)."""
+    """Rank 1-3 float64 arrays whose last (class) axis lies on either side of
+    SHORT_CLASSES, their entries drawn from a short pool, so rows tie exactly
+    and hold 0.0 and -0.0 (and at times a NaN, an infinity or 5e-324)."""
     c = draw(st.sampled_from([1, 2, 3, SHORT_CLASSES - 1, SHORT_CLASSES, SHORT_CLASSES + 1, 100]))
     shape = (*draw(st.lists(st.integers(1, 4), max_size=2)), c)
-    if draw(st.booleans()):
-        return draw(arrays(np.int64, shape, elements=st.integers(0, 3)))
     pool = draw(st.lists(
         st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, np.inf, -np.inf, np.nan])
         | st.floats(-1e3, 1e3),
@@ -145,21 +142,30 @@ def same_bytes(got, expect):
     return got.dtype == expect.dtype and got.shape == expect.shape and got.tobytes() == expect.tobytes()
 
 
-class TestClassMax:
-    """class_max sweeps a short class axis column by column and must give
-    numpy's max over the last axis exactly."""
+def numpy_max_softmax(values):
+    """Softmax over the last axis with numpy's own row max."""
+    expect = values - values.max(axis=-1, keepdims=True)
+    np.exp(expect, out=expect)
+    expect /= expect.sum(axis=-1, keepdims=True)
+    return expect
+
+
+class TestSoftmaxInPlace:
+    """softmax_in_place sweeps a short class axis column by column for each
+    row's max and must give the bytes of the numpy-max formula."""
 
     @settings(max_examples=500, deadline=None)
     @given(values=class_arrays())
     def test_equals_numpy_bit_for_bit(self, values):
-        assert same_bytes(class_max(values), values.max(axis=-1))
+        with np.errstate(all="ignore"):
+            assert same_bytes(softmax_in_place(values.copy()), numpy_max_softmax(values))
 
     @pytest.mark.parametrize("c", [SHORT_CLASSES - 1, SHORT_CLASSES])
-    def test_zero_max_takes_numpys_sign(self, c):
+    def test_zero_max_rows(self, c):
         # folding the columns in order keeps the first zero's sign, while
         # numpy's vectorised reduction can keep another's
         values = RngStream(c).choice([0.0, -0.0, -1.0], size=(4000, c))
-        assert same_bytes(class_max(values), values.max(axis=-1))
+        assert same_bytes(softmax_in_place(values.copy()), numpy_max_softmax(values))
 
     @pytest.mark.parametrize("c", [SHORT_CLASSES, SHORT_CLASSES + 1])
     def test_softmax_equals_the_numpy_max_formula(self, c):
@@ -167,10 +173,21 @@ class TestClassMax:
         logits[:, ::4, -1] = logits[:, ::4].max(axis=-1)  # tied maxima
         logits[:, 1::4] = np.where(logits[:, 1::4] > 0, 0.0, logits[:, 1::4])  # zero maxima
         logits[:, 1::8, 0] = -0.0
-        expect = logits - logits.max(axis=-1, keepdims=True)
-        np.exp(expect, out=expect)
-        expect /= expect.sum(axis=-1, keepdims=True)
-        assert same_bytes(softmax_in_place(logits.copy()), expect)
+        assert same_bytes(softmax_in_place(logits.copy()), numpy_max_softmax(logits))
+
+    @pytest.mark.parametrize("c", [1, 2, 3, SHORT_CLASSES - 1, SHORT_CLASSES, SHORT_CLASSES + 1, 100])
+    def test_softmax_ce_grad_equals_copy_then_subtract(self, c):
+        stream = RngStream(c)
+        logits = stream.choice([0.0, -0.0, 2.5, -1.0], size=(300, c))
+        logits[::3] = 20.0 * stream.standard_normal((100, c))
+        labels = stream.integers(0, c, 300)
+        probs = softmax(logits)
+        expect = probs.copy()
+        expect[np.arange(300), labels] -= 1.0
+        expect /= 300
+        loss, grad = _softmax_ce_grad(logits, labels)
+        assert loss == cross_entropy(probs, labels)
+        assert same_bytes(grad, expect)
 
 
 class TestCrossEntropy:
