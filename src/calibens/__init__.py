@@ -23,7 +23,7 @@ from .combiners import (
     save_metamodel,
     train_metamodel,
 )
-from .data import FeatureDataset, SynthSpec, load_dataset, save_dataset, split, synth_cluster_pair
+from .data import FeatureDataset, SynthSpec, map_dataset, save_dataset, split_indices, synth_cluster_pair
 from .errors import (
     CalibensError,
     ConfigError,
@@ -52,9 +52,9 @@ __all__ = [
     "train_metamodel",
     "FeatureDataset",
     "SynthSpec",
-    "load_dataset",
+    "map_dataset",
     "save_dataset",
-    "split",
+    "split_indices",
     "synth_cluster_pair",
     "CalibensError",
     "ConfigError",

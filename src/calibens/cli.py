@@ -1,9 +1,9 @@
 """Command-line pipeline: gen, train-heads, train-meta, evaluate, report.
 
 Each option is declared once. The training flags of train-heads and
-train-meta are the fields of HeadTrainConfig and MetaTrainConfig (all but the
-seed), typed and defaulted by them; every other option carries its default in
-its add_argument call.
+train-meta are all the fields of HeadTrainConfig and MetaTrainConfig, typed
+and defaulted by them, and the sidecars record those configs whole; every
+other option carries its default in its add_argument call.
 
 Every command but report accepts ``--config FILE`` with a JSON object whose
 keys match the long flag names (dashes as underscores). The values become the
@@ -11,28 +11,30 @@ command's defaults, so the order is defaults < config file < flags; keys the
 command has no flag for are ignored, so one file can carry the keys for the
 whole pipeline, and the ``config`` block of a heads.json or meta_<KIND>.json
 sidecar is itself a valid config file. All randomness in a run derives from
-one ``--seed``; fixed offsets give each stage its own stream (heads:
-seed+1+i, splits: seed+1000, combiner models: seed+2000+KINDS.index(kind)).
+one ``--seed``; fixed offsets give each model its one seed (heads: seed+1+i,
+combiner models: seed+2000+KINDS.index(kind)) and the split (seed+1000).
 
-train-meta and evaluate map their .fds file read-only (data.map_dataset)
-and never hold its float64 feature matrix: both compute head outputs in row
-blocks (numerics.row_blocks), each block casting only its own rows'
-features. Every combiner kind trains on the same heads' outputs over the
-same split, so train-meta keeps them in ``head_outputs.cache`` in its output
-directory and reuses them in every later run on the same inputs. Such a hit
-reads the training file's bytes for the key, checks its features are finite
-and its labels in range, and draws the split from the labels
+train-heads, train-meta and evaluate map their .fds file read-only
+(data.map_dataset) and never hold its float64 feature matrix. Both training
+stages draw the one split (_split): train-heads casts the two parts' rows and
+drops the mapping before it trains; train-meta and evaluate compute head
+outputs in row blocks (numerics.row_blocks), each block casting only its own
+rows' features. Every combiner kind trains on the same heads' outputs over
+the same split, so train-meta keeps them in ``head_outputs.cache`` in its
+output directory and reuses them in every later run on the same inputs. Such
+a hit reads the training file's bytes for the key, checks its features are
+finite and its labels in range, and draws the split from the labels
 (data.split_indices); it casts and gathers no feature row, and it unmaps the
 training file, keeping only the split's labels, before it checks the cached
 outputs, so the two files are never resident at once. A miss streams the
-outputs to the cache one row block at a time, the train part and then the
-val part, never holding them whole; it then maps the file back and goes on
-as a hit does, so every run trains on the same read-only view of the cache
-and checks its values once. When the written file cannot replace the cache
-file, train-meta warns and trains from the written file all the same; only
-when the cache cannot be written or mapped back does it warn and compute the
-outputs in memory. The cache file
-is a container (HOC1) holding both split parts, little-endian:
+outputs to the cache one row block at a time, the train part and then the val
+part, never holding them whole; it then maps the file back and goes on as a
+hit does, so every run trains on the same read-only view of the cache and
+checks its values once. When the written file cannot replace the cache file,
+train-meta warns and trains from the written file all the same; only when the
+cache cannot be written or mapped back does it warn and compute the outputs
+in memory. The cache file is a container (HOC1) holding both split parts,
+little-endian:
 
     HOC1 | 32-byte sha256 key | u32 N_train | u32 N_val | u32 m | u32 C |
     12 zero bytes | train block | val block
@@ -75,10 +77,8 @@ from .combiners import (
 from .data import (
     SynthSpec,
     check_val_fraction,
-    load_dataset,
     map_dataset,
     save_dataset,
-    split,
     split_indices,
     synth_cluster_pair,
 )
@@ -160,14 +160,19 @@ def _parse_with_config(parser, args, argv):
     return parser.parse_args(argv)
 
 
-def _train_config(cls, args, **extra):
+def _train_config(cls, args):
     """A HeadTrainConfig or MetaTrainConfig from the flags its fields declare."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.name != "seed"}, **extra)
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
-def _config_echo(train_cfg) -> dict:
-    """Training settings as the sidecars record them: every field but the seed."""
-    return {k: v for k, v in asdict(train_cfg).items() if k != "seed"}
+def _split(args, digest=None):
+    """(dataset, train_rows, val_rows): the --train file mapped (see
+    map_dataset for `digest`) and the split both training stages draw from
+    its labels. --val-fraction is checked before the file is read."""
+    check_val_fraction(args.val_fraction)
+    dataset = map_dataset(args.train, digest)
+    seed = derive_seed(args.seed, _SPLIT_STREAM)
+    return (dataset, *split_indices(dataset.labels, dataset.num_classes, args.val_fraction, seed))
 
 
 def _parse_meta_kinds(raw) -> list[str]:
@@ -220,10 +225,10 @@ def cmd_train_heads(args) -> int:
     m, seed = args.m, args.seed
     if m < 1:
         raise ConfigError(f"--m must be >= 1, got {m}")
-    check_val_fraction(args.val_fraction)  # before any file is read
     head_cfg = _train_config(HeadTrainConfig, args)
-    dataset = load_dataset(args.train)
-    train, val = split(dataset, args.val_fraction, derive_seed(seed, _SPLIT_STREAM))
+    dataset, train_rows, val_rows = _split(args)
+    train, val = dataset.rows(train_rows), dataset.rows(val_rows)
+    del dataset  # unmaps the training file: the fit reads only the two parts
     heads = train_heads_lockstep(train, val, m, derive_seed(seed, _HEAD_STREAM), head_cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -256,7 +261,7 @@ def cmd_train_heads(args) -> int:
             "m": m,
             "train_path": str(args.train),
             "val_fraction": args.val_fraction,
-            "config": _config_echo(head_cfg),
+            "config": asdict(head_cfg),
             "heads": entries,
         },
     )
@@ -374,14 +379,9 @@ def cmd_train_meta(args) -> int:
         raise ConfigError("missing combiner kind (--kind)")
     if args.train is None:
         raise ConfigError("missing training dataset path (--train)")
-    check_val_fraction(args.val_fraction)  # before any file is read
-    meta_seed = derive_seed(seed, _META_STREAM + KINDS.index(kind))
-    train_cfg = _train_config(MetaTrainConfig, args, seed=meta_seed)
+    train_cfg = _train_config(MetaTrainConfig, args)
     key = hashlib.sha256()
-    dataset = map_dataset(args.train, key)
-    train_rows, val_rows = split_indices(
-        dataset.labels, dataset.num_classes, args.val_fraction, derive_seed(seed, _SPLIT_STREAM)
-    )
+    dataset, train_rows, val_rows = _split(args, key)
     heads = _discover_heads(args.heads_dir, args.train, dataset, key)
     key.update(f"{seed}\n{args.val_fraction!r}".encode())
     out_dir = Path(args.out) if args.out is not None else Path(args.heads_dir)
@@ -407,6 +407,7 @@ def cmd_train_meta(args) -> int:
                 raise
             raise DataError(f"{cache}: {exc} (delete the file to recompute)") from None
 
+    meta_seed = derive_seed(seed, _META_STREAM + KINDS.index(kind))
     meta = build_metamodel(kind, m, num_classes, meta_seed, dropout_p=train_cfg.dropout)
     trained = train_metamodel(meta, train_outputs, train_labels, val_outputs, val_labels, train_cfg)
     save_metamodel(trained, out_dir / f"meta_{kind}.mmd")
@@ -421,7 +422,7 @@ def cmd_train_meta(args) -> int:
             "m": m,
             "num_classes": num_classes,
             "param_count": trained.param_count,
-            "config": _config_echo(train_cfg),
+            "config": asdict(train_cfg),
             "best_epoch": trained.best_epoch,
             "best_val_loss": trained.best_val_loss,
             "history": [list(rec) for rec in trained.training_history],
@@ -614,8 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_train_config(p, cls):
         for f in fields(cls):
-            if f.name != "seed":
-                p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
     # train-meta must draw the split that train-heads drew
     def add_split(p):

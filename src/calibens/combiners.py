@@ -268,7 +268,8 @@ class MetaTrainConfig:
     """Combiner training settings, checked when the config is built: a value
     out of range raises ConfigError naming its flag. dropout is the DL/DLL
     hidden-layer dropout that build_metamodel stores in the model; training
-    reads it from there."""
+    reads it from there. The seed is the model's own, Metamodel.seed (the
+    CLI's is --seed + 2000 + KINDS.index(kind)): it seeds init and training."""
 
     epochs: int = 20
     lr: float = 0.05
@@ -278,7 +279,6 @@ class MetaTrainConfig:
     plateau_factor: float = 0.5
     plateau_patience: int = 3
     dropout: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         check_sgd_settings(
@@ -383,8 +383,8 @@ def train_metamodel(
     (no early stopping). The untrained model is snapshot candidate zero, so
     the returned model never validates worse than its starting point; the
     input model is left untouched. fit trains [None] views of the copy's
-    layers (k = 1), so the copy is always the live model. Dropout masks
-    (DL/DLL) come from the same seeded stream as fit's permutations."""
+    layers (k = 1), so the copy is always the live model. fit's permutations
+    and the dropout masks (DL/DLL) come from one stream seeded meta.seed."""
     _check_outputs(meta, train_outputs)
     _check_outputs(meta, val_outputs)
     train_labels = check_labels(train_labels, meta.num_classes)
@@ -393,7 +393,7 @@ def train_metamodel(
         raise DimensionError("labels do not match head-output sample counts")
 
     work = replace(meta, layers=[(w.copy(), b.copy()) for w, b in meta.layers])
-    stream = RngStream(cfg.seed)
+    stream = RngStream(meta.seed)
     use_dropout = work.hidden and work.dropout_p > 0.0
 
     def grad_fn(params, idx):

@@ -9,10 +9,12 @@ Files store 32-bit floats; everything computed from them is 64-bit. A file
 is read in two parts. map_dataset maps it read-only and checks it (header,
 length, finite features, labels below C) without casting anything, so a
 caller that needs only the labels, or a few rows at a time, never holds the
-float64 matrix; load_dataset casts the whole matrix into a FeatureDataset.
-Likewise split_indices draws a split's row indices from the labels alone,
-and split gathers those rows. The container module holds the rules this
-layout shares with the head and combiner files.
+float64 matrix; MappedDataset.rows casts given rows into a FeatureDataset.
+Likewise split_indices draws a split's row indices from the labels alone.
+The CLI reads every file this way; load_dataset (every row) and split (a
+FeatureDataset's two parts) serve only the reference head trainer and the
+benchmark. The container module holds the rules this layout shares with
+the head and combiner files.
 
 Generating and writing hold one copy of the features: synth_clusters adds
 the cluster centers into its one standard-normal draw in row blocks,
@@ -160,6 +162,10 @@ class MappedDataset:
         rows by default) as a fresh C-contiguous (len(rows), D) array."""
         return self.features_f32[rows].astype(np.float64, order="C")
 
+    def rows(self, rows=slice(None)) -> FeatureDataset:
+        """The FeatureDataset of `rows` (see features), checked by map_dataset."""
+        return _rows_of_checked(self.features(rows), self.labels[rows], self.num_classes)
+
 
 def map_dataset(path, digest=None) -> MappedDataset:
     """The FDS1 file at `path`, mapped and checked (see MappedDataset), with
@@ -189,16 +195,14 @@ def map_dataset(path, digest=None) -> MappedDataset:
 
 def load_dataset(path) -> FeatureDataset:
     """The dataset in the FDS1 file at `path`, its features cast to one
-    float64 matrix; map_dataset does every check. Training reads the whole
-    matrix each epoch; a caller that needs fewer rows, or only the labels,
-    uses map_dataset instead."""
-    mapped = map_dataset(path)
-    return _rows_of_checked(mapped.features(), mapped.labels, mapped.num_classes)
+    float64 matrix; map_dataset does every check. A caller that needs fewer
+    rows, or only the labels, uses map_dataset instead."""
+    return map_dataset(path).rows()
 
 
 def check_val_fraction(val_fraction: float) -> None:
-    """The rule split puts on val_fraction; the CLI checks it before reading
-    any file."""
+    """The rule split_indices puts on val_fraction; the CLI checks it before
+    it reads the file."""
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"--val-fraction must be in (0, 1), got {val_fraction}")
 

@@ -2,7 +2,8 @@
 
 Each head is a single fully connected layer trained on softmax cross-entropy
 by mini-batch SGD, with early stopping. A family of m heads differs only in
-its seeds (head i uses base_seed + i).
+its seeds: both trainers take base_seed as an argument, and head i's one
+seed, derive_seed(base_seed, i), draws its init and per-epoch permutations.
 
 Both trainers run numerics.fit, the one SGD loop of the package, and produce
 the same family bit for bit. The CLI uses train_heads_lockstep, which hands
@@ -19,7 +20,7 @@ Head files (magic ``HDW1``) are little-endian:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,7 +82,6 @@ class HeadTrainConfig:
     plateau_factor: float = 0.5
     plateau_patience: int = 5
     early_stop_patience: int = 15
-    seed: int = 0
 
     def __post_init__(self):
         check_sgd_settings(
@@ -92,18 +92,11 @@ class HeadTrainConfig:
 
 
 def _init_params(dim: int, num_classes: int, stream: np.random.Generator):
+    """Fresh head parameters: weights uniform in [-1/sqrt(D), 1/sqrt(D)], bias zero."""
     bound = 1.0 / np.sqrt(dim)
     weights = stream.uniform(-bound, bound, (num_classes, dim))
     bias = np.zeros(num_classes)
     return weights, bias
-
-
-def init_head(dim: int, num_classes: int, seed: int) -> LinearHead:
-    """Fresh head: weights uniform in [-1/sqrt(D), 1/sqrt(D)], bias zero."""
-    if dim < 1 or num_classes < 1:
-        raise ConfigError(f"dim and num_classes must be >= 1, got {dim}, {num_classes}")
-    weights, bias = _init_params(dim, num_classes, RngStream(seed))
-    return LinearHead(weights=weights, bias=bias, seed=int(seed))
 
 
 def head_predict(
@@ -149,11 +142,13 @@ def _trained_head(seed: int, result: FitResult) -> LinearHead:
     )
 
 
-def train_head(train: FeatureDataset, val: FeatureDataset, cfg: HeadTrainConfig) -> LinearHead:
-    """Train one head with numerics.fit, stopping after cfg.early_stop_patience
-    epochs without improvement; returns the snapshot fit kept."""
+def train_head(
+    train: FeatureDataset, val: FeatureDataset, cfg: HeadTrainConfig, seed: int = 0
+) -> LinearHead:
+    """Train one head seeded `seed` with numerics.fit, stopping after
+    cfg.early_stop_patience epochs without improvement; returns the kept snapshot."""
     _check_shared_shape(train, val)
-    stream = RngStream(cfg.seed)
+    stream = RngStream(seed)
     weights, bias = _init_params(train.dim, train.num_classes, stream)
 
     def grad_fn(params, idx):
@@ -173,7 +168,7 @@ def train_head(train: FeatureDataset, val: FeatureDataset, cfg: HeadTrainConfig)
         streams=[stream],
         early_stop_patience=cfg.early_stop_patience,
     )
-    return _trained_head(cfg.seed, result)
+    return _trained_head(seed, result)
 
 
 def train_head_family(
@@ -191,7 +186,7 @@ def train_head_family(
     heads = []
     for i in range(m):
         try:
-            heads.append(train_head(train, val, replace(cfg, seed=derive_seed(base_seed, i))))
+            heads.append(train_head(train, val, cfg, derive_seed(base_seed, i)))
         except CalibensError as exc:
             raise TrainingError(f"head {i}: {exc}", getattr(exc, "epoch", None), i) from exc
     return heads

@@ -316,9 +316,9 @@ def check_sgd_settings(cfg, *own_rules) -> None:
     (name, ok, rule) triples; the first setting out of range raises
     ConfigError naming its flag."""
     for name, ok, rule in (
-        ("lr", cfg.lr > 0.0, "positive"),
+        ("lr", 0.0 < cfg.lr < np.inf, "positive and finite"),
         ("momentum", 0.0 <= cfg.momentum < 1.0, "in [0, 1)"),
-        ("weight_decay", cfg.weight_decay >= 0.0, "non-negative"),
+        ("weight_decay", 0.0 <= cfg.weight_decay < np.inf, "non-negative and finite"),
         ("batch_size", cfg.batch_size >= 1, ">= 1"),
         ("plateau_factor", 0.0 < cfg.plateau_factor < 1.0, "in (0, 1)"),
         ("plateau_patience", cfg.plateau_patience >= 1, ">= 1"),

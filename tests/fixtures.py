@@ -7,6 +7,7 @@ import numpy as np
 
 from calibens.combiners import HeadOutputs
 from calibens.errors import ConfigError
+from calibens.heads import LinearHead
 from calibens.metrics import PredictionSet
 from calibens.numerics import RngStream
 
@@ -15,6 +16,14 @@ def head_outputs(per_head):
     """HeadOutputs from a list of m equally shaped (N, C) matrices, head i's
     matrix becoming the view [:, i, :] of the (N, m, C) array."""
     return HeadOutputs(np.stack(per_head, axis=1))
+
+
+def linear_head(dim, num_classes, seed):
+    """The head a trainer seeded `seed` starts from: weights uniform in
+    [-1/sqrt(D), 1/sqrt(D)] from RngStream(seed), bias zero."""
+    bound = 1.0 / np.sqrt(dim)
+    weights = RngStream(seed).uniform(-bound, bound, (num_classes, dim))
+    return LinearHead(weights, np.zeros(num_classes), seed)
 
 
 @dataclass

@@ -25,9 +25,17 @@ from calibens.data import (
     load_dataset,
     map_dataset,
     save_dataset,
+    split,
     split_indices,
 )
-from calibens.heads import LinearHead, head_predict, load_head, save_head
+from calibens.heads import (
+    HeadTrainConfig,
+    LinearHead,
+    head_predict,
+    load_head,
+    save_head,
+    train_heads_lockstep,
+)
 from calibens.metrics import RELIABILITY_CSV_HEADER, calibration_report, predictions_from_probs
 from calibens.numerics import RngStream, row_blocks, softmax_in_place
 
@@ -179,6 +187,52 @@ class TestTrainHeads:
         ]) == 0
         assert (art / "head_0.hdw").read_bytes() == (art2 / "head_0.hdw").read_bytes()
         assert (art / "head_1.hdw").read_bytes() == (art2 / "head_1.hdw").read_bytes()
+
+    def test_casts_each_split_part_and_unmaps_the_file_before_training(
+        self, pipeline_dir, monkeypatch
+    ):
+        # the stage never holds the whole float64 matrix: each part of the
+        # split is cast on its own, and the mapping is gone before the fit
+        cast, mapped, alive = [], [], []
+        features_of, map_dataset_of = MappedDataset.features, cli.map_dataset
+        lockstep = cli.train_heads_lockstep
+
+        def spy_features(self, rows=slice(None)):
+            out = features_of(self, rows)
+            cast.append((len(out), self.n))
+            return out
+
+        def spy_map(*args):
+            dataset = map_dataset_of(*args)
+            mapped.append(weakref.ref(dataset))
+            return dataset
+
+        def spy_lockstep(*args):
+            alive.append([ref() is not None for ref in mapped])
+            return lockstep(*args)
+
+        monkeypatch.setattr(MappedDataset, "features", spy_features)
+        monkeypatch.setattr(cli, "map_dataset", spy_map)
+        monkeypatch.setattr(cli, "train_heads_lockstep", spy_lockstep)
+        assert run([
+            "train-heads", "--train", str(pipeline_dir / "data" / "train.fds"), "--m", "1",
+            "--max-epochs", "1", "--out", str(pipeline_dir / "spied"),
+        ]) == 0
+        n = cast[0][1]
+        assert len(cast) == 2 and all(rows < n for rows, _ in cast)
+        assert sum(rows for rows, _ in cast) == n
+        assert alive == [[False]]
+
+    def test_heads_equal_lockstep_on_the_whole_file_split(self, pipeline_dir, tmp_path):
+        # casting each part from the map gives the bits the whole cast matrix
+        # gives; the pipeline trained m=2 heads at --seed 7 and --max-epochs 8
+        art = pipeline_dir / "artifacts"
+        train, val = split(load_dataset(pipeline_dir / "data" / "train.fds"), 0.1, 7 + 1000)
+        reference = train_heads_lockstep(train, val, 2, 7 + 1, HeadTrainConfig(max_epochs=8))
+        for i, head in enumerate(reference):
+            path = tmp_path / f"reference_{i}.hdw"
+            save_head(head, path)
+            assert path.read_bytes() == (art / f"head_{i}.hdw").read_bytes()
 
     def test_missing_dataset_exits_three(self, tmp_path, capsys):
         assert run([
@@ -682,6 +736,32 @@ class TestTrainingSettings:
         assert run([command, "--train", str(tmp_path / "missing.fds"),
                     "--out", str(tmp_path / "out"), *flags]) == 2
         assert flags[-2] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, name", [
+        ("train-heads", "lr"),
+        ("train-heads", "weight_decay"),
+        ("train-meta", "lr"),
+        ("train-meta", "weight_decay"),
+    ])
+    def test_infinite_step_setting_exits_two_before_reading_data(
+        self, tmp_path, capsys, command, name, source
+    ):
+        # an infinite rate or decay used to pass, and the first epoch's loss
+        # came out non-finite (exit 4); JSON's 1e400 parses to inf
+        flag = "--" + name.replace("_", "-")
+        argv = [command, "--train", str(tmp_path / "missing.fds"), "--out", str(tmp_path / "out")]
+        if command == "train-meta":
+            argv += ["--kind", "SL"]
+        if source == "flag":
+            argv += [flag, "inf"]
+        else:
+            (tmp_path / "inf.json").write_text(f'{{"{name}": 1e400}}')
+            argv += ["--config", str(tmp_path / "inf.json")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be" in err and "finite, got inf" in err
         assert not (tmp_path / "out").exists()
 
 

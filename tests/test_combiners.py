@@ -533,34 +533,34 @@ class TestTrainMetamodel:
 
     def test_single_epoch_history(self):
         tr_out, tr_y, va_out, va_y = self.make_problem()
-        meta = build_metamodel("SL", 3, 4, seed=5)
-        trained = train_metamodel(meta, tr_out, tr_y, va_out, va_y, MetaTrainConfig(epochs=1, seed=9))
+        meta = build_metamodel("SL", 3, 4, seed=9)
+        trained = train_metamodel(meta, tr_out, tr_y, va_out, va_y, MetaTrainConfig(epochs=1))
         assert len(trained.training_history) == 1
 
     def test_slpc_from_averaging_point_never_validates_worse(self):
         tr_out, tr_y, va_out, va_y = self.make_problem(seed=2)
-        meta = build_metamodel("SLpC", 3, 4, seed=5)
+        meta = build_metamodel("SLpC", 3, 4, seed=9)
         meta.layers = [(np.full((4, 3), 1.0 / 3.0), np.zeros(4))]
         initial_loss = cross_entropy(softmax(metamodel_forward(meta, va_out)), va_y)
-        trained = train_metamodel(meta, tr_out, tr_y, va_out, va_y, MetaTrainConfig(seed=9))
+        trained = train_metamodel(meta, tr_out, tr_y, va_out, va_y, MetaTrainConfig())
         final_loss = cross_entropy(softmax(metamodel_forward(trained, va_out)), va_y)
         assert final_loss <= initial_loss
 
     def test_records_kept_snapshot(self):
         tr_out, tr_y, va_out, va_y = self.make_problem(seed=2)
-        meta = build_metamodel("SL", 3, 4, seed=5)
+        meta = build_metamodel("SL", 3, 4, seed=9)
         trained = train_metamodel(meta, tr_out, tr_y, va_out, va_y,
-                                  MetaTrainConfig(epochs=4, lr=0.05, seed=9))
+                                  MetaTrainConfig(epochs=4, lr=0.05))
         kept = cross_entropy(softmax(metamodel_forward(trained, va_out)), va_y)
         assert trained.best_val_loss == kept
         assert trained.training_history[trained.best_epoch - 1][2] == kept
 
     def test_bit_identical_across_runs(self):
         tr_out, tr_y, va_out, va_y = self.make_problem(seed=3)
-        cfg = MetaTrainConfig(epochs=5, seed=13)
+        cfg = MetaTrainConfig(epochs=5)
         results = []
         for _ in range(2):
-            meta = build_metamodel("DL", 3, 4, seed=5)
+            meta = build_metamodel("DL", 3, 4, seed=13)
             results.append(train_metamodel(meta, tr_out, tr_y, va_out, va_y, cfg))
         for (wa, ba), (wb, bb) in zip(results[0].layers, results[1].layers):
             assert np.array_equal(wa, wb)
@@ -569,18 +569,18 @@ class TestTrainMetamodel:
 
     def test_input_model_untouched(self):
         tr_out, tr_y, va_out, va_y = self.make_problem(seed=4)
-        meta = build_metamodel("SL", 3, 4, seed=5)
+        meta = build_metamodel("SL", 3, 4, seed=9)
         before = [(w.copy(), b.copy()) for w, b in meta.layers]
         train_metamodel(meta, tr_out, tr_y, va_out, va_y,
-                        MetaTrainConfig(epochs=3, lr=0.05, seed=9))
+                        MetaTrainConfig(epochs=3, lr=0.05))
         for (w0, b0), (w1, b1) in zip(before, meta.layers):
             assert np.array_equal(w0, w1)
             assert np.array_equal(b0, b1)
 
     def test_higher_lr_actually_learns(self):
         tr_out, tr_y, va_out, va_y = self.make_problem(seed=6, n_train=300)
-        meta = build_metamodel("SLpC", 3, 4, seed=5)
-        cfg = MetaTrainConfig(epochs=30, lr=0.05, seed=9)
+        meta = build_metamodel("SLpC", 3, 4, seed=9)
+        cfg = MetaTrainConfig(epochs=30, lr=0.05)
         trained = train_metamodel(meta, tr_out, tr_y, va_out, va_y, cfg)
         pred = combine_metamodel(trained, va_out, va_y)
         baseline = combine_average(va_out, va_y)
@@ -603,9 +603,9 @@ class TestTrainMetamodel:
             tr_y = labels
         else:
             va_y = labels
-        meta = build_metamodel("SLpC", 3, 4, seed=5)
+        meta = build_metamodel("SLpC", 3, 4, seed=9)
         with pytest.raises(LabelError, match="label 4 at index 17"):
-            train_metamodel(meta, tr_out, tr_y, va_out, va_y, MetaTrainConfig(seed=9))
+            train_metamodel(meta, tr_out, tr_y, va_out, va_y, MetaTrainConfig())
 
 
 class TestSlpcAveragingArgmax:

@@ -25,8 +25,10 @@ from calibens.data import (
     save_dataset,
 )
 from calibens.errors import FormatError
-from calibens.heads import init_head, load_head, save_head
+from calibens.heads import load_head, save_head
 from calibens.numerics import RngStream
+
+from fixtures import linear_head
 
 
 def dataset_file(path):
@@ -36,7 +38,7 @@ def dataset_file(path):
 
 
 def head_file(path):
-    save_head(init_head(4, 3, seed=2), path)
+    save_head(linear_head(4, 3, seed=2), path)
     return load_head, lambda head: [head.weights, head.bias]
 
 

@@ -331,7 +331,7 @@ class TestSynthClusters:
     def test_zero_separation_gives_chance_accuracy(self):
         ds = synth_clusters(SynthSpec(4, 4, 1200, 0.0, 0.0, seed=6))
         train, val = split(ds, 0.25, seed=1)
-        head = train_head(train, val, HeadTrainConfig(seed=3, max_epochs=15))
+        head = train_head(train, val, HeadTrainConfig(max_epochs=15), seed=3)
         probs = softmax(head_predict(head, val.features))
         acc = accuracy(predictions_from_probs(probs, val.labels))
         assert acc <= chance_level_bound(4, val.n)
@@ -339,14 +339,14 @@ class TestSynthClusters:
     def test_wide_separation_is_linearly_separable(self):
         ds = synth_clusters(SynthSpec(3, 6, 900, 20.0, 0.0, seed=8))
         train, val = split(ds, 0.2, seed=1)
-        head = train_head(train, val, HeadTrainConfig(seed=3, max_epochs=40))
+        head = train_head(train, val, HeadTrainConfig(max_epochs=40), seed=3)
         probs = softmax(head_predict(head, val.features))
         assert accuracy(predictions_from_probs(probs, val.labels)) >= 0.99
 
     def test_label_noise_caps_accuracy(self):
         ds = synth_clusters(SynthSpec(4, 8, 2000, 20.0, 0.2, seed=12))
         train, val = split(ds, 0.2, seed=1)
-        head = train_head(train, val, HeadTrainConfig(seed=3, max_epochs=40))
+        head = train_head(train, val, HeadTrainConfig(max_epochs=40), seed=3)
         probs = softmax(head_predict(head, val.features))
         acc = accuracy(predictions_from_probs(probs, val.labels))
         assert 0.70 <= acc <= 0.88  # noise ceiling is 0.8

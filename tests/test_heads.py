@@ -1,5 +1,4 @@
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from calibens.heads import (
     HeadTrainConfig,
     LinearHead,
     head_predict,
-    init_head,
     load_head,
     save_head,
     train_head,
@@ -21,6 +19,8 @@ from calibens.heads import (
 from calibens.metrics import accuracy, predictions_from_probs
 from calibens.numerics import linear_forward, softmax
 
+from fixtures import linear_head
+
 
 @pytest.fixture(scope="module")
 def separable():
@@ -29,32 +29,38 @@ def separable():
 
 
 def quick_cfg(**kw):
-    kw.setdefault("seed", 5)
     kw.setdefault("max_epochs", 40)
     return HeadTrainConfig(**kw)
 
 
+def untrained(m, dim, num_classes, base_seed):
+    """The m heads of a max_epochs=0 lockstep run: each is its initialisation."""
+    ds = FeatureDataset(np.zeros((4, dim)), np.arange(4) % num_classes, num_classes)
+    return train_heads_lockstep(ds, ds, m, base_seed, HeadTrainConfig(max_epochs=0))
+
+
 class TestInitHead:
     def test_deterministic(self):
-        a = init_head(3, 4, seed=9)
-        b = init_head(3, 4, seed=9)
+        a, = untrained(1, 3, 4, base_seed=9)
+        b, = untrained(1, 3, 4, base_seed=9)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 
     def test_different_seeds_differ(self):
-        a = init_head(3, 4, seed=9)
-        b = init_head(3, 4, seed=10)
+        a, b = untrained(2, 3, 4, base_seed=9)
+        assert (a.seed, b.seed) == (9, 10)
         assert not np.array_equal(a.weights, b.weights)
 
     def test_uniform_bound_d4(self):
         # 2500 * 4 = 10^4 draws, all within [-1/sqrt(4), 1/sqrt(4)]
-        head = init_head(4, 2500, seed=1)
+        head, = untrained(1, 4, 2500, base_seed=1)
         assert head.weights.size == 10_000
         assert np.all(np.abs(head.weights) <= 0.5)
         assert np.array_equal(head.bias, np.zeros(2500))
+        assert np.array_equal(head.weights, linear_head(4, 2500, seed=1).weights)
 
     def test_param_count(self):
-        assert init_head(7, 5, seed=0).param_count == 5 * 7 + 5
+        assert linear_head(7, 5, seed=0).param_count == 5 * 7 + 5
 
 
 class TestHeadPredict:
@@ -64,20 +70,20 @@ class TestHeadPredict:
         assert np.array_equal(out, np.tile([1.0, 2.0, 3.0], (4, 1)))
 
     def test_matches_linear_forward(self):
-        head = init_head(3, 2, seed=4)
+        head = linear_head(3, 2, seed=4)
         x = np.asarray([[0.5, -1.0, 2.0]])
         assert np.array_equal(
             head_predict(head, x), linear_forward(x, head.weights, head.bias)
         )
 
     def test_batch_consistency(self):
-        head = init_head(3, 2, seed=4)
+        head = linear_head(3, 2, seed=4)
         batch = np.asarray([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         single = head_predict(head, batch[1:2])
         assert np.array_equal(single[0], head_predict(head, batch)[1])
 
     def test_width_mismatch(self):
-        head = init_head(3, 2, seed=4)
+        head = linear_head(3, 2, seed=4)
         with pytest.raises(DimensionError):
             head_predict(head, np.ones((1, 5)))
 
@@ -85,34 +91,34 @@ class TestHeadPredict:
 class TestTrainHead:
     def test_separable_reaches_high_accuracy(self, separable):
         train, val = separable
-        head = train_head(train, val, quick_cfg())
+        head = train_head(train, val, quick_cfg(), seed=5)
         probs = softmax(head_predict(head, val.features))
         assert accuracy(predictions_from_probs(probs, val.labels)) >= 0.99
 
     def test_zero_epochs_returns_init_unchanged(self, separable):
         train, val = separable
-        head = train_head(train, val, quick_cfg(max_epochs=0))
-        fresh = init_head(train.dim, train.num_classes, seed=5)
+        head = train_head(train, val, quick_cfg(max_epochs=0), seed=5)
+        fresh = linear_head(train.dim, train.num_classes, seed=5)
         assert np.array_equal(head.weights, fresh.weights)
         assert np.array_equal(head.bias, fresh.bias)
         assert head.training_history == []
 
     def test_bit_identical_across_runs(self, separable):
         train, val = separable
-        a = train_head(train, val, quick_cfg())
-        b = train_head(train, val, quick_cfg())
+        a = train_head(train, val, quick_cfg(), seed=5)
+        b = train_head(train, val, quick_cfg(), seed=5)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
         assert a.training_history == b.training_history
 
     def test_history_records_every_epoch(self, separable):
         train, val = separable
-        head = train_head(train, val, quick_cfg(max_epochs=7, early_stop_patience=50))
+        head = train_head(train, val, quick_cfg(max_epochs=7, early_stop_patience=50), seed=5)
         assert [rec[0] for rec in head.training_history] == list(range(1, 8))
 
     def test_returned_head_is_best_val_snapshot(self, separable):
         train, val = separable
-        head = train_head(train, val, quick_cfg())
+        head = train_head(train, val, quick_cfg(), seed=5)
         from calibens.heads import _validation_loss
 
         recomputed = _validation_loss(head.weights, head.bias, val)
@@ -120,20 +126,21 @@ class TestTrainHead:
 
     def test_records_kept_snapshot(self, separable):
         train, val = separable
-        head = train_head(train, val, quick_cfg(max_epochs=10))
+        head = train_head(train, val, quick_cfg(max_epochs=10), seed=5)
         losses = [rec[2] for rec in head.training_history]
         assert head.best_epoch == int(np.argmin(losses)) + 1
         assert head.best_val_loss == min(losses)
 
     def test_zero_epochs_keep_untrained_snapshot(self, separable):
         train, val = separable
-        head = train_head(train, val, quick_cfg(max_epochs=0))
+        head = train_head(train, val, quick_cfg(max_epochs=0), seed=5)
         assert (head.best_epoch, head.best_val_loss) == (0, None)
 
     def test_early_stop_bound(self, separable):
         train, val = separable
         patience = 4
-        head = train_head(train, val, quick_cfg(max_epochs=100, early_stop_patience=patience))
+        cfg = quick_cfg(max_epochs=100, early_stop_patience=patience)
+        head = train_head(train, val, cfg, seed=5)
         losses = [rec[2] for rec in head.training_history]
         best_epoch = int(np.argmin(losses)) + 1
         assert len(losses) <= best_epoch + patience + 1
@@ -142,18 +149,18 @@ class TestTrainHead:
         train, _ = separable
         other = FeatureDataset(np.zeros((4, 5)), np.asarray([0, 1, 0, 1]), 2)
         with pytest.raises(DataError):
-            train_head(train, other, quick_cfg())
+            train_head(train, other, quick_cfg(), seed=5)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_epoch(self, separable):
         train, val = separable
         with pytest.raises(TrainingError, match="epoch 1"):
-            train_head(train, val, quick_cfg(lr=1e200, max_epochs=5))
+            train_head(train, val, quick_cfg(lr=1e200, max_epochs=5), seed=5)
 
     def test_dataset_not_mutated(self, separable):
         train, val = separable
         before = train.features.tobytes()
-        train_head(train, val, quick_cfg(max_epochs=5))
+        train_head(train, val, quick_cfg(max_epochs=5), seed=5)
         assert train.features.tobytes() == before
 
 
@@ -162,7 +169,7 @@ class TestHeadFamily:
         train, val = separable
         cfg = quick_cfg(max_epochs=10)
         family = train_head_family(train, val, 1, base_seed=50, cfg=cfg)
-        single = train_head(train, val, replace(cfg, seed=50))
+        single = train_head(train, val, cfg, seed=50)
         assert np.array_equal(family[0].weights, single.weights)
 
     def test_members_differ(self, separable):
@@ -201,7 +208,7 @@ class TestHeadFamily:
         ]
         epochs_run, lrs = [], []
         for (train, val), cfg in cases:
-            alone = [train_head(train, val, replace(cfg, seed=70 + i)) for i in range(4)]
+            alone = [train_head(train, val, cfg, seed=70 + i) for i in range(4)]
             epochs_run.append([len(h.training_history) for h in alone])
             lrs.append([[rec[3] for rec in h.training_history] for h in alone])
             for trainer in (train_head_family, train_heads_lockstep):
@@ -267,7 +274,7 @@ class TestHeadFamily:
 
 class TestHeadFile:
     def test_round_trip_at_f32(self, tmp_path):
-        head = init_head(6, 3, seed=123)
+        head = linear_head(6, 3, seed=123)
         path = tmp_path / "h.hdw"
         save_head(head, path)
         loaded = load_head(path)
@@ -276,7 +283,7 @@ class TestHeadFile:
         assert np.array_equal(loaded.bias, head.bias.astype(np.float32))
 
     def test_file_size(self, tmp_path):
-        head = init_head(6, 3, seed=1)
+        head = linear_head(6, 3, seed=1)
         path = tmp_path / "h.hdw"
         save_head(head, path)
         assert path.stat().st_size == 4 + 4 + 4 + 8 + 4 * (3 * 6 + 3)
@@ -288,7 +295,7 @@ class TestHeadFile:
             load_head(path)
 
     def test_truncated(self, tmp_path):
-        head = init_head(6, 3, seed=1)
+        head = linear_head(6, 3, seed=1)
         path = tmp_path / "h.hdw"
         save_head(head, path)
         path.write_bytes(path.read_bytes()[:-2])

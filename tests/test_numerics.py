@@ -426,9 +426,11 @@ class TestSettings:
     @pytest.mark.parametrize("cls, name, value", [
         (HeadTrainConfig, "lr", 0.0),
         (MetaTrainConfig, "lr", float("nan")),
+        (HeadTrainConfig, "lr", float("inf")),
         (HeadTrainConfig, "momentum", 1.0),
         (MetaTrainConfig, "momentum", -0.1),
         (HeadTrainConfig, "weight_decay", -1.0),
+        (MetaTrainConfig, "weight_decay", float("inf")),
         (MetaTrainConfig, "batch_size", 0),
         (HeadTrainConfig, "plateau_factor", 2.0),
         (MetaTrainConfig, "plateau_factor", 0.0),
