@@ -40,7 +40,8 @@ little-endian:
     12 zero bytes | train block | val block
 
 where each block, from offset 64, is the part's (N, m, C) softmax
-probabilities as row-major f64, exactly what HeadOutputs holds. The key is
+probabilities, computed in float64 and stored as row-major f32, exactly what
+HeadOutputs holds (combiners.DTYPE). The key is
 the sha256 of the bytes train-meta parsed, the training .fds and then each
 head_i.hdw in index order, followed by --seed and --val-fraction. A file
 with another header or length is a miss, and deleting the file is always
@@ -63,10 +64,12 @@ import numpy as np
 
 from . import __version__, container
 from .combiners import (
+    DTYPE,
     KINDS,
     HeadOutputs,
     MetaTrainConfig,
     build_metamodel,
+    check_probabilities,
     combine_average,
     combine_metamodel,
     combine_vote,
@@ -98,7 +101,7 @@ _META_STREAM = 2000
 
 HEAD_OUTPUTS_CACHE = "head_outputs.cache"
 _CACHE_MAGIC = b"HOC1"
-# key, N_train, N_val, m, C, zeros; the zeros align the f64 payload at offset
+# key, N_train, N_val, m, C, zeros; the zeros align the f32 payload at offset
 # 64 and are compared like the other fields, so any changed header byte misses
 _CACHE_HEADER = "<32sIIII12s"
 
@@ -325,10 +328,11 @@ def _scored_blocks(heads, dataset, *parts):
 
 def _head_outputs(heads, dataset, rows) -> HeadOutputs:
     """The heads' outputs for the rows `rows` (an index array) of the
-    MappedDataset `dataset`, as one checked (len(rows), m, C) array copied
-    from the _scored_blocks blocks. train-meta calls it only when its cache
-    cannot be written or mapped back."""
-    values = np.empty((len(rows), len(heads), dataset.num_classes))
+    MappedDataset `dataset`, as one checked (len(rows), m, C) DTYPE array
+    cast from the _scored_blocks blocks, the values the cache would hold.
+    train-meta calls it only when its cache cannot be written or mapped
+    back."""
+    values = np.empty((len(rows), len(heads), dataset.num_classes), DTYPE)
     for start, stop, block in _scored_blocks(heads, dataset, rows):
         values[start:stop] = block
     return HeadOutputs(values)
@@ -343,8 +347,9 @@ def _map_cache(path, fields: tuple):
         if reader.header != fields:
             return None
         _, n_train, n_val, m, num_classes, _ = fields
-        reader.expect_payload(container.F64.itemsize * (n_train + n_val) * m * num_classes)
-        return reader.f64((n_train, m, num_classes)), reader.f64((n_val, m, num_classes))
+        reader.expect_payload(container.F32.itemsize * (n_train + n_val) * m * num_classes)
+        shapes = (n_train, m, num_classes), (n_val, m, num_classes)
+        return tuple(reader.f32(shape, check=False) for shape in shapes)
     except (FormatError, OSError):
         return None
 
@@ -361,7 +366,7 @@ def _write_cache(cache, header, heads, dataset, train_rows, val_rows):
     blocks = (block for _, _, block in _scored_blocks(heads, dataset, train_rows, val_rows))
     mapped = None
     try:
-        with container.staged(cache, _CACHE_MAGIC, _CACHE_HEADER, header, blocks, container.F64) as tmp:
+        with container.staged(cache, _CACHE_MAGIC, _CACHE_HEADER, header, blocks) as tmp:
             mapped = _map_cache(tmp, header)
             if mapped is not None:
                 os.replace(tmp, cache)
@@ -468,13 +473,15 @@ def cmd_evaluate(args) -> int:
     block. So memory holds the mapped file, one block with
     its features and combiner intermediates, and 2*(m+2+kinds)*N scalars,
     neither the float64 features nor the (N, m, C) outputs. Each block is
-    reduced once per predictor: one argmax over the block's (rows, m, C)
-    outputs gives every head's class, and its confidence is the probability
-    gathered there (the row max). Vot. counts those same head classes, and
-    Avg. and the combiners go through the combine_* functions. Every
-    prediction depends on its own row only, except that BLAS may round the
-    DL/DLL hidden layer differently at another row count, by an ulp of a
-    confidence."""
+    checked once (check_probabilities) and reduced once per predictor: one
+    argmax over the block's (rows, m, C) float64 outputs gives every head's
+    class, and its confidence is the probability gathered there (the row
+    max). Vot. counts those same head classes, and Avg. and Vot. go through
+    combine_average and combine_vote on the float64 block. The combiners
+    read its DTYPE cast, written into one reused buffer and wrapped with
+    HeadOutputs.unchecked. Every prediction depends on its own row only,
+    except that BLAS may round the DL/DLL hidden layer differently at
+    another row count, by an ulp of a confidence."""
     if args.test is None:
         raise ConfigError("missing test dataset path (--test)")
     num_bins = args.bins
@@ -519,16 +526,22 @@ def cmd_evaluate(args) -> int:
     predicted = np.empty((len(predictors), test.n), dtype=np.int64)
     confidence = np.empty((len(predictors), test.n))
 
+    cast = np.empty((0, m, test.num_classes), DTYPE)  # the combiners' copy of a block
     for start, stop, block in _scored_blocks(heads, test, np.arange(test.n)):
         labels = test.labels[start:stop]
-        outputs = HeadOutputs(block)
-        head_classes = np.argmax(outputs.values, axis=2)  # (rows, m)
+        check_probabilities(block)
+        head_classes = np.argmax(block, axis=2)  # (rows, m)
         predicted[:m, start:stop] = head_classes.T
         confidence[:m, start:stop] = np.take_along_axis(
-            outputs.values, head_classes[:, :, None], axis=2
+            block, head_classes[:, :, None], axis=2
         )[:, :, 0].T
-        preds = [combine_average(outputs, labels), combine_vote(outputs, labels, head_classes)]
-        preds += [combine_metamodel(meta, outputs, labels) for meta in metas.values()]
+        preds = [combine_average(block, labels), combine_vote(block, labels, head_classes)]
+        if metas:
+            if len(cast) < len(block):  # block sizes differ by at most one row
+                cast = np.empty(block.shape, DTYPE)
+            outputs = HeadOutputs.unchecked(cast[: len(block)])
+            outputs.values[...] = block
+            preds += [combine_metamodel(meta, outputs, labels) for meta in metas.values()]
         for j, pred in enumerate(preds, start=m):
             predicted[j, start:stop] = pred.predicted_class
             confidence[j, start:stop] = pred.confidence

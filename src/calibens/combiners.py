@@ -8,10 +8,21 @@ trainable combiner models:
 * ``DLL``  like DL with hidden width m*C
 * ``SLpC`` one m-input layer per class, wired only to that class's m values
 
+Avg. and Vot. take the (N, m, C) probabilities as given (evaluate passes the
+heads' float64 block). Every trainable combiner computes in DTYPE, float32:
+HeadOutputs holds its inputs, and its parameters, gradients, dropout masks,
+logits and probabilities are all DTYPE, so no float64 array enters one of its
+products (numpy would promote the product to float64). Its losses are
+float64 (numerics.cross_entropy), and its confidences are widened to float64
+for the metrics. A DTYPE row of the heads' float64 probabilities sums to 1
+within the slack _sum_tolerance states.
+
 Combiner model files (magic ``MMD1``) are little-endian:
 
     MMD1 | u8 KINDS index | u32 m | u32 C | u32 h (0 when unused) | f32 dropout_p |
     u64 seed | parameter blocks as f32 (each layer: weights row-major, then bias)
+
+so a combiner file holds its DTYPE parameters exactly.
 """
 
 from __future__ import annotations
@@ -40,49 +51,75 @@ from .numerics import (
 )
 
 KINDS = ("SL", "DL", "DLL", "SLpC")
+DTYPE = np.dtype(np.float32)  # every trainable combiner computes in this dtype
 META_MAGIC = b"MMD1"
 META_HEADER = "<BIIIfQ"
 
 
+def _sum_tolerance(dtype) -> float:
+    """How far a row of `dtype` may sum from 1: 1e-9, plus 2**-24 for
+    float32 rows. Casting a float64 row to float32 moves each entry by at
+    most 2**-24 of itself, so it moves the (non-negative) sum by at most
+    2**-24; the sum itself is accumulated in float64."""
+    return 1e-9 + (2.0**-24 if dtype == np.float32 else 0.0)
+
+
+def _off_sum(block: np.ndarray) -> np.ndarray:
+    """(rows, m) mask of the rows of the (rows, m, C) `block` whose float64
+    sum lies further from 1 than _sum_tolerance allows (NaN sums included)."""
+    return ~(np.abs(block.sum(axis=2, dtype=np.float64) - 1.0) <= _sum_tolerance(block.dtype))
+
+
 def _all_probability_rows(block: np.ndarray) -> bool:
     """Whether every entry of the (rows, m, C) `block` is finite and every
-    row a probability vector, in one pass: no entry below 0 and every sum
-    within 1e-9 of 1. The min propagates a NaN, and a row holding an inf
+    row a probability vector, in one pass: no entry below 0 and no row
+    flagged by _off_sum. The min propagates a NaN, and a row holding an inf
     sums to inf or NaN, so no non-finite block passes; initial=0.0 lets an
     empty block pass, where a plain min raises."""
-    return bool(block.min(initial=0.0) >= 0.0) and bool(
-        (np.abs(block.sum(axis=2) - 1.0) <= 1e-9).all()
-    )
+    return bool(block.min(initial=0.0) >= 0.0) and not _off_sum(block).any()
 
 
 def _raise_first_fault(values: np.ndarray) -> None:
     """Raise the DataError naming the lowest head of the (N, m, C) `values`
     that holds a non-finite value or, when every value is finite, a row
-    that is not a probability vector (a negative entry, or a sum more than
-    1e-9 from 1)."""
+    that is not a probability vector (a negative entry, or a row _off_sum
+    flags)."""
     if not np.isfinite(values).all():
         i, n, c = np.argwhere(~np.isfinite(values.transpose(1, 0, 2)))[0]
         raise DataError(f"head {i} output holds a non-finite value at index [{n}, {c}]")
-    off_simplex = (values < 0.0).any(axis=2) | (np.abs(values.sum(axis=2) - 1.0) > 1e-9)
+    off_simplex = (values < 0.0).any(axis=2) | _off_sum(values)
     i = np.nonzero(off_simplex.any(axis=0))[0][0]
     raise DataError(f"head {i} rows are not probability vectors")
 
 
+def check_probabilities(values: np.ndarray) -> None:
+    """Check the (N, m, C) head outputs `values` (float64 or float32) in one
+    pass over row_blocks, so the temporaries stay small however large N is:
+    every value finite and every row a probability vector. Only when a block
+    fails is the whole array diagnosed, non-finite values first, and the
+    DataError names the lowest offending head."""
+    if values.ndim != 3:
+        raise DimensionError(f"head outputs must be 3-D (N, m, C), got shape {values.shape}")
+    if values.shape[1] == 0:
+        raise DataError("need at least one head output")
+    row_bytes = values.shape[1] * values.shape[2] * values.itemsize
+    for start, stop in row_blocks(len(values), row_bytes):
+        if not _all_probability_rows(values[start:stop]):
+            _raise_first_fault(values)
+
+
 @dataclass(eq=False)
 class HeadOutputs:
-    """The m heads' softmax probabilities as one C-contiguous float64 array
-    `values`, shaped (N, m, C): values[n, i, c] is head i's probability of
-    class c for sample n, so values[:, i, :] is head i's (N, C) matrix.
+    """The combiners' input: the m heads' softmax probabilities as one
+    C-contiguous DTYPE array `values`, shaped (N, m, C): values[n, i, c] is
+    head i's probability of class c for sample n, so values[:, i, :] is head
+    i's (N, C) matrix.
 
-    The constructor checks the whole array in one pass over row_blocks, so
-    its temporaries stay small however large the outputs are: every value
-    finite and every row a probability vector. Only when a block fails does
-    it diagnose the whole array, non-finite values first, and name the
-    lowest offending head.
-
-    `values` may be a read-only array, such as a view of a mapped file: it
-    is kept as a view, never copied, when it already is a C-contiguous
-    float64 array, and nothing in this module writes to it.
+    The constructor runs check_probabilities on the given values, in their
+    own dtype, then keeps them as DTYPE: a C-contiguous DTYPE array, such as
+    a read-only view of a mapped file, is kept as a view, never copied, and
+    nothing in this module writes to it; any other array is cast. unchecked()
+    wraps values that are already checked.
 
     stacked() (the (m, N, C) transpose) and concatenated() (the (N, m*C)
     reshape, head-major: head 0's C columns, then head 1's, ...) return
@@ -92,16 +129,19 @@ class HeadOutputs:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.ndim != 3:
-            raise DimensionError(f"head outputs must be 3-D (N, m, C), got shape {values.shape}")
-        if values.shape[1] == 0:
-            raise DataError("need at least one head output")
-        row_bytes = values.shape[1] * values.shape[2] * values.itemsize
-        for start, stop in row_blocks(len(values), row_bytes):
-            if not _all_probability_rows(values[start:stop]):
-                _raise_first_fault(values)
-        self.values = values
+        values = np.asarray(self.values)
+        if values.dtype != DTYPE:
+            values = values.astype(np.float64, copy=False)
+        check_probabilities(values)
+        self.values = np.ascontiguousarray(values, dtype=DTYPE)
+
+    @classmethod
+    def unchecked(cls, values: np.ndarray) -> "HeadOutputs":
+        """Wrap the C-contiguous DTYPE (N, m, C) `values`, which hold checked
+        outputs or a cast of them, without checking them again."""
+        outputs = cls.__new__(cls)
+        outputs.values = values
+        return outputs
 
     @property
     def m(self) -> int:
@@ -126,9 +166,7 @@ class HeadOutputs:
     def subset(self, idx: np.ndarray) -> "HeadOutputs":
         """The outputs of samples idx, gathered with one fancy index; a slice
         of checked outputs, so the constructor's checks are skipped."""
-        sub = HeadOutputs.__new__(HeadOutputs)
-        sub.values = self.values[idx]
-        return sub
+        return HeadOutputs.unchecked(self.values[idx])
 
 
 def _sorting_network(m: int) -> list[tuple[int, int]]:
@@ -179,27 +217,28 @@ def _mean_over_heads(values: np.ndarray) -> np.ndarray:
     return total
 
 
-def combine_average(outputs: HeadOutputs, labels) -> PredictionSet:
-    """Mean of the head probability matrices."""
-    return predictions_from_probs(_mean_over_heads(outputs.values), labels)
+def combine_average(probs: np.ndarray, labels) -> PredictionSet:
+    """Mean of the heads' probability matrices, from the checked (N, m, C)
+    probabilities `probs` (check_probabilities), in their dtype."""
+    return predictions_from_probs(_mean_over_heads(probs), labels)
 
 
-def combine_vote(outputs: HeadOutputs, labels, votes=None) -> PredictionSet:
-    """Majority vote over the heads' argmax classes.
+def combine_vote(probs: np.ndarray, labels, votes=None) -> PredictionSet:
+    """Majority vote over the heads' argmax classes, from the checked
+    (N, m, C) probabilities `probs` (check_probabilities), in their dtype.
 
     Vote ties go to the tied class with the higher mean head probability, then
     to the lowest class index. The reported confidence is the mean over all
     heads of their probability for the winning class (_mean_over_heads of
     that one cell, which gives the bits the full mean gives it). `votes`, the
-    (N, m) head classes np.argmax(outputs.values, axis=2), is computed here
-    when not given. Only rows whose top vote count is shared by two or more
-    classes average their tied classes; every other row's winner is its one
-    top class.
+    (N, m) head classes np.argmax(probs, axis=2), is computed here when not
+    given. Only rows whose top vote count is shared by two or more classes
+    average their tied classes; every other row's winner is its one top
+    class.
     """
-    values = outputs.values
-    n, c = outputs.n, outputs.num_classes
+    n, _, c = probs.shape
     if votes is None:
-        votes = np.argmax(values, axis=2)
+        votes = np.argmax(probs, axis=2)
     rows = np.arange(n)
     counts = np.bincount((rows[:, None] * c + votes).ravel(), minlength=n * c).reshape(n, c)
     winner = np.argmax(counts, axis=1)  # the lowest class with the top count
@@ -207,11 +246,11 @@ def combine_vote(outputs: HeadOutputs, labels, votes=None) -> PredictionSet:
     shared = np.flatnonzero(tied.sum(axis=1) > 1)
     tied = tied[shared]
     means = np.full(tied.shape, -1.0)  # below any tied class's mean, which is >= 0
-    means[tied] = _mean_over_heads(values[shared].transpose(0, 2, 1)[tied])
+    means[tied] = _mean_over_heads(probs[shared].transpose(0, 2, 1)[tied])
     winner[shared] = np.argmax(means, axis=1)
     return PredictionSet(
         predicted_class=winner,
-        confidence=_mean_over_heads(values[rows, :, winner]),
+        confidence=_mean_over_heads(probs[rows, :, winner]),
         labels=np.asarray(labels, dtype=np.int64),
     )
 
@@ -292,7 +331,8 @@ def build_metamodel(
     kind: str, m: int, num_classes: int, seed: int, dropout_p: float = MetaTrainConfig.dropout
 ) -> Metamodel:
     """Initialize a combiner; each layer's weights and bias are drawn uniformly
-    from [-1/sqrt(fan_in), 1/sqrt(fan_in)], fan_in being the layer's in_width."""
+    from [-1/sqrt(fan_in), 1/sqrt(fan_in)], fan_in being the layer's in_width,
+    as float64 and then cast to DTYPE."""
     shapes = layer_shapes(kind, m, num_classes)
     if m < 1 or num_classes < 1:
         raise ConfigError(f"m and num_classes must be >= 1, got {m}, {num_classes}")
@@ -301,7 +341,8 @@ def build_metamodel(
     for out_width, in_width in shapes:
         bound = 1.0 / np.sqrt(in_width)
         weights = stream.uniform(-bound, bound, (out_width, in_width))
-        layers.append((weights, stream.uniform(-bound, bound, out_width)))
+        bias = stream.uniform(-bound, bound, out_width)
+        layers.append((weights.astype(DTYPE), bias.astype(DTYPE)))
     hidden = hidden_width(kind, m, num_classes)
     return Metamodel(
         kind=kind,
@@ -379,12 +420,13 @@ def train_metamodel(
     val_labels,
     cfg: MetaTrainConfig,
 ) -> Metamodel:
-    """Train a copy of `meta` with numerics.fit for exactly cfg.epochs epochs
-    (no early stopping). The untrained model is snapshot candidate zero, so
-    the returned model never validates worse than its starting point; the
-    input model is left untouched. fit trains [None] views of the copy's
-    layers (k = 1), so the copy is always the live model. fit's permutations
-    and the dropout masks (DL/DLL) come from one stream seeded meta.seed."""
+    """Train a DTYPE copy of `meta` with numerics.fit for exactly cfg.epochs
+    epochs (no early stopping). The untrained model is snapshot candidate
+    zero, so the returned model never validates worse than its starting
+    point; the input model is left untouched. fit trains [None] views of the
+    copy's layers (k = 1), so the copy is always the live model. fit's
+    permutations and the dropout masks (DL/DLL) come from one stream seeded
+    meta.seed."""
     _check_outputs(meta, train_outputs)
     _check_outputs(meta, val_outputs)
     train_labels = check_labels(train_labels, meta.num_classes)
@@ -392,7 +434,7 @@ def train_metamodel(
     if train_labels.shape[0] != train_outputs.n or val_labels.shape[0] != val_outputs.n:
         raise DimensionError("labels do not match head-output sample counts")
 
-    work = replace(meta, layers=[(w.copy(), b.copy()) for w, b in meta.layers])
+    work = replace(meta, layers=[(w.astype(DTYPE), b.astype(DTYPE)) for w, b in meta.layers])
     stream = RngStream(meta.seed)
     use_dropout = work.hidden and work.dropout_p > 0.0
 
@@ -400,7 +442,7 @@ def train_metamodel(
         batch = idx[0]
         mask = None
         if use_dropout:
-            mask = dropout_mask((batch.shape[0], work.hidden), work.dropout_p, stream)
+            mask = dropout_mask((batch.shape[0], work.hidden), work.dropout_p, stream, DTYPE)
         loss, grads = metamodel_gradients(
             work, train_outputs.subset(batch), train_labels[batch], mask=mask
         )
@@ -459,7 +501,7 @@ def load_metamodel(path) -> Metamodel:
         )
     reader.expect_payload(4 * param_count(kind, m, num_classes))
     layers = [
-        (reader.f32((out_width, in_width)), reader.f32((out_width,)))
+        (reader.f32((out_width, in_width)).copy(), reader.f32((out_width,)).copy())
         for out_width, in_width in layer_shapes(kind, m, num_classes)
     ]
     return Metamodel(

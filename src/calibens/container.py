@@ -9,14 +9,14 @@ four:
 * the header determines the payload's exact byte length, and a file of any
   other length is rejected;
 * payload floats are f32 on disk, and every one must be finite. `Reader.f32`
-  hands a block out as float64; `Reader.records` hands each field of a
-  record array out as a read-only view of the file, its f32 values checked
-  but not cast, so a caller casts only the rows it needs (FDS1's features).
-  The exception is `Reader.f64`, which hands out a stored f64 block as a
-  read-only view of the file, unchecked, for a caller that checks the
-  values itself (the HOC1 cache);
+  hands a block out, and `Reader.records` each field of a record array, as
+  a read-only view of the file, its f32 values checked but not cast, so a
+  caller copies or casts only what it needs (FDS1's features: the rows it
+  uses; HDW1: float64 heads; MMD1: float32 combiners). The exception is an
+  f32 block read with check=False, for a caller that checks the values
+  itself (the HOC1 cache's HeadOutputs);
 * a writer emits the magic, the packed header, then the payload arrays'
-  bytes, floats as f32 (HOC1: f64). It writes a temporary file next to the
+  bytes, floats as f32. It writes a temporary file next to the
   target and moves it into place with os.replace, so a failed or crashed
   write leaves the old file, or none, never a truncated one; and a file
   mapped by a reader is never cut short under it.
@@ -39,7 +39,6 @@ from .errors import FormatError
 from .numerics import first_non_finite
 
 F32 = np.dtype("<f4")
-F64 = np.dtype("<f8")
 
 
 class Reader:
@@ -49,9 +48,9 @@ class Reader:
     so a file replaced meanwhile cannot mix into the checks.
 
     Format-specific header checks raise `error(...)`; then `expect_payload`
-    fixes the file length, and `f32`, `f64` and `records` read the payload
-    in order from the end of the header. `f64` and `records` hand out views
-    of the mapping, which stays open as long as any of them is alive.
+    fixes the file length, and `f32` and `records` read the payload in order
+    from the end of the header. They hand out views of the mapping, which
+    stays open as long as any of them is alive.
     """
 
     def __init__(self, path, magic: bytes, header: str, digest=None):
@@ -88,19 +87,14 @@ class Reader:
         self.offset += items.nbytes
         return items, start
 
-    def f32(self, shape: tuple) -> np.ndarray:
-        """The next f32 block of `shape` (row-major) as a C-contiguous
-        float64 array. The block is checked before the cast, because casting
-        a signalling NaN warns."""
+    def f32(self, shape: tuple, check: bool = True) -> np.ndarray:
+        """The next f32 block of `shape` (row-major) as a read-only view of
+        the file, its values checked finite unless `check` is False."""
         block, start = self._view(F32, math.prod(shape))
         block = block.reshape(shape)
-        self._check_finite(block, start)
-        return block.astype(np.float64, order="C")
-
-    def f64(self, shape: tuple) -> np.ndarray:
-        """The next f64 block of `shape` (row-major) as a read-only view of
-        the file: neither copied nor checked."""
-        return self._view(F64, math.prod(shape))[0].reshape(shape)
+        if check:
+            self._check_finite(block, start)
+        return block
 
     def records(self, dtype: np.dtype, count: int) -> list[np.ndarray]:
         """The next `count` records of the structured `dtype`, one read-only
@@ -129,9 +123,9 @@ class Reader:
 
 
 @contextlib.contextmanager
-def staged(path, magic: bytes, header: str, fields: tuple, payload, floats=F32):
+def staged(path, magic: bytes, header: str, fields: tuple, payload):
     """Write magic, the header `fields` packed by `header`, then each payload
-    array's bytes in order, float arrays stored as `floats`, to a temporary
+    array's bytes in order, float arrays stored as f32, to a temporary
     file next to `path`, and yield the temporary file's path for the caller
     to move into place with os.replace. `payload` is any iterable of arrays,
     consumed once, each block written before the next is asked for, so a
@@ -145,14 +139,14 @@ def staged(path, magic: bytes, header: str, fields: tuple, payload, floats=F32):
         with open(tmp, "wb") as fh:
             fh.write(magic + struct.pack(header, *fields))
             for block in payload:
-                stored = floats if block.dtype.kind == "f" else None
+                stored = F32 if block.dtype.kind == "f" else None
                 fh.write(np.ascontiguousarray(block, stored).data)
         yield tmp
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def write(path, magic: bytes, header: str, fields: tuple, payload, floats=F32) -> None:
+def write(path, magic: bytes, header: str, fields: tuple, payload) -> None:
     """Write the file that `staged` writes and move it onto `path`."""
-    with staged(path, magic, header, fields, payload, floats) as tmp:
+    with staged(path, magic, header, fields, payload) as tmp:
         os.replace(tmp, path)

@@ -159,8 +159,16 @@ class MappedDataset:
 
     def features(self, rows=slice(None)) -> np.ndarray:
         """The float64 features of `rows` (an index array or a slice; all
-        rows by default) as a fresh C-contiguous (len(rows), D) array."""
-        return self.features_f32[rows].astype(np.float64, order="C")
+        rows by default) as a fresh C-contiguous (len(rows), D) array. An
+        index array is gathered and cast one row block of the result at a
+        time, so the call never holds an f32 copy of all the rows; widening
+        is exact, so the values are those of a cast of the whole gather."""
+        if isinstance(rows, slice):
+            return self.features_f32[rows].astype(np.float64, order="C")
+        out = np.empty((len(rows), self.dim))
+        for start, stop in row_blocks(len(rows), out.itemsize * self.dim):
+            out[start:stop] = self.features_f32[rows[start:stop]]
+        return out
 
     def rows(self, rows=slice(None)) -> FeatureDataset:
         """The FeatureDataset of `rows` (see features), checked by map_dataset."""

@@ -261,6 +261,6 @@ def load_head(path, digest=None) -> LinearHead:
     if dim < 1 or num_classes < 1:
         raise reader.error(f"D={dim}, C={num_classes} must both be >= 1", offset=4)
     reader.expect_payload(4 * (num_classes * dim + num_classes))
-    weights = reader.f32((num_classes, dim))
-    bias = reader.f32((num_classes,))
+    weights = reader.f32((num_classes, dim)).astype(np.float64)
+    bias = reader.f32((num_classes,)).astype(np.float64)
     return LinearHead(weights=weights, bias=bias, seed=seed)

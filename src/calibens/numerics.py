@@ -1,9 +1,14 @@
 """Deterministic numerics for training small classifier heads and combiners.
 
-Everything works on plain float64 numpy arrays ("matrices" are 2-D, row-major).
-Forward and backward passes are written out by hand; the only loss anywhere is
-mean cross-entropy after softmax. All randomness flows through RngStream so a
-single integer seed reproduces a run bit for bit.
+Arrays are float64 or float32 ("matrices" are 2-D, row-major), and every
+kernel computes in the dtype of its operands: float32 in gives float32 out.
+Heads run in float64 and the combiners in float32 (combiners.DTYPE); a caller
+never mixes the two in one product, because numpy would silently promote it
+to float64. The one exception is cross_entropy, which widens the picked
+probabilities to float64 before the log, so every loss fit compares is a
+float64. Forward and backward passes are written out by hand; the only loss
+anywhere is mean cross-entropy after softmax. All randomness flows through
+RngStream so a single integer seed reproduces a run bit for bit.
 """
 
 from __future__ import annotations
@@ -35,9 +40,14 @@ def RngStream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed) & U64_MASK))
 
 
+def _float_dtype(a) -> type:
+    """float32 for a float32 array, float64 for anything else."""
+    return np.float32 if getattr(a, "dtype", None) == np.float32 else np.float64
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a contiguous 2-D float64 array."""
-    out = np.ascontiguousarray(a, dtype=np.float64)
+    """Coerce to a contiguous 2-D array of _float_dtype(a)."""
+    out = np.ascontiguousarray(a, dtype=_float_dtype(a))
     if out.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {out.shape}")
     return out
@@ -93,12 +103,12 @@ def linear_forward(
 ) -> np.ndarray:
     """Affine map: out[n, c] = sum_d inputs[n, d] * weights[c, d] + bias[c].
 
-    The product goes into a fresh array, or into `out` (an (N, C) float64
-    array or view) when given, and the bias is added to it in place, so the
-    call allocates no second full-size array."""
+    The product goes into a fresh array, or into `out` (an (N, C) array or
+    view of the operands' dtype) when given, and the bias is added to it in
+    place, so the call allocates no second full-size array."""
     inputs = as_matrix(inputs, "inputs")
     weights = as_matrix(weights, "weights")
-    bias = np.asarray(bias, dtype=np.float64)
+    bias = np.asarray(bias, dtype=_float_dtype(bias))
     if inputs.shape[1] != weights.shape[1]:
         raise DimensionError(
             f"inputs {inputs.shape} and weights {weights.shape} disagree on feature width"
@@ -155,15 +165,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return softmax_in_place(logits.copy())
 
 
-def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-scaling dropout mask: entries are 0 with probability p, else 1/(1-p).
+def dropout_mask(shape, p: float, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:
+    """Inverted-scaling dropout mask of `dtype` (the parameters'): entries
+    are 0 with probability p, else 1/(1-p). The draws do not depend on dtype.
 
     Applying the mask only during training makes evaluation a no-op.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     keep = rng.random(shape) >= p
-    return keep.astype(np.float64) / (1.0 - p)
+    return keep.astype(dtype) / (1.0 - p)
 
 
 def check_labels(labels, num_classes: int) -> np.ndarray:
@@ -184,14 +195,16 @@ def check_labels(labels, num_classes: int) -> np.ndarray:
 
 
 def cross_entropy(probs: np.ndarray, labels) -> float:
-    """Mean of -log(probs[n, label_n]), probabilities clamped at 1e-12."""
+    """Mean of -log(probs[n, label_n]), probabilities clamped at 1e-12. The
+    picked probabilities are widened to float64 first, so the log and the
+    mean are float64 whatever the dtype of `probs`."""
     probs = as_matrix(probs, "probs")
     labels = np.asarray(labels)
     if labels.shape != (probs.shape[0],):
         raise DimensionError(
             f"probs {probs.shape} and labels {labels.shape} disagree on sample count"
         )
-    picked = probs[np.arange(probs.shape[0]), labels]
+    picked = probs[np.arange(probs.shape[0]), labels].astype(np.float64, copy=False)
     return float(-np.log(np.maximum(picked, PROB_EPS)).mean())
 
 
@@ -255,7 +268,7 @@ def backward_mlp(inputs, w1, b1, w2, b2, labels, mask: np.ndarray | None = None)
     loss, dz2 = _softmax_ce_grad(logits, labels)
     d_w2 = dz2.T @ a1
     d_b2 = dz2.sum(axis=0)
-    da1 = dz2 @ np.asarray(w2, dtype=np.float64)
+    da1 = dz2 @ w2
     if mask is not None:
         da1 = da1 * mask
     dz1 = da1 * (z1 > 0.0)
@@ -284,7 +297,8 @@ def sgd_step(params: list, grads: list, state: SgdState) -> list:
 
     A (k,) learning rate scales slice i of every (k, ...) parameter by its
     entry i, so each slice gets the update a scalar step at that rate gives.
-    Mutates params and state.velocity in place; returns params.
+    Each update is computed in its parameter's dtype, a rate array cast to
+    it. Mutates params and state.velocity in place; returns params.
     """
     if not state.velocity:
         state.velocity = [np.zeros_like(p) for p in params]
@@ -297,7 +311,7 @@ def sgd_step(params: list, grads: list, state: SgdState) -> list:
         if isinstance(rate, np.ndarray):
             if rate.shape != p.shape[:1]:
                 raise DimensionError(f"learning rates {rate.shape} do not match param {p.shape}")
-            rate = rate.reshape(rate.shape + (1,) * (p.ndim - 1))
+            rate = rate.astype(p.dtype, copy=False).reshape(rate.shape + (1,) * (p.ndim - 1))
         v *= state.momentum
         if state.weight_decay:
             v += g + state.weight_decay * p  # one sum: two adds round differently

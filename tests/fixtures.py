@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from calibens.combiners import HeadOutputs
+from calibens.combiners import HeadOutputs, check_probabilities
 from calibens.errors import ConfigError
 from calibens.heads import LinearHead
 from calibens.metrics import PredictionSet
@@ -16,6 +16,15 @@ def head_outputs(per_head):
     """HeadOutputs from a list of m equally shaped (N, C) matrices, head i's
     matrix becoming the view [:, i, :] of the (N, m, C) array."""
     return HeadOutputs(np.stack(per_head, axis=1))
+
+
+def stacked_probs(per_head):
+    """The (N, m, C) array of a list of m equally shaped (N, C) probability
+    matrices, as head_outputs stacks them but in their own dtype, checked as
+    evaluate checks a block before Avg. and Vot. read it."""
+    values = np.stack(per_head, axis=1)
+    check_probabilities(values)
+    return values
 
 
 def linear_head(dim, num_classes, seed):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import struct
 import tracemalloc
 import weakref
 
@@ -10,6 +11,7 @@ import pytest
 from calibens import cli, container, numerics
 from calibens.cli import HEAD_OUTPUTS_CACHE, _head_outputs, build_parser, main
 from calibens.combiners import (
+    DTYPE,
     KINDS,
     build_metamodel,
     combine_average,
@@ -39,7 +41,13 @@ from calibens.heads import (
 from calibens.metrics import RELIABILITY_CSV_HEADER, calibration_report, predictions_from_probs
 from calibens.numerics import RngStream, row_blocks, softmax_in_place
 
-from fixtures import MiscalSpec, chance_level_bound, head_outputs, synth_miscalibrated_predictions
+from fixtures import (
+    MiscalSpec,
+    chance_level_bound,
+    head_outputs,
+    stacked_probs,
+    synth_miscalibrated_predictions,
+)
 
 
 def run(argv):
@@ -281,8 +289,8 @@ def mapped_dataset(path, n, dim, num_classes, seed):
 
 
 class TestHeadOutputsArray:
-    """cli._scored_blocks scores row blocks head by head into one buffer, and
-    cli._head_outputs copies them into one (N, m, C) array."""
+    """cli._scored_blocks scores float64 row blocks head by head into one
+    buffer, and cli._head_outputs casts them into one (N, m, C) DTYPE array."""
 
     def test_peak_memory_within_one_and_a_half_output_sizes(self, tmp_path):
         heads = random_heads(5, 32, 40, seed=1)
@@ -300,10 +308,11 @@ class TestHeadOutputsArray:
         heads = random_heads(4, 96, 50, seed=3)
         dataset = mapped_dataset(tmp_path / "d.fds", 3000, 96, 50, seed=4)
         outputs = _head_outputs(heads, dataset, np.arange(3000))
+        assert outputs.values.dtype == DTYPE
         features = dataset.features()
         for i, head in enumerate(heads):
             expect = per_head_softmax(per_head_logits(head, features))
-            assert np.array_equal(outputs.values[:, i, :], expect)
+            assert np.array_equal(outputs.values[:, i, :], expect.astype(DTYPE))
 
     def test_block_walk_equals_whole_matrix_bit_for_bit(self, tmp_path):
         # 1800 rows in split order: 7 blocks of at most 262 rows at m=5, C=100
@@ -316,7 +325,7 @@ class TestHeadOutputsArray:
         expect = np.empty((len(rows), 5, 100))
         for i, head in enumerate(heads):
             head_predict(head, features, out=expect[:, i, :])
-        assert np.array_equal(outputs.values, softmax_in_place(expect))
+        assert np.array_equal(outputs.values, softmax_in_place(expect).astype(DTYPE))
 
     def test_streamed_blocks_equal_the_whole_arrays_bit_for_bit(self, tmp_path):
         # what a cache miss writes: the train part's blocks, then the val part's
@@ -325,8 +334,9 @@ class TestHeadOutputsArray:
         parts = split_indices(dataset.labels, 100, 0.1, seed=7)
         streamed = [block.copy() for _, _, block in cli._scored_blocks(heads, dataset, *parts)]
         assert len(streamed) == sum(len(row_blocks(len(rows), 5 * 100 * 8)) for rows in parts)
+        assert all(block.dtype == np.float64 for block in streamed)
         whole = [_head_outputs(heads, dataset, rows).values for rows in parts]
-        assert np.array_equal(np.concatenate(streamed), np.concatenate(whole))
+        assert np.array_equal(np.concatenate(streamed).astype(DTYPE), np.concatenate(whole))
 
     @pytest.mark.parametrize("command", ["train-meta", "evaluate"])
     @pytest.mark.parametrize("dim, classes", [(5, 3), (4, 5)])
@@ -498,10 +508,10 @@ class TestHeadOutputsCache:
         labels = np.frombuffer(train.read_bytes(), _dataset_record_dtype(4), offset=16)["y"]
         parts = split_indices(labels, 3, 0.1, 7 + 1000)
         header = (key.digest(), len(parts[0]), len(parts[1]), 2, 3, bytes(12))
-        blocks = [np.full((len(rows), 2, 3), 1 / 3) for rows in parts]
+        blocks = [np.full((len(rows), 2, 3), 1 / 3, dtype=np.float32) for rows in parts]
         out.mkdir(parents=True, exist_ok=True)
         container.write(out / HEAD_OUTPUTS_CACHE, cli._CACHE_MAGIC, cli._CACHE_HEADER, header,
-                        blocks, container.F64)
+                        blocks)
 
     @pytest.mark.parametrize("fault, offset", [
         (None, None),
@@ -572,7 +582,7 @@ class TestHeadOutputsCache:
         assert self.train_meta(pipeline_dir, out) == 0
         cache = out / HEAD_OUTPUTS_CACHE
         raw = bytearray(cache.read_bytes())
-        raw[64:72] = np.float64(np.nan).tobytes()
+        raw[64:68] = np.float32(np.nan).tobytes()
         cache.write_bytes(bytes(raw))
         assert self.train_meta(pipeline_dir, out) == 3
         err = capsys.readouterr().err
@@ -623,6 +633,50 @@ class TestHeadOutputsCache:
             with pytest.raises(ValueError, match="read-only"):
                 values[0, 0, 0] = 0.5
 
+    @pytest.mark.parametrize("path", ["miss", "hit", "in memory"])
+    def test_outputs_are_float32_on_every_path(self, pipeline_dir, monkeypatch, path):
+        out = pipeline_dir / "out"
+        if path == "hit":
+            assert self.train_meta(pipeline_dir, out) == 0
+        if path == "in memory":
+            monkeypatch.setattr(cli, "_map_cache", lambda path, fields: None)
+        seen = []
+        train_metamodel = cli.train_metamodel
+
+        def spy(meta, train_outputs, train_labels, val_outputs, val_labels, cfg):
+            seen.extend([train_outputs.values, val_outputs.values])
+            return train_metamodel(meta, train_outputs, train_labels, val_outputs, val_labels, cfg)
+
+        monkeypatch.setattr(cli, "train_metamodel", spy)
+        assert self.train_meta(pipeline_dir, out) == 0
+        assert [values.dtype for values in seen] == [DTYPE, DTYPE]
+        assert all(values.flags.c_contiguous for values in seen)
+
+    def test_float64_cache_of_the_same_inputs_is_rewritten_at_half_the_size(
+        self, pipeline_dir, monkeypatch
+    ):
+        # a cache in the earlier layout (the same header, f64 blocks) fails the
+        # length check: a miss, which scores the rows again and writes f32
+        out = pipeline_dir / "out"
+        assert self.train_meta(pipeline_dir, out) == 0
+        cache = out / HEAD_OUTPUTS_CACHE
+        good, mmd = cache.read_bytes(), (out / "meta_SL.mmd").read_bytes()
+        _, n_train, n_val, m, c = struct.unpack("<32sIIII", good[4:52])
+        assert len(good) == 64 + 4 * (n_train + n_val) * m * c
+        wide = np.frombuffer(good, "<f4", offset=64).astype("<f8")
+        cache.write_bytes(good[:64] + wide.tobytes())
+        scored = []
+
+        def spy(head, features, out=None):
+            scored.append(len(features))
+            return head_predict(head, features, out=out)
+
+        monkeypatch.setattr(cli, "head_predict", spy)
+        assert self.train_meta(pipeline_dir, out) == 0
+        assert sum(scored) == m * (n_train + n_val)
+        assert cache.read_bytes() == good
+        assert (out / "meta_SL.mmd").read_bytes() == mmd
+
     @pytest.mark.parametrize("fault", ["write raises", "does not map back"])
     def test_failed_cache_trains_on_outputs_in_memory(
         self, pipeline_dir, capsys, monkeypatch, fault
@@ -631,7 +685,7 @@ class TestHeadOutputsCache:
         assert self.train_meta(pipeline_dir, cached) == 0
         staged = container.staged
 
-        def fail_midway(path, magic, header, fields, payload, floats=container.F32):
+        def fail_midway(path, magic, header, fields, payload):
             # the cache write runs out of disk after its first block
             def first_block_then_full_disk(blocks):
                 yield next(iter(blocks))
@@ -639,7 +693,7 @@ class TestHeadOutputsCache:
 
             if magic == cli._CACHE_MAGIC:
                 payload = first_block_then_full_disk(payload)
-            return staged(path, magic, header, fields, payload, floats)
+            return staged(path, magic, header, fields, payload)
 
         if fault == "write raises":
             monkeypatch.setattr(cli.container, "staged", fail_midway)
@@ -686,10 +740,12 @@ class TestHeadOutputsCache:
 
     @pytest.mark.parametrize("run_kind", ["hit", "miss"])
     def test_peak_memory_below_a_tenth_of_the_outputs(self, tmp_path, monkeypatch, run_kind):
-        # holding the outputs in fresh arrays would cost their whole size, and
-        # checking them in one piece an eighth of it (a bool per value); a miss
-        # holds one block of them while it writes the cache, a hit none
-        m, c, dim, n = 5, 50, 2, 8000
+        # holding the DTYPE outputs in fresh arrays would cost their whole
+        # size, and checking them in one piece a quarter of it (a bool per
+        # value); a miss holds one float64 scoring block (BLOCK_BYTES) and its
+        # DTYPE cast while it writes the cache, a hit none; n makes a tenth of
+        # the outputs more than one and a half scoring blocks
+        m, c, dim, n = 5, 50, 2, 24000
         stream = RngStream(1)
         train = tmp_path / "train.fds"
         save_dataset(FeatureDataset(stream.standard_normal((n, dim)), np.arange(n) % c, c), train)
@@ -714,7 +770,8 @@ class TestHeadOutputsCache:
         finally:
             tracemalloc.stop()
         assert (art / HEAD_OUTPUTS_CACHE).exists()
-        peak, outputs_bytes = obtained.value.args[0], n * m * c * 8
+        peak, outputs_bytes = obtained.value.args[0], n * m * c * DTYPE.itemsize
+        assert outputs_bytes / 10 > 1.5 * numerics.BLOCK_BYTES
         assert peak < outputs_bytes / 10, peak / outputs_bytes
 
 
@@ -833,8 +890,9 @@ class TestEvaluate:
         assert set(config["meta_training"]["SL"]) == {"seed", "config"}
 
     def test_rows_equal_per_head_recipe(self, pipeline_dir):
-        # reference: each head's logits and softmax computed on its own, and
-        # every rule and combiner fed the probabilities
+        # reference: each head's logits and softmax computed on its own in
+        # float64, Avg. and Vot. fed those probabilities and every combiner
+        # their DTYPE cast
         art, data = pipeline_dir / "artifacts", pipeline_dir / "data"
         for kind in ("SL", "DLL", "SLpC"):
             assert run([
@@ -853,8 +911,8 @@ class TestEvaluate:
         probs = [per_head_softmax(per_head_logits(h, test.features)) for h in heads]
         preds = [predictions_from_probs(p, test.labels) for p in probs]
         preds += [
-            combine_average(head_outputs(probs), test.labels),
-            combine_vote(head_outputs(probs), test.labels),
+            combine_average(stacked_probs(probs), test.labels),
+            combine_vote(stacked_probs(probs), test.labels),
         ]
         for kind in ("SL", "DLL", "SLpC"):
             meta = load_metamodel(art / f"meta_{kind}.mmd")

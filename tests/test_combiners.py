@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 import calibens.combiners as combiners_module
 import calibens.numerics as numerics_module
 from calibens.combiners import (
+    DTYPE,
     KINDS,
     HeadOutputs,
     _mean_over_heads,
@@ -17,6 +19,7 @@ from calibens.combiners import (
     MetaTrainConfig,
     Metamodel,
     build_metamodel,
+    check_probabilities,
     combine_average,
     combine_metamodel,
     combine_vote,
@@ -33,16 +36,23 @@ from calibens.numerics import (
     RngStream,
     _softmax_ce_grad,
     cross_entropy,
+    dropout_mask,
     softmax,
     softmax_in_place,
 )
 
-from fixtures import head_outputs
+from fixtures import head_outputs, stacked_probs
 from gradcheck import finite_difference_grads, relative_error
 
 
-def random_outputs(stream, m, n, c, sharpness=1.0):
-    return head_outputs([softmax(sharpness * stream.standard_normal((n, c))) for _ in range(m)])
+def random_probs(stream, m, n, c):
+    """(N, m, C) float64 softmax rows of m random heads, as evaluate's block."""
+    return stacked_probs([softmax(stream.standard_normal((n, c))) for _ in range(m)])
+
+
+def random_outputs(stream, m, n, c):
+    """HeadOutputs of random_probs: their DTYPE cast."""
+    return HeadOutputs(random_probs(stream, m, n, c))
 
 
 class TestHeadOutputs:
@@ -63,7 +73,27 @@ class TestHeadOutputs:
     def test_concatenation_is_head_major(self):
         a = np.asarray([[0.2, 0.8]])
         b = np.asarray([[0.6, 0.4]])
-        assert np.array_equal(head_outputs([a, b]).concatenated(), [[0.2, 0.8, 0.6, 0.4]])
+        expect = np.asarray([[0.2, 0.8, 0.6, 0.4]], dtype=DTYPE)
+        assert np.array_equal(head_outputs([a, b]).concatenated(), expect)
+
+    def test_holds_the_dtype_cast_and_keeps_a_dtype_array(self):
+        probs = softmax(RngStream(3).standard_normal((6, 4)))
+        outputs = head_outputs([probs, probs[::-1]])
+        assert outputs.values.dtype == DTYPE and outputs.values.flags.c_contiguous
+        assert np.array_equal(outputs.values, np.stack([probs, probs[::-1]], axis=1).astype(DTYPE))
+        assert HeadOutputs(outputs.values).values is outputs.values
+
+    def test_float32_rounding_passes_and_names_the_bad_head(self):
+        # head 0: float32 casts of float64 softmax rows of 1000 classes, whose
+        # float64 sums lie up to about 2**-24 from 1; head 2 holds one row
+        # summing to 1 + 1e-6, beyond the float32 slack
+        stream = RngStream(5)
+        rows = [softmax(stream.standard_normal((40, 1000))).astype(np.float32) for _ in range(3)]
+        assert np.abs(rows[0].sum(axis=1, dtype=np.float64) - 1.0).max() > 1e-9
+        assert HeadOutputs(np.stack(rows, axis=1)).values.dtype == DTYPE
+        rows[2][7, 0] += np.float32(1e-6)
+        with pytest.raises(DataError, match="head 2 rows are not probability vectors"):
+            HeadOutputs(np.stack(rows, axis=1))
 
 
 def two_pass_check(values):
@@ -108,8 +138,9 @@ def head_output_arrays(draw):
 
 
 class TestOnePassCheck:
-    """HeadOutputs checks each row block in one pass (a min and the row sums)
-    and must accept and reject exactly as the two-pass check does."""
+    """check_probabilities (which HeadOutputs runs) checks each row block in
+    one pass (a min and the row sums) and must accept and reject float64
+    blocks exactly as the two-pass check does."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # sums that overflow, inf - inf
     @settings(max_examples=400, deadline=None)
@@ -123,11 +154,13 @@ class TestOnePassCheck:
         row_bytes = values.shape[1] * values.shape[2] * 8
         with mock.patch.object(numerics_module, "BLOCK_BYTES", block_rows * row_bytes):
             if expected is None:
-                assert HeadOutputs(values).values is values
+                check_probabilities(values)
+                assert np.array_equal(HeadOutputs(values).values, values.astype(DTYPE))
             else:
-                with pytest.raises(DataError) as exc:
-                    HeadOutputs(values)
-                assert str(exc.value) == expected
+                for check in (check_probabilities, HeadOutputs):
+                    with pytest.raises(DataError) as exc:
+                        check(values)
+                    assert str(exc.value) == expected
 
     def test_empty_outputs_pass(self):
         values = np.empty((0, 2, 3))
@@ -140,9 +173,9 @@ class TestOneArrayLayout:
     """The (N, m, C) array must feed every consumer the operands that the
     list of m (N, C) matrices fed it, so that results stay bit-identical."""
 
-    def per_head(self, m=5, n=300, c=40, seed=4):
+    def per_head(self, m=5, n=300, c=40, seed=4, dtype=DTYPE):
         stream = RngStream(seed)
-        return [softmax(3.0 * stream.standard_normal((n, c))) for _ in range(m)]
+        return [softmax(3.0 * stream.standard_normal((n, c))).astype(dtype) for _ in range(m)]
 
     def test_batch_gather_equals_per_head_gather_then_concatenate(self):
         per_head = self.per_head()
@@ -174,14 +207,14 @@ class TestOneArrayLayout:
         assert np.array_equal(d_b, dz.sum(axis=0))
 
     def test_mean_over_heads_equals_list_reference(self):
-        per_head = self.per_head(m=7, n=50, c=9)
+        per_head = self.per_head(m=7, n=50, c=9, dtype=np.float64)
         ordered = np.stack(per_head)
         ordered.sort(axis=0)
         expect = ordered[0].copy()
         for values in ordered[1:]:
             expect += values
         expect /= 7
-        assert np.array_equal(_mean_over_heads(head_outputs(per_head).values), expect)
+        assert np.array_equal(_mean_over_heads(stacked_probs(per_head)), expect)
 
 
 def sorted_mean_reference(values):
@@ -253,46 +286,45 @@ class TestCombineAverage:
     def test_identical_heads_idempotent(self):
         stream = RngStream(1)
         probs = softmax(stream.standard_normal((4, 3)))
-        outputs = head_outputs([probs.copy() for _ in range(4)])
-        assert np.allclose(_mean_over_heads(outputs.values), probs, atol=1e-15)
-        pred = combine_average(outputs, [0, 1, 2, 0])
+        values = stacked_probs([probs.copy() for _ in range(4)])
+        assert np.allclose(_mean_over_heads(values), probs, atol=1e-15)
+        pred = combine_average(values, [0, 1, 2, 0])
         assert np.array_equal(pred.predicted_class, probs.argmax(axis=1))
         assert np.allclose(pred.confidence, probs.max(axis=1), atol=1e-15)
 
     def test_opposite_heads_tie_to_lowest_index(self):
-        outputs = head_outputs([np.asarray([[1.0, 0.0]]), np.asarray([[0.0, 1.0]])])
-        assert np.array_equal(_mean_over_heads(outputs.values), [[0.5, 0.5]])
-        pred = combine_average(outputs, [1])
+        values = stacked_probs([np.asarray([[1.0, 0.0]]), np.asarray([[0.0, 1.0]])])
+        assert np.array_equal(_mean_over_heads(values), [[0.5, 0.5]])
+        pred = combine_average(values, [1])
         assert pred.predicted_class[0] == 0 and pred.confidence[0] == 0.5
 
     def test_matches_elementwise_mean_oracle(self):
         stream = RngStream(7)
-        outputs = random_outputs(stream, 3, 10, 4)
+        heads = random_probs(stream, 3, 10, 4)
         labels = stream.integers(0, 4, 10)
-        heads = outputs.values
         expect = (heads[:, 0] + heads[:, 1] + heads[:, 2]) / 3
         assert np.allclose(_mean_over_heads(heads), expect, atol=1e-12)
-        pred = combine_average(outputs, labels)
+        pred = combine_average(heads, labels)
         assert np.array_equal(pred.predicted_class, expect.argmax(axis=1))
         assert np.allclose(pred.confidence, expect.max(axis=1), atol=1e-12)
 
     def test_rows_remain_probability_vectors(self):
-        outputs = random_outputs(RngStream(9), 5, 50, 6)
-        assert np.allclose(_mean_over_heads(outputs.values).sum(axis=1), 1.0, atol=1e-12)
+        values = random_probs(RngStream(9), 5, 50, 6)
+        assert np.allclose(_mean_over_heads(values).sum(axis=1), 1.0, atol=1e-12)
 
 
-def vote_reference(outputs):
+def vote_reference(values):
     """combine_vote as written before it took the head classes and averaged
     only rows whose top count is shared, kept as the oracle it must match:
     (winner, confidence)."""
-    n, c = outputs.n, outputs.num_classes
+    n, _, c = values.shape
     rows = np.arange(n)
-    votes = np.argmax(outputs.values, axis=2)
+    votes = np.argmax(values, axis=2)
     cells = (rows[:, None] * c + votes).ravel()
     counts = np.bincount(cells, minlength=n * c).reshape(n, c)
     tied = counts == counts.max(axis=1, keepdims=True)
     mean_probs = np.zeros((n, c))
-    mean_probs[tied] = _mean_over_heads(outputs.values.transpose(0, 2, 1)[tied])
+    mean_probs[tied] = _mean_over_heads(values.transpose(0, 2, 1)[tied])
     winner = np.argmax(np.where(tied, mean_probs, -1.0), axis=1)
     return winner, mean_probs[rows, winner]
 
@@ -308,12 +340,12 @@ def half_ulp_tie(ulps):
     h0[:2] = 0.1, 0.05
     h1 = np.full(c, (0.95 - high) / (c - 2))
     h1[:2] = 0.05, high
-    return head_outputs([h0[None], h1[None]])
+    return stacked_probs([h0[None], h1[None]])
 
 
 @st.composite
 def tied_vote_blocks(draw):
-    """HeadOutputs whose heads vote among a few classes, so top counts are
+    """Checked (N, m, C) probabilities whose heads vote among a few classes, so top counts are
     often shared two or more ways; in some rows head 1 holds head 0's
     probabilities in reverse class order, so the classes they vote for can
     also tie exactly on their means."""
@@ -328,7 +360,8 @@ def tied_vote_blocks(draw):
     if m >= 2:
         mirrored = stream.random(n) < 0.3
         values[mirrored, 1] = values[mirrored, 0, ::-1]
-    return HeadOutputs(values)
+    check_probabilities(values)
+    return values
 
 
 class TestCombineVoteOracle:
@@ -336,20 +369,20 @@ class TestCombineVoteOracle:
     passed in (as evaluate does) and without."""
 
     @staticmethod
-    def assert_matches_reference(outputs):
-        winner, confidence = vote_reference(outputs)
-        labels = np.zeros(outputs.n, dtype=np.int64)
+    def assert_matches_reference(values):
+        winner, confidence = vote_reference(values)
+        labels = np.zeros(len(values), dtype=np.int64)
         for pred in (
-            combine_vote(outputs, labels),
-            combine_vote(outputs, labels, np.argmax(outputs.values, axis=2)),
+            combine_vote(values, labels),
+            combine_vote(values, labels, np.argmax(values, axis=2)),
         ):
             assert np.array_equal(pred.predicted_class, winner)
             assert np.array_equal(bits(pred.confidence), bits(confidence))
 
     @settings(max_examples=300, deadline=None)
-    @given(outputs=tied_vote_blocks())
-    def test_tied_blocks_match_the_reference(self, outputs):
-        self.assert_matches_reference(outputs)
+    @given(values=tied_vote_blocks())
+    def test_tied_blocks_match_the_reference(self, values):
+        self.assert_matches_reference(values)
 
     @pytest.mark.parametrize("ulps", range(3, 8))
     def test_half_ulp_tie_matches_the_reference(self, ulps):
@@ -362,30 +395,30 @@ class TestCombineVote:
         rows = [np.zeros((1, 6)) for _ in range(3)]
         for row, cls in zip(rows, [2, 2, 5]):
             row[0, cls] = 1.0
-        pred = combine_vote(head_outputs(rows), [0])
+        pred = combine_vote(stacked_probs(rows), [0])
         assert pred.predicted_class[0] == 2
 
     def test_tie_broken_by_mean_confidence(self):
         h1 = np.asarray([[0.9, 0.1]])
         h2 = np.asarray([[0.4, 0.6]])
-        pred = combine_vote(head_outputs([h1, h2]), [0])
+        pred = combine_vote(stacked_probs([h1, h2]), [0])
         assert pred.predicted_class[0] == 0  # the 0.9 class wins
         assert pred.confidence[0] == pytest.approx(0.65, abs=1e-15)
 
     @pytest.mark.parametrize("ulps", range(3, 8))
     def test_tie_goes_to_the_higher_mean_however_close(self, ulps):
         # a tie score of 1 + mean would round both means to one value
-        outputs = half_ulp_tie(ulps)
-        mean = _mean_over_heads(outputs.values)[0]
+        values = half_ulp_tie(ulps)
+        mean = _mean_over_heads(values)[0]
         assert mean[1] > mean[0] and 1.0 + mean[1] == 1.0 + mean[0]
-        pred = combine_vote(outputs, [0])
+        pred = combine_vote(values, [0])
         assert pred.predicted_class[0] == 1
         assert pred.confidence[0] == mean[1]
 
     def test_remaining_tie_goes_to_lowest_index(self):
         h1 = np.asarray([[0.7, 0.3]])
         h2 = np.asarray([[0.3, 0.7]])
-        pred = combine_vote(head_outputs([h1, h2]), [0])
+        pred = combine_vote(stacked_probs([h1, h2]), [0])
         assert pred.predicted_class[0] == 0
 
     @pytest.mark.parametrize("m", [3, 9, 12])
@@ -396,8 +429,8 @@ class TestCombineVote:
         for n in [1] * 20 + [6]:
             logits = stream.standard_normal((m, n, 4))
             logits[:, :, 2] = logits.max(axis=2) + 1.0  # every head votes class 2
-            outputs = head_outputs([softmax(x) for x in logits])
-            vote, avg = combine_vote(outputs, [0] * n), combine_average(outputs, [0] * n)
+            values = stacked_probs([softmax(x) for x in logits])
+            vote, avg = combine_vote(values, [0] * n), combine_average(values, [0] * n)
             assert np.array_equal(vote.predicted_class, avg.predicted_class)
             assert np.array_equal(vote.confidence, avg.confidence)
 
@@ -405,7 +438,7 @@ class TestCombineVote:
         stream = RngStream(3)
         probs = softmax(stream.standard_normal((8, 4)))
         labels = stream.integers(0, 4, 8)
-        pred = combine_vote(head_outputs([probs]), labels)
+        pred = combine_vote(stacked_probs([probs]), labels)
         assert np.array_equal(pred.predicted_class, np.argmax(probs, axis=1))
         assert np.allclose(pred.confidence, np.max(probs, axis=1), atol=1e-15)
 
@@ -416,12 +449,12 @@ class TestPermutationInvariance:
     def test_average_and_vote_identical_under_head_permutation(self, seed):
         stream = RngStream(seed)
         m = int(stream.integers(2, 7))
-        outputs = random_outputs(stream, m, 20, 5)
+        values = random_probs(stream, m, 20, 5)
         labels = stream.integers(0, 5, 20)
         perm = stream.permutation(m)
-        shuffled = HeadOutputs(outputs.values[:, perm])
+        shuffled = values[:, perm]
         for combine in (combine_average, combine_vote):
-            a = combine(outputs, labels)
+            a = combine(values, labels)
             b = combine(shuffled, labels)
             assert np.array_equal(a.predicted_class, b.predicted_class)
             assert np.array_equal(a.confidence, b.confidence)
@@ -498,13 +531,22 @@ class TestMetamodelForward:
             metamodel_forward(meta, outputs)
 
 
+def float64_copy(meta, outputs):
+    """The model and outputs widened to float64 (exactly), wrapped without
+    the HeadOutputs cast: the kernels then run in float64, as the central
+    differences at h = 1e-5 need."""
+    layers = [(w.astype(np.float64), b.astype(np.float64)) for w, b in meta.layers]
+    wide = replace(meta, layers=layers)
+    return wide, HeadOutputs.unchecked(outputs.values.astype(np.float64))
+
+
 class TestGradients:
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_finite_differences(self, kind):
         stream = RngStream(42)
         outputs = random_outputs(stream, 3, 9, 4)
         labels = stream.integers(0, 4, 9)
-        meta = build_metamodel(kind, 3, 4, seed=17)
+        meta, outputs = float64_copy(build_metamodel(kind, 3, 4, seed=17), outputs)
         _, analytic = metamodel_gradients(meta, outputs, labels)
         params = [arr for pair in meta.layers for arr in pair]
         loss_fn = lambda: metamodel_gradients(meta, outputs, labels)[0]
@@ -512,6 +554,70 @@ class TestGradients:
         flat_analytic = [g for pair in analytic for g in pair]
         for a, n in zip(flat_analytic, numeric):
             assert relative_error(a, n) <= 1e-4
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_float32_agrees_with_float64(self, kind):
+        # the same operands in float32 and widened to float64: every gradient
+        # within a relative error of 1e-5 (float32 rounds at 6e-8), and the
+        # two losses, both float64, within 1e-6
+        stream = RngStream(43)
+        outputs = random_outputs(stream, 4, 200, 10)
+        labels = stream.integers(0, 10, 200)
+        meta = build_metamodel(kind, 4, 10, seed=18)
+        mask = None
+        if meta.hidden:
+            mask = dropout_mask((200, meta.hidden), 0.5, RngStream(1), DTYPE)
+        loss, grads = metamodel_gradients(meta, outputs, labels, mask)
+        wide_meta, wide_outputs = float64_copy(meta, outputs)
+        wide_mask = None if mask is None else mask.astype(np.float64)
+        wide_loss, wide_grads = metamodel_gradients(wide_meta, wide_outputs, labels, wide_mask)
+        assert type(loss) is float and loss == pytest.approx(wide_loss, rel=1e-6)
+        for pair, wide_pair in zip(grads, wide_grads):
+            for g, wide_g in zip(pair, wide_pair):
+                assert wide_g.dtype == np.float64
+                assert relative_error(g, wide_g) <= 1e-5
+
+
+class TestFloat32Throughout:
+    """No float64 array may enter a combiner product: numpy would promote it
+    silently and run the float64 GEMM. Every array out of a DTYPE model on
+    DTYPE outputs must be DTYPE."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_forward_and_gradients_stay_float32(self, kind):
+        stream = RngStream(44)
+        outputs = random_outputs(stream, 3, 64, 5)
+        labels = stream.integers(0, 5, 64)
+        meta = build_metamodel(kind, 3, 5, seed=19)
+        assert all(a.dtype == DTYPE for pair in meta.layers for a in pair)
+        assert outputs.values.dtype == DTYPE
+        assert metamodel_forward(meta, outputs).dtype == DTYPE
+        mask = None
+        if meta.hidden:
+            mask = dropout_mask((64, meta.hidden), 0.5, RngStream(2), DTYPE)
+            assert mask.dtype == DTYPE
+        for m in (None, mask):
+            loss, grads = metamodel_gradients(meta, outputs, labels, m)
+            assert type(loss) is float
+            assert [g.dtype for pair in grads for g in pair] == [DTYPE] * 2 * len(meta.layers)
+        assert combine_metamodel(meta, outputs, labels).confidence.dtype == np.float64
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_trained_and_loaded_layers_are_float32(self, kind, tmp_path):
+        stream = RngStream(45)
+        train, val = random_outputs(stream, 2, 60, 3), random_outputs(stream, 2, 20, 3)
+        meta = build_metamodel(kind, 2, 3, seed=20)
+        trained = train_metamodel(
+            meta, train, stream.integers(0, 3, 60), val, stream.integers(0, 3, 20),
+            MetaTrainConfig(epochs=2, batch_size=16),
+        )
+        assert all(a.dtype == DTYPE for pair in trained.layers for a in pair)
+        save_metamodel(trained, tmp_path / "m.mmd")
+        loaded = load_metamodel(tmp_path / "m.mmd")
+        for pair, loaded_pair in zip(trained.layers, loaded.layers):
+            for a, b in zip(pair, loaded_pair):
+                assert b.dtype == DTYPE and b.flags.writeable
+                assert np.array_equal(a, b)
 
 
 def informative_outputs(stream, m, n, c, labels):
@@ -583,7 +689,7 @@ class TestTrainMetamodel:
         cfg = MetaTrainConfig(epochs=30, lr=0.05)
         trained = train_metamodel(meta, tr_out, tr_y, va_out, va_y, cfg)
         pred = combine_metamodel(trained, va_out, va_y)
-        baseline = combine_average(va_out, va_y)
+        baseline = combine_average(va_out.values, va_y)
         from calibens.metrics import accuracy
 
         assert accuracy(pred) >= accuracy(baseline) - 0.05
@@ -621,7 +727,7 @@ class TestSlpcAveragingArgmax:
         meta = build_metamodel("SLpC", m, c, seed=0)
         meta.layers = [(np.full((c, m), 1.0 / m), np.zeros(c))]
         via_meta = combine_metamodel(meta, outputs, labels)
-        via_avg = combine_average(outputs, labels)
+        via_avg = combine_average(outputs.values, labels)
         assert np.array_equal(via_meta.predicted_class, via_avg.predicted_class)
 
 

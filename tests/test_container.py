@@ -99,8 +99,8 @@ CACHE_FIELDS = (bytes(range(32)), 3, 2, 2, 4, bytes(12))
 @given(data=st.data())
 def test_corrupt_cache_is_a_miss_or_two_read_only_blocks(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz-HOC1"
-    blocks = [np.full((n, 2, 4), 0.25) for n in (3, 2)]
-    container.write(path, cli._CACHE_MAGIC, cli._CACHE_HEADER, CACHE_FIELDS, blocks, container.F64)
+    blocks = [np.full((n, 2, 4), 0.25, dtype=np.float32) for n in (3, 2)]
+    container.write(path, cli._CACHE_MAGIC, cli._CACHE_HEADER, CACHE_FIELDS, blocks)
     raw = path.read_bytes()
     damaged = corrupt(raw, data.draw(corruption(len(raw))))
     # a new file, not the old one cut short: a mapping of it may still be alive

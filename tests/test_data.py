@@ -296,6 +296,24 @@ class TestSplit:
         assert rows.dtype == np.float64 and rows.flags.c_contiguous and rows.flags.writeable
         assert np.array_equal(rows, ds.features[[7, 2]].astype(np.float32))
 
+    def test_gathered_rows_peak_at_the_float64_result_plus_a_block(self, tmp_path):
+        # an f32 gather of every row, then its cast, would hold 1.5x the result
+        n, dim = 20_000, 64
+        path = tmp_path / "d.fds"
+        features = RngStream(1).standard_normal((n, dim))
+        save_dataset(FeatureDataset(features, np.arange(n) % 4, 4), path)
+        del features
+        mapped = map_dataset(path)
+        rows = RngStream(2).permutation(n)[: n - 100]
+        tracemalloc.start()
+        try:
+            features = mapped.features(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(features, mapped.features_f32[rows].astype(np.float64))
+        assert peak <= features.nbytes + BLOCK_BYTES, (peak - features.nbytes) / BLOCK_BYTES
+
     def test_val_fraction_bounds(self):
         ds = tiny_dataset()
         with pytest.raises(ConfigError):
