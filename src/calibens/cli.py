@@ -478,8 +478,7 @@ def cmd_evaluate(args) -> int:
     class, and its confidence is the probability gathered there (the row
     max). Vot. counts those same head classes, and Avg. and Vot. go through
     combine_average and combine_vote on the float64 block. The combiners
-    read its DTYPE cast, written into one reused buffer and wrapped with
-    HeadOutputs.unchecked. Every prediction depends on its own row only,
+    read its DTYPE cast, wrapped with HeadOutputs.unchecked. Every prediction depends on its own row only,
     except that BLAS may round the DL/DLL hidden layer differently at
     another row count, by an ulp of a confidence."""
     if args.test is None:
@@ -526,7 +525,6 @@ def cmd_evaluate(args) -> int:
     predicted = np.empty((len(predictors), test.n), dtype=np.int64)
     confidence = np.empty((len(predictors), test.n))
 
-    cast = np.empty((0, m, test.num_classes), DTYPE)  # the combiners' copy of a block
     for start, stop, block in _scored_blocks(heads, test, np.arange(test.n)):
         labels = test.labels[start:stop]
         check_probabilities(block)
@@ -537,10 +535,7 @@ def cmd_evaluate(args) -> int:
         )[:, :, 0].T
         preds = [combine_average(block, labels), combine_vote(block, labels, head_classes)]
         if metas:
-            if len(cast) < len(block):  # block sizes differ by at most one row
-                cast = np.empty(block.shape, DTYPE)
-            outputs = HeadOutputs.unchecked(cast[: len(block)])
-            outputs.values[...] = block
+            outputs = HeadOutputs.unchecked(block.astype(DTYPE))
             preds += [combine_metamodel(meta, outputs, labels) for meta in metas.values()]
         for j, pred in enumerate(preds, start=m):
             predicted[j, start:stop] = pred.predicted_class

@@ -165,16 +165,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return softmax_in_place(logits.copy())
 
 
-def dropout_mask(shape, p: float, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:
-    """Inverted-scaling dropout mask of `dtype` (the parameters'): entries
-    are 0 with probability p, else 1/(1-p). The draws do not depend on dtype.
+def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-scaling float32 dropout mask (the combiners' dtype, the only
+    models with dropout): entries are 0 with probability p, else 1/(1-p).
 
     Applying the mask only during training makes evaluation a no-op.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     keep = rng.random(shape) >= p
-    return keep.astype(dtype) / (1.0 - p)
+    return keep.astype(np.float32) / (1.0 - p)
 
 
 def check_labels(labels, num_classes: int) -> np.ndarray:

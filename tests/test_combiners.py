@@ -566,7 +566,7 @@ class TestGradients:
         meta = build_metamodel(kind, 4, 10, seed=18)
         mask = None
         if meta.hidden:
-            mask = dropout_mask((200, meta.hidden), 0.5, RngStream(1), DTYPE)
+            mask = dropout_mask((200, meta.hidden), 0.5, RngStream(1))
         loss, grads = metamodel_gradients(meta, outputs, labels, mask)
         wide_meta, wide_outputs = float64_copy(meta, outputs)
         wide_mask = None if mask is None else mask.astype(np.float64)
@@ -594,7 +594,7 @@ class TestFloat32Throughout:
         assert metamodel_forward(meta, outputs).dtype == DTYPE
         mask = None
         if meta.hidden:
-            mask = dropout_mask((64, meta.hidden), 0.5, RngStream(2), DTYPE)
+            mask = dropout_mask((64, meta.hidden), 0.5, RngStream(2))
             assert mask.dtype == DTYPE
         for m in (None, mask):
             loss, grads = metamodel_gradients(meta, outputs, labels, m)

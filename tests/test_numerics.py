@@ -206,6 +206,7 @@ class TestCrossEntropy:
 class TestReluDropout:
     def test_dropout_p_zero_is_all_ones(self):
         mask = dropout_mask((3, 4), 0.0, RngStream(1))
+        assert mask.dtype == np.float32
         assert np.array_equal(mask, np.ones((3, 4)))
 
     def test_dropout_mean_is_one(self):
