@@ -16,8 +16,9 @@ combiner models: seed+2000+KINDS.index(kind)) and the split (seed+1000).
 
 train-heads, train-meta and evaluate map their .fds file read-only
 (data.map_dataset) and never hold its float64 feature matrix. Both training
-stages draw the one split (_split): train-heads casts the two parts' rows and
-drops the mapping before it trains; train-meta and evaluate compute head
+stages draw the one split (_split): train-heads gathers the two parts' f32
+rows (MappedDataset.rows), which the heads train on as they are, and drops
+the mapping before it trains; train-meta and evaluate compute head
 outputs in row blocks (numerics.row_blocks), each block casting only its own
 rows' features. Every combiner kind trains on the same heads' outputs over
 the same split, so train-meta keeps them in ``head_outputs.cache`` in its
@@ -230,7 +231,7 @@ def cmd_train_heads(args) -> int:
         raise ConfigError(f"--m must be >= 1, got {m}")
     head_cfg = _train_config(HeadTrainConfig, args)
     dataset, train_rows, val_rows = _split(args)
-    train, val = dataset.rows(train_rows), dataset.rows(val_rows)
+    train, val = dataset.rows(train_rows), dataset.rows(val_rows)  # f32, not cast
     del dataset  # unmaps the training file: the fit reads only the two parts
     heads = train_heads_lockstep(train, val, m, derive_seed(seed, _HEAD_STREAM), head_cfg)
     out_dir = Path(args.out)
@@ -501,12 +502,8 @@ def cmd_evaluate(args) -> int:
     heads_meta = _sidecar(heads_dir / "heads.json", ("seed", "val_fraction", "config")) or {}
     meta_training = {}
     for kind in kinds:
-        sidecar = meta_dir / f"meta_{kind}.json"
-        recorded = _sidecar(sidecar, ("seed", "config", "meta_input"))
+        recorded = _sidecar(meta_dir / f"meta_{kind}.json", ("seed", "config"))
         if recorded is not None:
-            # an older run could train a combiner on head logits, which evaluate no longer feeds
-            if recorded.pop("meta_input") not in (None, "probs"):
-                raise ConfigError(f"{sidecar}: {kind} was trained on head logits; retrain it")
             meta_training[kind] = recorded
 
     test = map_dataset(args.test)

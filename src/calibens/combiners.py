@@ -172,51 +172,16 @@ class HeadOutputs:
         return HeadOutputs.unchecked(self.values[idx])
 
 
-def _sorting_network(m: int) -> list[tuple[int, int]]:
-    """Compare-exchange pairs (i, j), i < j, of Batcher's odd-even merge sort
-    over m inputs: applied in order, each putting the smaller of positions i
-    and j at i, they sort any m values ascending. The network is built for
-    the next power of two and keeps only the pairs inside range(m): the
-    positions past m could hold +inf, which no pair would ever move."""
-    size = 1
-    while size < m:
-        size *= 2
-    pairs = []
-    p = 1
-    while p < size:
-        k = p
-        while k >= 1:
-            for j in range(k % p, size - k, 2 * k):
-                for i in range(j, j + min(k, size - j - k)):
-                    if i // (2 * p) == (i + k) // (2 * p) and i + k < m:
-                        pairs.append((i, i + k))
-            k //= 2
-        p *= 2
-    return pairs
-
-
 def _mean_over_heads(values: np.ndarray) -> np.ndarray:
-    """Mean over axis 1 (the heads) of a finite (N, m, ...) array. A sorting
-    network (_sorting_network) of exact np.minimum/np.maximum swaps over
-    copies of the m head columns orders each cell's values ascending, so
-    head order never affects the rounding; they are then added one head at
-    a time, so a cell's mean does not depend on how many cells share the
-    call (a numpy sum over the axis adds pairwise when there is only one
-    cell). The result equals a mean of np.sort(values, axis=1) summed the
-    same way, bit for bit, except that a cell of zeros mixing 0.0 and -0.0
-    may take either sign. At m=5 its 9 swaps cost about a fifth of np.sort
-    per evaluate block; at m=32 its 191 swaps cost more than np.sort."""
-    m = values.shape[1]
-    columns = [values[:, i].copy() for i in range(m)]
-    spare = np.empty_like(columns[0])
-    for i, j in _sorting_network(m):
-        np.minimum(columns[i], columns[j], out=spare)
-        np.maximum(columns[i], columns[j], out=columns[j])
-        columns[i], spare = spare, columns[i]
-    total = columns[0]
-    for column in columns[1:]:
-        total += column
-    total /= m
+    """Mean over axis 1 (the heads) of an (N, m, ...) array: the head columns
+    added one at a time in head order, then divided by m. A cell's mean does
+    not depend on how many cells share the call (a numpy sum over the axis
+    adds pairwise when there is only one cell), but it does depend on head
+    order, by an ulp or so."""
+    total = values[:, 0].copy()
+    for i in range(1, values.shape[1]):
+        total += values[:, i]
+    total /= values.shape[1]
     return total
 
 

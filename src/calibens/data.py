@@ -5,16 +5,18 @@ On disk they use a little-endian binary layout (magic ``FDS1``):
 
     FDS1 | u32 N | u32 D | u32 C | N x (D x f32 features, u32 label)
 
-Files store 32-bit floats; everything computed from them is 64-bit. A file
-is read in two parts. map_dataset maps it read-only and checks it (header,
-length, finite features, labels below C) without casting anything, so a
-caller that needs only the labels, or a few rows at a time, never holds the
-float64 matrix; MappedDataset.rows casts given rows into a FeatureDataset.
+Files store 32-bit floats. The heads train on them as they are (float32,
+heads.DTYPE), and everything scored from them is 64-bit. A file is read in
+two parts. map_dataset maps it read-only and checks it (header, length,
+finite features, labels below C) without casting anything, so a caller that
+needs only the labels, or a few rows at a time, never holds a copy of every
+feature; MappedDataset.rows gathers given rows' f32 features into a
+FeatureDataset, and MappedDataset.features casts given rows to float64.
 Likewise split_indices draws a split's row indices from the labels alone.
-The CLI reads every file this way; load_dataset (every row) and split (a
-FeatureDataset's two parts) serve only the reference head trainer and the
-benchmark. The container module holds the rules this layout shares with
-the head and combiner files.
+The CLI reads every file this way; load_dataset (every row, as float64) and
+split (a FeatureDataset's two parts) serve only the reference head trainer
+and the benchmark. The container module holds the rules this layout shares
+with the head and combiner files.
 
 Generating and writing hold one copy of the features: synth_clusters adds
 the cluster centers into its one standard-normal draw in row blocks,
@@ -39,7 +41,9 @@ FDS_HEADER = "<III"
 
 @dataclass(eq=False)
 class FeatureDataset:
-    """Frozen features plus labels; immutable after construction."""
+    """Frozen features plus labels; immutable after construction. The
+    constructor casts the features to float64; MappedDataset.rows hands out
+    a file's f32 values instead."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -170,9 +174,11 @@ class MappedDataset:
             out[start:stop] = self.features_f32[rows[start:stop]]
         return out
 
-    def rows(self, rows=slice(None)) -> FeatureDataset:
-        """The FeatureDataset of `rows` (see features), checked by map_dataset."""
-        return _rows_of_checked(self.features(rows), self.labels[rows], self.num_classes)
+    def rows(self, rows: np.ndarray) -> FeatureDataset:
+        """The FeatureDataset of the index array `rows`, checked by
+        map_dataset: its features are a fresh C-contiguous gather of their
+        f32 values, not cast."""
+        return _rows_of_checked(self.features_f32[rows], self.labels[rows], self.num_classes)
 
 
 def map_dataset(path, digest=None) -> MappedDataset:
@@ -205,7 +211,8 @@ def load_dataset(path) -> FeatureDataset:
     """The dataset in the FDS1 file at `path`, its features cast to one
     float64 matrix; map_dataset does every check. A caller that needs fewer
     rows, or only the labels, uses map_dataset instead."""
-    return map_dataset(path).rows()
+    mapped = map_dataset(path)
+    return _rows_of_checked(mapped.features(), mapped.labels, mapped.num_classes)
 
 
 def check_val_fraction(val_fraction: float) -> None:

@@ -13,9 +13,20 @@ m is. train_head_family trains the heads one after another with train_head
 (fit with k = 1, through the 2-D backward_linear); it stays as the plain
 reference the tests compare the lockstep trainer against.
 
+Both train in DTYPE, float32: the features (cast once, or the f32 rows
+MappedDataset.rows gathers from a file), the parameters, velocities,
+gradients and the validation forward. The initial weights are drawn as
+float64 and cast. Every loss is float64 (numerics.cross_entropy and
+backward_linear_stacked widen before the log), so the epoch rule compares
+float64 losses. Scoring is float64: head_predict widens the head's
+parameters, as load_head does, so a trained head and its reloaded file
+predict the same bits.
+
 Head files (magic ``HDW1``) are little-endian:
 
     HDW1 | u32 D | u32 C | u64 seed | C*D x f32 weights (row-major) | C x f32 bias
+
+so a head file holds its trained DTYPE parameters exactly.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ from .numerics import (
     softmax,
 )
 
+DTYPE = np.dtype(np.float32)  # both head trainers compute in this dtype
 HEAD_MAGIC = b"HDW1"
 HEAD_HEADER = "<IIQ"
 
@@ -92,34 +104,44 @@ class HeadTrainConfig:
 
 
 def _init_params(dim: int, num_classes: int, stream: np.random.Generator):
-    """Fresh head parameters: weights uniform in [-1/sqrt(D), 1/sqrt(D)], bias zero."""
+    """Fresh DTYPE head parameters: weights drawn as float64 uniform in
+    [-1/sqrt(D), 1/sqrt(D)] and cast, bias zero."""
     bound = 1.0 / np.sqrt(dim)
-    weights = stream.uniform(-bound, bound, (num_classes, dim))
-    bias = np.zeros(num_classes)
+    weights = stream.uniform(-bound, bound, (num_classes, dim)).astype(DTYPE)
+    bias = np.zeros(num_classes, DTYPE)
     return weights, bias
 
 
 def head_predict(
     head: LinearHead, features: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Logits for a feature batch, written into `out` when given (see
-    linear_forward); apply softmax downstream as needed."""
+    """Float64 logits for a feature batch, written into `out` when given
+    (see linear_forward); apply softmax downstream as needed. The features
+    and the head's parameters are widened to float64 (a no-op for a loaded
+    head), so a trained head predicts what its file does."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != head.dim:
         raise DimensionError(
             f"features {features.shape} do not match head weights {head.weights.shape}"
         )
-    return linear_forward(features, head.weights, head.bias, out=out)
+    weights, bias = (np.asarray(p, dtype=np.float64) for p in (head.weights, head.bias))
+    return linear_forward(features, weights, bias, out=out)
 
 
-def _validation_loss(weights, bias, dataset: FeatureDataset) -> float:
-    probs = softmax(linear_forward(dataset.features, weights, bias))
-    return cross_entropy(probs, dataset.labels)
+def _features(dataset: FeatureDataset) -> np.ndarray:
+    """The features of `dataset` as DTYPE: its own array when they already
+    are (MappedDataset.rows), else a cast."""
+    return dataset.features.astype(DTYPE, copy=False)
 
 
-def _validation_losses(params, dataset: FeatureDataset) -> np.ndarray:
+def _validation_loss(weights, bias, features: np.ndarray, labels: np.ndarray) -> float:
+    probs = softmax(linear_forward(features, weights, bias))
+    return cross_entropy(probs, labels)
+
+
+def _validation_losses(params, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """The validation loss of each head in the stacked [weights, bias]."""
-    return np.array([_validation_loss(w, b, dataset) for w, b in zip(*params)])
+    return np.array([_validation_loss(w, b, features, labels) for w, b in zip(*params)])
 
 
 def _check_shared_shape(train: FeatureDataset, val: FeatureDataset) -> None:
@@ -148,20 +170,21 @@ def train_head(
     """Train one head seeded `seed` with numerics.fit, stopping after
     cfg.early_stop_patience epochs without improvement; returns the kept snapshot."""
     _check_shared_shape(train, val)
+    features, val_features = _features(train), _features(val)
     stream = RngStream(seed)
     weights, bias = _init_params(train.dim, train.num_classes, stream)
 
     def grad_fn(params, idx):
         batch = idx[0]
         loss, d_w, d_b = backward_linear(
-            train.features[batch], params[0][0], params[1][0], train.labels[batch]
+            features[batch], params[0][0], params[1][0], train.labels[batch]
         )
         return np.array([loss]), [d_w[None], d_b[None]]
 
     result, = fit(
         [weights[None], bias[None]],
         grad_fn,
-        lambda params: _validation_losses(params, val),
+        lambda params: _validation_losses(params, val_features, val.labels),
         cfg,
         num_samples=train.n,
         epochs=cfg.max_epochs,
@@ -213,10 +236,11 @@ def train_heads_lockstep(
     if m < 1:
         raise ConfigError(f"head count must be >= 1, got {m}")
     _check_shared_shape(train, val)
+    features, val_features = _features(train), _features(val)
     seeds = [derive_seed(base_seed, i) for i in range(m)]
     streams = [RngStream(seed) for seed in seeds]
-    weights = np.empty((m, train.num_classes, train.dim))
-    bias = np.empty((m, train.num_classes))
+    weights = np.empty((m, train.num_classes, train.dim), DTYPE)
+    bias = np.empty((m, train.num_classes), DTYPE)
     for i, stream in enumerate(streams):
         weights[i], bias[i] = _init_params(train.dim, train.num_classes, stream)
 
@@ -224,11 +248,11 @@ def train_heads_lockstep(
     # buffer, so no batch allocates; mode="clip" (idx is always in range)
     # lets np.take write to `out` directly, where "raise" gathers into a
     # temporary first
-    batches = np.empty(m * min(cfg.batch_size, train.n) * train.dim)
+    batches = np.empty(m * min(cfg.batch_size, train.n) * train.dim, DTYPE)
 
     def grad_fn(params, idx):
         batch = batches[: idx.size * train.dim].reshape(*idx.shape, train.dim)
-        np.take(train.features, idx, axis=0, out=batch, mode="clip")
+        np.take(features, idx, axis=0, out=batch, mode="clip")
         losses, d_w, d_b = backward_linear_stacked(batch, *params, train.labels[idx])
         return losses, [d_w, d_b]
 
@@ -236,7 +260,7 @@ def train_heads_lockstep(
         results = fit(
             [weights, bias],
             grad_fn,
-            lambda params: _validation_losses(params, val),
+            lambda params: _validation_losses(params, val_features, val.labels),
             cfg,
             num_samples=train.n,
             epochs=cfg.max_epochs,

@@ -2,9 +2,10 @@
 
 Arrays are float64 or float32 ("matrices" are 2-D, row-major), and every
 kernel computes in the dtype of its operands: float32 in gives float32 out.
-Heads run in float64 and the combiners in float32 (combiners.DTYPE); a caller
-never mixes the two in one product, because numpy would silently promote it
-to float64. The one exception is cross_entropy, which widens the picked
+Heads and combiners train in float32 (heads.DTYPE, combiners.DTYPE), and
+the heads score in float64; a caller never mixes the two in one product,
+because numpy would silently promote it to float64. The one exception is the
+loss: cross_entropy and backward_linear_stacked widen the picked
 probabilities to float64 before the log, so every loss fit compares is a
 float64. Forward and backward passes are written out by hand; the only loss
 anywhere is mean cross-entropy after softmax. All randomness flows through
@@ -237,7 +238,9 @@ def backward_linear_stacked(inputs, weights, bias, labels):
     already validated. Returns (losses (k,), d_weights (k, C, D), d_bias
     (k, C)); slice i equals backward_linear(inputs[i], weights[i], bias[i],
     labels[i]) bit for bit, because every product is the same per-slice GEMM
-    and every reduction runs along the same axis in the same order.
+    and every reduction runs along the same axis in the same order. As in
+    cross_entropy, the picked probabilities are widened to float64 before
+    the log, so the losses are float64 whatever the operands' dtype.
     """
     logits = np.matmul(inputs, weights.transpose(0, 2, 1))
     logits += bias[:, None, :]
@@ -245,7 +248,8 @@ def backward_linear_stacked(inputs, weights, bias, labels):
     k, b, c = probs.shape
     cells = np.arange(0, k * b * c, c) + labels.reshape(-1)  # each label's flat index
     flat = probs.reshape(-1)
-    losses = -np.log(np.maximum(flat[cells], PROB_EPS)).reshape(k, b).mean(axis=1)
+    picked = flat[cells].astype(np.float64)
+    losses = -np.log(np.maximum(picked, PROB_EPS)).reshape(k, b).mean(axis=1)
     flat[cells] -= 1.0
     probs /= b
     return losses, np.matmul(probs.transpose(0, 2, 1), inputs), probs.sum(axis=1)

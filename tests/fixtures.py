@@ -7,7 +7,7 @@ import numpy as np
 
 from calibens.combiners import HeadOutputs, check_probabilities
 from calibens.errors import ConfigError
-from calibens.heads import LinearHead
+from calibens.heads import DTYPE, LinearHead
 from calibens.metrics import PredictionSet
 from calibens.numerics import RngStream
 
@@ -28,11 +28,12 @@ def stacked_probs(per_head):
 
 
 def linear_head(dim, num_classes, seed):
-    """The head a trainer seeded `seed` starts from: weights uniform in
-    [-1/sqrt(D), 1/sqrt(D)] from RngStream(seed), bias zero."""
+    """The head a trainer seeded `seed` starts from: weights drawn uniform in
+    [-1/sqrt(D), 1/sqrt(D)] from RngStream(seed) and cast to heads.DTYPE,
+    bias zero."""
     bound = 1.0 / np.sqrt(dim)
-    weights = RngStream(seed).uniform(-bound, bound, (num_classes, dim))
-    return LinearHead(weights, np.zeros(num_classes), seed)
+    weights = RngStream(seed).uniform(-bound, bound, (num_classes, dim)).astype(DTYPE)
+    return LinearHead(weights, np.zeros(num_classes, DTYPE), seed)
 
 
 @dataclass

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from calibens import cli, container, numerics
+from calibens import heads as heads_module
 from calibens.cli import HEAD_OUTPUTS_CACHE, _head_outputs, build_parser, main
 from calibens.combiners import (
     DTYPE,
@@ -196,44 +197,46 @@ class TestTrainHeads:
         assert (art / "head_0.hdw").read_bytes() == (art2 / "head_0.hdw").read_bytes()
         assert (art / "head_1.hdw").read_bytes() == (art2 / "head_1.hdw").read_bytes()
 
-    def test_casts_each_split_part_and_unmaps_the_file_before_training(
+    def test_gathers_each_split_part_as_f32_and_unmaps_the_file_before_training(
         self, pipeline_dir, monkeypatch
     ):
-        # the stage never holds the whole float64 matrix: each part of the
-        # split is cast on its own, and the mapping is gone before the fit
-        cast, mapped, alive = [], [], []
-        features_of, map_dataset_of = MappedDataset.features, cli.map_dataset
+        # the stage builds no float64 feature array: it never casts rows
+        # (MappedDataset.features), each part of the split is its own f32
+        # gather that the lockstep trainer takes as it is, and the mapping
+        # is gone before the fit
+        cast, mapped, seen = [], [], []
+        map_dataset_of = cli.map_dataset
         lockstep = cli.train_heads_lockstep
-
-        def spy_features(self, rows=slice(None)):
-            out = features_of(self, rows)
-            cast.append((len(out), self.n))
-            return out
 
         def spy_map(*args):
             dataset = map_dataset_of(*args)
             mapped.append(weakref.ref(dataset))
             return dataset
 
-        def spy_lockstep(*args):
-            alive.append([ref() is not None for ref in mapped])
-            return lockstep(*args)
+        def spy_lockstep(train, val, *args):
+            seen.append(([ref() is not None for ref in mapped], train, val))
+            return lockstep(train, val, *args)
 
-        monkeypatch.setattr(MappedDataset, "features", spy_features)
+        monkeypatch.setattr(MappedDataset, "features", lambda *args: cast.append(args))
         monkeypatch.setattr(cli, "map_dataset", spy_map)
         monkeypatch.setattr(cli, "train_heads_lockstep", spy_lockstep)
+        path = pipeline_dir / "data" / "train.fds"
         assert run([
-            "train-heads", "--train", str(pipeline_dir / "data" / "train.fds"), "--m", "1",
-            "--max-epochs", "1", "--out", str(pipeline_dir / "spied"),
+            "train-heads", "--train", str(path), "--m", "1", "--max-epochs", "1",
+            "--out", str(pipeline_dir / "spied"),
         ]) == 0
-        n = cast[0][1]
-        assert len(cast) == 2 and all(rows < n for rows, _ in cast)
-        assert sum(rows for rows, _ in cast) == n
-        assert alive == [[False]]
+        assert cast == []
+        (alive, train, val), = seen
+        assert alive == [False]
+        for part in (train, val):
+            assert part.features.dtype == np.float32 and part.features.flags.c_contiguous
+            assert heads_module._features(part) is part.features
+        assert train.n + val.n == map_dataset_of(path).n
 
     def test_heads_equal_lockstep_on_the_whole_file_split(self, pipeline_dir, tmp_path):
-        # casting each part from the map gives the bits the whole cast matrix
-        # gives; the pipeline trained m=2 heads at --seed 7 and --max-epochs 8
+        # each part's f32 rows gathered from the map give the bits that the
+        # trainer's cast of the whole float64 matrix's parts gives; the
+        # pipeline trained m=2 heads at --seed 7 and --max-epochs 8
         art = pipeline_dir / "artifacts"
         train, val = split(load_dataset(pipeline_dir / "data" / "train.fds"), 0.1, 7 + 1000)
         reference = train_heads_lockstep(train, val, 2, 7 + 1, HeadTrainConfig(max_epochs=8))
@@ -853,41 +856,6 @@ class TestEvaluate:
         assert len(summary["rows"]) == 2 + 2 + 2  # m heads + Avg/Vot + 2 metamodels
         assert [r["name"] for r in summary["rows"][-2:]] == ["SL", "SLpC"]
         assert summary["rows"][-2]["param_count"] == 2 * 3 * 3 + 3
-
-    def test_legacy_logits_combiner_exits_two_before_reading_test_set(self, pipeline_dir, capsys):
-        # a sidecar from a run that still trained combiners on head logits
-        art = pipeline_dir / "artifacts"
-        assert run([
-            "train-meta", "--kind", "SL", "--train", str(pipeline_dir / "data" / "train.fds"),
-            "--heads-dir", str(art), "--seed", "7", "--epochs", "1",
-        ]) == 0
-        sidecar = art / "meta_SL.json"
-        assert "meta_input" not in json.loads(sidecar.read_text())
-        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "meta_input": "logits"}))
-        test = pipeline_dir / "garbage.fds"
-        test.write_bytes(b"not a dataset")  # reading it would exit 3
-        assert run([
-            "evaluate", "--test", str(test), "--heads-dir", str(art), "--meta", "SL",
-            "--out", str(pipeline_dir / "results"),
-        ]) == 2
-        assert f"{sidecar}: SL was trained on head logits" in capsys.readouterr().err
-        assert not (pipeline_dir / "results").exists()
-
-    def test_sidecar_recording_probs_still_evaluates(self, pipeline_dir):
-        # sidecars written before the option was removed record "probs"
-        art, res = pipeline_dir / "artifacts", pipeline_dir / "results"
-        assert run([
-            "train-meta", "--kind", "SL", "--train", str(pipeline_dir / "data" / "train.fds"),
-            "--heads-dir", str(art), "--seed", "7", "--epochs", "1",
-        ]) == 0
-        sidecar = art / "meta_SL.json"
-        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "meta_input": "probs"}))
-        assert run([
-            "evaluate", "--test", str(pipeline_dir / "data" / "test.fds"), "--heads-dir", str(art),
-            "--meta", "SL", "--out", str(res),
-        ]) == 0
-        config = json.loads((res / "summary.json").read_text())["config"]
-        assert set(config["meta_training"]["SL"]) == {"seed", "config"}
 
     def test_rows_equal_per_head_recipe(self, pipeline_dir):
         # reference: each head's logits and softmax computed on its own in

@@ -15,7 +15,6 @@ from calibens.combiners import (
     KINDS,
     HeadOutputs,
     _mean_over_heads,
-    _sorting_network,
     MetaTrainConfig,
     Metamodel,
     build_metamodel,
@@ -208,23 +207,11 @@ class TestOneArrayLayout:
 
     def test_mean_over_heads_equals_list_reference(self):
         per_head = self.per_head(m=7, n=50, c=9, dtype=np.float64)
-        ordered = np.stack(per_head)
-        ordered.sort(axis=0)
-        expect = ordered[0].copy()
-        for values in ordered[1:]:
+        expect = per_head[0].copy()
+        for values in per_head[1:]:
             expect += values
         expect /= 7
         assert np.array_equal(_mean_over_heads(stacked_probs(per_head)), expect)
-
-
-def sorted_mean_reference(values):
-    """_mean_over_heads as written with np.sort over the heads axis, kept as
-    the reference that the sorting network must match bit for bit."""
-    ordered = np.sort(values, axis=1)
-    total = ordered[:, 0].copy()
-    for i in range(1, ordered.shape[1]):
-        total += ordered[:, i]
-    return total / ordered.shape[1]
 
 
 @st.composite
@@ -249,29 +236,34 @@ def bits(values):
     return np.ascontiguousarray(values).view(np.uint64)
 
 
-class TestNetworkMean:
-    """_mean_over_heads orders each cell with a sorting network of
-    np.minimum/np.maximum swaps instead of np.sort."""
+class TestHeadOrderMean:
+    """_mean_over_heads adds the head columns one at a time in head order."""
 
     @settings(max_examples=300, deadline=None)
-    @given(values=head_cells(), data=st.data())
-    def test_equals_sorted_mean_bit_for_bit(self, values, data):
-        expect = sorted_mean_reference(values)
-        assert np.array_equal(bits(_mean_over_heads(values)), bits(expect))
-        perm = data.draw(st.permutations(range(values.shape[1])))
-        assert np.array_equal(bits(_mean_over_heads(values[:, perm])), bits(expect))
+    @given(values=head_cells())
+    def test_each_cell_is_its_own_head_order_sum(self, values):
+        # a cell's bits depend on its own m values only, never on how many
+        # cells share the call, where numpy's sum over the axis adds pairwise
+        # when there is a single cell
+        mean = _mean_over_heads(values)
+        for n in range(len(values)):
+            assert np.array_equal(bits(_mean_over_heads(values[n : n + 1])[0]), bits(mean[n]))
+            expect = values[n, 0].copy()
+            for i in range(1, values.shape[1]):
+                expect += values[n, i]
+            assert np.array_equal(bits(expect / values.shape[1]), bits(mean[n]))
 
-    @pytest.mark.parametrize("m", range(1, 14))
-    def test_network_sorts_every_zero_one_input(self, m):
-        # the 0-1 principle: a comparator network that sorts all 2^m inputs
-        # of zeros and ones sorts every input
-        columns = [((np.arange(2**m) >> i) & 1).astype(np.int8) for i in range(m)]
-        for i, j in _sorting_network(m):
-            columns[i], columns[j] = (
-                np.minimum(columns[i], columns[j]),
-                np.maximum(columns[i], columns[j]),
-            )
-        assert (np.diff(np.stack(columns, axis=1), axis=1) >= 0).all()
+    def test_head_order_moves_a_mean_by_rounding_only(self):
+        # the sum rounds in head order, so permuting the heads may move a
+        # mean's last bits: each order's m - 1 adds and one divide round by
+        # at most (m - 1 + 1) * 2**-53 of the mean, so two orders of
+        # non-negative values differ by at most m * 2**-52 of it. A vote tie
+        # between two means that close can go either way.
+        values = random_probs(RngStream(11), 5, 400, 10)
+        mean = _mean_over_heads(values)
+        moved = _mean_over_heads(values[:, ::-1])
+        assert not np.array_equal(mean, moved)
+        np.testing.assert_allclose(moved, mean, rtol=5 * 2.0**-52, atol=0)
 
     def test_input_left_untouched(self):
         values = np.array([[[0.7, 0.3], [0.1, 0.9], [0.4, 0.6]]])
@@ -443,10 +435,13 @@ class TestCombineVote:
         assert np.allclose(pred.confidence, np.max(probs, axis=1), atol=1e-15)
 
 
-class TestPermutationInvariance:
+class TestHeadPermutation:
     @given(st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
-    def test_average_and_vote_identical_under_head_permutation(self, seed):
+    def test_average_and_vote_agree_under_head_permutation(self, seed):
+        # the classes are the same, and a confidence moves by rounding only
+        # (see TestHeadOrderMean): only a tie between means that close could
+        # flip a class
         stream = RngStream(seed)
         m = int(stream.integers(2, 7))
         values = random_probs(stream, m, 20, 5)
@@ -457,7 +452,7 @@ class TestPermutationInvariance:
             a = combine(values, labels)
             b = combine(shuffled, labels)
             assert np.array_equal(a.predicted_class, b.predicted_class)
-            assert np.array_equal(a.confidence, b.confidence)
+            np.testing.assert_allclose(b.confidence, a.confidence, rtol=m * 2.0**-52, atol=0)
 
 
 class TestBuildMetamodel:

@@ -121,7 +121,8 @@ class TestTrainHead:
         head = train_head(train, val, quick_cfg(), seed=5)
         from calibens.heads import _validation_loss
 
-        recomputed = _validation_loss(head.weights, head.bias, val)
+        features = val.features.astype(heads_module.DTYPE)
+        recomputed = _validation_loss(head.weights, head.bias, features, val.labels)
         assert recomputed == min(rec[2] for rec in head.training_history)
 
     def test_records_kept_snapshot(self, separable):
@@ -242,6 +243,22 @@ class TestHeadFamily:
             assert np.array_equal(member.weights, lone.weights)
             assert np.array_equal(member.bias, lone.bias)
 
+    def test_lockstep_losses_are_float64_and_equal_the_family(self):
+        # the parameters train in DTYPE, but every loss is widened before
+        # the log, so the epoch rule compares float64 losses
+        train, val = split(synth_clusters(SynthSpec(4, 8, 600, 3.0, 0.2, seed=40)), 0.2, seed=2)
+        cfg = quick_cfg(max_epochs=30, early_stop_patience=3, batch_size=32)
+        family = train_head_family(train, val, 3, 70, cfg)
+        for member, lone in zip(train_heads_lockstep(train, val, 3, 70, cfg), family):
+            assert member.weights.dtype == heads_module.DTYPE == member.bias.dtype
+            assert member.training_history == lone.training_history
+            assert type(member.best_val_loss) is float
+            for _, train_loss, val_loss, _ in member.training_history:
+                assert type(train_loss) is float and type(val_loss) is float
+        losses = [rec[1:3] for head in family for rec in head.training_history]
+        # float32 logs would put every loss on the float32 grid
+        assert any(loss != float(np.float32(loss)) for pair in losses for loss in pair)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_error_names_head_index(self, separable):
         train, val = separable
@@ -281,6 +298,26 @@ class TestHeadFile:
         assert loaded.seed == 123
         assert np.array_equal(loaded.weights, head.weights.astype(np.float32))
         assert np.array_equal(loaded.bias, head.bias.astype(np.float32))
+
+    def test_trained_head_round_trips_exactly(self, separable, tmp_path):
+        # HDW1 stores f32, the dtype the heads train in
+        train, val = separable
+        head, = train_heads_lockstep(train, val, 1, 5, quick_cfg(max_epochs=5))
+        save_head(head, tmp_path / "h.hdw")
+        loaded = load_head(tmp_path / "h.hdw")
+        assert np.array_equal(loaded.weights, head.weights)
+        assert np.array_equal(loaded.bias, head.bias)
+        assert loaded.weights.dtype == np.float64  # widened for scoring
+
+    def test_trained_and_reloaded_head_predict_the_same_bits(self, tmp_path):
+        ds = synth_clusters(SynthSpec(10, 16, 1200, 6.0, 0.2, seed=8))
+        train, val = split(ds, 0.2, seed=2)
+        head, = train_heads_lockstep(train, val, 1, 5, quick_cfg(max_epochs=3))
+        save_head(head, tmp_path / "h.hdw")
+        loaded = load_head(tmp_path / "h.hdw")
+        trained = head_predict(head, ds.features)
+        assert trained.dtype == np.float64
+        assert np.array_equal(trained.view(np.uint64), head_predict(loaded, ds.features).view(np.uint64))
 
     def test_file_size(self, tmp_path):
         head = linear_head(6, 3, seed=1)
