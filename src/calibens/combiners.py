@@ -177,7 +177,7 @@ def _mean_over_heads(values: np.ndarray) -> np.ndarray:
     added one at a time in head order, then divided by m. A cell's mean does
     not depend on how many cells share the call (a numpy sum over the axis
     adds pairwise when there is only one cell), but it does depend on head
-    order, by an ulp or so."""
+    order, in the last bits."""
     total = values[:, 0].copy()
     for i in range(1, values.shape[1]):
         total += values[:, i]

@@ -290,24 +290,17 @@ class TestHeadFamily:
 
 
 class TestHeadFile:
-    def test_round_trip_at_f32(self, tmp_path):
-        head = linear_head(6, 3, seed=123)
-        path = tmp_path / "h.hdw"
-        save_head(head, path)
-        loaded = load_head(path)
-        assert loaded.seed == 123
-        assert np.array_equal(loaded.weights, head.weights.astype(np.float32))
-        assert np.array_equal(loaded.bias, head.bias.astype(np.float32))
-
     def test_trained_head_round_trips_exactly(self, separable, tmp_path):
-        # HDW1 stores f32, the dtype the heads train in
+        # HDW1 stores f32, the dtype the heads train in; load_head widens
+        # the values for scoring
         train, val = separable
-        head, = train_heads_lockstep(train, val, 1, 5, quick_cfg(max_epochs=5))
+        head, = train_heads_lockstep(train, val, 1, 123, quick_cfg(max_epochs=5))
         save_head(head, tmp_path / "h.hdw")
         loaded = load_head(tmp_path / "h.hdw")
+        assert loaded.seed == 123
         assert np.array_equal(loaded.weights, head.weights)
         assert np.array_equal(loaded.bias, head.bias)
-        assert loaded.weights.dtype == np.float64  # widened for scoring
+        assert loaded.weights.dtype == loaded.bias.dtype == np.float64
 
     def test_trained_and_reloaded_head_predict_the_same_bits(self, tmp_path):
         ds = synth_clusters(SynthSpec(10, 16, 1200, 6.0, 0.2, seed=8))
@@ -316,8 +309,9 @@ class TestHeadFile:
         save_head(head, tmp_path / "h.hdw")
         loaded = load_head(tmp_path / "h.hdw")
         trained = head_predict(head, ds.features)
+        reloaded = head_predict(loaded, ds.features)
         assert trained.dtype == np.float64
-        assert np.array_equal(trained.view(np.uint64), head_predict(loaded, ds.features).view(np.uint64))
+        assert np.array_equal(trained.view(np.uint64), reloaded.view(np.uint64))
 
     def test_file_size(self, tmp_path):
         head = linear_head(6, 3, seed=1)
