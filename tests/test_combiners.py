@@ -265,6 +265,24 @@ class TestHeadOrderMean:
         assert not np.array_equal(mean, moved)
         np.testing.assert_allclose(moved, mean, rtol=5 * 2.0**-52, atol=0)
 
+    @pytest.mark.parametrize("m", range(1, 14))
+    def test_head_permutations_stay_within_the_rounding_bound(self, m):
+        # one or two heads add commutatively, so any order gives the same
+        # bits; from three heads on an order moves a mean by rounding only,
+        # within the m * 2**-52 of the test above
+        stream = RngStream(m)
+        values = random_probs(stream, m, 300, 6)
+        mean = _mean_over_heads(values)
+        orders = [np.arange(m)[::-1]] + [stream.permutation(m) for _ in range(4)]
+        moved = [_mean_over_heads(values[:, order]) for order in orders]
+        for other in moved:
+            if m <= 2:
+                assert np.array_equal(bits(other), bits(mean))
+            else:
+                np.testing.assert_allclose(other, mean, rtol=m * 2.0**-52, atol=0)
+        if m > 2:
+            assert any(not np.array_equal(other, mean) for other in moved)
+
     def test_input_left_untouched(self):
         values = np.array([[[0.7, 0.3], [0.1, 0.9], [0.4, 0.6]]])
         before = values.copy()

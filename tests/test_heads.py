@@ -290,6 +290,20 @@ class TestHeadFamily:
 
 
 class TestHeadFile:
+    def test_round_trip_at_f32(self, tmp_path):
+        # a head built wider than DTYPE, as by hand, is stored rounded to f32
+        head = linear_head(6, 3, seed=123)
+        head = LinearHead(
+            head.weights.astype(np.float64) * (1 + 2.0**-40), np.full(3, 0.1), head.seed
+        )
+        path = tmp_path / "h.hdw"
+        save_head(head, path)
+        loaded = load_head(path)
+        assert loaded.seed == 123
+        assert not np.array_equal(loaded.weights, head.weights)
+        assert np.array_equal(loaded.weights, head.weights.astype(np.float32))
+        assert np.array_equal(loaded.bias, head.bias.astype(np.float32))
+
     def test_trained_head_round_trips_exactly(self, separable, tmp_path):
         # HDW1 stores f32, the dtype the heads train in; load_head widens
         # the values for scoring
