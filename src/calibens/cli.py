@@ -27,14 +27,13 @@ a hit reads the training file's bytes for the key, checks its features are
 finite and its labels in range, and draws the split from the labels
 (data.split_indices); it casts and gathers no feature row, and it unmaps the
 training file, keeping only the split's labels, before it checks the cached
-outputs, so the two files are never resident at once. A miss streams the
-outputs to the cache one row block at a time, the train part and then the val
-part, never holding them whole; it then maps the file back and goes on as a
-hit does, so every run trains on the same read-only view of the cache and
-checks its values once. When the written file cannot replace the cache file,
-train-meta warns and trains from the written file all the same; only when the
-cache cannot be written or mapped back does it warn and compute the outputs
-in memory. The cache file is a container (HOC1) holding both split parts,
+outputs, so the two files are never resident at once. Cached values that
+fail the check are an error that names the file. A miss scores the train
+rows, then the val rows, into memory (_head_outputs), checks each part once,
+unmaps the training file and writes both parts to the cache; when the write
+raises OSError it warns and trains on the outputs all the same. Every row is
+scored once on every path, and the cache never holds values that failed the
+check. The cache file is a container (HOC1) holding both split parts,
 little-endian:
 
     HOC1 | 32-byte sha256 key | u32 N_train | u32 N_val | u32 m | u32 C |
@@ -56,7 +55,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -303,36 +301,33 @@ def _discover_heads(heads_dir, data_path, dataset, digest=None) -> list:
     return heads
 
 
-def _scored_blocks(heads, dataset, *parts):
-    """The heads' softmax probabilities for each index array `rows` in
-    `parts`, in order, one row block (numerics.row_blocks, 8*m*C bytes a
-    row) at a time: (start, stop, block), where block holds the (stop -
-    start, m, C) outputs of rows[start:stop]. The block's rows' features are
-    gathered and cast to float64, head i writes its logits into the view
-    block[:, i, :], and the softmax runs in place over the last axis. Every
-    block is a prefix of one buffer, sized for the largest block of any
-    part, so a block is valid until the next is asked for; its shape and
-    strides are those of its slice of the whole array, so its bytes are the
-    same. The values are not checked."""
-    row_bytes = 8 * len(heads) * dataset.num_classes
-    blocks = [row_blocks(len(rows), row_bytes) for rows in parts]
-    most = max(stop - start for part in blocks for start, stop in part)
+def _scored_blocks(heads, dataset, rows):
+    """The heads' softmax probabilities for the rows `rows` (an index array)
+    of `dataset`, one row block (numerics.row_blocks, 8*m*C bytes a row) at
+    a time: (start, stop, block), where block holds the (stop - start, m, C)
+    outputs of rows[start:stop]. The block's rows' features are gathered and
+    cast to float64, head i writes its logits into the view block[:, i, :],
+    and the softmax runs in place over the last axis. Every block is a
+    prefix of one buffer, sized for the largest block, so a block is valid
+    until the next is asked for; its shape and strides are those of its
+    slice of the whole array, so its bytes are the same. The values are not
+    checked."""
+    blocks = row_blocks(len(rows), 8 * len(heads) * dataset.num_classes)
+    most = max(stop - start for start, stop in blocks)
     buffer = np.empty((most, len(heads), dataset.num_classes))
-    for rows, part in zip(parts, blocks):
-        for start, stop in part:
-            block = buffer[: stop - start]
-            features = dataset.features(rows[start:stop])
-            for i, head in enumerate(heads):
-                head_predict(head, features, out=block[:, i, :])
-            yield start, stop, softmax_in_place(block)
+    for start, stop in blocks:
+        block = buffer[: stop - start]
+        features = dataset.features(rows[start:stop])
+        for i, head in enumerate(heads):
+            head_predict(head, features, out=block[:, i, :])
+        yield start, stop, softmax_in_place(block)
 
 
 def _head_outputs(heads, dataset, rows) -> HeadOutputs:
     """The heads' outputs for the rows `rows` (an index array) of the
     MappedDataset `dataset`, as one checked (len(rows), m, C) DTYPE array
-    cast from the _scored_blocks blocks, the values the cache would hold.
-    train-meta calls it only when its cache cannot be written or mapped
-    back."""
+    cast from the _scored_blocks blocks: the values a train-meta miss trains
+    on and writes to its cache."""
     values = np.empty((len(rows), len(heads), dataset.num_classes), DTYPE)
     for start, stop, block in _scored_blocks(heads, dataset, rows):
         values[start:stop] = block
@@ -355,30 +350,6 @@ def _map_cache(path, fields: tuple):
         return None
 
 
-def _write_cache(cache, header, heads, dataset, train_rows, val_rows):
-    """Stream the heads' outputs for the train rows, then the val rows, to a
-    temporary file next to the cache file at `cache` (_scored_blocks), map it
-    as _map_cache maps the cache, move it onto `cache` and return (blocks,
-    True): the mapped blocks, which are now the cache file's. Every row is
-    scored once: when only the move raises OSError, warn and return the
-    blocks of the temporary file, which is removed but stays mapped, and
-    False. When the write raises OSError or the written file does not map
-    back, warn and return (None, False)."""
-    blocks = (block for _, _, block in _scored_blocks(heads, dataset, train_rows, val_rows))
-    mapped = None
-    try:
-        with container.staged(cache, _CACHE_MAGIC, _CACHE_HEADER, header, blocks) as tmp:
-            mapped = _map_cache(tmp, header)
-            if mapped is not None:
-                os.replace(tmp, cache)
-    except OSError as exc:
-        print(f"warning: head outputs not cached: {exc}", file=sys.stderr)
-        return mapped, False
-    if mapped is None:
-        print(f"warning: head outputs not cached: {cache} does not map back", file=sys.stderr)
-    return mapped, mapped is not None
-
-
 def cmd_train_meta(args) -> int:
     kind, seed = args.kind, args.seed
     if kind is None:
@@ -397,21 +368,22 @@ def cmd_train_meta(args) -> int:
     cache = out_dir / HEAD_OUTPUTS_CACHE
     header = (key.digest(), len(train_rows), len(val_rows), m, num_classes, bytes(12))
     train_labels, val_labels = dataset.labels[train_rows], dataset.labels[val_rows]
-    mapped, cached = _map_cache(cache, header), True
-    if mapped is None:  # a miss streams the outputs to the cache, then maps it as a hit does
-        mapped, cached = _write_cache(cache, header, heads, dataset, train_rows, val_rows)
-    if mapped is None:  # the cache only saves time: without it, the outputs are computed here
-        train_outputs = _head_outputs(heads, dataset, train_rows)
-        val_outputs = _head_outputs(heads, dataset, val_rows)
-        del dataset  # unmaps the training file before the fit
-    else:
+    mapped = _map_cache(cache, header)
+    if mapped is not None:
         del dataset  # training needs only the labels: unmap the file before the cache is checked
         try:
             train_outputs, val_outputs = HeadOutputs(mapped[0]), HeadOutputs(mapped[1])
         except DataError as exc:
-            if not cached:  # the outputs never reached the cache file: nothing to delete
-                raise
             raise DataError(f"{cache}: {exc} (delete the file to recompute)") from None
+    else:  # a miss: score and check the outputs, then cache them
+        train_outputs = _head_outputs(heads, dataset, train_rows)
+        val_outputs = _head_outputs(heads, dataset, val_rows)
+        del dataset  # unmaps the training file before the fit
+        try:
+            container.write(cache, _CACHE_MAGIC, _CACHE_HEADER, header,
+                            [train_outputs.values, val_outputs.values])
+        except OSError as exc:  # the cache only saves time: train on the outputs all the same
+            print(f"warning: head outputs not cached: {exc}", file=sys.stderr)
 
     meta_seed = derive_seed(seed, _META_STREAM + KINDS.index(kind))
     meta = build_metamodel(kind, m, num_classes, meta_seed, dropout_p=train_cfg.dropout)

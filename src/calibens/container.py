@@ -15,18 +15,18 @@ four:
   uses; HDW1: heads widened to float64 for scoring; MMD1: float32
   combiners). The exception is an f32 block read with check=False, for a
   caller that checks the values itself (the HOC1 cache's HeadOutputs);
-* a writer emits the magic, the packed header, then the payload arrays'
-  bytes, floats as f32. It writes a temporary file next to the
-  target and moves it into place with os.replace, so a failed or crashed
-  write leaves the old file, or none, never a truncated one; and a file
-  mapped by a reader is never cut short under it.
+* every format is written by the one `write`, which emits the magic, the
+  packed header, then the payload arrays' bytes, floats as f32. It writes a
+  temporary file next to the target and moves it into place with
+  os.replace, so a failed or crashed write leaves the old file, or none,
+  never a truncated one; and a file mapped by a reader is never cut short
+  under it.
 
 Every violation raises FormatError naming the file and the byte offset.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import mmap
 import os
@@ -122,17 +122,14 @@ class Reader:
             raise self.error("non-finite f32 value", offset=offset)
 
 
-@contextlib.contextmanager
-def staged(path, magic: bytes, header: str, fields: tuple, payload):
+def write(path, magic: bytes, header: str, fields: tuple, payload) -> None:
     """Write magic, the header `fields` packed by `header`, then each payload
-    array's bytes in order, float arrays stored as f32, to a temporary
-    file next to `path`, and yield the temporary file's path for the caller
-    to move into place with os.replace. `payload` is any iterable of arrays,
-    consumed once, each block written before the next is asked for, so a
-    generator can stream a large payload a block at a time. On exit the
-    temporary file is removed if it is still there, also when the write or
-    the payload raised; `path` is left as it was unless the caller moved the
-    file onto it."""
+    array's bytes in order, float arrays stored as f32, to a temporary file
+    next to `path`, and move it onto `path` with os.replace. `payload` is any
+    iterable of arrays, consumed once, each block written before the next is
+    asked for, so a generator can stream a large payload a block at a time.
+    When the write, the payload or the move raises, the temporary file is
+    removed and `path` is left as it was."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -141,12 +138,6 @@ def staged(path, magic: bytes, header: str, fields: tuple, payload):
             for block in payload:
                 stored = F32 if block.dtype.kind == "f" else None
                 fh.write(np.ascontiguousarray(block, stored).data)
-        yield tmp
+        os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def write(path, magic: bytes, header: str, fields: tuple, payload) -> None:
-    """Write the file that `staged` writes and move it onto `path`."""
-    with staged(path, magic, header, fields, payload) as tmp:
-        os.replace(tmp, path)

@@ -152,6 +152,16 @@ def test_failed_block_generator_leaves_the_old_file_and_no_temporary(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_failed_move_leaves_the_target_and_no_temporary(tmp_path):
+    # a directory where the file goes: the write succeeds, os.replace fails
+    path = tmp_path / "meta_SL.mmd"
+    path.mkdir()
+    with pytest.raises(OSError):
+        save_metamodel(build_metamodel("SL", 2, 3, seed=3), path)
+    assert path.is_dir() and not list(path.iterdir())
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # f32 in 1 MiB blocks: 262144 values, or 16384 rows of 16; an FDS1 record
 # of D=16 takes 68 bytes, so 15420 records
 @pytest.mark.parametrize("shape", [(1,), (600_000,), (3, 4), (40_000, 16)])
