@@ -4,8 +4,10 @@ Train several seeded linear heads on frozen features, combine them by
 averaging, majority voting or a small trainable combiner model, and measure
 calibration with the expected and maximum calibration error.
 
-The package root exports the names the CLI pipeline is built from; the
-reference trainers, kernels and helpers stay importable from their modules.
+The package root exports the names the CLI pipeline is built from, among
+them the one dataset reader, load_dataset, and split, which cuts a dataset
+into its training and validation parts; the reference trainers, kernels and
+helpers stay importable from their modules.
 """
 
 __version__ = "0.1.0"
@@ -23,7 +25,7 @@ from .combiners import (
     save_metamodel,
     train_metamodel,
 )
-from .data import FeatureDataset, SynthSpec, map_dataset, save_dataset, split_indices, synth_cluster_pair
+from .data import FeatureDataset, SynthSpec, load_dataset, save_dataset, split, split_indices, synth_cluster_pair
 from .errors import (
     CalibensError,
     ConfigError,
@@ -52,8 +54,9 @@ __all__ = [
     "train_metamodel",
     "FeatureDataset",
     "SynthSpec",
-    "map_dataset",
+    "load_dataset",
     "save_dataset",
+    "split",
     "split_indices",
     "synth_cluster_pair",
     "CalibensError",

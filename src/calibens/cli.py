@@ -14,18 +14,18 @@ sidecar is itself a valid config file. All randomness in a run derives from
 one ``--seed``; fixed offsets give each model its one seed (heads: seed+1+i,
 combiner models: seed+2000+KINDS.index(kind)) and the split (seed+1000).
 
-train-heads, train-meta and evaluate map their .fds file read-only
-(data.map_dataset) and never hold its float64 feature matrix. Both training
-stages draw the one split (_split): train-heads gathers the two parts' f32
-rows (MappedDataset.rows), which the heads train on as they are, and drops
-the mapping before it trains; train-meta and evaluate compute head
-outputs in row blocks (numerics.row_blocks), each block casting only its own
-rows' features. Every combiner kind trains on the same heads' outputs over
+train-heads, train-meta and evaluate read their .fds file with
+data.load_dataset, which maps it read-only and casts nothing. Both training
+stages draw one split, seeded by _split_seed: train-heads trains on the two
+parts' f32 rows that data.split gathers, and the mapping is gone before the
+fit; train-meta and evaluate compute head outputs in row blocks
+(numerics.row_blocks), each block gathering its own rows and casting them
+to float64 once. Every combiner kind trains on the same heads' outputs over
 the same split, so train-meta keeps them in ``head_outputs.cache`` in its
 output directory and reuses them in every later run on the same inputs. Such
 a hit reads the training file's bytes for the key, checks its features are
 finite and its labels in range, and draws the split from the labels
-(data.split_indices); it casts and gathers no feature row, and it unmaps the
+(data.split_indices); it gathers no feature row, and it unmaps the
 training file, keeping only the split's labels, before it checks the cached
 outputs, so the two files are never resident at once. Cached values that
 fail the check are an error that names the file. A miss scores the train
@@ -79,8 +79,9 @@ from .combiners import (
 from .data import (
     SynthSpec,
     check_val_fraction,
-    map_dataset,
+    load_dataset,
     save_dataset,
+    split,
     split_indices,
     synth_cluster_pair,
 )
@@ -167,14 +168,12 @@ def _train_config(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
-def _split(args, digest=None):
-    """(dataset, train_rows, val_rows): the --train file mapped (see
-    map_dataset for `digest`) and the split both training stages draw from
-    its labels. --val-fraction is checked before the file is read."""
+def _split_seed(args) -> int:
+    """The seed of the split both training stages draw from the --train
+    labels. It checks --val-fraction, so each stage calls it before it reads
+    the file."""
     check_val_fraction(args.val_fraction)
-    dataset = map_dataset(args.train, digest)
-    seed = derive_seed(args.seed, _SPLIT_STREAM)
-    return (dataset, *split_indices(dataset.labels, dataset.num_classes, args.val_fraction, seed))
+    return derive_seed(args.seed, _SPLIT_STREAM)
 
 
 def _parse_meta_kinds(raw) -> list[str]:
@@ -228,9 +227,9 @@ def cmd_train_heads(args) -> int:
     if m < 1:
         raise ConfigError(f"--m must be >= 1, got {m}")
     head_cfg = _train_config(HeadTrainConfig, args)
-    dataset, train_rows, val_rows = _split(args)
-    train, val = dataset.rows(train_rows), dataset.rows(val_rows)  # f32, not cast
-    del dataset  # unmaps the training file: the fit reads only the two parts
+    split_seed = _split_seed(args)
+    # two f32 gathers, not cast; the file is unmapped once split returns
+    train, val = split(load_dataset(args.train), args.val_fraction, split_seed)
     heads = train_heads_lockstep(train, val, m, derive_seed(seed, _HEAD_STREAM), head_cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -305,29 +304,29 @@ def _scored_blocks(heads, dataset, rows):
     """The heads' softmax probabilities for the rows `rows` (an index array)
     of `dataset`, one row block (numerics.row_blocks, 8*m*C bytes a row) at
     a time: (start, stop, block), where block holds the (stop - start, m, C)
-    outputs of rows[start:stop]. The block's rows' features are gathered and
-    cast to float64, head i writes its logits into the view block[:, i, :],
-    and the softmax runs in place over the last axis. Every block is a
-    prefix of one buffer, sized for the largest block, so a block is valid
-    until the next is asked for; its shape and strides are those of its
-    slice of the whole array, so its bytes are the same. The values are not
-    checked."""
+    outputs of rows[start:stop]. The block's rows' f32 features are gathered
+    and cast to float64 once for all the heads, head i writes its logits
+    into the view block[:, i, :], and the softmax runs in place over the
+    last axis. Every block is a prefix of one buffer, sized for the largest
+    block, so a block is valid until the next is asked for; its shape and
+    strides are those of its slice of the whole array, so its bytes are the
+    same. The values are not checked."""
     blocks = row_blocks(len(rows), 8 * len(heads) * dataset.num_classes)
     most = max(stop - start for start, stop in blocks)
     buffer = np.empty((most, len(heads), dataset.num_classes))
     for start, stop in blocks:
         block = buffer[: stop - start]
-        features = dataset.features(rows[start:stop])
+        features = dataset.features[rows[start:stop]].astype(np.float64)
         for i, head in enumerate(heads):
             head_predict(head, features, out=block[:, i, :])
         yield start, stop, softmax_in_place(block)
 
 
 def _head_outputs(heads, dataset, rows) -> HeadOutputs:
-    """The heads' outputs for the rows `rows` (an index array) of the
-    MappedDataset `dataset`, as one checked (len(rows), m, C) DTYPE array
-    cast from the _scored_blocks blocks: the values a train-meta miss trains
-    on and writes to its cache."""
+    """The heads' outputs for the rows `rows` (an index array) of `dataset`,
+    as one checked (len(rows), m, C) DTYPE array cast from the
+    _scored_blocks blocks: the values a train-meta miss trains on and writes
+    to its cache."""
     values = np.empty((len(rows), len(heads), dataset.num_classes), DTYPE)
     for start, stop, block in _scored_blocks(heads, dataset, rows):
         values[start:stop] = block
@@ -357,8 +356,12 @@ def cmd_train_meta(args) -> int:
     if args.train is None:
         raise ConfigError("missing training dataset path (--train)")
     train_cfg = _train_config(MetaTrainConfig, args)
+    split_seed = _split_seed(args)
     key = hashlib.sha256()
-    dataset, train_rows, val_rows = _split(args, key)
+    dataset = load_dataset(args.train, key)
+    train_rows, val_rows = split_indices(
+        dataset.labels, dataset.num_classes, args.val_fraction, split_seed
+    )
     heads = _discover_heads(args.heads_dir, args.train, dataset, key)
     key.update(f"{seed}\n{args.val_fraction!r}".encode())
     out_dir = Path(args.out) if args.out is not None else Path(args.heads_dir)
@@ -437,7 +440,7 @@ def _row(name, slug, report, params) -> dict:
 def cmd_evaluate(args) -> int:
     """Score every head, Avg., Vot. and each --meta combiner on the test set.
 
-    The test set is mapped, not loaded, and walked in row blocks
+    The test set is mapped (load_dataset) and walked in row blocks
     (numerics.row_blocks): a block's head outputs take at most BLOCK_BYTES,
     and N is split into near-equal blocks, each scored into one reused
     buffer (_scored_blocks). Each block casts its rows' features, runs
@@ -478,7 +481,7 @@ def cmd_evaluate(args) -> int:
         if recorded is not None:
             meta_training[kind] = recorded
 
-    test = map_dataset(args.test)
+    test = load_dataset(args.test)
     heads = _discover_heads(heads_dir, args.test, test)
     m = len(heads)
     metas = {kind: load_metamodel(meta_paths[kind]) for kind in kinds}

@@ -11,10 +11,11 @@ four:
 * payload floats are f32 on disk, and every one must be finite. `Reader.f32`
   hands a block out, and `Reader.records` each field of a record array, as
   a read-only view of the file, its f32 values checked but not cast, so a
-  caller copies or casts only what it needs (FDS1's features: the rows it
-  uses; HDW1: heads widened to float64 for scoring; MMD1: float32
-  combiners). The exception is an f32 block read with check=False, for a
-  caller that checks the values itself (the HOC1 cache's HeadOutputs);
+  caller copies or casts only what it needs (FDS1: the dataset's feature
+  view, from which each user gathers its rows; HDW1: heads widened to
+  float64 for scoring; MMD1: float32 combiners). The exception is an f32
+  block read with check=False, for a caller that checks the values itself
+  (the HOC1 cache's HeadOutputs);
 * every format is written by the one `write`, which emits the magic, the
   packed header, then the payload arrays' bytes, floats as f32. It writes a
   temporary file next to the target and moves it into place with

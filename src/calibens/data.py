@@ -5,18 +5,15 @@ On disk they use a little-endian binary layout (magic ``FDS1``):
 
     FDS1 | u32 N | u32 D | u32 C | N x (D x f32 features, u32 label)
 
-Files store 32-bit floats. The heads train on them as they are (float32,
-heads.DTYPE), and everything scored from them is 64-bit. A file is read in
-two parts. map_dataset maps it read-only and checks it (header, length,
-finite features, labels below C) without casting anything, so a caller that
-needs only the labels, or a few rows at a time, never holds a copy of every
-feature; MappedDataset.rows gathers given rows' f32 features into a
-FeatureDataset, and MappedDataset.features casts given rows to float64.
-Likewise split_indices draws a split's row indices from the labels alone.
-The CLI reads every file this way; load_dataset (every row, as float64) and
-split (a FeatureDataset's two parts) serve only the reference head trainer
-and the benchmark. The container module holds the rules this layout shares
-with the head and combiner files.
+load_dataset is the one reader. It maps the file read-only and checks it
+(header, length, finite features, labels below C); the FeatureDataset it
+returns holds the file's f32 feature view, not a copy, so a caller that
+needs only the labels, or a few rows at a time, never holds every feature.
+split_indices draws a split's row indices from the labels alone, and split
+gathers the two parts' rows, each a fresh contiguous array of the source's
+dtype: a file's f32 rows, which the heads train on as they are. Scoring
+casts the rows it gathers to float64. The container module holds the rules
+this layout shares with the head and combiner files.
 
 Generating and writing hold one copy of the features: synth_clusters adds
 the cluster centers into its one standard-normal draw in row blocks,
@@ -42,8 +39,8 @@ FDS_HEADER = "<III"
 @dataclass(eq=False)
 class FeatureDataset:
     """Frozen features plus labels; immutable after construction. The
-    constructor casts the features to float64; MappedDataset.rows hands out
-    a file's f32 values instead."""
+    constructor casts the features to float64; load_dataset and split hand
+    out a file's f32 values instead."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -81,10 +78,10 @@ class FeatureDataset:
 
 
 def _rows_of_checked(features: np.ndarray, labels: np.ndarray, num_classes: int) -> FeatureDataset:
-    """A FeatureDataset of fresh arrays that already pass every check of the
-    constructor: rows of a checked dataset, or a file the container has
-    read. Only the read-only flags are set; this saves a full pass over the
-    features per slice or load."""
+    """A FeatureDataset of arrays that already pass every check of the
+    constructor: rows of a checked dataset, or a file load_dataset has
+    checked. Only the read-only flags are set; this saves a full pass over
+    the features per slice or load."""
     dataset = FeatureDataset.__new__(FeatureDataset)
     features.setflags(write=False)
     labels.setflags(write=False)
@@ -142,48 +139,11 @@ def save_dataset(dataset: FeatureDataset, path) -> None:
     container.write(path, FDS_MAGIC, FDS_HEADER, header, _record_blocks(dataset))
 
 
-@dataclass(eq=False)
-class MappedDataset:
-    """An FDS1 file mapped read-only and checked: `features_f32` is the
-    (N, D) f32 feature view of the file, every value finite, and `labels`
-    the (N,) int64 labels, every one below num_classes. Both are read-only.
-    features(rows) is the one place the features become float64."""
-
-    features_f32: np.ndarray
-    labels: np.ndarray
-    num_classes: int
-
-    @property
-    def n(self) -> int:
-        return self.features_f32.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features_f32.shape[1]
-
-    def features(self, rows=slice(None)) -> np.ndarray:
-        """The float64 features of `rows` (an index array or a slice; all
-        rows by default) as a fresh C-contiguous (len(rows), D) array. An
-        index array is gathered and cast one row block of the result at a
-        time, so the call never holds an f32 copy of all the rows; widening
-        is exact, so the values are those of a cast of the whole gather."""
-        if isinstance(rows, slice):
-            return self.features_f32[rows].astype(np.float64, order="C")
-        out = np.empty((len(rows), self.dim))
-        for start, stop in row_blocks(len(rows), out.itemsize * self.dim):
-            out[start:stop] = self.features_f32[rows[start:stop]]
-        return out
-
-    def rows(self, rows: np.ndarray) -> FeatureDataset:
-        """The FeatureDataset of the index array `rows`, checked by
-        map_dataset: its features are a fresh C-contiguous gather of their
-        f32 values, not cast."""
-        return _rows_of_checked(self.features_f32[rows], self.labels[rows], self.num_classes)
-
-
-def map_dataset(path, digest=None) -> MappedDataset:
-    """The FDS1 file at `path`, mapped and checked (see MappedDataset), with
-    no float64 copy of its features; `digest`, when given, is updated with
+def load_dataset(path, digest=None) -> FeatureDataset:
+    """The FDS1 file at `path`, mapped read-only and checked: its features
+    are the file's (N, D) f32 record view, every value finite and none cast,
+    and its labels (N,) int64, every one below C. The mapping stays open as
+    long as the features are alive. `digest`, when given, is updated with
     the file's bytes (see container.Reader). A fault raises FormatError at
     its byte offset: a bad header or length, then the first non-finite
     feature, then the first label >= C."""
@@ -203,16 +163,7 @@ def map_dataset(path, digest=None) -> MappedDataset:
             f"label {int(labels[i])} at record {i} >= C={num_classes}",
             offset=start + i * record.itemsize + 4 * dim,
         )
-    labels.setflags(write=False)
-    return MappedDataset(features, labels, num_classes)
-
-
-def load_dataset(path) -> FeatureDataset:
-    """The dataset in the FDS1 file at `path`, its features cast to one
-    float64 matrix; map_dataset does every check. A caller that needs fewer
-    rows, or only the labels, uses map_dataset instead."""
-    mapped = map_dataset(path)
-    return _rows_of_checked(mapped.features(), mapped.labels, mapped.num_classes)
+    return _rows_of_checked(features, labels, num_classes)
 
 
 def check_val_fraction(val_fraction: float) -> None:
@@ -225,7 +176,7 @@ def check_val_fraction(val_fraction: float) -> None:
 def split_indices(labels: np.ndarray, num_classes: int, val_fraction: float, seed: int):
     """Row indices of a stratified train/validation split of `labels`,
     drawn from the labels alone. The labels must lie in [0, num_classes)
-    (map_dataset and FeatureDataset check them); they are not checked here,
+    (load_dataset and FeatureDataset check them); they are not checked here,
     and a row with any other label is in neither part.
 
     Each class is shuffled with the seeded stream and contributes a validation
@@ -258,7 +209,8 @@ def split_indices(labels: np.ndarray, num_classes: int, val_fraction: float, see
 
 def split(dataset: FeatureDataset, val_fraction: float, seed: int):
     """The (train, val) datasets of split_indices(dataset.labels, ...): each
-    part gathers its rows of the float64 features, in index order."""
+    part gathers its rows of the features, in index order, into a fresh
+    C-contiguous array of their dtype (a loaded file's f32, not cast)."""
     return tuple(
         _rows_of_checked(dataset.features[sel], dataset.labels[sel], dataset.num_classes)
         for sel in split_indices(dataset.labels, dataset.num_classes, val_fraction, seed)

@@ -13,8 +13,8 @@ m is. train_head_family trains the heads one after another with train_head
 (fit with k = 1, through the 2-D backward_linear); it stays as the plain
 reference the tests compare the lockstep trainer against.
 
-Both train in DTYPE, float32: the features (cast once, or the f32 rows
-MappedDataset.rows gathers from a file), the parameters, velocities,
+Both train in DTYPE, float32: the features (a file's f32 rows as split
+gathers them, else one contiguous copy), the parameters, velocities,
 gradients and the validation forward. The initial weights are drawn as
 float64 and cast. Every loss is float64 (numerics.cross_entropy and
 backward_linear_stacked widen before the log), so the epoch rule compares
@@ -129,9 +129,10 @@ def head_predict(
 
 
 def _features(dataset: FeatureDataset) -> np.ndarray:
-    """The features of `dataset` as DTYPE: its own array when they already
-    are (MappedDataset.rows), else a cast."""
-    return dataset.features.astype(DTYPE, copy=False)
+    """The features of `dataset` as one C-contiguous DTYPE array: its own
+    when they already are (a split part of a loaded file), else one copy,
+    so mini-batches never gather from a loaded file's strided record view."""
+    return np.ascontiguousarray(dataset.features, DTYPE)
 
 
 def _validation_loss(weights, bias, features: np.ndarray, labels: np.ndarray) -> float:

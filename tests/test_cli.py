@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+import calibens
 from calibens import cli, container, numerics
 from calibens import heads as heads_module
 from calibens.cli import HEAD_OUTPUTS_CACHE, _head_outputs, build_parser, main
@@ -23,10 +24,8 @@ from calibens.combiners import (
 )
 from calibens.data import (
     FeatureDataset,
-    MappedDataset,
     _dataset_record_dtype,
     load_dataset,
-    map_dataset,
     save_dataset,
     split,
     split_indices,
@@ -102,13 +101,20 @@ def refuse_head_outputs(monkeypatch):
 
 def refuse_feature_casts(monkeypatch):
     """From here on, gathering or casting any feature row of a dataset file
-    fails the test: MappedDataset.features is the only path from the f32
-    records to float64, load_dataset's included."""
+    fails the test: the CLI gathers rows only in _scored_blocks, which casts
+    them to float64, and in split, which hands train-heads its f32 parts."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("features were cast to float64")
+        raise AssertionError("feature rows were gathered")
 
-    monkeypatch.setattr(MappedDataset, "features", refuse)
+    monkeypatch.setattr(cli, "_scored_blocks", refuse)
+    monkeypatch.setattr(cli, "split", refuse)
+
+
+def test_every_exported_name_resolves():
+    assert {"load_dataset", "split"} <= set(calibens.__all__)
+    for name in calibens.__all__:
+        assert getattr(calibens, name) is not None, name
 
 
 @pytest.fixture()
@@ -200,43 +206,40 @@ class TestTrainHeads:
     def test_gathers_each_split_part_as_f32_and_unmaps_the_file_before_training(
         self, pipeline_dir, monkeypatch
     ):
-        # the stage builds no float64 feature array: it never casts rows
-        # (MappedDataset.features), each part of the split is its own f32
-        # gather that the lockstep trainer takes as it is, and the mapping
-        # is gone before the fit
-        cast, mapped, seen = [], [], []
-        map_dataset_of = cli.map_dataset
+        # the stage builds no float64 feature array: each part of the split
+        # is its own f32 gather that the lockstep trainer takes as it is,
+        # and the mapping is gone before the fit
+        loaded, seen = [], []
+        load_dataset_of = cli.load_dataset
         lockstep = cli.train_heads_lockstep
 
-        def spy_map(*args):
-            dataset = map_dataset_of(*args)
-            mapped.append(weakref.ref(dataset))
+        def spy_load(*args):
+            dataset = load_dataset_of(*args)
+            loaded.append(weakref.ref(dataset))
             return dataset
 
         def spy_lockstep(train, val, *args):
-            seen.append(([ref() is not None for ref in mapped], train, val))
+            seen.append(([ref() is not None for ref in loaded], train, val))
             return lockstep(train, val, *args)
 
-        monkeypatch.setattr(MappedDataset, "features", lambda *args: cast.append(args))
-        monkeypatch.setattr(cli, "map_dataset", spy_map)
+        monkeypatch.setattr(cli, "load_dataset", spy_load)
         monkeypatch.setattr(cli, "train_heads_lockstep", spy_lockstep)
         path = pipeline_dir / "data" / "train.fds"
         assert run([
             "train-heads", "--train", str(path), "--m", "1", "--max-epochs", "1",
             "--out", str(pipeline_dir / "spied"),
         ]) == 0
-        assert cast == []
         (alive, train, val), = seen
         assert alive == [False]
         for part in (train, val):
             assert part.features.dtype == np.float32 and part.features.flags.c_contiguous
             assert heads_module._features(part) is part.features
-        assert train.n + val.n == map_dataset_of(path).n
+        assert train.n + val.n == load_dataset_of(path).n
 
     def test_heads_equal_lockstep_on_the_whole_file_split(self, pipeline_dir, tmp_path):
-        # each part's f32 rows gathered from the map give the bits that the
-        # trainer's cast of the whole float64 matrix's parts gives; the
-        # pipeline trained m=2 heads at --seed 7 and --max-epochs 8
+        # the stage's heads are the lockstep trainer's on the file's split
+        # at seed+1000, heads seeded from seed+1; the pipeline trained m=2
+        # heads at --seed 7 and --max-epochs 8
         art = pipeline_dir / "artifacts"
         train, val = split(load_dataset(pipeline_dir / "data" / "train.fds"), 0.1, 7 + 1000)
         reference = train_heads_lockstep(train, val, 2, 7 + 1, HeadTrainConfig(max_epochs=8))
@@ -284,11 +287,11 @@ class TestTrainHeads:
 
 
 def mapped_dataset(path, n, dim, num_classes, seed):
-    """A MappedDataset of n random rows, written to `path` first."""
+    """The load_dataset of n random rows, written to `path` first."""
     stream = RngStream(seed)
     features, labels = stream.standard_normal((n, dim)), np.arange(n) % num_classes
     save_dataset(FeatureDataset(features, labels, num_classes), path)
-    return map_dataset(path)
+    return load_dataset(path)
 
 
 class TestHeadOutputsArray:
@@ -312,7 +315,7 @@ class TestHeadOutputsArray:
         dataset = mapped_dataset(tmp_path / "d.fds", 3000, 96, 50, seed=4)
         outputs = _head_outputs(heads, dataset, np.arange(3000))
         assert outputs.values.dtype == DTYPE
-        features = dataset.features()
+        features = dataset.features.astype(np.float64)
         for i, head in enumerate(heads):
             expect = per_head_softmax(per_head_logits(head, features))
             assert np.array_equal(outputs.values[:, i, :], expect.astype(DTYPE))
@@ -324,7 +327,7 @@ class TestHeadOutputsArray:
         rows = split_indices(dataset.labels, 100, 0.1, seed=7)[0]
         assert len(row_blocks(len(rows), 5 * 100 * 8)) >= 3
         outputs = _head_outputs(heads, dataset, rows)
-        features = dataset.features()[rows]
+        features = dataset.features[rows].astype(np.float64)
         expect = np.empty((len(rows), 5, 100))
         for i, head in enumerate(heads):
             head_predict(head, features, out=expect[:, i, :])
@@ -469,21 +472,21 @@ class TestHeadOutputsCache:
         # are checked, or both stay resident; a miss checks the outputs it
         # scores from the file, so the file is mapped while it checks them
         out = pipeline_dir / "out"
-        mapped, alive = [], []
-        map_dataset_of = cli.map_dataset
+        loaded, alive = [], []
+        load_dataset_of = cli.load_dataset
 
-        def spy_map(*args):
-            dataset = map_dataset_of(*args)
-            mapped.append(weakref.ref(dataset))
+        def spy_load(*args):
+            dataset = load_dataset_of(*args)
+            loaded.append(weakref.ref(dataset))
             return dataset
 
         def spy(name, call):
             def spied(*args):
-                alive.append((name, [ref() is not None for ref in mapped]))
+                alive.append((name, [ref() is not None for ref in loaded]))
                 return call(*args)
             return spied
 
-        monkeypatch.setattr(cli, "map_dataset", spy_map)
+        monkeypatch.setattr(cli, "load_dataset", spy_load)
         monkeypatch.setattr(cli, "HeadOutputs", spy("check", cli.HeadOutputs))
         monkeypatch.setattr(cli, "train_metamodel", spy("train", cli.train_metamodel))
         assert self.train_meta(pipeline_dir, out, kind=kind) == 0  # a miss

@@ -21,12 +21,11 @@ from calibens.data import (
     FeatureDataset,
     _dataset_record_dtype,
     load_dataset,
-    map_dataset,
     save_dataset,
 )
 from calibens.errors import FormatError
 from calibens.heads import load_head, save_head
-from calibens.numerics import RngStream
+from calibens.numerics import BLOCK_BYTES, RngStream
 
 from fixtures import linear_head
 
@@ -190,12 +189,13 @@ def test_non_finite_f32_named_at_the_whole_array_offset(tmp_path, shape, where, 
         row, col = divmod(at, dim)
         expect = 16 + row * records.itemsize + 4 * col
         with pytest.raises(FormatError, match=f"\\(byte offset {expect}\\)"):
-            map_dataset(path)
+            load_dataset(path)
 
 
-def test_load_dataset_peak_memory_at_most_1_2x_the_features(tmp_path):
-    # the file's bytes are mapped, not read onto the heap, and the finite
-    # check's mask is gone before the float64 features are allocated
+def test_load_dataset_peak_memory_at_most_the_labels_plus_a_block(tmp_path):
+    # the file's bytes are mapped, not read onto the heap, and its features
+    # are neither copied nor cast: only the int64 labels and the finite
+    # check's one-block mask are allocated
     n, dim = 50_000, 256
     path = tmp_path / "big.fds"
     records = np.zeros(n, _dataset_record_dtype(dim))
@@ -205,9 +205,9 @@ def test_load_dataset_peak_memory_at_most_1_2x_the_features(tmp_path):
     del records
     tracemalloc.start()
     try:
-        features = load_dataset(path).features
+        dataset = load_dataset(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert features.shape == (n, dim)
-    assert peak <= 1.2 * features.nbytes, peak / features.nbytes
+    assert dataset.features.shape == (n, dim)
+    assert peak <= dataset.labels.nbytes + BLOCK_BYTES, peak

@@ -17,7 +17,6 @@ from calibens.data import (
     SynthSpec,
     _dataset_record_dtype,
     load_dataset,
-    map_dataset,
     save_dataset,
     split,
     split_indices,
@@ -273,46 +272,28 @@ class TestSplit:
     @pytest.mark.parametrize("frac", [0.1, 0.25, 0.5])
     def test_split_is_split_indices_plus_the_gather(self, tmp_path, seed, frac):
         # train-heads splits the loaded dataset; train-meta draws the indices
-        # from the labels and gathers rows of the mapped file: same rows, same order
+        # from the labels and gathers rows of the same file: same rows, same order
         path = tmp_path / "d.fds"
         save_dataset(synth_clusters(SynthSpec(5, 3, 200, 2.0, 0.2, seed=seed)), path)
-        mapped = map_dataset(path)
-        rows = split_indices(mapped.labels, mapped.num_classes, frac, seed)
-        for part, idx in zip(split(load_dataset(path), frac, seed), rows, strict=True):
+        loaded = load_dataset(path)
+        rows = split_indices(loaded.labels, loaded.num_classes, frac, seed)
+        for part, idx in zip(split(loaded, frac, seed), rows, strict=True):
             assert np.all(np.diff(idx) > 0)
-            assert np.array_equal(part.features, mapped.features(idx))
-            assert np.array_equal(part.labels, mapped.labels[idx])
+            assert part.features.dtype == np.float32 and part.features.flags.c_contiguous
+            assert np.array_equal(part.features, loaded.features[idx])
+            assert np.array_equal(part.labels, loaded.labels[idx])
 
-    def test_mapped_file_is_read_only_and_casts_only_the_rows_asked_for(self, tmp_path):
+    def test_loaded_file_is_a_read_only_f32_view_of_the_file(self, tmp_path):
         path = tmp_path / "d.fds"
         ds = tiny_dataset(n=12, d=3, c=3)
         save_dataset(ds, path)
-        mapped = map_dataset(path)
-        assert mapped.features_f32.dtype == np.float32 and mapped.labels.dtype == np.int64
-        for array in (mapped.features_f32, mapped.labels):
+        loaded = load_dataset(path)
+        assert loaded.features.dtype == np.float32 and loaded.labels.dtype == np.int64
+        assert not loaded.features.flags.owndata  # the mapped records, not a copy
+        for array in (loaded.features, loaded.labels):
             with pytest.raises(ValueError):
                 array[0] = 1
-        rows = mapped.features(np.asarray([7, 2]))
-        assert rows.dtype == np.float64 and rows.flags.c_contiguous and rows.flags.writeable
-        assert np.array_equal(rows, ds.features[[7, 2]].astype(np.float32))
-
-    def test_gathered_rows_peak_at_the_float64_result_plus_a_block(self, tmp_path):
-        # an f32 gather of every row, then its cast, would hold 1.5x the result
-        n, dim = 20_000, 64
-        path = tmp_path / "d.fds"
-        features = RngStream(1).standard_normal((n, dim))
-        save_dataset(FeatureDataset(features, np.arange(n) % 4, 4), path)
-        del features
-        mapped = map_dataset(path)
-        rows = RngStream(2).permutation(n)[: n - 100]
-        tracemalloc.start()
-        try:
-            features = mapped.features(rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(features, mapped.features_f32[rows].astype(np.float64))
-        assert peak <= features.nbytes + BLOCK_BYTES, (peak - features.nbytes) / BLOCK_BYTES
+        assert np.array_equal(loaded.features[[7, 2]], ds.features[[7, 2]].astype(np.float32))
 
     def test_val_fraction_bounds(self):
         ds = tiny_dataset()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from calibens import heads as heads_module
-from calibens.data import FeatureDataset, SynthSpec, split, synth_clusters
+from calibens.data import FeatureDataset, SynthSpec, load_dataset, save_dataset, split, synth_clusters
 from calibens.errors import DataError, DimensionError, FormatError, TrainingError
 from calibens.heads import (
     HeadTrainConfig,
@@ -37,6 +37,21 @@ def untrained(m, dim, num_classes, base_seed):
     """The m heads of a max_epochs=0 lockstep run: each is its initialisation."""
     ds = FeatureDataset(np.zeros((4, dim)), np.arange(4) % num_classes, num_classes)
     return train_heads_lockstep(ds, ds, m, base_seed, HeadTrainConfig(max_epochs=0))
+
+
+def test_trainers_take_a_split_part_as_it_is_and_copy_a_loaded_file_once(tmp_path):
+    # a loaded file's features are a strided f32 view of its records, from
+    # which every mini-batch gather would copy; a split part is contiguous f32
+    ds = synth_clusters(SynthSpec(3, 4, 60, 2.0, 0.0, seed=1))
+    path = tmp_path / "d.fds"
+    save_dataset(ds, path)
+    loaded = load_dataset(path)
+    assert not loaded.features.flags.c_contiguous
+    features = heads_module._features(loaded)
+    assert features.dtype == np.float32 and features.flags.c_contiguous
+    assert np.array_equal(features, ds.features.astype(np.float32))
+    for part in split(loaded, 0.2, seed=2):
+        assert heads_module._features(part) is part.features
 
 
 class TestInitHead:
