@@ -18,9 +18,9 @@ train-heads, train-meta and evaluate read their .fds file with
 data.load_dataset, which maps it read-only and casts nothing. Both training
 stages draw one split, seeded by _split_seed: train-heads trains on the two
 parts' f32 rows that data.split gathers, and the mapping is gone before the
-fit; train-meta and evaluate compute head outputs in row blocks
-(numerics.row_blocks), each block gathering its own rows and casting them
-to float64 once. Every combiner kind trains on the same heads' outputs over
+fit; train-meta and evaluate score the heads in row blocks (_scored_blocks:
+one float32 product of a block's f32 rows for all m heads, then a float64
+softmax). Every combiner kind trains on the same heads' outputs over
 the same split, so train-meta keeps them in ``head_outputs.cache`` in its
 output directory and reuses them in every later run on the same inputs. Such
 a hit reads the training file's bytes for the key, checks its features are
@@ -40,12 +40,12 @@ little-endian:
     12 zero bytes | train block | val block
 
 where each block, from offset 64, is the part's (N, m, C) softmax
-probabilities, computed in float64 and stored as row-major f32, exactly what
-HeadOutputs holds (combiners.DTYPE). The key is
-the sha256 of the bytes train-meta parsed, the training .fds and then each
-head_i.hdw in index order, followed by --seed and --val-fraction. A file
-with another header or length is a miss, and deleting the file is always
-safe.
+probabilities as _scored_blocks computes them, stored as row-major f32,
+exactly what HeadOutputs holds (combiners.DTYPE). The key is the sha256 of
+the bytes train-meta parsed, the training .fds and then each head_i.hdw in
+index order, followed by --seed, --val-fraction and a scoring tag, so a
+cache of float64 logits (earlier versions) misses. A file with another
+header or length is a miss, and deleting the file is always safe.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 training error.
 """
@@ -86,7 +86,7 @@ from .data import (
     synth_cluster_pair,
 )
 from .errors import CalibensError, ConfigError, DataError, DimensionError, FormatError, TrainingError
-from .heads import HeadTrainConfig, head_predict, load_head, save_head, train_heads_lockstep
+from .heads import DTYPE as HEAD_DTYPE, HeadTrainConfig, load_head, save_head, train_heads_lockstep
 from .metrics import (
     DEFAULT_NUM_BINS,
     PredictionSet,
@@ -303,28 +303,34 @@ def _discover_heads(heads_dir, data_path, dataset, digest=None) -> list:
 def _scored_blocks(heads, dataset, rows):
     """The heads' softmax probabilities for the rows `rows` (an index array)
     of `dataset`, one row block (numerics.row_blocks, 8*m*C bytes a row) at
-    a time: (start, stop, block), where block holds the (stop - start, m, C)
-    outputs of rows[start:stop]. The block's rows' f32 features are gathered
-    and cast to float64 once for all the heads, head i writes its logits
-    into the view block[:, i, :], and the softmax runs in place over the
-    last axis. Every block is a prefix of one buffer, sized for the largest
-    block, so a block is valid until the next is asked for; its shape and
-    strides are those of its slice of the whole array, so its bytes are the
-    same. The values are not checked."""
-    blocks = row_blocks(len(rows), 8 * len(heads) * dataset.num_classes)
+    a time: (start, stop, block), block holding the float64 (stop - start,
+    m, C) outputs of rows[start:stop]: one HEAD_DTYPE product of the rows'
+    f32 features and the heads' stacked (m*C, D) weights, widened as the
+    bias is added, then softmaxed in place; overflowed logits give
+    non-finite outputs, with no warning. Head i's logits are head_predict's
+    bits unless BLAS runs either product through another kernel (OpenBLAS
+    0.3.31: one-row products, some of up to ~1,200 cells). The block and its
+    logits are prefixes of two buffers sized for the largest block, so a
+    block is valid until the next is asked for, and its shape and strides,
+    so its bytes, are those of its slice of the whole array. Unchecked."""
+    weights = np.concatenate([head.weights for head in heads], dtype=HEAD_DTYPE)
+    bias = np.concatenate([head.bias for head in heads], dtype=HEAD_DTYPE)
+    blocks = row_blocks(len(rows), 8 * len(bias))
     most = max(stop - start for start, stop in blocks)
+    logits = np.empty((most, len(bias)), HEAD_DTYPE)
     buffer = np.empty((most, len(heads), dataset.num_classes))
     for start, stop in blocks:
-        block = buffer[: stop - start]
-        features = dataset.features[rows[start:stop]].astype(np.float64)
-        for i, head in enumerate(heads):
-            head_predict(head, features, out=block[:, i, :])
-        yield start, stop, softmax_in_place(block)
+        block, product = buffer[: stop - start], logits[: stop - start]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(dataset.features[rows[start:stop]], weights.T, out=product)
+            np.add(product, bias, out=block.reshape(len(block), -1))
+            softmax_in_place(block)
+        yield start, stop, block
 
 
 def _head_outputs(heads, dataset, rows) -> HeadOutputs:
     """The heads' outputs for the rows `rows` (an index array) of `dataset`,
-    as one checked (len(rows), m, C) DTYPE array cast from the
+    as one checked (len(rows), m, C) DTYPE array cast from the float64
     _scored_blocks blocks: the values a train-meta miss trains on and writes
     to its cache."""
     values = np.empty((len(rows), len(heads), dataset.num_classes), DTYPE)
@@ -363,7 +369,7 @@ def cmd_train_meta(args) -> int:
         dataset.labels, dataset.num_classes, args.val_fraction, split_seed
     )
     heads = _discover_heads(args.heads_dir, args.train, dataset, key)
-    key.update(f"{seed}\n{args.val_fraction!r}".encode())
+    key.update(f"{seed}\n{args.val_fraction!r}\nfloat32 logits".encode())
     out_dir = Path(args.out) if args.out is not None else Path(args.heads_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -440,23 +446,23 @@ def _row(name, slug, report, params) -> dict:
 def cmd_evaluate(args) -> int:
     """Score every head, Avg., Vot. and each --meta combiner on the test set.
 
-    The test set is mapped (load_dataset) and walked in row blocks
-    (numerics.row_blocks): a block's head outputs take at most BLOCK_BYTES,
-    and N is split into near-equal blocks, each scored into one reused
-    buffer (_scored_blocks). Each block casts its rows' features, runs
-    every predictor and keeps only its predicted class and confidence per
-    sample; the calibration reports are built from those after the last
-    block. So memory holds the mapped file, one block with
-    its features and combiner intermediates, and 2*(m+2+kinds)*N scalars,
-    neither the float64 features nor the (N, m, C) outputs. Each block is
+    The test set is mapped (load_dataset) and walked in near-equal row
+    blocks whose float64 head outputs take at most BLOCK_BYTES, each scored
+    into one reused buffer by one float32 product for all the heads
+    (_scored_blocks). Each block runs every predictor and keeps only its
+    predicted class and confidence per sample; the calibration reports are
+    built from those after the last block. So memory holds the mapped file,
+    one block with its features, logits and combiner intermediates, and
+    2*(m+2+kinds)*N scalars, never the (N, m, C) outputs. Each block is
     checked once (check_probabilities) and reduced once per predictor: one
     argmax over the block's (rows, m, C) float64 outputs gives every head's
     class, and its confidence is the probability gathered there (the row
     max). Vot. counts those same head classes, and Avg. and Vot. go through
     combine_average and combine_vote on the float64 block. The combiners
-    read its DTYPE cast, wrapped with HeadOutputs.unchecked. Every prediction depends on its own row only,
-    except that BLAS may round the DL/DLL hidden layer differently at
-    another row count, by an ulp of a confidence."""
+    read its DTYPE cast, wrapped with HeadOutputs.unchecked. Every
+    prediction depends on its own row only, except that BLAS may round the
+    heads' product on blocks of a few rows, and the DL/DLL hidden layer,
+    differently at another row count, by an ulp."""
     if args.test is None:
         raise ConfigError("missing test dataset path (--test)")
     num_bins = args.bins

@@ -12,10 +12,10 @@ four:
   hands a block out, and `Reader.records` each field of a record array, as
   a read-only view of the file, its f32 values checked but not cast, so a
   caller copies or casts only what it needs (FDS1: the dataset's feature
-  view, from which each user gathers its rows; HDW1: heads widened to
-  float64 for scoring; MMD1: float32 combiners). The exception is an f32
-  block read with check=False, for a caller that checks the values itself
-  (the HOC1 cache's HeadOutputs);
+  view, from which each user gathers its rows; HDW1: float32 heads, copied
+  out of the map; MMD1: float32 combiners). The exception is an f32 block
+  read with check=False, for a caller that checks the values itself (the
+  HOC1 cache's HeadOutputs);
 * every format is written by the one `write`, which emits the magic, the
   packed header, then the payload arrays' bytes, floats as f32. It writes a
   temporary file next to the target and moves it into place with

@@ -11,9 +11,9 @@ returns holds the file's f32 feature view, not a copy, so a caller that
 needs only the labels, or a few rows at a time, never holds every feature.
 split_indices draws a split's row indices from the labels alone, and split
 gathers the two parts' rows, each a fresh contiguous array of the source's
-dtype: a file's f32 rows, which the heads train on as they are. Scoring
-casts the rows it gathers to float64. The container module holds the rules
-this layout shares with the head and combiner files.
+dtype: a file's f32 rows, which the heads train on and score as they are.
+The container module holds the rules this layout shares with the head and
+combiner files.
 
 Generating and writing hold one copy of the features: synth_clusters adds
 the cluster centers into its one standard-normal draw in row blocks,

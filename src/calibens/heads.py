@@ -18,9 +18,9 @@ gathers them, else one contiguous copy), the parameters, velocities,
 gradients and the validation forward. The initial weights are drawn as
 float64 and cast. Every loss is float64 (numerics.cross_entropy and
 backward_linear_stacked widen before the log), so the epoch rule compares
-float64 losses. Scoring is float64: head_predict widens the head's
-parameters, as load_head does, so a trained head and its reloaded file
-predict the same bits.
+float64 losses. Scoring is DTYPE too: load_head keeps the file's f32
+parameters, head_predict is one head's DTYPE forward (a trained head and its
+file predict the same bits), and cli._scored_blocks stacks m heads in one.
 
 Head files (magic ``HDW1``) are little-endian:
 
@@ -112,20 +112,17 @@ def _init_params(dim: int, num_classes: int, stream: np.random.Generator):
     return weights, bias
 
 
-def head_predict(
-    head: LinearHead, features: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Float64 logits for a feature batch, written into `out` when given
-    (see linear_forward); apply softmax downstream as needed. The features
-    and the head's parameters are widened to float64 (a no-op for a loaded
-    head), so a trained head predicts what its file does."""
-    features = np.asarray(features, dtype=np.float64)
+def head_predict(head: LinearHead, features: np.ndarray) -> np.ndarray:
+    """DTYPE logits for a feature batch; apply softmax downstream as needed.
+    The features and the head's parameters are cast to DTYPE (a no-op for a
+    file's f32 rows and a trained or loaded head), so a trained head
+    predicts what its file does."""
+    features = np.asarray(features, dtype=DTYPE)
     if features.ndim != 2 or features.shape[1] != head.dim:
         raise DimensionError(
             f"features {features.shape} do not match head weights {head.weights.shape}"
         )
-    weights, bias = (np.asarray(p, dtype=np.float64) for p in (head.weights, head.bias))
-    return linear_forward(features, weights, bias, out=out)
+    return linear_forward(features, *(np.asarray(p, dtype=DTYPE) for p in (head.weights, head.bias)))
 
 
 def _features(dataset: FeatureDataset) -> np.ndarray:
@@ -279,13 +276,13 @@ def save_head(head: LinearHead, path) -> None:
 
 
 def load_head(path, digest=None) -> LinearHead:
-    """The head in the HDW1 file at `path`; `digest`, when given, is updated
-    with the file's bytes (see container.Reader)."""
+    """The head in the HDW1 file at `path`, its f32 parameters copied out of
+    the map; `digest`, when given, is updated with its bytes (container.Reader)."""
     reader = container.Reader(path, HEAD_MAGIC, HEAD_HEADER, digest)
     dim, num_classes, seed = reader.header
     if dim < 1 or num_classes < 1:
         raise reader.error(f"D={dim}, C={num_classes} must both be >= 1", offset=4)
     reader.expect_payload(4 * (num_classes * dim + num_classes))
-    weights = reader.f32((num_classes, dim)).astype(np.float64)
-    bias = reader.f32((num_classes,)).astype(np.float64)
+    weights = reader.f32((num_classes, dim)).copy()
+    bias = reader.f32((num_classes,)).copy()
     return LinearHead(weights=weights, bias=bias, seed=seed)

@@ -2,10 +2,10 @@
 
 Arrays are float64 or float32 ("matrices" are 2-D, row-major), and every
 kernel computes in the dtype of its operands: float32 in gives float32 out.
-Heads and combiners train in float32 (heads.DTYPE, combiners.DTYPE), and
-the heads score in float64; a caller never mixes the two in one product,
-because numpy would silently promote it to float64. The one exception is the
-loss: cross_entropy and backward_linear_stacked widen the picked
+Heads and combiners train and score in float32 (heads.DTYPE,
+combiners.DTYPE), and no caller mixes dtypes in one product, which numpy
+would silently promote to float64. The one exception is the loss:
+cross_entropy and backward_linear_stacked widen the picked
 probabilities to float64 before the log, so every loss fit compares is a
 float64. Forward and backward passes are written out by hand; the only loss
 anywhere is mean cross-entropy after softmax. All randomness flows through
@@ -99,14 +99,11 @@ def require_finite(values: np.ndarray, what: str) -> None:
         raise DataError(f"{what} holds a non-finite value at index [{index}]")
 
 
-def linear_forward(
-    inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def linear_forward(inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Affine map: out[n, c] = sum_d inputs[n, d] * weights[c, d] + bias[c].
 
-    The product goes into a fresh array, or into `out` (an (N, C) array or
-    view of the operands' dtype) when given, and the bias is added to it in
-    place, so the call allocates no second full-size array."""
+    The bias is added in place to the fresh product, so the call allocates
+    no second full-size array."""
     inputs = as_matrix(inputs, "inputs")
     weights = as_matrix(weights, "weights")
     bias = np.asarray(bias, dtype=_float_dtype(bias))
@@ -118,7 +115,7 @@ def linear_forward(
         raise DimensionError(
             f"bias {bias.shape} does not match weights {weights.shape}"
         )
-    out = np.matmul(inputs, weights.T, out=out)
+    out = np.matmul(inputs, weights.T)
     out += bias
     return out
 

@@ -63,8 +63,12 @@ def gen_args(out, n=300, classes=3, dim=4, seed=7, noise=0.1):
 
 
 def per_head_logits(head, features):
-    """A head's logits as computed before the outputs shared one array."""
-    return features @ head.weights.T + head.bias
+    """A head's logits as computed before the heads shared one product: its
+    float32 weights and bias applied to the f32 feature rows, then widened
+    to float64."""
+    weights, bias = (np.asarray(p, np.float32) for p in (head.weights, head.bias))
+    features = np.ascontiguousarray(features, np.float32)
+    return (features @ weights.T + bias).astype(np.float64)
 
 
 def per_head_softmax(logits):
@@ -91,18 +95,33 @@ def save_heads(heads, art):
 
 
 def refuse_head_outputs(monkeypatch):
-    """From here on, computing any head output fails the test."""
+    """From here on, computing any head output fails the test: the CLI
+    scores heads only in _scored_blocks."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("head outputs were computed")
 
-    monkeypatch.setattr(cli, "head_predict", refuse)
+    monkeypatch.setattr(cli, "_scored_blocks", refuse)
+
+
+def spy_scored_blocks(monkeypatch, seen):
+    """From here on, each block the CLI scores passes through seen(rows,
+    block) on its way out of _scored_blocks, where `rows` are the row
+    indices asked for and `block` the block's outputs."""
+    scored_blocks = cli._scored_blocks
+
+    def spy(heads, dataset, rows):
+        for start, stop, block in scored_blocks(heads, dataset, rows):
+            seen(rows, block)
+            yield start, stop, block
+
+    monkeypatch.setattr(cli, "_scored_blocks", spy)
 
 
 def refuse_feature_casts(monkeypatch):
     """From here on, gathering or casting any feature row of a dataset file
-    fails the test: the CLI gathers rows only in _scored_blocks, which casts
-    them to float64, and in split, which hands train-heads its f32 parts."""
+    fails the test: the CLI gathers rows only in _scored_blocks, which scores
+    them, and in split, which hands train-heads its f32 parts."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("feature rows were gathered")
@@ -295,8 +314,10 @@ def mapped_dataset(path, n, dim, num_classes, seed):
 
 
 class TestHeadOutputsArray:
-    """cli._scored_blocks scores float64 row blocks head by head into one
-    buffer, and cli._head_outputs casts them into one (N, m, C) DTYPE array."""
+    """cli._scored_blocks scores each row block's f32 features with one
+    float32 product for all m heads and softmaxes the widened logits into
+    one float64 buffer; cli._head_outputs casts them into one (N, m, C)
+    DTYPE array."""
 
     def test_peak_memory_within_one_and_a_half_output_sizes(self, tmp_path):
         heads = random_heads(5, 32, 40, seed=1)
@@ -315,10 +336,28 @@ class TestHeadOutputsArray:
         dataset = mapped_dataset(tmp_path / "d.fds", 3000, 96, 50, seed=4)
         outputs = _head_outputs(heads, dataset, np.arange(3000))
         assert outputs.values.dtype == DTYPE
-        features = dataset.features.astype(np.float64)
         for i, head in enumerate(heads):
-            expect = per_head_softmax(per_head_logits(head, features))
+            expect = per_head_softmax(per_head_logits(head, dataset.features))
             assert np.array_equal(outputs.values[:, i, :], expect.astype(DTYPE))
+
+    @pytest.mark.parametrize("m, classes, dim", [(5, 100, 256), (4, 50, 96), (2, 3, 4)])
+    def test_stacked_product_equals_head_predict_bit_for_bit(
+        self, tmp_path, monkeypatch, m, classes, dim
+    ):
+        # with the softmax taken out, the blocks hold the widened logits of
+        # the one stacked product; head i's columns are its own product's
+        heads = random_heads(m, dim, classes, seed=8)
+        dataset = mapped_dataset(tmp_path / "d.fds", 3000, dim, classes, seed=9)
+        rows = split_indices(dataset.labels, classes, 0.1, seed=10)[0]
+        monkeypatch.setattr(cli, "softmax_in_place", lambda values: values)
+        logits = np.empty((len(rows), m, classes))
+        for start, stop, block in cli._scored_blocks(heads, dataset, rows):
+            logits[start:stop] = block
+        features = dataset.features[rows]
+        for i, head in enumerate(heads):
+            expect = head_predict(head, features)
+            assert expect.dtype == np.float32
+            assert np.array_equal(logits[:, i, :], expect.astype(np.float64)), i
 
     def test_block_walk_equals_whole_matrix_bit_for_bit(self, tmp_path):
         # 1800 rows in split order: 7 blocks of at most 262 rows at m=5, C=100
@@ -327,10 +366,10 @@ class TestHeadOutputsArray:
         rows = split_indices(dataset.labels, 100, 0.1, seed=7)[0]
         assert len(row_blocks(len(rows), 5 * 100 * 8)) >= 3
         outputs = _head_outputs(heads, dataset, rows)
-        features = dataset.features[rows].astype(np.float64)
+        features = dataset.features[rows]
         expect = np.empty((len(rows), 5, 100))
         for i, head in enumerate(heads):
-            head_predict(head, features, out=expect[:, i, :])
+            expect[:, i, :] = head_predict(head, features)
         assert np.array_equal(outputs.values, softmax_in_place(expect).astype(DTYPE))
 
     @pytest.mark.parametrize("command", ["train-meta", "evaluate"])
@@ -349,6 +388,31 @@ class TestHeadOutputsArray:
         assert run([*argv, "--heads-dir", str(art), "--out", str(pipeline_dir / "out")]) == 3
         err = capsys.readouterr().err
         assert f"has D=4, C=3, but {art / 'head_1.hdw'} has D={dim}, C={classes}" in err
+
+    @pytest.mark.parametrize("command", ["train-meta", "evaluate"])
+    def test_head_whose_float32_logits_overflow_exits_three_naming_it(
+        self, pipeline_dir, capsys, command
+    ):
+        # head 1's finite f32 weights of 1e38 overflow float32 logits on the
+        # data's features (|x| up to ~10), which a float64 product scored
+        # one-hot; the overflow and the inf - inf of the softmax raise no
+        # RuntimeWarning (the suite turns those into errors), and the check
+        # of the outputs names the head
+        art, data = pipeline_dir / "artifacts", pipeline_dir / "data"
+        head = LinearHead(np.eye(3, 4) * 1e38, np.zeros(3), seed=0)
+        save_head(head, art / "head_1.hdw")
+        features = load_dataset(data / "train.fds").features
+        assert np.isfinite(features.astype(np.float64) @ head.weights.T).all()
+        with np.errstate(over="ignore"):
+            assert np.isinf(head_predict(head, features)).any()
+        if command == "train-meta":
+            argv = ["train-meta", "--kind", "SL", "--train", str(data / "train.fds")]
+        else:
+            argv = ["evaluate", "--test", str(data / "test.fds")]
+        assert run([*argv, "--heads-dir", str(art), "--out", str(pipeline_dir / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "head 1 output holds a non-finite value" in err
+        assert not (pipeline_dir / "out" / HEAD_OUTPUTS_CACHE).exists()
 
 
 class TestTrainMeta:
@@ -499,23 +563,25 @@ class TestHeadOutputsCache:
         assert (out / f"meta_{kind}.mmd").read_bytes() == missed
 
     @staticmethod
-    def cache_header(pipeline_dir, train):
+    def cache_header(pipeline_dir, train, trailer=b"7\n0.1\nfloat32 logits"):
         """(header, parts): the HOC1 header fields train-meta writes for the
         exact bytes of `train` and the heads at --seed 7 and --val-fraction
-        0.1, and the split that the file's labels give."""
+        0.1, and the split that the file's labels give. `trailer` is what the
+        key hashes after the files: the seed, the fraction and the scoring
+        tag."""
         art = pipeline_dir / "artifacts"
         key = hashlib.sha256(train.read_bytes())
         for i in range(2):
             key.update((art / f"head_{i}.hdw").read_bytes())
-        key.update(b"7\n0.1")
+        key.update(trailer)
         labels = np.frombuffer(train.read_bytes(), _dataset_record_dtype(4), offset=16)["y"]
         parts = split_indices(labels, 3, 0.1, 7 + 1000)
         return (key.digest(), len(parts[0]), len(parts[1]), 2, 3, bytes(12)), parts
 
-    def forge_cache(self, pipeline_dir, train, out):
-        """A cache keyed, as train-meta keys it, to `train` (cache_header),
-        holding uniform outputs for its split."""
-        header, parts = self.cache_header(pipeline_dir, train)
+    def forge_cache(self, pipeline_dir, train, out, **key):
+        """A cache keyed, as train-meta keys it, to `train` (cache_header,
+        which takes `key`), holding uniform outputs for its split."""
+        header, parts = self.cache_header(pipeline_dir, train, **key)
         blocks = [np.full((len(rows), 2, 3), 1 / 3, dtype=np.float32) for rows in parts]
         out.mkdir(parents=True, exist_ok=True)
         container.write(out / HEAD_OUTPUTS_CACHE, cli._CACHE_MAGIC, cli._CACHE_HEADER, header,
@@ -621,16 +687,14 @@ class TestHeadOutputsCache:
     def test_miss_with_bad_outputs_writes_no_cache(self, pipeline_dir, capsys, monkeypatch, part):
         # a miss checks both parts' outputs before it writes them: the error
         # is the check's, and there is no cache file to delete; the val part
-        # (30 of 300 rows) is the only block of fewer than 100 rows
+        # (30 of 300 rows) is the only part of fewer than 100 rows
         out = pipeline_dir / "out"
 
-        def nan_logit(head, features, out=None):
-            logits = head_predict(head, features, out=out)
-            if (len(features) < 100) is (part == "val"):
-                logits[0, 0] = np.nan
-            return logits
+        def nan_output(rows, block):
+            if (len(rows) < 100) is (part == "val"):
+                block[0, 0, 0] = np.nan
 
-        monkeypatch.setattr(cli, "head_predict", nan_logit)
+        spy_scored_blocks(monkeypatch, nan_output)
         capsys.readouterr()
         assert self.train_meta(pipeline_dir, out) == 3
         err = capsys.readouterr().err
@@ -689,16 +753,30 @@ class TestHeadOutputsCache:
         wide = np.frombuffer(good, "<f4", offset=64).astype("<f8")
         cache.write_bytes(good[:64] + wide.tobytes())
         scored = []
-
-        def spy(head, features, out=None):
-            scored.append(len(features))
-            return head_predict(head, features, out=out)
-
-        monkeypatch.setattr(cli, "head_predict", spy)
+        spy_scored_blocks(monkeypatch, lambda rows, block: scored.append(len(block)))
         assert self.train_meta(pipeline_dir, out) == 0
-        assert sum(scored) == m * (n_train + n_val)
+        assert sum(scored) == n_train + n_val
         assert cache.read_bytes() == good
         assert (out / "meta_SL.mmd").read_bytes() == mmd
+
+    def test_cache_keyed_before_float32_scoring_is_rescored(self, pipeline_dir, monkeypatch):
+        # a cache written before the heads were scored in float32 has this
+        # layout and header, but its key lacks the scoring tag: a miss, which
+        # scores every row once and replaces the file
+        out, fresh = pipeline_dir / "out", pipeline_dir / "fresh"
+        train = pipeline_dir / "data" / "train.fds"
+        assert self.train_meta(pipeline_dir, fresh) == 0
+        self.forge_cache(pipeline_dir, train, out, trailer=b"7\n0.1")
+        header, parts = self.cache_header(pipeline_dir, train, trailer=b"7\n0.1")
+        assert (out / HEAD_OUTPUTS_CACHE).read_bytes()[4:64] == struct.pack(
+            cli._CACHE_HEADER, *header
+        )
+        scored = []
+        spy_scored_blocks(monkeypatch, lambda rows, block: scored.append(len(block)))
+        assert self.train_meta(pipeline_dir, out) == 0
+        assert sum(scored) == len(parts[0]) + len(parts[1])
+        for name in ("meta_SL.mmd", HEAD_OUTPUTS_CACHE):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
     def test_failed_cache_trains_on_outputs_in_memory(self, pipeline_dir, capsys, monkeypatch):
         out, cached = pipeline_dir / "out", pipeline_dir / "cached"
@@ -738,16 +816,11 @@ class TestHeadOutputsCache:
         assert run(argv + [str(cached)]) == 0
         (out / HEAD_OUTPUTS_CACHE).mkdir(parents=True)
         scored = []
-
-        def spy(head, features, out=None):
-            scored.append(len(features))
-            return head_predict(head, features, out=out)
-
-        monkeypatch.setattr(cli, "head_predict", spy)
+        spy_scored_blocks(monkeypatch, lambda rows, block: scored.append(len(block)))
         capsys.readouterr()
         assert run(argv + [str(out)]) == 0
         assert "warning: head outputs not cached: " in capsys.readouterr().err
-        assert sum(scored) == 5 * 400
+        assert sum(scored) == 400
         assert (out / HEAD_OUTPUTS_CACHE).is_dir()
         assert not list(out.glob("*.tmp"))
         assert (out / "meta_SL.mmd").read_bytes() == (cached / "meta_SL.mmd").read_bytes()
@@ -870,9 +943,9 @@ class TestEvaluate:
         assert summary["rows"][-2]["param_count"] == 2 * 3 * 3 + 3
 
     def test_rows_equal_per_head_recipe(self, pipeline_dir):
-        # reference: each head's logits and softmax computed on its own in
-        # float64, Avg. and Vot. fed those probabilities and every combiner
-        # their DTYPE cast
+        # reference: each head's logits computed on its own in float32 and
+        # its softmax in float64, Avg. and Vot. fed those probabilities and
+        # every combiner their DTYPE cast
         art, data = pipeline_dir / "artifacts", pipeline_dir / "data"
         for kind in ("SL", "DLL", "SLpC"):
             assert run([
@@ -1079,21 +1152,16 @@ class TestEvaluateBlocks:
             assert (outs[10**6] / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
     def test_every_block_is_scored_into_one_buffer(self, pipeline_dir, monkeypatch):
-        # each head writes its logits into a view of the buffer; keeping the
-        # views' bases alive keeps a fresh array per block from reusing an id
+        # each block is a prefix view of the buffer; keeping the views' bases
+        # alive keeps a fresh array per block from reusing an id
         bases = []
-
-        def spy(head, features, out=None):
-            bases.append(out.base)
-            return head_predict(head, features, out=out)
-
-        monkeypatch.setattr(cli, "head_predict", spy)
+        spy_scored_blocks(monkeypatch, lambda rows, block: bases.append(block.base))
         monkeypatch.setattr(numerics, "BLOCK_BYTES", 70 * 2 * 3 * 8)  # 70 rows at m=2, C=3
         assert run([
             "evaluate", "--test", str(pipeline_dir / "data" / "test.fds"),
             "--heads-dir", str(pipeline_dir / "artifacts"), "--out", str(pipeline_dir / "res"),
         ]) == 0
-        assert len(bases) == 2 * 5
+        assert len(bases) == 5
         assert all(base is bases[0] for base in bases)
 
     @pytest.mark.parametrize("rows, k", [(1, 1), (2, 3), (7, 1), (7, 5), (262, 190)])

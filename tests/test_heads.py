@@ -85,17 +85,24 @@ class TestHeadPredict:
         assert np.array_equal(out, np.tile([1.0, 2.0, 3.0], (4, 1)))
 
     def test_matches_linear_forward(self):
+        # the features are cast to the head's DTYPE, and so are the logits
         head = linear_head(3, 2, seed=4)
-        x = np.asarray([[0.5, -1.0, 2.0]])
+        x = np.asarray([[0.5, -1.0, 2.0], [0.1, 0.2, 0.3]])
+        logits = head_predict(head, x)
+        assert logits.dtype == heads_module.DTYPE
         assert np.array_equal(
-            head_predict(head, x), linear_forward(x, head.weights, head.bias)
+            logits, linear_forward(x.astype(np.float32), head.weights, head.bias)
         )
 
     def test_batch_consistency(self):
+        # a row's logits do not depend on the other rows of a matrix product;
+        # numpy runs a one-row batch as a matrix-vector product, which in
+        # float32 may round the last bit differently
         head = linear_head(3, 2, seed=4)
-        batch = np.asarray([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        batch = np.asarray([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, -8.0, 9.0], [0.5, 0.25, -1.0]])
+        assert np.array_equal(head_predict(head, batch[1:3]), head_predict(head, batch)[1:3])
         single = head_predict(head, batch[1:2])
-        assert np.array_equal(single[0], head_predict(head, batch)[1])
+        assert np.allclose(single[0], head_predict(head, batch)[1], rtol=2.0**-22, atol=0.0)
 
     def test_width_mismatch(self):
         head = linear_head(3, 2, seed=4)
@@ -320,8 +327,8 @@ class TestHeadFile:
         assert np.array_equal(loaded.bias, head.bias.astype(np.float32))
 
     def test_trained_head_round_trips_exactly(self, separable, tmp_path):
-        # HDW1 stores f32, the dtype the heads train in; load_head widens
-        # the values for scoring
+        # HDW1 stores f32, the dtype the heads train and score in; load_head
+        # keeps it, in arrays of its own rather than views of the file
         train, val = separable
         head, = train_heads_lockstep(train, val, 1, 123, quick_cfg(max_epochs=5))
         save_head(head, tmp_path / "h.hdw")
@@ -329,7 +336,9 @@ class TestHeadFile:
         assert loaded.seed == 123
         assert np.array_equal(loaded.weights, head.weights)
         assert np.array_equal(loaded.bias, head.bias)
-        assert loaded.weights.dtype == loaded.bias.dtype == np.float64
+        assert loaded.weights.dtype == loaded.bias.dtype == heads_module.DTYPE
+        assert loaded.weights.flags.owndata and loaded.weights.flags.writeable
+        assert loaded.bias.flags.owndata and loaded.bias.flags.writeable
 
     def test_trained_and_reloaded_head_predict_the_same_bits(self, tmp_path):
         ds = synth_clusters(SynthSpec(10, 16, 1200, 6.0, 0.2, seed=8))
@@ -339,8 +348,8 @@ class TestHeadFile:
         loaded = load_head(tmp_path / "h.hdw")
         trained = head_predict(head, ds.features)
         reloaded = head_predict(loaded, ds.features)
-        assert trained.dtype == np.float64
-        assert np.array_equal(trained.view(np.uint64), reloaded.view(np.uint64))
+        assert trained.dtype == heads_module.DTYPE
+        assert np.array_equal(trained.view(np.uint32), reloaded.view(np.uint32))
 
     def test_file_size(self, tmp_path):
         head = linear_head(6, 3, seed=1)
