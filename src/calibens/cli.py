@@ -86,7 +86,7 @@ from .data import (
     synth_cluster_pair,
 )
 from .errors import CalibensError, ConfigError, DataError, DimensionError, FormatError, TrainingError
-from .heads import DTYPE as HEAD_DTYPE, HeadTrainConfig, load_head, save_head, train_heads_lockstep
+from .heads import HeadTrainConfig, LinearHead, head_predict, load_head, save_head, train_heads_lockstep
 from .metrics import (
     DEFAULT_NUM_BINS,
     PredictionSet,
@@ -304,26 +304,23 @@ def _scored_blocks(heads, dataset, rows):
     """The heads' softmax probabilities for the rows `rows` (an index array)
     of `dataset`, one row block (numerics.row_blocks, 8*m*C bytes a row) at
     a time: (start, stop, block), block holding the float64 (stop - start,
-    m, C) outputs of rows[start:stop]: one HEAD_DTYPE product of the rows'
-    f32 features and the heads' stacked (m*C, D) weights, widened as the
-    bias is added, then softmaxed in place; overflowed logits give
-    non-finite outputs, with no warning. Head i's logits are head_predict's
-    bits unless BLAS runs either product through another kernel (OpenBLAS
-    0.3.31: one-row products, some of up to ~1,200 cells). The block and its
-    logits are prefixes of two buffers sized for the largest block, so a
-    block is valid until the next is asked for, and its shape and strides,
-    so its bytes, are those of its slice of the whole array. Unchecked."""
-    weights = np.concatenate([head.weights for head in heads], dtype=HEAD_DTYPE)
-    bias = np.concatenate([head.bias for head in heads], dtype=HEAD_DTYPE)
+    m, C) outputs of rows[start:stop]: the f32 logits of one head_predict by
+    the heads stacked into one (m*C, D) head, softmaxed in place; unchecked,
+    and overflow gives non-finite outputs with no warning. Head i's logits
+    are its own head_predict's bits unless BLAS takes another kernel for
+    either product (OpenBLAS 0.3.31: some of up to ~1,200 cells). Every
+    block is a prefix of one buffer sized for the largest, valid until the
+    next is asked for, with the shape and strides, so the bytes, of its
+    slice of the whole array."""
+    weights, bias = np.concatenate([h.weights for h in heads]), np.concatenate([h.bias for h in heads])
+    stacked = LinearHead(weights, bias, seed=0)
     blocks = row_blocks(len(rows), 8 * len(bias))
     most = max(stop - start for start, stop in blocks)
-    logits = np.empty((most, len(bias)), HEAD_DTYPE)
     buffer = np.empty((most, len(heads), dataset.num_classes))
     for start, stop in blocks:
-        block, product = buffer[: stop - start], logits[: stop - start]
+        block = buffer[: stop - start]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(dataset.features[rows[start:stop]], weights.T, out=product)
-            np.add(product, bias, out=block.reshape(len(block), -1))
+            block.reshape(len(block), -1)[...] = head_predict(stacked, dataset.features[rows[start:stop]])
             softmax_in_place(block)
         yield start, stop, block
 

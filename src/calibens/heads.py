@@ -114,15 +114,18 @@ def _init_params(dim: int, num_classes: int, stream: np.random.Generator):
 
 def head_predict(head: LinearHead, features: np.ndarray) -> np.ndarray:
     """DTYPE logits for a feature batch; apply softmax downstream as needed.
-    The features and the head's parameters are cast to DTYPE (a no-op for a
-    file's f32 rows and a trained or loaded head), so a trained head
-    predicts what its file does."""
+    The features and parameters are cast to DTYPE (a no-op for f32 rows and
+    a trained or loaded head), so a trained head predicts what its file
+    does. A one-row batch is scored as two rows: numpy would run it as a
+    matrix-vector product, which rounds differently from a matrix product."""
     features = np.asarray(features, dtype=DTYPE)
     if features.ndim != 2 or features.shape[1] != head.dim:
         raise DimensionError(
             f"features {features.shape} do not match head weights {head.weights.shape}"
         )
-    return linear_forward(features, *(np.asarray(p, dtype=DTYPE) for p in (head.weights, head.bias)))
+    weights, bias = (np.asarray(p, dtype=DTYPE) for p in (head.weights, head.bias))
+    batch = np.repeat(features, 2, axis=0) if len(features) == 1 else features
+    return linear_forward(batch, weights, bias)[: len(features)]
 
 
 def _features(dataset: FeatureDataset) -> np.ndarray:

@@ -95,14 +95,17 @@ class TestHeadPredict:
         )
 
     def test_batch_consistency(self):
-        # a row's logits do not depend on the other rows of a matrix product;
-        # numpy runs a one-row batch as a matrix-vector product, which in
-        # float32 may round the last bit differently
+        # a row's logits do not depend on the other rows of the batch; a
+        # one-row batch, which numpy would run as a matrix-vector product,
+        # gets the matrix product's bits too
         head = linear_head(3, 2, seed=4)
         batch = np.asarray([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, -8.0, 9.0], [0.5, 0.25, -1.0]])
-        assert np.array_equal(head_predict(head, batch[1:3]), head_predict(head, batch)[1:3])
-        single = head_predict(head, batch[1:2])
-        assert np.allclose(single[0], head_predict(head, batch)[1], rtol=2.0**-22, atol=0.0)
+        whole = head_predict(head, batch)
+        assert np.array_equal(head_predict(head, batch[1:3]), whole[1:3])
+        for i in range(len(batch)):
+            single = head_predict(head, batch[i : i + 1])
+            assert single.shape == (1, 2)
+            assert np.array_equal(single[0], whole[i]), i
 
     def test_width_mismatch(self):
         head = linear_head(3, 2, seed=4)
