@@ -6,8 +6,9 @@ calibration with the expected and maximum calibration error.
 
 The package root exports the names the CLI pipeline is built from, among
 them the one dataset reader, load_dataset, and split, which cuts a dataset
-into its training and validation parts; the reference trainers, kernels and
-helpers stay importable from their modules.
+into its training and validation parts, and run_cell, which runs one
+synthetic cell through the pipeline's stages in memory; the reference
+trainers, kernels and helpers stay importable from their modules.
 """
 
 __version__ = "0.1.0"
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .heads import HeadTrainConfig, LinearHead, head_predict, load_head, save_head, train_heads_lockstep
 from .metrics import PredictionSet, calibration_report, predictions_from_probs, write_reliability_csv
+from .pipeline import run_cell
 
 __all__ = [
     "__version__",
@@ -77,4 +79,5 @@ __all__ = [
     "calibration_report",
     "predictions_from_probs",
     "write_reliability_csv",
+    "run_cell",
 ]

@@ -1,9 +1,11 @@
 """Command-line pipeline: gen, train-heads, train-meta, evaluate, report.
 
-Each option is declared once. The training flags of train-heads and
-train-meta are all the fields of HeadTrainConfig and MetaTrainConfig, typed
-and defaulted by them, and the sidecars record those configs whole; every
-other option carries its default in its add_argument call.
+Each stage parses, reads and checks its files, calls the numpy functions of
+the pipeline module and writes what they return. Each option is declared
+once. The training flags of train-heads and train-meta are all the fields of
+HeadTrainConfig and MetaTrainConfig, typed and defaulted by them, and the
+sidecars record those configs whole; every other option carries its default
+in its add_argument call.
 
 Every command but report accepts ``--config FILE`` with a JSON object whose
 keys match the long flag names (dashes as underscores). The values become the
@@ -11,39 +13,36 @@ command's defaults, so the order is defaults < config file < flags; keys the
 command has no flag for are ignored, so one file can carry the keys for the
 whole pipeline, and the ``config`` block of a heads.json or meta_<KIND>.json
 sidecar is itself a valid config file. All randomness in a run derives from
-one ``--seed``; fixed offsets give each model its one seed (heads: seed+1+i,
-combiner models: seed+2000+KINDS.index(kind)) and the split (seed+1000).
+one ``--seed``, by the seed policy of the pipeline module.
 
 train-heads, train-meta and evaluate read their .fds file with
-data.load_dataset, which maps it read-only and casts nothing. Both training
-stages draw one split, seeded by _split_seed: train-heads trains on the two
-parts' f32 rows that data.split gathers, and the mapping is gone before the
-fit; train-meta and evaluate score the heads in row blocks (_scored_blocks:
-one float32 product of a block's f32 rows for all m heads, then a float64
-softmax). Every combiner kind trains on the same heads' outputs over
-the same split, so train-meta keeps them in ``head_outputs.cache`` in its
-output directory and reuses them in every later run on the same inputs. Such
-a hit reads the training file's bytes for the key, checks its features are
-finite and its labels in range, and draws the split from the labels
-(data.split_indices); it gathers no feature row, and it unmaps the
-training file, keeping only the split's labels, before it checks the cached
-outputs, so the two files are never resident at once. Cached values that
-fail the check are an error that names the file. A miss scores the train
-rows, then the val rows, into memory (_head_outputs), checks each part once,
-unmaps the training file and writes both parts to the cache; when the write
-raises OSError it warns and trains on the outputs all the same. Every row is
-scored once on every path, and the cache never holds values that failed the
-check. The cache file is a container (HOC1) holding both split parts,
-little-endian:
+data.load_dataset, which maps it read-only and casts nothing. train-heads
+trains on the two split parts' f32 rows that data.split gathers, and the
+mapping is gone before the fit; train-meta and evaluate score the heads in
+row blocks (pipeline.scored_blocks). Every combiner kind trains on the same
+heads' outputs over the same split, so train-meta keeps them in
+``head_outputs.cache`` in its output directory and reuses them in every
+later run on the same inputs. Such a hit reads the training file's bytes for
+the key, checks its features are finite and its labels in range, and draws
+the split from the labels (data.split_indices); it gathers no feature row,
+and it unmaps the training file, keeping only the split's labels, before it
+checks the cached outputs, so the two files are never resident at once.
+Cached values that fail the check are an error that names the file. A miss
+scores the train rows, then the val rows, into memory
+(pipeline.head_outputs), checks each part once, unmaps the training file and
+writes both parts to the cache; when the write raises OSError it warns and
+trains on the outputs all the same. Every row is scored once on every path,
+and the cache never holds values that failed the check. The cache file is a
+container (HOC1) holding both split parts, little-endian:
 
     HOC1 | 32-byte sha256 key | u32 N_train | u32 N_val | u32 m | u32 C |
     12 zero bytes | train block | val block
 
 where each block, from offset 64, is the part's (N, m, C) softmax
-probabilities as _scored_blocks computes them, stored as row-major f32,
-exactly what HeadOutputs holds (combiners.DTYPE). The key is the sha256 of
-the bytes train-meta parsed, the training .fds and then each head_i.hdw in
-index order, followed by --seed, --val-fraction and a scoring tag, so a
+probabilities as pipeline.scored_blocks computes them, stored as row-major
+f32, exactly what HeadOutputs holds (combiners.DTYPE). The key is the sha256
+of the bytes train-meta parsed, the training .fds and then each head_i.hdw
+in index order, followed by --seed, --val-fraction and a scoring tag, so a
 cache of float64 logits (earlier versions) misses. A file with another
 header or length is a miss, and deleting the file is always safe.
 
@@ -59,45 +58,12 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, container
-from .combiners import (
-    DTYPE,
-    KINDS,
-    HeadOutputs,
-    MetaTrainConfig,
-    build_metamodel,
-    check_probabilities,
-    combine_average,
-    combine_metamodel,
-    combine_vote,
-    load_metamodel,
-    save_metamodel,
-    train_metamodel,
-)
-from .data import (
-    SynthSpec,
-    check_val_fraction,
-    load_dataset,
-    save_dataset,
-    split,
-    split_indices,
-    synth_cluster_pair,
-)
+from . import __version__, container, pipeline
+from .combiners import KINDS, HeadOutputs, MetaTrainConfig, load_metamodel, save_metamodel
+from .data import SynthSpec, load_dataset, save_dataset, split, split_indices, synth_cluster_pair
 from .errors import CalibensError, ConfigError, DataError, DimensionError, FormatError, TrainingError
-from .heads import HeadTrainConfig, LinearHead, head_predict, load_head, save_head, train_heads_lockstep
-from .metrics import (
-    DEFAULT_NUM_BINS,
-    PredictionSet,
-    calibration_report,
-    write_reliability_csv,
-)
-from .numerics import derive_seed, row_blocks, softmax_in_place
-
-_SPLIT_STREAM = 1000
-_HEAD_STREAM = 1
-_META_STREAM = 2000
+from .heads import HeadTrainConfig, load_head, save_head
+from .metrics import DEFAULT_NUM_BINS, write_reliability_csv
 
 HEAD_OUTPUTS_CACHE = "head_outputs.cache"
 _CACHE_MAGIC = b"HOC1"
@@ -168,14 +134,6 @@ def _train_config(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
-def _split_seed(args) -> int:
-    """The seed of the split both training stages draw from the --train
-    labels. It checks --val-fraction, so each stage calls it before it reads
-    the file."""
-    check_val_fraction(args.val_fraction)
-    return derive_seed(args.seed, _SPLIT_STREAM)
-
-
 def _parse_meta_kinds(raw) -> list[str]:
     if raw is None or raw == "" or raw == "none":
         return []
@@ -227,10 +185,10 @@ def cmd_train_heads(args) -> int:
     if m < 1:
         raise ConfigError(f"--m must be >= 1, got {m}")
     head_cfg = _train_config(HeadTrainConfig, args)
-    split_seed = _split_seed(args)
+    split_seed = pipeline.split_seed(seed, args.val_fraction)
     # two f32 gathers, not cast; the file is unmapped once split returns
     train, val = split(load_dataset(args.train), args.val_fraction, split_seed)
-    heads = train_heads_lockstep(train, val, m, derive_seed(seed, _HEAD_STREAM), head_cfg)
+    heads = pipeline.train_heads(train, val, m, seed, head_cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -300,42 +258,6 @@ def _discover_heads(heads_dir, data_path, dataset, digest=None) -> list:
     return heads
 
 
-def _scored_blocks(heads, dataset, rows):
-    """The heads' softmax probabilities for the rows `rows` (an index array)
-    of `dataset`, one row block (numerics.row_blocks, 8*m*C bytes a row) at
-    a time: (start, stop, block), block holding the float64 (stop - start,
-    m, C) outputs of rows[start:stop]: the f32 logits of one head_predict by
-    the heads stacked into one (m*C, D) head, softmaxed in place; unchecked,
-    and overflow gives non-finite outputs with no warning. Head i's logits
-    are its own head_predict's bits unless BLAS takes another kernel for
-    either product (OpenBLAS 0.3.31: some of up to ~1,200 cells). Every
-    block is a prefix of one buffer sized for the largest, valid until the
-    next is asked for, with the shape and strides, so the bytes, of its
-    slice of the whole array."""
-    weights, bias = np.concatenate([h.weights for h in heads]), np.concatenate([h.bias for h in heads])
-    stacked = LinearHead(weights, bias, seed=0)
-    blocks = row_blocks(len(rows), 8 * len(bias))
-    most = max(stop - start for start, stop in blocks)
-    buffer = np.empty((most, len(heads), dataset.num_classes))
-    for start, stop in blocks:
-        block = buffer[: stop - start]
-        with np.errstate(over="ignore", invalid="ignore"):
-            block.reshape(len(block), -1)[...] = head_predict(stacked, dataset.features[rows[start:stop]])
-            softmax_in_place(block)
-        yield start, stop, block
-
-
-def _head_outputs(heads, dataset, rows) -> HeadOutputs:
-    """The heads' outputs for the rows `rows` (an index array) of `dataset`,
-    as one checked (len(rows), m, C) DTYPE array cast from the float64
-    _scored_blocks blocks: the values a train-meta miss trains on and writes
-    to its cache."""
-    values = np.empty((len(rows), len(heads), dataset.num_classes), DTYPE)
-    for start, stop, block in _scored_blocks(heads, dataset, rows):
-        values[start:stop] = block
-    return HeadOutputs(values)
-
-
 def _map_cache(path, fields: tuple):
     """The train and val blocks of the cache file at `path` as read-only
     views of the file, or None (a miss) when it cannot be read, its header
@@ -359,7 +281,7 @@ def cmd_train_meta(args) -> int:
     if args.train is None:
         raise ConfigError("missing training dataset path (--train)")
     train_cfg = _train_config(MetaTrainConfig, args)
-    split_seed = _split_seed(args)
+    split_seed = pipeline.split_seed(seed, args.val_fraction)
     key = hashlib.sha256()
     dataset = load_dataset(args.train, key)
     train_rows, val_rows = split_indices(
@@ -382,8 +304,8 @@ def cmd_train_meta(args) -> int:
         except DataError as exc:
             raise DataError(f"{cache}: {exc} (delete the file to recompute)") from None
     else:  # a miss: score and check the outputs, then cache them
-        train_outputs = _head_outputs(heads, dataset, train_rows)
-        val_outputs = _head_outputs(heads, dataset, val_rows)
+        train_outputs = pipeline.head_outputs(heads, dataset, train_rows)
+        val_outputs = pipeline.head_outputs(heads, dataset, val_rows)
         del dataset  # unmaps the training file before the fit
         try:
             container.write(cache, _CACHE_MAGIC, _CACHE_HEADER, header,
@@ -391,9 +313,8 @@ def cmd_train_meta(args) -> int:
         except OSError as exc:  # the cache only saves time: train on the outputs all the same
             print(f"warning: head outputs not cached: {exc}", file=sys.stderr)
 
-    meta_seed = derive_seed(seed, _META_STREAM + KINDS.index(kind))
-    meta = build_metamodel(kind, m, num_classes, meta_seed, dropout_p=train_cfg.dropout)
-    trained = train_metamodel(meta, train_outputs, train_labels, val_outputs, val_labels, train_cfg)
+    trained = pipeline.train_combiner(kind, train_outputs, train_labels, val_outputs, val_labels,
+                                      seed, train_cfg)
     save_metamodel(trained, out_dir / f"meta_{kind}.mmd")
     _write_json(
         out_dir / f"meta_{kind}.json",
@@ -428,38 +349,7 @@ def _sidecar(path, keys) -> dict | None:
     return {key: recorded.get(key) for key in keys}
 
 
-def _row(name, slug, report, params) -> dict:
-    return {
-        "name": name,
-        "kind": "head" if slug.startswith("head_") else "combiner",
-        "accuracy_pct": report.accuracy * 100.0,
-        "ece_pct": report.ece * 100.0,
-        "mce_pct": report.mce * 100.0,
-        "param_count": params,
-        "reliability_csv": f"reliability_{slug}.csv",
-    }
-
-
 def cmd_evaluate(args) -> int:
-    """Score every head, Avg., Vot. and each --meta combiner on the test set.
-
-    The test set is mapped (load_dataset) and walked in near-equal row
-    blocks whose float64 head outputs take at most BLOCK_BYTES, each scored
-    into one reused buffer by one float32 product for all the heads
-    (_scored_blocks). Each block runs every predictor and keeps only its
-    predicted class and confidence per sample; the calibration reports are
-    built from those after the last block. So memory holds the mapped file,
-    one block with its features, logits and combiner intermediates, and
-    2*(m+2+kinds)*N scalars, never the (N, m, C) outputs. Each block is
-    checked once (check_probabilities) and reduced once per predictor: one
-    argmax over the block's (rows, m, C) float64 outputs gives every head's
-    class, and its confidence is the probability gathered there (the row
-    max). Vot. counts those same head classes, and Avg. and Vot. go through
-    combine_average and combine_vote on the float64 block. The combiners
-    read its DTYPE cast, wrapped with HeadOutputs.unchecked. Every
-    prediction depends on its own row only, except that BLAS may round the
-    heads' product on blocks of a few rows, and the DL/DLL hidden layer,
-    differently at another row count, by an ulp."""
     if args.test is None:
         raise ConfigError("missing test dataset path (--test)")
     num_bins = args.bins
@@ -494,38 +384,12 @@ def cmd_evaluate(args) -> int:
                 f"{meta_paths[kind]} has m={meta.num_heads}, C={meta.num_classes}, "
                 f"but {heads_dir} has m={m} heads with C={test.num_classes}"
             )
-    predictors = [(f"Head {i + 1}", f"head_{i + 1}", h.param_count) for i, h in enumerate(heads)]
-    predictors += [("Avg.", "avg", 0), ("Vot.", "vot", 0)]
-    predictors += [(kind, kind.lower(), meta.param_count) for kind, meta in metas.items()]
-    predicted = np.empty((len(predictors), test.n), dtype=np.int64)
-    confidence = np.empty((len(predictors), test.n))
-
-    for start, stop, block in _scored_blocks(heads, test, np.arange(test.n)):
-        labels = test.labels[start:stop]
-        check_probabilities(block)
-        head_classes = np.argmax(block, axis=2)  # (rows, m)
-        predicted[:m, start:stop] = head_classes.T
-        confidence[:m, start:stop] = np.take_along_axis(
-            block, head_classes[:, :, None], axis=2
-        )[:, :, 0].T
-        preds = [combine_average(block, labels), combine_vote(block, labels, head_classes)]
-        if metas:
-            outputs = HeadOutputs.unchecked(block.astype(DTYPE))
-            preds += [combine_metamodel(meta, outputs, labels) for meta in metas.values()]
-        for j, pred in enumerate(preds, start=m):
-            predicted[j, start:stop] = pred.predicted_class
-            confidence[j, start:stop] = pred.confidence
-
-    rows, csvs = [], {}
-    for (name, slug, params), classes, conf in zip(predictors, predicted, confidence):
-        report = calibration_report(PredictionSet(classes, conf, test.labels), num_bins)
-        rows.append(_row(name, slug, report, params))
-        csvs[f"reliability_{slug}.csv"] = report.bins
+    rows, bins = pipeline.evaluate(heads, metas, test, num_bins)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for filename, bins in csvs.items():
-        write_reliability_csv(bins, out_dir / filename)
+    for row, row_bins in zip(rows, bins):
+        write_reliability_csv(row_bins, out_dir / row["reliability_csv"])
     summary = {
         "version": __version__,
         "seed": heads_meta.get("seed"),
@@ -542,7 +406,7 @@ def cmd_evaluate(args) -> int:
         "rows": rows,
     }
     _write_json(out_dir / "summary.json", summary)
-    print(f"wrote summary.json and {len(csvs)} reliability CSV(s) to {out_dir}")
+    print(f"wrote summary.json and {len(rows)} reliability CSV(s) to {out_dir}")
     return 0
 
 

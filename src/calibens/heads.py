@@ -20,7 +20,8 @@ float64 and cast. Every loss is float64 (numerics.cross_entropy and
 backward_linear_stacked widen before the log), so the epoch rule compares
 float64 losses. Scoring is DTYPE too: load_head keeps the file's f32
 parameters, head_predict is one head's DTYPE forward (a trained head and its
-file predict the same bits), and cli._scored_blocks stacks m heads in one.
+file predict the same bits), and pipeline.scored_blocks stacks m heads in
+one.
 
 Head files (magic ``HDW1``) are little-endian:
 

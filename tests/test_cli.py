@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import calibens
-from calibens import cli, container, numerics
+from calibens import cli, container, numerics, pipeline
 from calibens import heads as heads_module
-from calibens.cli import HEAD_OUTPUTS_CACHE, _head_outputs, build_parser, main
+from calibens.cli import HEAD_OUTPUTS_CACHE, build_parser, main
 from calibens.combiners import (
     DTYPE,
     KINDS,
@@ -96,37 +96,37 @@ def save_heads(heads, art):
 
 def refuse_head_outputs(monkeypatch):
     """From here on, computing any head output fails the test: the CLI
-    scores heads only in _scored_blocks."""
+    scores heads only in pipeline.scored_blocks."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("head outputs were computed")
 
-    monkeypatch.setattr(cli, "_scored_blocks", refuse)
+    monkeypatch.setattr(pipeline, "scored_blocks", refuse)
 
 
 def spy_scored_blocks(monkeypatch, seen):
     """From here on, each block the CLI scores passes through seen(rows,
-    block) on its way out of _scored_blocks, where `rows` are the row
-    indices asked for and `block` the block's outputs."""
-    scored_blocks = cli._scored_blocks
+    block) on its way out of pipeline.scored_blocks, where `rows` are the
+    row indices asked for and `block` the block's outputs."""
+    scored_blocks = pipeline.scored_blocks
 
     def spy(heads, dataset, rows):
         for start, stop, block in scored_blocks(heads, dataset, rows):
             seen(rows, block)
             yield start, stop, block
 
-    monkeypatch.setattr(cli, "_scored_blocks", spy)
+    monkeypatch.setattr(pipeline, "scored_blocks", spy)
 
 
 def refuse_feature_casts(monkeypatch):
     """From here on, gathering or casting any feature row of a dataset file
-    fails the test: the CLI gathers rows only in _scored_blocks, which scores
-    them, and in split, which hands train-heads its f32 parts."""
+    fails the test: the CLI gathers rows only in pipeline.scored_blocks,
+    which scores them, and in split, which hands train-heads its f32 parts."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("feature rows were gathered")
 
-    monkeypatch.setattr(cli, "_scored_blocks", refuse)
+    monkeypatch.setattr(pipeline, "scored_blocks", refuse)
     monkeypatch.setattr(cli, "split", refuse)
 
 
@@ -230,7 +230,7 @@ class TestTrainHeads:
         # and the mapping is gone before the fit
         loaded, seen = [], []
         load_dataset_of = cli.load_dataset
-        lockstep = cli.train_heads_lockstep
+        lockstep = pipeline.train_heads_lockstep
 
         def spy_load(*args):
             dataset = load_dataset_of(*args)
@@ -242,7 +242,7 @@ class TestTrainHeads:
             return lockstep(train, val, *args)
 
         monkeypatch.setattr(cli, "load_dataset", spy_load)
-        monkeypatch.setattr(cli, "train_heads_lockstep", spy_lockstep)
+        monkeypatch.setattr(pipeline, "train_heads_lockstep", spy_lockstep)
         path = pipeline_dir / "data" / "train.fds"
         assert run([
             "train-heads", "--train", str(path), "--m", "1", "--max-epochs", "1",
@@ -257,10 +257,12 @@ class TestTrainHeads:
 
     def test_heads_equal_lockstep_on_the_whole_file_split(self, pipeline_dir, tmp_path):
         # the stage's heads are the lockstep trainer's on the file's split
-        # at seed+1000, heads seeded from seed+1; the pipeline trained m=2
-        # heads at --seed 7 and --max-epochs 8
+        # at the split seed, heads seeded from seed+1; the pipeline trained
+        # m=2 heads at --seed 7 and --max-epochs 8
         art = pipeline_dir / "artifacts"
-        train, val = split(load_dataset(pipeline_dir / "data" / "train.fds"), 0.1, 7 + 1000)
+        train, val = split(
+            load_dataset(pipeline_dir / "data" / "train.fds"), 0.1, pipeline.split_seed(7, 0.1)
+        )
         reference = train_heads_lockstep(train, val, 2, 7 + 1, HeadTrainConfig(max_epochs=8))
         for i, head in enumerate(reference):
             path = tmp_path / f"reference_{i}.hdw"
@@ -314,9 +316,9 @@ def mapped_dataset(path, n, dim, num_classes, seed):
 
 
 class TestHeadOutputsArray:
-    """cli._scored_blocks scores each row block's f32 features with one
+    """pipeline.scored_blocks scores each row block's f32 features with one
     float32 product for all m heads and softmaxes the widened logits into
-    one float64 buffer; cli._head_outputs casts them into one (N, m, C)
+    one float64 buffer; pipeline.head_outputs casts them into one (N, m, C)
     DTYPE array."""
 
     def test_peak_memory_within_one_and_a_half_output_sizes(self, tmp_path):
@@ -324,7 +326,7 @@ class TestHeadOutputsArray:
         dataset = mapped_dataset(tmp_path / "d.fds", 8000, 32, 40, seed=2)
         tracemalloc.start()
         try:
-            outputs = _head_outputs(heads, dataset, np.arange(8000))
+            outputs = pipeline.head_outputs(heads, dataset, np.arange(8000))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -334,7 +336,7 @@ class TestHeadOutputsArray:
     def test_views_equal_per_head_outputs_bit_for_bit(self, tmp_path):
         heads = random_heads(4, 96, 50, seed=3)
         dataset = mapped_dataset(tmp_path / "d.fds", 3000, 96, 50, seed=4)
-        outputs = _head_outputs(heads, dataset, np.arange(3000))
+        outputs = pipeline.head_outputs(heads, dataset, np.arange(3000))
         assert outputs.values.dtype == DTYPE
         for i, head in enumerate(heads):
             expect = per_head_softmax(per_head_logits(head, dataset.features))
@@ -349,9 +351,9 @@ class TestHeadOutputsArray:
         heads = random_heads(m, dim, classes, seed=8)
         dataset = mapped_dataset(tmp_path / "d.fds", 3000, dim, classes, seed=9)
         rows = split_indices(dataset.labels, classes, 0.1, seed=10)[0]
-        monkeypatch.setattr(cli, "softmax_in_place", lambda values: values)
+        monkeypatch.setattr(pipeline, "softmax_in_place", lambda values: values)
         logits = np.empty((len(rows), m, classes))
-        for start, stop, block in cli._scored_blocks(heads, dataset, rows):
+        for start, stop, block in pipeline.scored_blocks(heads, dataset, rows):
             logits[start:stop] = block
         features = dataset.features[rows]
         for i, head in enumerate(heads):
@@ -365,7 +367,7 @@ class TestHeadOutputsArray:
         dataset = mapped_dataset(tmp_path / "d.fds", 2000, 256, 100, seed=6)
         rows = split_indices(dataset.labels, 100, 0.1, seed=7)[0]
         assert len(row_blocks(len(rows), 5 * 100 * 8)) >= 3
-        outputs = _head_outputs(heads, dataset, rows)
+        outputs = pipeline.head_outputs(heads, dataset, rows)
         features = dataset.features[rows]
         expect = np.empty((len(rows), 5, 100))
         for i, head in enumerate(heads):
@@ -438,7 +440,7 @@ class TestTrainMeta:
             str(pipeline_dir / "data" / "train.fds"), "--heads-dir", str(art),
             "--seed", "7", "--epochs", "3", "--lr", "60",
         ]) == 0
-        initial = build_metamodel("SLpC", 2, 3, seed=7 + 2000 + 3)
+        initial = build_metamodel("SLpC", 2, 3, seed=pipeline.meta_seed(7, "SLpC"))
         save_metamodel(initial, pipeline_dir / "initial.mmd")
         assert (art / "meta_SLpC.mmd").read_bytes() == (pipeline_dir / "initial.mmd").read_bytes()
         sidecar = json.loads((art / "meta_SLpC.json").read_text())
@@ -552,7 +554,8 @@ class TestHeadOutputsCache:
 
         monkeypatch.setattr(cli, "load_dataset", spy_load)
         monkeypatch.setattr(cli, "HeadOutputs", spy("check", cli.HeadOutputs))
-        monkeypatch.setattr(cli, "train_metamodel", spy("train", cli.train_metamodel))
+        monkeypatch.setattr(pipeline, "HeadOutputs", spy("check", pipeline.HeadOutputs))
+        monkeypatch.setattr(pipeline, "train_metamodel", spy("train", pipeline.train_metamodel))
         assert self.train_meta(pipeline_dir, out, kind=kind) == 0  # a miss
         missed = (out / f"meta_{kind}.mmd").read_bytes()
         assert self.train_meta(pipeline_dir, out, kind=kind) == 0  # a hit
@@ -575,7 +578,7 @@ class TestHeadOutputsCache:
             key.update((art / f"head_{i}.hdw").read_bytes())
         key.update(trailer)
         labels = np.frombuffer(train.read_bytes(), _dataset_record_dtype(4), offset=16)["y"]
-        parts = split_indices(labels, 3, 0.1, 7 + 1000)
+        parts = split_indices(labels, 3, 0.1, pipeline.split_seed(7, 0.1))
         return (key.digest(), len(parts[0]), len(parts[1]), 2, 3, bytes(12)), parts
 
     def forge_cache(self, pipeline_dir, train, out, **key):
@@ -708,13 +711,13 @@ class TestHeadOutputsCache:
         out = pipeline_dir / "out"
         assert self.train_meta(pipeline_dir, out) == 0  # a miss
         seen = []
-        train_metamodel = cli.train_metamodel
+        train_metamodel = pipeline.train_metamodel
 
         def spy(meta, train_outputs, train_labels, val_outputs, val_labels, cfg):
             seen.extend([train_outputs.values, val_outputs.values])
             return train_metamodel(meta, train_outputs, train_labels, val_outputs, val_labels, cfg)
 
-        monkeypatch.setattr(cli, "train_metamodel", spy)
+        monkeypatch.setattr(pipeline, "train_metamodel", spy)
         assert self.train_meta(pipeline_dir, out) == 0  # a hit
         assert len(seen) == 2
         for values in seen:
@@ -728,13 +731,13 @@ class TestHeadOutputsCache:
         if path == "hit":
             assert self.train_meta(pipeline_dir, out) == 0
         seen = []
-        train_metamodel = cli.train_metamodel
+        train_metamodel = pipeline.train_metamodel
 
         def spy(meta, train_outputs, train_labels, val_outputs, val_labels, cfg):
             seen.extend([train_outputs.values, val_outputs.values])
             return train_metamodel(meta, train_outputs, train_labels, val_outputs, val_labels, cfg)
 
-        monkeypatch.setattr(cli, "train_metamodel", spy)
+        monkeypatch.setattr(pipeline, "train_metamodel", spy)
         assert self.train_meta(pipeline_dir, out) == 0
         assert [values.dtype for values in seen] == [DTYPE, DTYPE]
         assert all(values.flags.c_contiguous for values in seen)
@@ -850,7 +853,7 @@ class TestHeadOutputsCache:
         def stop(*args):
             raise OutputsObtained(tracemalloc.get_traced_memory()[1])
 
-        monkeypatch.setattr(cli, "train_metamodel", stop)
+        monkeypatch.setattr(pipeline, "train_metamodel", stop)
         tracemalloc.start()
         try:
             with pytest.raises(OutputsObtained) as obtained:
@@ -1094,7 +1097,7 @@ class TestEvaluate:
 
 
 class TestEvaluateBlocks:
-    """cmd_evaluate walks the test set in row blocks of numerics.BLOCK_BYTES."""
+    """evaluate walks the test set in row blocks of numerics.BLOCK_BYTES."""
 
     def test_block_run_writes_the_one_block_bytes(self, pipeline_dir, monkeypatch):
         art, data = pipeline_dir / "artifacts", pipeline_dir / "data"
@@ -1113,14 +1116,14 @@ class TestEvaluateBlocks:
         one, blocks = pipeline_dir / "one", pipeline_dir / "blocks"
         assert evaluate(one) == 0
         block_rows = []
-        scored_blocks = cli._scored_blocks
+        scored_blocks = pipeline.scored_blocks
 
         def spy(heads, dataset, rows):
             for start, stop, block in scored_blocks(heads, dataset, rows):
                 block_rows.append(stop - start)
                 yield start, stop, block
 
-        monkeypatch.setattr(cli, "_scored_blocks", spy)
+        monkeypatch.setattr(pipeline, "scored_blocks", spy)
         monkeypatch.setattr(numerics, "BLOCK_BYTES", 70 * 2 * 3 * 8)  # 70 rows at m=2, C=3
         assert evaluate(blocks) == 0
         assert block_rows == [60] * 5
