@@ -63,7 +63,7 @@ from .combiners import KINDS, HeadOutputs, MetaTrainConfig, load_metamodel, save
 from .data import SynthSpec, load_dataset, save_dataset, split, split_indices, synth_cluster_pair
 from .errors import CalibensError, ConfigError, DataError, DimensionError, FormatError, TrainingError
 from .heads import HeadTrainConfig, load_head, save_head
-from .metrics import DEFAULT_NUM_BINS, write_reliability_csv
+from .metrics import DEFAULT_NUM_BINS, check_num_bins, write_reliability_csv
 
 HEAD_OUTPUTS_CACHE = "head_outputs.cache"
 _CACHE_MAGIC = b"HOC1"
@@ -353,8 +353,7 @@ def cmd_evaluate(args) -> int:
     if args.test is None:
         raise ConfigError("missing test dataset path (--test)")
     num_bins = args.bins
-    if num_bins < 1:
-        raise ConfigError(f"bin count must be >= 1, got {num_bins}")
+    check_num_bins(num_bins)
     kinds = _parse_meta_kinds(args.meta)
     heads_dir = Path(args.heads_dir)
     meta_dir = Path(args.meta_dir) if args.meta_dir is not None else heads_dir

@@ -36,6 +36,7 @@ from . import container
 from .errors import ConfigError, DataError, DimensionError
 from .metrics import PredictionSet, predictions_from_probs
 from .numerics import (
+    DTYPE,
     RngStream,
     _softmax_ce_grad,
     backward_linear,
@@ -51,7 +52,6 @@ from .numerics import (
 )
 
 KINDS = ("SL", "DL", "DLL", "SLpC")
-DTYPE = np.dtype(np.float32)  # every trainable combiner computes in this dtype
 META_MAGIC = b"MMD1"
 META_HEADER = "<BIIIfQ"
 
@@ -64,7 +64,7 @@ def _sum_tolerance(dtype) -> float:
     move by at most 2**-150 each, and the float64 sums of the two rows
     round by about C * 2**-53 each. The second 2**-24 covers those terms
     for any C below 2**26."""
-    return 1e-9 + (2.0**-23 if dtype == np.float32 else 0.0)
+    return 1e-9 + (2.0**-23 if dtype == DTYPE else 0.0)
 
 
 def _off_sum(block: np.ndarray) -> np.ndarray:

@@ -9,17 +9,17 @@ load_dataset is the one reader. It maps the file read-only and checks it
 (header, length, finite features, labels below C); the FeatureDataset it
 returns holds the file's f32 feature view, not a copy, so a caller that
 needs only the labels, or a few rows at a time, never holds every feature.
-split_indices draws a split's row indices from the labels alone, and split
-gathers the two parts' rows, each a fresh contiguous array of the source's
-dtype: a file's f32 rows, which the heads train on and score as they are.
+Every dataset's features are numerics.DTYPE, float32, which the heads and
+combiners compute in. split_indices draws a split's row indices from the
+labels alone, and split gathers the two parts' rows, each a fresh array.
 The container module holds the rules this layout shares with the head and
 combiner files.
 
-Generating and writing hold one copy of the features: synth_clusters adds
-the cluster centers into its one standard-normal draw in row blocks,
-synth_cluster_pair hands out row views of that draw, and save_dataset casts
-the records into a buffer of one row block (numerics.BLOCK_BYTES) at a
-time. So the peak is the float64 features plus about a block.
+Generating and writing hold one copy of the features: synth_clusters fills
+one (N, D) DTYPE array a row block (numerics.BLOCK_BYTES) at a time,
+synth_cluster_pair hands out row views of it, and save_dataset copies the
+records into a buffer of one row block at a time. So the peak is the
+float32 features plus about a block.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import container
 from .errors import ConfigError, DataError, StratificationError
-from .numerics import RngStream, check_labels, require_finite, row_blocks
+from .numerics import DTYPE, RngStream, check_labels, require_finite, row_blocks
 
 FDS_MAGIC = b"FDS1"
 FDS_HEADER = "<III"
@@ -39,15 +39,16 @@ FDS_HEADER = "<III"
 @dataclass(eq=False)
 class FeatureDataset:
     """Frozen features plus labels; immutable after construction. The
-    constructor casts the features to float64; load_dataset and split hand
-    out a file's f32 values instead."""
+    constructor casts the features to DTYPE, so a value beyond float32's
+    range fails its finite check; load_dataset and split skip it."""
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
-        features = np.ascontiguousarray(self.features, dtype=np.float64)
+        with np.errstate(over="ignore"):  # require_finite below names the overflow
+            features = np.ascontiguousarray(self.features, dtype=DTYPE)
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if features.ndim != 2:
             raise DataError(f"features must be 2-D, got shape {features.shape}")
@@ -119,8 +120,7 @@ def _dataset_record_dtype(dim: int) -> np.dtype:
 
 def _record_blocks(dataset: FeatureDataset):
     """The FDS1 records of `dataset` in row blocks of at most BLOCK_BYTES,
-    each cast on assignment (which rounds as astype("<f4") does) into one
-    reused buffer: a block is valid until the next is asked for."""
+    each copied into one buffer, valid until the next is asked for."""
     record = _dataset_record_dtype(dataset.dim)
     blocks = row_blocks(dataset.n, record.itemsize)
     buffer = np.empty(max(stop - start for start, stop in blocks), record)
@@ -134,7 +134,7 @@ def _record_blocks(dataset: FeatureDataset):
 def save_dataset(dataset: FeatureDataset, path) -> None:
     """Write `dataset` to `path` as FDS1 (replacing any file there). The
     records stream out a row block at a time, so the call holds one block
-    of records besides the dataset, never an f32 copy of the features."""
+    of records besides the dataset, never a copy of the features."""
     header = (dataset.n, dataset.dim, dataset.num_classes)
     container.write(path, FDS_MAGIC, FDS_HEADER, header, _record_blocks(dataset))
 
@@ -210,7 +210,7 @@ def split_indices(labels: np.ndarray, num_classes: int, val_fraction: float, see
 def split(dataset: FeatureDataset, val_fraction: float, seed: int):
     """The (train, val) datasets of split_indices(dataset.labels, ...): each
     part gathers its rows of the features, in index order, into a fresh
-    C-contiguous array of their dtype (a loaded file's f32, not cast)."""
+    C-contiguous array."""
     return tuple(
         _rows_of_checked(dataset.features[sel], dataset.labels[sel], dataset.num_classes)
         for sel in split_indices(dataset.labels, dataset.num_classes, val_fraction, seed)
@@ -226,9 +226,10 @@ def synth_clusters(spec: SynthSpec) -> FeatureDataset:
     class. The features keep their original cluster, so the best achievable
     accuracy at large separation is roughly 1 - label_noise.
 
-    The features are the stream's one (N, D) standard-normal draw, each row's
-    center added in place a row block at a time: the same bits as
-    centers[labels] + draw, without an (N, D) array of centers.
+    The features are centers[labels] + draw, draw the stream's (N, D)
+    standard normals, summed in float64 and cast to DTYPE a row block at a
+    time. The block draws are one draw's bits: PCG64's standard_normal
+    carries no state between calls (the test varying BLOCK_BYTES pins it).
     """
     stream = RngStream(spec.seed)
     c, d, n = spec.num_classes, spec.dim, spec.num_samples
@@ -240,9 +241,11 @@ def synth_clusters(spec: SynthSpec) -> FeatureDataset:
     else:
         centers = np.zeros((c, d))
     labels = np.arange(n, dtype=np.int64) % c
-    features = stream.standard_normal((n, d))
-    for start, stop in row_blocks(n, features.itemsize * d):
-        features[start:stop] += centers[labels[start:stop]]
+    features = np.empty((n, d), DTYPE)
+    with np.errstate(over="ignore"):  # FeatureDataset names a feature the cast overflows
+        for start, stop in row_blocks(n, 8 * d):
+            draw = stream.standard_normal((stop - start, d))
+            features[start:stop] = centers[labels[start:stop]] + draw
     if spec.label_noise > 0.0:
         num_noisy = int(round(spec.label_noise * n))
         noisy = stream.permutation(n)[:num_noisy]

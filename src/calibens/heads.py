@@ -13,15 +13,14 @@ m is. train_head_family trains the heads one after another with train_head
 (fit with k = 1, through the 2-D backward_linear); it stays as the plain
 reference the tests compare the lockstep trainer against.
 
-Both train in DTYPE, float32: the features (a file's f32 rows as split
-gathers them, else one contiguous copy), the parameters, velocities,
-gradients and the validation forward. The initial weights are drawn as
-float64 and cast. Every loss is float64 (numerics.cross_entropy and
-backward_linear_stacked widen before the log), so the epoch rule compares
-float64 losses. Scoring is DTYPE too: load_head keeps the file's f32
-parameters, head_predict is one head's DTYPE forward (a trained head and its
-file predict the same bits), and pipeline.scored_blocks stacks m heads in
-one.
+Both train in DTYPE, float32, every dataset's feature dtype: the features
+(contiguous, see _features), the parameters, velocities, gradients and the
+validation forward. The initial weights are drawn as float64 and cast.
+Every loss is float64 (numerics.cross_entropy and backward_linear_stacked
+widen before the log), so the epoch rule compares float64 losses. Scoring
+is DTYPE too: load_head keeps the file's f32 parameters, head_predict is
+one head's DTYPE forward (a trained head and its file predict the same
+bits), and pipeline.scored_blocks stacks m heads in one.
 
 Head files (magic ``HDW1``) are little-endian:
 
@@ -40,6 +39,7 @@ from . import container
 from .data import FeatureDataset
 from .errors import CalibensError, ConfigError, DataError, DimensionError, TrainingError
 from .numerics import (
+    DTYPE,
     FitResult,
     RngStream,
     backward_linear,
@@ -52,7 +52,6 @@ from .numerics import (
     softmax,
 )
 
-DTYPE = np.dtype(np.float32)  # both head trainers compute in this dtype
 HEAD_MAGIC = b"HDW1"
 HEAD_HEADER = "<IIQ"
 
@@ -130,9 +129,8 @@ def head_predict(head: LinearHead, features: np.ndarray) -> np.ndarray:
 
 
 def _features(dataset: FeatureDataset) -> np.ndarray:
-    """The features of `dataset` as one C-contiguous DTYPE array: its own
-    when they already are (a split part of a loaded file), else one copy,
-    so mini-batches never gather from a loaded file's strided record view."""
+    """The DTYPE features of `dataset`, C-contiguous: its own (a split part,
+    generated rows), else one copy of a loaded file's strided record view."""
     return np.ascontiguousarray(dataset.features, DTYPE)
 
 

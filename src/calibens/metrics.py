@@ -91,6 +91,12 @@ def predictions_from_probs(probs, labels) -> PredictionSet:
     )
 
 
+def check_num_bins(num_bins: int) -> None:
+    """The bin-count rule; evaluate and run_cell check it before any work."""
+    if num_bins < 1:
+        raise ConfigError(f"--bins must be >= 1, got {num_bins}")
+
+
 def _bin_indices(confidence: np.ndarray, num_bins: int) -> np.ndarray:
     """floor(confidence * M), the top bin closed at 1.0, in the narrowest
     unsigned type that holds M - 1: numpy's stable argsort sorts types of at
@@ -109,8 +115,7 @@ def reliability_bins(pred: PredictionSet, num_bins: int = DEFAULT_NUM_BINS) -> l
     are np.mean over one slice: the same operands in the same order as a
     per-bin mask would select, hence the same bits.
     """
-    if num_bins < 1:
-        raise ConfigError(f"number of bins must be >= 1, got {num_bins}")
+    check_num_bins(num_bins)
     idx = _bin_indices(pred.confidence, num_bins)
     order = np.argsort(idx, kind="stable")
     counts = np.bincount(idx, minlength=num_bins)

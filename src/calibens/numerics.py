@@ -2,9 +2,9 @@
 
 Arrays are float64 or float32 ("matrices" are 2-D, row-major), and every
 kernel computes in the dtype of its operands: float32 in gives float32 out.
-Heads and combiners train and score in float32 (heads.DTYPE,
-combiners.DTYPE), and no caller mixes dtypes in one product, which numpy
-would silently promote to float64. The one exception is the loss:
+DTYPE, float32, is the one compute dtype: of the features, the heads and
+the combiners. No caller mixes dtypes in one product, which numpy would
+silently promote to float64. The one exception is the loss:
 cross_entropy and backward_linear_stacked widen the picked
 probabilities to float64 before the log, so every loss fit compares is a
 float64. Forward and backward passes are written out by hand; the only loss
@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError, DataError, DimensionError, LabelError, TrainingError
 
 U64_MASK = (1 << 64) - 1
+DTYPE = np.dtype(np.float32)  # features, heads and combiners compute in this dtype
 
 PROB_EPS = 1e-12  # clamp for log() in cross-entropy
 
@@ -41,9 +42,9 @@ def RngStream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed) & U64_MASK))
 
 
-def _float_dtype(a) -> type:
-    """float32 for a float32 array, float64 for anything else."""
-    return np.float32 if getattr(a, "dtype", None) == np.float32 else np.float64
+def _float_dtype(a) -> np.dtype:
+    """DTYPE for a DTYPE array, float64 for anything else."""
+    return DTYPE if getattr(a, "dtype", None) == DTYPE else np.dtype(np.float64)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -164,7 +165,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-scaling float32 dropout mask (the combiners' dtype, the only
+    """Inverted-scaling DTYPE dropout mask (the combiners' dtype, the only
     models with dropout): entries are 0 with probability p, else 1/(1-p).
 
     Applying the mask only during training makes evaluation a no-op.
@@ -172,7 +173,7 @@ def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     keep = rng.random(shape) >= p
-    return keep.astype(np.float32) / (1.0 - p)
+    return keep.astype(DTYPE) / (1.0 - p)
 
 
 def check_labels(labels, num_classes: int) -> np.ndarray:

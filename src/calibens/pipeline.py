@@ -7,13 +7,13 @@ seed+1+i, combiner models: seed+2000+KINDS.index(kind)) and the split
 
 import numpy as np
 
-from .combiners import (DTYPE, KINDS, HeadOutputs, build_metamodel, check_probabilities,
-                        combine_average, combine_metamodel, combine_vote, train_metamodel)
-from .data import _rows_of_checked, check_val_fraction, split, split_indices, synth_cluster_pair
+from .combiners import (KINDS, HeadOutputs, build_metamodel, check_probabilities, combine_average,
+                        combine_metamodel, combine_vote, train_metamodel)
+from .data import check_val_fraction, split, split_indices, synth_cluster_pair
 from .errors import ConfigError
 from .heads import LinearHead, head_predict, train_heads_lockstep
-from .metrics import PredictionSet, calibration_report
-from .numerics import derive_seed, require_finite, row_blocks, softmax_in_place
+from .metrics import PredictionSet, calibration_report, check_num_bins
+from .numerics import DTYPE, derive_seed, row_blocks, softmax_in_place
 
 SPLIT_STREAM = 1000
 HEAD_STREAM = 1
@@ -136,24 +136,17 @@ def evaluate(heads, metas, dataset, num_bins):
     return rows, bins
 
 
-def _f32_rows(dataset):
-    """`dataset` with its features rounded to f32 (the values save_dataset
-    writes and the heads compute on), checked finite as load_dataset is."""
-    features = dataset.features.astype(np.float32)
-    require_finite(features, "features")
-    return _rows_of_checked(features, dataset.labels, dataset.num_classes)
-
-
 def run_cell(spec, test_samples, m, seed, val_fraction, head_cfg, meta_cfg, kinds, num_bins):
     """evaluate's (rows, bins) for one synthetic cell, run in memory as the
     CLI runs gen (from `spec` and `test_samples`), train-heads, train-meta
     for each of `kinds` and evaluate, all at `seed`: the same functions and
-    seeds on the f32 features the CLI reads, so the rows equal those of its
-    summary.json bit for bit."""
+    seeds on the features gen writes, so the rows equal those of its
+    summary.json bit for bit. kinds and num_bins are checked first."""
     unknown = [kind for kind in kinds if kind not in KINDS]
     if unknown:
         raise ConfigError(f"unknown combiner kind(s) {unknown}; expected some of {KINDS}")
-    train, test = (_f32_rows(part) for part in synth_cluster_pair(spec, test_samples))
+    check_num_bins(num_bins)
+    train, test = synth_cluster_pair(spec, test_samples)
     parts_seed = split_seed(seed, val_fraction)
     heads = train_heads(*split(train, val_fraction, parts_seed), m, seed, head_cfg)
     train_rows, val_rows = split_indices(train.labels, train.num_classes, val_fraction, parts_seed)

@@ -3,6 +3,7 @@ import json
 import math
 import struct
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -193,6 +194,18 @@ class TestGen:
         out = tmp_path / "d"
         assert run(["gen", "--sep", sep, "--out", str(out)]) == 2
         assert f"cluster separation must be finite and >= 0, got {sep}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_features_beyond_float32_exit_three_naming_the_first_before_writing(
+        self, tmp_path, capsys
+    ):
+        # 1e39 is finite as float64 but not as float32: written, it would
+        # make files that every reader rejects
+        out = tmp_path / "d"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["gen", "--sep", "1e39", "--out", str(out)]) == 3
+        assert "features holds a non-finite value at index [0, 6]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_flag_exits_two(self):
@@ -1027,6 +1040,14 @@ class TestEvaluate:
         ])
         assert code == 3
         assert str(art / filename) in capsys.readouterr().err
+
+    def test_zero_bins_exits_two_before_reading_any_file(self, tmp_path, capsys):
+        # neither the test set nor the heads exist: reading either first would exit 3
+        assert run(["evaluate", "--test", str(tmp_path / "missing.fds"),
+                    "--heads-dir", str(tmp_path / "none"), "--meta", "all", "--bins", "0",
+                    "--out", str(tmp_path / "out")]) == 2
+        assert "error: --bins must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_metamodel_listed(self, pipeline_dir, capsys):
         code = run([

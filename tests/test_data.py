@@ -96,7 +96,8 @@ class TestDatasetFile:
         with pytest.raises(FormatError, match=f"nan.fds: non-finite .* offset {bad_offset}"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    # +-1e39 is finite as float64 but beyond float32's range
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -1e39])
     def test_non_finite_features_rejected_with_index(self, bad):
         features = np.zeros((4, 3))
         features[2, 1] = bad
@@ -146,13 +147,14 @@ class TestStreamedSave:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        feature_bytes = 20_000 * 256 * 8
+        feature_bytes = 20_000 * 256 * 4  # the float32 features
         assert peak <= 1.2 * feature_bytes, peak / feature_bytes
         assert train.features.base is test.features.base  # row views of one draw
 
 
 def old_synth_clusters(spec):
-    """synth_clusters as it was written before it added the centers in place."""
+    """synth_clusters as it was written before it added the centers in
+    place, returning its float64 features."""
     stream = RngStream(spec.seed)
     c, d, n = spec.num_classes, spec.dim, spec.num_samples
     if spec.cluster_separation > 0.0:
@@ -189,7 +191,8 @@ class TestSynthInPlace:
         features, labels = old_synth_clusters(spec)
         with mock.patch.object(numerics_module, "BLOCK_BYTES", block_bytes):
             ds = synth_clusters(spec)
-        assert ds.features.tobytes() == features.tobytes()
+        assert ds.features.dtype == np.float32
+        assert ds.features.tobytes() == features.astype(np.float32).tobytes()
         assert np.array_equal(ds.labels, labels)
 
     @given(synth_specs(), st.integers(1, 50))
@@ -198,8 +201,10 @@ class TestSynthInPlace:
         features, labels = old_synth_clusters(
             replace(spec, num_samples=spec.num_samples + test_samples)
         )
+        features = features.astype(np.float32)
         train, test = synth_cluster_pair(spec, test_samples)
         n = spec.num_samples
+        assert train.features.dtype == test.features.dtype == np.float32
         assert train.features.tobytes() == features[:n].tobytes()
         assert test.features.tobytes() == features[n:].tobytes()
         assert np.array_equal(train.labels, labels[:n]) and np.array_equal(test.labels, labels[n:])
@@ -262,7 +267,7 @@ class TestSplit:
         parts += synth_cluster_pair(SynthSpec(3, 2, 40, 4.0, 0.1, 1), 20)
         assert len(checks) == 1  # the one draw that both parts are carved from
         for part in parts:
-            assert part.features.dtype == np.float64 and part.features.flags.c_contiguous
+            assert part.features.dtype == np.float32 and part.features.flags.c_contiguous
             with pytest.raises(ValueError):
                 part.features[0, 0] = 99.0
             with pytest.raises(ValueError):

@@ -54,3 +54,5 @@ def test_run_cell_rejects_an_unknown_kind_before_training(monkeypatch):
     spec = SynthSpec(3, 4, 300, cluster_separation=8.0, label_noise=0.1, seed=7)
     with pytest.raises(ConfigError, match="unknown combiner kind.*'XL'"):
         run_cell(spec, 300, 2, 7, 0.1, HeadTrainConfig(), MetaTrainConfig(), ["SL", "XL"], 15)
+    with pytest.raises(ConfigError, match="--bins must be >= 1, got 0"):
+        run_cell(spec, 300, 2, 7, 0.1, HeadTrainConfig(), MetaTrainConfig(), ["SL"], 0)
