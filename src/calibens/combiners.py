@@ -49,6 +49,7 @@ from .numerics import (
     linear_forward,
     row_blocks,
     softmax_in_place,
+    split_params,
 )
 
 KINDS = ("SL", "DL", "DLL", "SLpC")
@@ -165,11 +166,6 @@ class HeadOutputs:
     def concatenated(self) -> np.ndarray:
         """(N, m*C) head-major view: head 0's C columns, then head 1's, ..."""
         return self.values.reshape(self.n, self.m * self.num_classes)
-
-    def subset(self, idx: np.ndarray) -> "HeadOutputs":
-        """The outputs of samples idx, gathered with one fancy index; a slice
-        of checked outputs, so the constructor's checks are skipped."""
-        return HeadOutputs.unchecked(self.values[idx])
 
 
 def _mean_over_heads(values: np.ndarray) -> np.ndarray:
@@ -363,21 +359,26 @@ def metamodel_gradients(meta: Metamodel, outputs: HeadOutputs, labels, mask=None
     """
     _check_outputs(meta, outputs)
     labels = np.asarray(labels, dtype=np.int64)
-    if meta.hidden:
-        (w1, b1), (w2, b2) = meta.layers
-        loss, d_w1, d_b1, d_w2, d_b2 = backward_mlp(
-            outputs.concatenated(), w1, b1, w2, b2, labels, mask=mask
-        )
-        return loss, [(d_w1, d_b1), (d_w2, d_b2)]
-    (w, b), = meta.layers
-    if meta.kind == "SL":
-        loss, d_w, d_b = backward_linear(outputs.concatenated(), w, b, labels)
-        return loss, [(d_w, d_b)]
-    stacked = outputs.stacked()
+    loss, grads = _gradients(meta.kind, meta.layers, outputs.values, labels, mask)
+    return loss, list(zip(grads[0::2], grads[1::2]))
+
+
+def _gradients(kind: str, layers: list, values: np.ndarray, labels: np.ndarray, mask):
+    """metamodel_gradients, unchecked, of a `kind` combiner with these
+    (weights, bias) `layers` on the (B, m, C) outputs `values`; returns
+    (loss, [d_w, d_b, ...]) in file order."""
+    inputs = values.reshape(len(values), -1)  # HeadOutputs.concatenated
+    if len(layers) == 2:
+        (w1, b1), (w2, b2) = layers
+        loss, *grads = backward_mlp(inputs, w1, b1, w2, b2, labels, mask=mask)
+        return loss, grads
+    (w, b), = layers
+    if kind == "SL":
+        loss, *grads = backward_linear(inputs, w, b, labels)
+        return loss, grads
+    stacked = values.transpose(1, 0, 2)  # HeadOutputs.stacked
     loss, dz = _softmax_ce_grad(_slpc_logits(w, b, stacked), labels)
-    d_w = np.einsum("nc,mnc->cm", dz, stacked)
-    d_b = dz.sum(axis=0)
-    return loss, [(d_w, d_b)]
+    return loss, [np.einsum("nc,mnc->cm", dz, stacked), dz.sum(axis=0)]
 
 
 def train_metamodel(
@@ -391,10 +392,10 @@ def train_metamodel(
     """Train a DTYPE copy of `meta` with numerics.fit for exactly cfg.epochs
     epochs (no early stopping). The untrained model is snapshot candidate
     zero, so the returned model never validates worse than its starting
-    point; the input model is left untouched. fit trains [None] views of the
-    copy's layers (k = 1), so the copy is always the live model. fit's
-    permutations and the dropout masks (DL/DLL) come from one stream seeded
-    meta.seed."""
+    point; the input model is left untouched. The inputs are checked once,
+    here: each mini-batch takes its gradients unchecked, into fit's buffer,
+    whose (1, ...) views, read [0], are the live layers. fit's permutations
+    and the dropout masks (DL/DLL) come from one stream seeded meta.seed."""
     _check_outputs(meta, train_outputs)
     _check_outputs(meta, val_outputs)
     train_labels = check_labels(train_labels, meta.num_classes)
@@ -402,36 +403,51 @@ def train_metamodel(
     if train_labels.shape[0] != train_outputs.n or val_labels.shape[0] != val_outputs.n:
         raise DimensionError("labels do not match head-output sample counts")
 
-    work = replace(meta, layers=[(w.astype(DTYPE), b.astype(DTYPE)) for w, b in meta.layers])
+    arrays = [a for pair in meta.layers for a in pair]
+    shapes = [a.shape for a in arrays]
+    params = np.concatenate([a.reshape(1, -1) for a in arrays], axis=1, dtype=DTYPE)
     stream = RngStream(meta.seed)
-    use_dropout = work.hidden and work.dropout_p > 0.0
+    use_dropout = meta.hidden and meta.dropout_p > 0.0
+    # each mini-batch gathers its outputs into a prefix of one buffer; mode
+    # "clip" (idx is always in range) lets take write to it directly
+    batches = np.empty((min(cfg.batch_size, train_outputs.n), meta.num_heads, meta.num_classes),
+                       DTYPE)
 
-    def grad_fn(params, idx):
+    def live_layers(params):  # the (weights, bias) pairs: row 0 of fit's views
+        return [(params[i][0], params[i + 1][0]) for i in range(0, len(params), 2)]
+
+    def grad_fn(params, grads, idx):
         batch = idx[0]
+        values = batches[: len(batch)]
+        train_outputs.values.take(batch, axis=0, out=values, mode="clip")
         mask = None
         if use_dropout:
-            mask = dropout_mask((batch.shape[0], work.hidden), work.dropout_p, stream)
-        loss, grads = metamodel_gradients(
-            work, train_outputs.subset(batch), train_labels[batch], mask=mask
+            mask = dropout_mask((len(batch), meta.hidden), meta.dropout_p, stream)
+        loss, layer_grads = _gradients(
+            meta.kind, live_layers(params), values, train_labels[batch], mask
         )
-        return np.array([loss]), [g[None] for pair in grads for g in pair]
+        for out, g in zip(grads, layer_grads):
+            out[0] = g
+        return loss
 
-    def val_loss_fn(params=None):
-        probs = softmax_in_place(metamodel_forward(work, val_outputs))  # fresh logits
+    def val_loss_fn(params):
+        model = replace(meta, layers=live_layers(params))
+        probs = softmax_in_place(metamodel_forward(model, val_outputs))  # fresh logits
         return np.array([cross_entropy(probs, val_labels)])
 
     result, = fit(
-        [arr[None] for pair in work.layers for arr in pair],
+        params,
+        shapes,
         grad_fn,
         val_loss_fn,
         cfg,
         num_samples=train_outputs.n,
         epochs=cfg.epochs,
         streams=[stream],
-        initial_val_losses=val_loss_fn(),
+        initial_val_losses=val_loss_fn(split_params(params, shapes)),
     )
     return replace(
-        work,
+        meta,
         layers=list(zip(result.params[0::2], result.params[1::2])),
         training_history=result.history,
         best_epoch=result.best_epoch,

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import container
 from .errors import ConfigError, DataError, StratificationError
-from .numerics import DTYPE, RngStream, check_labels, require_finite, row_blocks
+from .numerics import DTYPE, RngStream, check_labels, first_bad_label, require_finite, row_blocks
 
 FDS_MAGIC = b"FDS1"
 FDS_HEADER = "<III"
@@ -156,9 +156,8 @@ def load_dataset(path, digest=None) -> FeatureDataset:
     start = reader.offset
     features, labels = reader.records(record, n)
     labels = labels.astype(np.int64)
-    bad = np.nonzero(labels >= num_classes)[0]
-    if bad.size:
-        i = int(bad[0])
+    i = first_bad_label(labels, num_classes)  # the file's u32 labels are never negative
+    if i is not None:
         raise reader.error(
             f"label {int(labels[i])} at record {i} >= C={num_classes}",
             offset=start + i * record.itemsize + 4 * dim,

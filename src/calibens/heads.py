@@ -7,10 +7,11 @@ seed, derive_seed(base_seed, i), draws its init and per-epoch permutations.
 
 Both trainers run numerics.fit, the one SGD loop of the package, and produce
 the same family bit for bit. The CLI uses train_heads_lockstep, which hands
-fit all m heads as one stack of (m, C, D) weights and (m, C) biases, so each
-mini-batch costs one backward_linear_stacked call and one sgd_step whatever
-m is. train_head_family trains the heads one after another with train_head
-(fit with k = 1, through the 2-D backward_linear); it stays as the plain
+fit all m heads as one (m, P) parameter buffer, row i head i's weights then
+bias, so each mini-batch costs one backward_linear_stacked call, writing
+into fit's gradient buffer, and one sgd_step whatever m is.
+train_head_family trains the heads one after another with train_head (fit
+with k = 1, through the 2-D backward_linear); it stays as the plain
 reference the tests compare the lockstep trainer against.
 
 Both train in DTYPE, float32, every dataset's feature dtype: the features
@@ -103,13 +104,19 @@ class HeadTrainConfig:
         )
 
 
-def _init_params(dim: int, num_classes: int, stream: np.random.Generator):
-    """Fresh DTYPE head parameters: weights drawn as float64 uniform in
-    [-1/sqrt(D), 1/sqrt(D)] and cast, bias zero."""
-    bound = 1.0 / np.sqrt(dim)
-    weights = stream.uniform(-bound, bound, (num_classes, dim)).astype(DTYPE)
-    bias = np.zeros(num_classes, DTYPE)
-    return weights, bias
+def _param_shapes(dataset: FeatureDataset) -> list:
+    """The shapes of a head's parameters, weights then bias, as fit holds them."""
+    return [(dataset.num_classes, dataset.dim), (dataset.num_classes,)]
+
+
+def _init_params(dataset: FeatureDataset, stream: np.random.Generator) -> np.ndarray:
+    """Fresh DTYPE parameters of a head on `dataset`, as one row of fit's
+    buffer: the weights, drawn as float64 uniform in [-1/sqrt(D), 1/sqrt(D)]
+    and cast, then a zero bias."""
+    bound, size = 1.0 / np.sqrt(dataset.dim), dataset.num_classes * dataset.dim
+    row = np.zeros(size + dataset.num_classes, DTYPE)
+    row[:size] = stream.uniform(-bound, bound, size)
+    return row
 
 
 def head_predict(head: LinearHead, features: np.ndarray) -> np.ndarray:
@@ -172,17 +179,17 @@ def train_head(
     _check_shared_shape(train, val)
     features, val_features = _features(train), _features(val)
     stream = RngStream(seed)
-    weights, bias = _init_params(train.dim, train.num_classes, stream)
 
-    def grad_fn(params, idx):
+    def grad_fn(params, grads, idx):
         batch = idx[0]
-        loss, d_w, d_b = backward_linear(
+        loss, grads[0][0], grads[1][0] = backward_linear(
             features[batch], params[0][0], params[1][0], train.labels[batch]
         )
-        return np.array([loss]), [d_w[None], d_b[None]]
+        return loss
 
     result, = fit(
-        [weights[None], bias[None]],
+        _init_params(train, stream)[None],
+        _param_shapes(train),
         grad_fn,
         lambda params: _validation_losses(params, val_features, val.labels),
         cfg,
@@ -225,9 +232,10 @@ def train_heads_lockstep(
     """The heads of train_head_family(train, val, m, base_seed, cfg), bit for
     bit, trained by one numerics.fit call as a stack of m models.
 
-    Head i is row i of the (m, C, D) weights and (m, C) biases, with its own
-    seeded stream (its init, then one permutation per epoch) and its own
-    epoch rule. Each mini-batch takes the live heads' gradients from one
+    Head i is row i of fit's (m, P) parameter buffer, seen as (m, C, D)
+    weights and (m, C) biases, with its own seeded stream (its init, then
+    one permutation per epoch) and its own epoch rule. Each mini-batch
+    writes the live heads' gradients into fit's gradient views with one
     backward_linear_stacked call, whose slices equal backward_linear's, so
     each element sees the same operations in the same order as in
     train_head. A non-finite loss raises a TrainingError naming the lowest
@@ -239,10 +247,7 @@ def train_heads_lockstep(
     features, val_features = _features(train), _features(val)
     seeds = [derive_seed(base_seed, i) for i in range(m)]
     streams = [RngStream(seed) for seed in seeds]
-    weights = np.empty((m, train.num_classes, train.dim), DTYPE)
-    bias = np.empty((m, train.num_classes), DTYPE)
-    for i, stream in enumerate(streams):
-        weights[i], bias[i] = _init_params(train.dim, train.num_classes, stream)
+    params = np.stack([_init_params(train, stream) for stream in streams])
 
     # every mini-batch gathers its (k, B, D) features into a prefix of one
     # buffer, so no batch allocates; mode="clip" (idx is always in range)
@@ -250,15 +255,15 @@ def train_heads_lockstep(
     # temporary first
     batches = np.empty(m * min(cfg.batch_size, train.n) * train.dim, DTYPE)
 
-    def grad_fn(params, idx):
+    def grad_fn(params, grads, idx):
         batch = batches[: idx.size * train.dim].reshape(*idx.shape, train.dim)
         np.take(features, idx, axis=0, out=batch, mode="clip")
-        losses, d_w, d_b = backward_linear_stacked(batch, *params, train.labels[idx])
-        return losses, [d_w, d_b]
+        return backward_linear_stacked(batch, *params, train.labels[idx], *grads)
 
     try:
         results = fit(
-            [weights, bias],
+            params,
+            _param_shapes(train),
             grad_fn,
             lambda params: _validation_losses(params, val_features, val.labels),
             cfg,

@@ -9,13 +9,14 @@ cross_entropy and backward_linear_stacked widen the picked
 probabilities to float64 before the log, so every loss fit compares is a
 float64. Forward and backward passes are written out by hand; the only loss
 anywhere is mean cross-entropy after softmax. All randomness flows through
-RngStream so a single integer seed reproduces a run bit for bit.
+RngStream so a single integer seed reproduces a run bit for bit. fit, the
+one training loop, trains k models in one (k, P) DTYPE parameter buffer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -184,13 +185,19 @@ def check_labels(labels, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DimensionError(f"labels must be 1-D, got shape {labels.shape}")
-    bad = np.nonzero((labels < 0) | (labels >= num_classes))[0]
-    if bad.size:
-        i = int(bad[0])
+    i = first_bad_label(labels, num_classes)
+    if i is not None:
         raise LabelError(
             f"label {int(labels[i])} at index {i} outside [0, {num_classes})"
         )
     return labels.astype(np.int64, copy=False)
+
+
+def first_bad_label(labels: np.ndarray, num_classes: int) -> int | None:
+    """The index of the first of the 1-D `labels` outside [0, num_classes),
+    or None: the range rule of check_labels and data.load_dataset."""
+    bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
+    return int(bad[0]) if bad.size else None
 
 
 def cross_entropy(probs: np.ndarray, labels) -> float:
@@ -229,16 +236,18 @@ def backward_linear(inputs, weights, bias, labels):
     return loss, d_weights, d_bias
 
 
-def backward_linear_stacked(inputs, weights, bias, labels):
+def backward_linear_stacked(inputs, weights, bias, labels, d_weights, d_bias):
     """backward_linear for k independent affine layers in one call.
 
     inputs (k, B, D), weights (k, C, D), bias (k, C), labels (k, B) int64,
-    already validated. Returns (losses (k,), d_weights (k, C, D), d_bias
-    (k, C)); slice i equals backward_linear(inputs[i], weights[i], bias[i],
-    labels[i]) bit for bit, because every product is the same per-slice GEMM
-    and every reduction runs along the same axis in the same order. As in
-    cross_entropy, the picked probabilities are widened to float64 before
-    the log, so the losses are float64 whatever the operands' dtype.
+    already validated. Writes the gradients into d_weights (k, C, D) and
+    d_bias (k, C), such as views of fit's gradient buffer, and returns the
+    losses (k,); slice i equals backward_linear(inputs[i], weights[i],
+    bias[i], labels[i]) bit for bit, because every product is the same
+    per-slice GEMM and every reduction runs along the same axis in the same
+    order. As in cross_entropy, the picked probabilities are widened to
+    float64 before the log, so the losses are float64 whatever the
+    operands' dtype.
     """
     logits = np.matmul(inputs, weights.transpose(0, 2, 1))
     logits += bias[:, None, :]
@@ -250,7 +259,9 @@ def backward_linear_stacked(inputs, weights, bias, labels):
     losses = -np.log(np.maximum(picked, PROB_EPS)).reshape(k, b).mean(axis=1)
     flat[cells] -= 1.0
     probs /= b
-    return losses, np.matmul(probs.transpose(0, 2, 1), inputs), probs.sum(axis=1)
+    np.matmul(probs.transpose(0, 2, 1), inputs, out=d_weights)
+    probs.sum(axis=1, out=d_bias)
+    return losses
 
 
 def backward_mlp(inputs, w1, b1, w2, b2, labels, mask: np.ndarray | None = None):
@@ -281,45 +292,44 @@ def backward_mlp(inputs, w1, b1, w2, b2, labels, mask: np.ndarray | None = None)
 
 @dataclass
 class SgdState:
-    """SGD with momentum and (coupled) weight decay over a list of parameters.
-    The settings are used as given (HeadTrainConfig and MetaTrainConfig check
-    them); sgd_step creates the velocity buffers on its first call.
-    learning_rate is a float, or a (k,) array with one value per leading-axis
-    slice when the parameters stack k independent models along their first
-    axis."""
+    """SGD with momentum and (coupled) weight decay over a (k, P) buffer of k
+    models. learning_rate is a float or a (k, 1) column of the parameters'
+    dtype. The settings are used as given (HeadTrainConfig and
+    MetaTrainConfig check them); sgd_step makes the buffers on its first call."""
 
     learning_rate: float | np.ndarray
     momentum: float = 0.0
     weight_decay: float = 0.0
-    velocity: list = field(default_factory=list)
+    velocity: np.ndarray | None = None
+    scratch: np.ndarray | None = None
 
 
-def sgd_step(params: list, grads: list, state: SgdState) -> list:
+def sgd_step(params: np.ndarray, grads: np.ndarray, state: SgdState) -> np.ndarray:
     """One update: v <- momentum*v + (grad + wd*param); param <- param - lr*v.
 
-    A (k,) learning rate scales slice i of every (k, ...) parameter by its
-    entry i, so each slice gets the update a scalar step at that rate gives.
-    Each update is computed in its parameter's dtype, a rate array cast to
-    it. Mutates params and state.velocity in place; returns params.
+    Row i of a (k, 1) rate scales row i of params, as a scalar step at that
+    rate would. The update is a fixed number of in-place ufunc calls in
+    params' dtype and allocates nothing, its products landing in
+    state.scratch. Only the first call, which makes the buffers, checks the
+    shapes. Mutates params and state.velocity; returns params.
     """
-    if not state.velocity:
-        state.velocity = [np.zeros_like(p) for p in params]
-    for p, g, v in zip(params, grads, state.velocity, strict=True):
-        if p.shape != g.shape or p.shape != v.shape:
-            raise DimensionError(
-                f"param {p.shape}, grad {g.shape}, velocity {v.shape} must all match"
-            )
+    if state.velocity is None:
         rate = state.learning_rate
-        if isinstance(rate, np.ndarray):
-            if rate.shape != p.shape[:1]:
-                raise DimensionError(f"learning rates {rate.shape} do not match param {p.shape}")
-            rate = rate.astype(p.dtype, copy=False).reshape(rate.shape + (1,) * (p.ndim - 1))
-        v *= state.momentum
-        if state.weight_decay:
-            v += g + state.weight_decay * p  # one sum: two adds round differently
-        else:
-            v += g
-        p -= rate * v
+        if grads.shape != params.shape:
+            raise DimensionError(f"param {params.shape} and grad {grads.shape} must match")
+        if isinstance(rate, np.ndarray) and rate.shape != (params.shape[0], 1):
+            raise DimensionError(f"learning rates {rate.shape} do not match param {params.shape}")
+        state.velocity, state.scratch = np.zeros_like(params), np.empty_like(params)
+    v, s = state.velocity, state.scratch
+    v *= state.momentum
+    if state.weight_decay:
+        np.multiply(params, state.weight_decay, out=s)
+        s += grads  # v += (g + wd*p) as one sum: two adds round differently
+        v += s
+    else:
+        v += grads
+    np.multiply(v, state.learning_rate, out=s)
+    params -= s
     return params
 
 
@@ -346,33 +356,44 @@ def check_sgd_settings(cfg, *own_rules) -> None:
 
 
 class FitResult(NamedTuple):
-    params: list  # copies of the kept snapshot, one 2-D or 1-D array per parameter
+    params: list  # views of one copy of the kept snapshot, one array per parameter
     history: list  # (epoch, train_loss, val_loss, learning_rate) per epoch run
     best_epoch: int  # epoch of the kept snapshot; 0 is the untrained model
     best_val_loss: float | None  # its validation loss; None if never measured
 
 
+def split_params(buffer: np.ndarray, shapes: list) -> list:
+    """Views of `buffer`'s last axis, one per shape in order: (k, *shape)
+    arrays of a (k, P) buffer, or arrays of each shape of a (P,) row."""
+    lead, views, start = buffer.shape[:-1], [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(buffer[..., start:stop].reshape(lead + tuple(shape)))
+        start = stop
+    return views
+
+
 class EpochRule:
     """What one model carries from one epoch to the next in fit: its learning
-    rate, history, kept snapshot and plateau count. end_epoch applies the
-    epoch-end rule that fit describes."""
+    rate, history, kept snapshot (a copy of its parameter row) and plateau
+    count. end_epoch applies the epoch-end rule that fit describes."""
 
-    def __init__(self, params: list, cfg, early_stop_patience=None, initial_val_loss=None):
+    def __init__(self, row: np.ndarray, cfg, early_stop_patience=None, initial_val_loss=None):
         self.lr = cfg.lr
         self.history = []
         self._cfg, self._early_stop_patience = cfg, early_stop_patience
         self._best_val, self._best_epoch = initial_val_loss, 0
-        self._best_params = [p.copy() for p in params]
+        self._best_row = row.copy()
         self._best_metric, self._since_best = float("inf"), 0
 
-    def end_epoch(self, epoch: int, train_loss: float, val_loss: float, params: list) -> bool:
-        """Record the epoch run at self.lr, keep a snapshot of params if it
-        is the best so far, cut self.lr on a plateau, and return whether
-        training stops here."""
+    def end_epoch(self, epoch: int, train_loss: float, val_loss: float, row: np.ndarray) -> bool:
+        """Record the epoch run at self.lr, keep a copy of the parameter row
+        if it is the best so far, cut self.lr on a plateau, and return
+        whether training stops here."""
         self.history.append((epoch, train_loss, val_loss, self.lr))
         if self._best_val is None or val_loss < self._best_val:
             self._best_val, self._best_epoch = val_loss, epoch
-            self._best_params = [p.copy() for p in params]
+            self._best_row = row.copy()
         if val_loss <= self._best_metric - IMPROVEMENT_THRESHOLD:
             self._best_metric, self._since_best = val_loss, 0
             return False
@@ -382,23 +403,26 @@ class EpochRule:
         patience = self._early_stop_patience
         return patience is not None and self._since_best > patience
 
-    def result(self) -> FitResult:
-        return FitResult(self._best_params, self.history, self._best_epoch, self._best_val)
+    def result(self, shapes: list) -> FitResult:
+        params = split_params(self._best_row, shapes)
+        return FitResult(params, self.history, self._best_epoch, self._best_val)
 
 
 def _check_losses(losses: np.ndarray, what: str, epoch: int, live: list) -> None:
-    """Raise TrainingError naming the lowest model whose loss is not finite;
-    losses[j] belongs to model live[j], and epoch 0 is before training."""
+    """Raise TrainingError naming the lowest model whose loss is not finite
+    in the earliest failing row of the (k,) or (batches, k) losses; column j
+    is model live[j], and epoch 0 is before training."""
     finite = np.isfinite(losses)
     if not finite.all():
         when = f"at epoch {epoch}" if epoch else "before training"
-        model = live[int(np.argmin(finite))]
+        model = live[int(np.argwhere(~finite)[0][-1])]
         raise TrainingError(f"non-finite {what} loss {when}", epoch=epoch, model=model)
 
 
 def fit(
-    params: list,
-    grad_fn: Callable[[list, np.ndarray], tuple[np.ndarray, list]],
+    params: np.ndarray,
+    shapes: list,
+    grad_fn: Callable[[list, list, np.ndarray], np.ndarray | float],
     val_loss_fn: Callable[[list], np.ndarray],
     cfg,
     *,
@@ -411,23 +435,28 @@ def fit(
     """Mini-batch SGD for k independent models side by side: the one training
     loop of heads and combiners.
 
-    Model i is row i of every array in params, each shaped (k, ...); one
-    model passes [None] views of its arrays. Each epoch, model i draws a
-    permutation of range(num_samples) from streams[i] (a RngStream) and walks
-    it in cfg.batch_size mini-batches. grad_fn(params, idx) gets the (k, B)
-    sample indices, row j for the j-th model still training, and returns
-    their (k,) training losses and their gradients stacked like params; one
-    sgd_step then updates every model at its own learning rate. After each
-    epoch, val_loss_fn(params) returns the (k,) validation losses and each
-    model's epoch rule runs, in index order. A model that stops leaves
-    params, a new smaller stack, at the end of that epoch; the last one ends
-    the loop without a copy, so with k = 1 the given arrays stay the live
-    parameters. A non-finite training, validation or initial loss raises
-    TrainingError naming the epoch and the lowest failing model. cfg supplies
-    lr (the starting learning rate), momentum, weight_decay, batch_size,
-    plateau_factor and plateau_patience, as HeadTrainConfig and
-    MetaTrainConfig both do (check_sgd_settings is their range check; fit
-    uses the values as given). Returns one FitResult per model.
+    params is a (k, P) buffer: row i holds model i's parameters, one array
+    of each of `shapes` in order, flat. fit trains it in place when it is
+    C-contiguous DTYPE (else a DTYPE copy), with a velocity, a gradient and
+    a scratch buffer of its shape; grad_fn and val_loss_fn see the buffers
+    as split_params views, (k, *shape) each. Each epoch, model i draws a
+    permutation of range(num_samples) from streams[i] (a RngStream) and
+    walks it in cfg.batch_size mini-batches. grad_fn(params, grads, idx)
+    gets the (k, B) sample indices, row j for the j-th model still
+    training, writes each gradient into its view and returns the (k,)
+    training losses (a float when k = 1); one sgd_step then updates every
+    model at its own learning rate. After each epoch, val_loss_fn(params)
+    returns the (k,) validation losses and each model's epoch rule runs, in
+    index order. A model that stops leaves the buffers, by one row gather
+    each, at the end of that epoch; until then the views stay the same. A
+    non-finite loss raises TrainingError naming the epoch and the lowest
+    failing model: an initial loss before training, an epoch's training
+    losses (earliest batch first), then its validation losses, once its
+    batches are done. cfg supplies lr (the starting learning rate),
+    momentum, weight_decay, batch_size, plateau_factor and
+    plateau_patience, as HeadTrainConfig and MetaTrainConfig both do
+    (check_sgd_settings is their range check; fit uses the values as
+    given). Returns one FitResult per model.
 
     Epoch-end rule (EpochRule): the validation loss improves when it is at
     least IMPROVEMENT_THRESHOLD below the best loss so far; otherwise it
@@ -444,29 +473,40 @@ def fit(
     if initial_val_losses is not None:
         _check_losses(initial_val_losses, "validation", 0, live)
         initial = [float(loss) for loss in initial_val_losses]
-    rules = [EpochRule([p[i] for p in params], cfg, early_stop_patience, initial[i]) for i in live]
-    sgd = SgdState(np.full(len(live), cfg.lr), cfg.momentum, cfg.weight_decay)
+    flat = np.ascontiguousarray(params, DTYPE)
+    if flat.shape != (len(live), sum(math.prod(shape) for shape in shapes)):
+        raise DimensionError(f"params {flat.shape} do not hold {len(live)} models of {shapes}")
+    rules = [EpochRule(flat[i], cfg, early_stop_patience, initial[i]) for i in live]
+    sgd = SgdState(np.full((len(live), 1), cfg.lr, DTYPE), cfg.momentum, cfg.weight_decay)
+    grads = np.zeros_like(flat)
+    views, grad_views = split_params(flat, shapes), split_params(grads, shapes)
+    starts = range(0, num_samples, cfg.batch_size)
+    # row 0 stays zero, so the running sum of the weighted batch losses
+    # starts from zero as a loop's would
+    sizes = np.array([0] + [min(cfg.batch_size, num_samples - s) for s in starts])[:, None]
+    losses = np.zeros((len(starts) + 1, len(live)))
+    orders = np.empty((len(live), num_samples), np.int64)  # one permutation per row and epoch
     for epoch in range(1, epochs + 1):
-        orders = np.stack([streams[i].permutation(num_samples) for i in live])
-        loss_sums = np.zeros(len(live))
-        for start in range(0, num_samples, cfg.batch_size):
-            idx = orders[:, start : start + cfg.batch_size]
-            losses, grads = grad_fn(params, idx)
-            _check_losses(losses, "training", epoch, live)
-            sgd_step(params, grads, sgd)
-            loss_sums += losses * idx.shape[1]
-        val_losses = val_loss_fn(params)
-        _check_losses(val_losses, "validation", epoch, live)
-        keep = []
         for j, i in enumerate(live):
-            loss = float(loss_sums[j]) / num_samples
-            if not rules[i].end_epoch(epoch, loss, float(val_losses[j]), [p[j] for p in params]):
-                keep.append(j)
+            orders[j] = streams[i].permutation(num_samples)
+        for row, start in enumerate(starts, 1):
+            losses[row] = grad_fn(views, grad_views, orders[:, start : start + cfg.batch_size])
+            sgd_step(flat, grads, sgd)
+        _check_losses(losses[1:], "training", epoch, live)
+        train_losses = np.add.accumulate(losses * sizes)[-1] / num_samples
+        val_losses = val_loss_fn(views)
+        _check_losses(val_losses, "validation", epoch, live)
+        keep = [
+            j for j, i in enumerate(live)
+            if not rules[i].end_epoch(epoch, float(train_losses[j]), float(val_losses[j]), flat[j])
+        ]
         if not keep:
             break
         if len(keep) < len(live):
-            params = [p[keep] for p in params]
-            sgd.velocity = [v[keep] for v in sgd.velocity]
+            flat, grads, sgd.velocity = flat[keep], grads[keep], sgd.velocity[keep]
+            sgd.scratch = np.empty_like(flat)
+            views, grad_views = split_params(flat, shapes), split_params(grads, shapes)
+            losses, orders = losses[:, keep], orders[keep]
             live = [live[j] for j in keep]
-        sgd.learning_rate = np.array([rules[i].lr for i in live])
-    return [rule.result() for rule in rules]
+        sgd.learning_rate = np.array([rules[i].lr for i in live], DTYPE)[:, None]
+    return [rule.result(shapes) for rule in rules]

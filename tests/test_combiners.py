@@ -181,10 +181,10 @@ class TestOneArrayLayout:
         outputs = head_outputs(per_head)
         batch = RngStream(1).permutation(300)[:128]
         expect = np.concatenate([p[batch] for p in per_head], axis=1)
-        assert np.array_equal(outputs.values[batch].reshape(128, -1), expect)
-        assert np.array_equal(outputs.subset(batch).concatenated(), expect)
+        batch_outputs = HeadOutputs.unchecked(outputs.values[batch])
+        assert np.array_equal(batch_outputs.concatenated(), expect)
         expect = np.stack([p[batch] for p in per_head])
-        assert np.array_equal(outputs.subset(batch).stacked(), expect)
+        assert np.array_equal(batch_outputs.stacked(), expect)
 
     def test_views_share_the_array(self):
         outputs = head_outputs(self.per_head())
@@ -725,6 +725,86 @@ class TestTrainMetamodel:
         meta = build_metamodel("SLpC", 3, 4, seed=9)
         with pytest.raises(LabelError, match="label 4 at index 17"):
             train_metamodel(meta, tr_out, tr_y, va_out, va_y, MetaTrainConfig())
+
+
+def per_layer_training(meta, train_outputs, train_labels, val_outputs, val_labels, cfg):
+    """train_metamodel as a per-layer, k = 1 loop: one permutation per epoch
+    from the stream seeded meta.seed, dropout masks (DL/DLL) drawn from it
+    after each permutation, and for each parameter in turn
+    v *= momentum; v += g (+ wd * p); p -= lr * v, the rate cast to DTYPE.
+    The untrained model is snapshot candidate zero, the first strictly
+    lowest validation loss is kept, and the learning rate is cut after
+    every plateau_patience + 1 epochs without an improvement of 1e-6.
+    Returns (layers, history, best_epoch)."""
+    params = [a.astype(DTYPE) for pair in meta.layers for a in pair]
+    velocity = [np.zeros_like(p) for p in params]
+    stream = RngStream(meta.seed)
+
+    def model():
+        return replace(meta, layers=list(zip(params[0::2], params[1::2])))
+
+    def val_loss():
+        return cross_entropy(softmax(metamodel_forward(model(), val_outputs)), val_labels)
+
+    lr, history = cfg.lr, []
+    best_val, best_epoch, best = val_loss(), 0, [p.copy() for p in params]
+    best_metric, since_best = float("inf"), 0
+    for epoch in range(1, cfg.epochs + 1):
+        order = stream.permutation(train_outputs.n)
+        total = 0.0
+        for start in range(0, train_outputs.n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            mask = None
+            if meta.hidden and meta.dropout_p > 0.0:
+                mask = dropout_mask((len(batch), meta.hidden), meta.dropout_p, stream)
+            outputs = HeadOutputs.unchecked(train_outputs.values[batch])
+            loss, grads = metamodel_gradients(model(), outputs, train_labels[batch], mask)
+            total += loss * len(batch)
+            for p, v, g in zip(params, velocity, [g for pair in grads for g in pair]):
+                v *= cfg.momentum
+                if cfg.weight_decay:
+                    v += g + cfg.weight_decay * p
+                else:
+                    v += g
+                p -= DTYPE.type(lr) * v
+        val = val_loss()
+        history.append((epoch, total / train_outputs.n, val, lr))
+        if val < best_val:
+            best_val, best_epoch, best = val, epoch, [p.copy() for p in params]
+        if val <= best_metric - 1e-6:
+            best_metric, since_best = val, 0
+            continue
+        since_best += 1
+        if since_best % (cfg.plateau_patience + 1) == 0:
+            lr = max(lr * cfg.plateau_factor, 1e-6)
+    return list(zip(best[0::2], best[1::2])), history, best_epoch
+
+
+class TestTrainMetamodelBits:
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_the_per_layer_loop_bit_for_bit(self, kind, weight_decay):
+        # 150 rows in batches of 32 leave a 22-row tail; at a plateau
+        # patience of 1 every kind cuts its learning rate within 12 epochs
+        # and keeps an epoch before the last
+        stream = RngStream(50)
+        train_labels, val_labels = stream.integers(0, 4, 150), stream.integers(0, 4, 40)
+        train = informative_outputs(stream, 3, 150, 4, train_labels)
+        val = informative_outputs(stream, 3, 40, 4, val_labels)
+        meta = build_metamodel(kind, 3, 4, seed=21)
+        cfg = MetaTrainConfig(epochs=12, lr=1.0, batch_size=32, plateau_patience=1,
+                              weight_decay=weight_decay)
+        trained = train_metamodel(meta, train, train_labels, val, val_labels, cfg)
+        layers, history, best_epoch = per_layer_training(
+            meta, train, train_labels, val, val_labels, cfg
+        )
+        assert len({rec[3] for rec in history}) > 1 and best_epoch < cfg.epochs
+        assert trained.training_history == history
+        assert trained.best_epoch == best_epoch
+        for pair, ref_pair in zip(trained.layers, layers, strict=True):
+            for a, ref in zip(pair, ref_pair):
+                assert a.dtype == ref.dtype == DTYPE and a.shape == ref.shape
+                assert a.tobytes() == ref.tobytes()
 
 
 class TestSlpcAveragingArgmax:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from calibens.combiners import MetaTrainConfig
 from calibens.errors import ConfigError, DataError, DimensionError, TrainingError
 from calibens.heads import HeadTrainConfig
 from calibens.numerics import (
+    DTYPE,
     SHORT_CLASSES,
     RngStream,
     SgdState,
@@ -289,7 +291,7 @@ class TestSgd:
     def test_plain_step(self):
         p = np.asarray([0.0])
         state = SgdState(learning_rate=0.1)
-        sgd_step([p], [np.asarray([1.0])], state)
+        sgd_step(p, np.asarray([1.0]), state)
         assert p[0] == pytest.approx(-0.1, abs=1e-15)
 
     def test_weight_decay_only_decays_geometrically(self):
@@ -297,15 +299,15 @@ class TestSgd:
         p = np.asarray([2.0])
         state = SgdState(learning_rate=0.1, weight_decay=0.5)
         for _ in range(4):
-            sgd_step([p], [np.zeros(1)], state)
+            sgd_step(p, np.zeros(1), state)
         assert p[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5) ** 4, rel=1e-12)
 
     def test_momentum_accumulates(self):
         p = np.asarray([0.0])
         state = SgdState(learning_rate=1.0, momentum=0.9)
-        sgd_step([p], [np.asarray([1.0])], state)
-        sgd_step([p], [np.asarray([1.0])], state)
-        assert state.velocity[0][0] == pytest.approx(1.9, abs=1e-15)
+        sgd_step(p, np.asarray([1.0]), state)
+        sgd_step(p, np.asarray([1.0]), state)
+        assert state.velocity[0] == pytest.approx(1.9, abs=1e-15)
 
     def test_monotonic_descent_on_quadratic(self):
         # f(x) = 0.5 x^T A x with A spd; lr below 2/lambda_max descends monotonically
@@ -317,7 +319,7 @@ class TestSgd:
         state = SgdState(learning_rate=1.0 / lam_max)
         losses = [0.5 * x @ a @ x]
         for _ in range(50):
-            sgd_step([x], [a @ x], state)
+            sgd_step(x, a @ x, state)
             losses.append(0.5 * x @ a @ x)
         assert all(l1 <= l0 for l0, l1 in zip(losses, losses[1:]))
 
@@ -325,7 +327,7 @@ class TestSgd:
         p = np.zeros(2)
         state = SgdState(learning_rate=0.1)
         with pytest.raises(DimensionError):
-            sgd_step([p], [np.zeros(3)], state)
+            sgd_step(p, np.zeros(3), state)
 
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
     def test_matches_the_update_formula_bit_for_bit(self, weight_decay):
@@ -336,33 +338,49 @@ class TestSgd:
         state = SgdState(learning_rate=0.05, momentum=0.9, weight_decay=weight_decay)
         for _ in range(6):
             g = stream.standard_normal((30, 20))
-            sgd_step([p], [g], state)
+            sgd_step(p, g, state)
             ref_v = ref_v * 0.9 + (g + weight_decay * ref_p)
             ref_p = ref_p - 0.05 * ref_v
         assert np.array_equal(p, ref_p)
-        assert np.array_equal(state.velocity[0], ref_v)
+        assert np.array_equal(state.velocity, ref_v)
 
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
     def test_learning_rate_vector_equals_one_scalar_step_per_slice(self, weight_decay):
         stream = RngStream(6)
-        rates = np.asarray([0.1, 0.05, 0.025])
-        params = [stream.standard_normal((3, 4, 5)), stream.standard_normal((3, 4))]
-        slices = [[p[i].copy() for p in params] for i in range(3)]
-        stacked = SgdState(rates, momentum=0.9, weight_decay=weight_decay)
-        alone = [SgdState(float(r), momentum=0.9, weight_decay=weight_decay) for r in rates]
+        rates = np.asarray([0.1, 0.05, 0.025], DTYPE)
+        params = stream.standard_normal((3, 24)).astype(DTYPE)
+        rows = [row.copy() for row in params]
+        stacked = SgdState(rates[:, None], momentum=0.9, weight_decay=weight_decay)
+        alone = [SgdState(r, momentum=0.9, weight_decay=weight_decay) for r in rates]
         for _ in range(3):
-            grads = [stream.standard_normal(p.shape) for p in params]
+            grads = stream.standard_normal(params.shape).astype(DTYPE)
             sgd_step(params, grads, stacked)
             for i in range(3):
-                sgd_step(slices[i], [g[i] for g in grads], alone[i])
+                sgd_step(rows[i], grads[i], alone[i])
         for i in range(3):
-            for p, v, lone_p, lone_v in zip(params, stacked.velocity, slices[i], alone[i].velocity):
-                assert np.array_equal(p[i], lone_p)
-                assert np.array_equal(v[i], lone_v)
+            assert np.array_equal(params[i], rows[i])
+            assert np.array_equal(stacked.velocity[i], alone[i].velocity)
 
     def test_learning_rate_vector_must_match_the_leading_axis(self):
         with pytest.raises(DimensionError, match="learning rates"):
-            sgd_step([np.zeros((3, 2))], [np.zeros((3, 2))], SgdState(np.ones(2)))
+            sgd_step(np.zeros((3, 2)), np.zeros((3, 2)), SgdState(np.ones((2, 1))))
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_steps_allocate_no_parameter_sized_array(self, weight_decay):
+        # the buffers come with the first call; a step then runs in place,
+        # where one temporary of the (1, 300_000) buffer would be 1.2 MB
+        params = np.ones((1, 300_000), DTYPE)
+        grads = np.full_like(params, 0.5)
+        state = SgdState(np.full((1, 1), 0.05, DTYPE), 0.9, weight_decay)
+        sgd_step(params, grads, state)
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                sgd_step(params, grads, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 def sgd_cfg(**kw):
@@ -375,7 +393,7 @@ def scheduled_lrs(val_losses, early_stop_patience=None, **cfg):
     """The lr column of the history fit records when the validation losses
     are scripted; its length is the number of epochs run."""
     scripted = iter(val_losses)
-    result, = fit([np.zeros((1, 1))], lambda params, idx: (np.zeros(1), [np.zeros((1, 1))]),
+    result, = fit(np.zeros((1, 1)), [(1,)], lambda params, grads, idx: 0.0,
                   lambda params: np.array([next(scripted)]), sgd_cfg(**cfg), num_samples=2,
                   epochs=len(val_losses), streams=[RngStream(0)],
                   early_stop_patience=early_stop_patience)
@@ -450,15 +468,21 @@ class TestFit:
     """fit on a one-parameter problem whose validation losses are scripted."""
 
     def run(self, val_losses, epochs, **kw):
-        param = np.zeros(1)
+        """The live parameter after the last epoch run, and the FitResult."""
         scripted = iter(val_losses)
+        live = [np.zeros((1, 1))]
 
-        def grad_fn(params, idx):
-            return np.ones(1), [-np.ones((1, 1))]  # every step adds lr to the parameter
+        def grad_fn(params, grads, idx):
+            grads[0][...] = -1.0  # every step adds lr to the parameter
+            return 1.0
 
-        result, = fit([param[None]], grad_fn, lambda params: np.array([next(scripted)]),
-                      sgd_cfg(), num_samples=4, epochs=epochs, streams=[RngStream(0)], **kw)
-        return param, result
+        def val_loss_fn(params):
+            live[0] = params[0]
+            return np.array([next(scripted)])
+
+        result, = fit(live[0], [(1,)], grad_fn, val_loss_fn, sgd_cfg(), num_samples=4,
+                      epochs=epochs, streams=[RngStream(0)], **kw)
+        return live[0][0], result
 
     def test_keeps_first_lowest_epoch(self):
         param, result = self.run([3.0, 1.0, 1.0, 2.0], epochs=4)
@@ -493,14 +517,34 @@ class TestFit:
         with pytest.raises(TrainingError, match="epoch 2"):
             self.run([1.0, float("inf")], epochs=3)
 
+    def test_trains_the_given_buffer_through_views(self):
+        buffer = np.zeros((1, 7), DTYPE)
+        seen = []
+
+        def grad_fn(params, grads, idx):
+            seen.append(([np.shares_memory(p, buffer) for p in params], [g.shape for g in grads]))
+            for g in grads:
+                g[...] = -1.0
+            return 0.0
+
+        fit(buffer, [(2, 3), (1,)], grad_fn, lambda params: np.zeros(1), sgd_cfg(),
+            num_samples=2, epochs=1, streams=[RngStream(0)])
+        assert seen == [([True, True], [(1, 2, 3), (1, 1)])]
+        assert np.all(buffer == DTYPE.type(0.1))
+
+    def test_buffer_must_hold_the_shapes(self):
+        with pytest.raises(DimensionError, match="do not hold"):
+            fit(np.zeros((1, 5)), [(2, 3)], None, None, sgd_cfg(), num_samples=2, epochs=1,
+                streams=[RngStream(0)])
+
     def test_batches_walk_one_permutation_per_epoch(self):
         seen = []
 
-        def grad_fn(params, idx):
+        def grad_fn(params, grads, idx):
             seen.append(idx[0].copy())
-            return np.zeros(1), [np.zeros((1, 1))]
+            return 0.0
 
-        fit([np.zeros((1, 1))], grad_fn, lambda params: np.zeros(1), sgd_cfg(batch_size=3),
+        fit(np.zeros((1, 1)), [(1,)], grad_fn, lambda params: np.zeros(1), sgd_cfg(batch_size=3),
             num_samples=7, epochs=2, streams=[RngStream(4)])
         reference = RngStream(4)
         assert [len(b) for b in seen] == [3, 3, 1, 3, 3, 1]
@@ -525,7 +569,7 @@ class TestFitStack:
         """fit the listed models as one stack. nan_at = (what, epoch, failing)
         makes the training or validation loss of the models in `failing` NaN
         at that epoch."""
-        params = [np.array([[i, 0.5 * (i + 1)] for i in models], dtype=np.float64)]
+        params = np.array([[i, 0.5 * (i + 1)] for i in models])
         done = [0]  # epochs finished
 
         def scripted(what, values, params):
@@ -533,11 +577,11 @@ class TestFitStack:
                 values[np.isin(params[0][:, 0], nan_at[2])] = np.nan
             return values
 
-        def grad_fn(params, idx):
-            w = params[0]
-            grad = np.zeros_like(w)
+        def grad_fn(params, grads, idx):
+            w, grad = params[0], grads[0]
+            grad[:, 0] = 0.0
             grad[:, 1] = 0.5 * w[:, 1] - idx.mean(axis=1) / 5
-            return scripted("training", w[:, 1] ** 2, params), [grad]
+            return scripted("training", w[:, 1] ** 2, params)
 
         def val_loss_fn(params):
             values = np.array([self.VAL[int(i)][done[0]] for i in params[0][:, 0]])
@@ -545,9 +589,9 @@ class TestFitStack:
             done[0] += 1
             return values
 
-        return fit(params, grad_fn, val_loss_fn, sgd_cfg(momentum=0.9, plateau_patience=1),
-                   num_samples=5, epochs=8, streams=[RngStream(10 + i) for i in models],
-                   early_stop_patience=2)
+        return fit(params, [(2,)], grad_fn, val_loss_fn,
+                   sgd_cfg(momentum=0.9, plateau_patience=1), num_samples=5, epochs=8,
+                   streams=[RngStream(10 + i) for i in models], early_stop_patience=2)
 
     def test_each_model_equals_its_own_run(self):
         stacked = self.run([0, 1, 2])
